@@ -6,6 +6,7 @@ open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_circuit
 open Pmtbr_core
+open Pmtbr_oracle
 
 (* Sampling scheme: accuracy of an order-10 spiral model per scheme. *)
 let sampling_schemes () =

@@ -13,8 +13,8 @@
    with the solve-counter invariant (incremental solves == points
    consumed) and, in full mode, a >= 3x wall-time gate.
 
-   Emits BENCH_adaptive.json in the current directory.  Run from the
-   repo root:
+   Emits BENCH_adaptive.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/adaptive_bench.exe            # full run, 3x gate
      dune exec bench/adaptive_bench.exe -- --smoke # CI: tiny point set,
@@ -62,9 +62,10 @@ type record = {
 let bench_case ~name ~sys ~points ~batch ~tol =
   Printf.eprintf "[adaptive_bench] %s: %d states, %d points, batch %d\n%!" name (Dss.order sys)
     (Array.length points) batch;
-  let run rebuild = Pmtbr.reduce_adaptive_stats ~rebuild ~tol ~batch sys points in
-  let (inc, st_inc), inc_wall = time_best (fun () -> run false) in
-  let (reb, st_reb), reb_wall = time_best (fun () -> run true) in
+  let run rebuild = Pmtbr.reduce_adaptive ~rebuild ~tol ~batch sys points in
+  let inc, inc_wall = time_best (fun () -> run false) in
+  let reb, reb_wall = time_best (fun () -> run true) in
+  let st_inc = inc.Pmtbr.stats and st_reb = reb.Pmtbr.stats in
   (* identical outputs: the whole point of the weight-at-assembly design *)
   if inc.Pmtbr.singular_values <> reb.Pmtbr.singular_values then
     failwith (name ^ ": singular values differ between incremental and from-scratch");
@@ -173,7 +174,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_adaptive.json" json;
+  Util.write_json ~smoke ~file:"BENCH_adaptive.json" json;
   if not smoke then begin
     (* acceptance gate: >= 3x on the 64-point rc-mesh sweep *)
     let mesh = List.hd records in

@@ -22,8 +22,8 @@
    - the round-robin singular values agree with the serial cyclic
      reference to 1e-12 relative to sigma_max.
 
-   Emits BENCH_dense.json in the current directory.  Run from the repo
-   root:
+   Emits BENCH_dense.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/dense_bench.exe            # full run, 2x gate
      dune exec bench/dense_bench.exe -- --smoke # CI: tiny matrix,
@@ -32,6 +32,7 @@
 open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_core
+open Pmtbr_oracle
 
 let now () = Unix.gettimeofday ()
 
@@ -196,7 +197,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_dense.json" json;
+  Util.write_json ~smoke ~file:"BENCH_dense.json" json;
   if not smoke then begin
     (* acceptance gate: the kernel-layer SVD must be >= 2x the serial
        cyclic reference on the reduction-stage operand *)

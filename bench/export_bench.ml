@@ -14,8 +14,8 @@
      within 1e-9, and the rendering must be generation-stable
      (render -> parse -> render is byte-identical).
 
-   Emits BENCH_export.json in the current directory.  Run from the repo
-   root:
+   Emits BENCH_export.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/export_bench.exe            # full run, all gates
      dune exec bench/export_bench.exe -- --smoke # CI: small operands,
@@ -88,10 +88,11 @@ let passive_case ~ports ~internal ~order ~ratio_gate =
   let nl = Pmtbr_circuit.Substrate.generate ~ports ~internal ~seed:11 () in
   let sys = Dss.of_netlist nl in
   let t0 = now () in
-  let red, pst = Tbr_passive.reduce_stats ~order sys in
+  let red = Tbr_passive.reduce ~order sys in
+  let pst = red.Tbr_passive.stats in
   let passive_wall = now () -. t0 in
   let t0 = now () in
-  let _, lst = Tbr_lr.reduce_stats ~order sys in
+  let lst = (Tbr_lr.reduce ~order sys).Tbr_lr.stats in
   let lr_wall = now () -. t0 in
   if pst.Tbr_passive.symbolic <> 1 then
     fail "%d symbolic analyses in the passive reduction, contract is 1" pst.Tbr_passive.symbolic;
@@ -188,7 +189,7 @@ let () =
     end
   in
   let json = json_of ~parse ~passive in
-  Util.write_json ~file:"BENCH_export.json" json;
+  Util.write_json ~smoke ~file:"BENCH_export.json" json;
   Printf.eprintf "[export_bench] %s OK: col ratio %.3f, drift %.2e, %.0f elements/s\n%!"
     (if smoke then "smoke" else "full")
     passive.col_solve_ratio passive.roundtrip_drift parse.elements_per_s

@@ -3,7 +3,8 @@
    recombination -> interface compression) against the flat sampled
    pipeline.
 
-   Three cases, emitted to BENCH_hier.json:
+   Three cases, emitted to BENCH_hier.json (under _build/bench-smoke/
+   with --smoke):
 
    - agreement (always runs, gates asserted): on a mid-size mesh both
      paths must match the full model's port transfer within 1e-6, and the
@@ -86,12 +87,11 @@ let agreement_case () =
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:8 in
   let omegas = Array.init 9 (fun i -> 1e6 *. (10.0 ** (0.5 *. float_of_int i))) in
   let flat = (Pmtbr.reduce ~tol:1e-12 sys pts).Pmtbr.rom in
-  let hier1, _ =
-    Hier_reduce.reduce_stats ~tol:1e-12 ~interface_tol:1e-8 ~parts:4 ~workers:1 nl pts
-  in
+  let pt = Partition.split ~parts:4 nl in
+  let hier1, _ = Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-8 ~workers:1 pt pts in
   let hierw, _ =
-    Hier_reduce.reduce_stats ~tol:1e-12 ~interface_tol:1e-8 ~parts:4 ~workers:(max 2 workers)
-      ~oversubscribe:true nl pts
+    Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-8 ~workers:(max 2 workers)
+      ~oversubscribe:true pt pts
   in
   let invariant = rom_digest hier1 = rom_digest hierw in
   if not invariant then begin
@@ -168,10 +168,12 @@ let scale_case () =
   let flat_rom, flat_s = time (fun () -> (Pmtbr.reduce ~tol:1e-10 sys pts).Pmtbr.rom) in
   Printf.eprintf "[hier_bench]   flat: %.3f s (+ %.3f s stamp), order %d\n%!" flat_s stamp_s
     (Dss.order flat_rom);
-  let (hier_rom, st), hier_s =
+  let (partition_s, (hier_rom, st)), hier_s =
     time (fun () ->
-        Hier_reduce.reduce_stats ~tol:1e-10 ~interface_tol:scale_interface_tol ~parts ~workers
-          nl pts)
+        let pt, partition_s = time (fun () -> Partition.split ~parts nl) in
+        ( partition_s,
+          Hier_reduce.reduce_partitioned ~tol:1e-10 ~interface_tol:scale_interface_tol ~workers
+            pt pts ))
   in
   (* the pool is capped by the hardware and the part count, exactly as
      Hier_reduce sizes it *)
@@ -185,7 +187,7 @@ let scale_case () =
   Printf.eprintf
     "[hier_bench]   stage walls: partition %.3f s, sample+project %.3f s, recombine %.4f s, \
      compress %.3f s\n%!"
-    st.Hier_reduce.partition_wall_s st.Hier_reduce.sample_wall_s st.Hier_reduce.recombine_wall_s
+    partition_s st.Hier_reduce.sample_wall_s st.Hier_reduce.recombine_wall_s
     st.Hier_reduce.compress_wall_s;
   if (not smoke) && 2 * st.Hier_reduce.interface_kept > st.Hier_reduce.interface then begin
     Printf.eprintf "[hier_bench] FAIL: interface kept %d > half of %d states\n%!"
@@ -198,7 +200,7 @@ let scale_case () =
      let walls =
        List.sort (fun a b -> compare b a)
          [
-           st.Hier_reduce.partition_wall_s; st.Hier_reduce.sample_wall_s;
+           partition_s; st.Hier_reduce.sample_wall_s;
            st.Hier_reduce.recombine_wall_s; st.Hier_reduce.compress_wall_s;
          ]
      in
@@ -244,7 +246,7 @@ let scale_case () =
     s_actual_workers = actual;
     s_flat_wall_s = flat_s;
     s_hier_wall_s = hier_s;
-    s_partition_wall_s = st.Hier_reduce.partition_wall_s;
+    s_partition_wall_s = partition_s;
     s_sample_wall_s = st.Hier_reduce.sample_wall_s;
     s_recombine_wall_s = st.Hier_reduce.recombine_wall_s;
     s_compress_wall_s = st.Hier_reduce.compress_wall_s;
@@ -403,7 +405,7 @@ let () =
   let s = scale_case () in
   let c = capacity_case () in
   let json = json_of a s c in
-  Util.write_json ~file:"BENCH_hier.json" json;
+  Util.write_json ~smoke ~file:"BENCH_hier.json" json;
   if assert_multicore && Domain.recommended_domain_count () > 1 && s.s_actual_workers <= 1
   then begin
     Printf.eprintf "[hier_bench] FAIL: multicore host but the pool collapsed to 1 worker\n%!";

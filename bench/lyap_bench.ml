@@ -24,8 +24,8 @@
      invariant per the PR-4 contract);
    - exactly one symbolic analysis for the whole two-Gramian reduction.
 
-   Emits BENCH_lyap.json in the current directory.  Run from the repo
-   root:
+   Emits BENCH_lyap.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/lyap_bench.exe            # full run, 5x gate at 1089
      dune exec bench/lyap_bench.exe -- --smoke # CI: small mesh,
@@ -108,7 +108,8 @@ let bench_case ~name ~rows ~cols ~order ~reps =
   let n = Dss.order sys in
   Printf.eprintf "[lyap_bench] %s: %d states, reduced order %d\n%!" name n order;
   let dense_res, dense_wall = time_best ~reps (fun () -> Tbr.reduce_dss ~order sys) in
-  let (lr_res, st), lr_wall = time_best ~reps (fun () -> Tbr_lr.reduce_stats ~order sys) in
+  let lr_res, lr_wall = time_best ~reps (fun () -> Tbr_lr.reduce ~order sys) in
+  let st = lr_res.Tbr_lr.stats in
   let drift =
     invariant_checks ~name ~sys ~order ~st ~dense_hsv:dense_res.Tbr.hsv
       ~lr_hsv:lr_res.Tbr_lr.hsv
@@ -179,7 +180,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_lyap.json" json;
+  Util.write_json ~smoke ~file:"BENCH_lyap.json" json;
   if not smoke then begin
     (* acceptance gate: low-rank exact TBR must beat the dense baseline
        >= 5x at 1089 states with hsv drift <= 1e-8 (checked above) *)

@@ -25,8 +25,8 @@
    - the incremental jobs hit the advertised tiers with the advertised
      counter deltas (symbolic = 1 forever, re-tol solves delta = 0).
 
-   Emits BENCH_serve.json in the current directory.  Run from the repo
-   root:
+   Emits BENCH_serve.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/serve_bench.exe            # full run, 10x warm gate
      dune exec bench/serve_bench.exe -- --smoke # CI: tiny mesh,
@@ -230,7 +230,7 @@ let () =
     else run_scenario ~mesh_n:24 ~samples:30 ~warm_jobs:200
   in
   let json = json_of_record r in
-  Util.write_json ~file:"BENCH_serve.json" json;
+  Util.write_json ~smoke ~file:"BENCH_serve.json" json;
   (* acceptance gate: a warm repeat must beat the cold path by 10x on the
      full operand; the smoke operand is tiny, so the gate is relaxed to
      3x there (the invariants above are the real smoke check) *)

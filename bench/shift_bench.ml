@@ -9,9 +9,10 @@
    - engine at 1 / 2 / 4 / 8 workers: shared symbolic analysis, numeric
      refactorisation per shift, domain pool.
 
-   Emits BENCH_shift.json in the current directory with the speedup curve
-   relative to the baseline, plus a bitwise-determinism check of parallel
-   against serial assembly.  Run from the repo root:
+   Emits BENCH_shift.json in the current directory (a --smoke run writes
+   it under _build/bench-smoke/ instead) with the speedup curve relative
+   to the baseline, plus a bitwise-determinism check of parallel against
+   serial assembly.  Run from the repo root:
 
      dune exec bench/shift_bench.exe
 
@@ -23,6 +24,7 @@
 open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_core
+open Pmtbr_oracle
 
 let arg_flag name = Array.exists (fun a -> a = name) Sys.argv
 
@@ -76,7 +78,7 @@ let bench_substrate ~name ~(sys : Dss.t) ~points ~worker_list ~reps =
     (Dss.inputs sys) (Array.length points);
   let z_base, base_s = time_best ~reps (fun () -> baseline_build sys points) in
   Printf.eprintf "[shift_bench]   baseline (legacy serial) %.3f s\n%!" base_s;
-  let z_serial = Shift_engine.build ~workers:1 sys points in
+  let z_serial = Zmat.build ~workers:1 sys points in
   if not (bitwise_equal z_base z_serial) then begin
     (* the engine's refactorised numerics may differ from the legacy path in
        the last bits; report the departure but do not fail the bench *)
@@ -89,7 +91,9 @@ let bench_substrate ~name ~(sys : Dss.t) ~points ~worker_list ~reps =
     List.map
       (fun w ->
         let (zw, st), wall =
-          time_best ~reps (fun () -> Shift_engine.build_stats ~workers:w sys points)
+          time_best ~reps (fun () ->
+              Shift_engine.run ~workers:w sys
+                (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false points))
         in
         if not (bitwise_equal zw z_serial) then
           failwith
@@ -175,7 +179,7 @@ let () =
   in
   let results = [ mesh_result; spiral_result ] in
   let json = json_of_results results in
-  Util.write_json ~file:"BENCH_shift.json" json;
+  Util.write_json ~smoke ~file:"BENCH_shift.json" json;
   (if assert_mc then
      (* the pool must really expand on multicore hosts; the determinism
         check above already ran either way *)

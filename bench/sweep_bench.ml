@@ -25,8 +25,8 @@
    - the Hessenberg ROM sweep agrees with the dense-LU reference to
      1e-12 relative (the acceptance contract).
 
-   Emits BENCH_sweep.json in the current directory.  Run from the repo
-   root:
+   Emits BENCH_sweep.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/sweep_bench.exe            # full run, 3x gate
      dune exec bench/sweep_bench.exe -- --smoke # CI: tiny mesh,
@@ -80,8 +80,8 @@ type record = {
 
 (* The determinism contract, checked on the actual bench operand. *)
 let invariant_checks ~name ~sys ~plan ~omegas ~tol =
-  let serial = Sweep_engine.sweep ~workers:1 plan omegas in
-  let par = Sweep_engine.sweep ~workers:4 ~oversubscribe:true plan omegas in
+  let serial, _ = Sweep_engine.sweep ~workers:1 plan omegas in
+  let par, _ = Sweep_engine.sweep ~workers:4 ~oversubscribe:true plan omegas in
   if not (sweeps_bitwise_equal serial par) then
     failwith (name ^ ": sweep differs between workers=1 and workers=4");
   if not (sweeps_bitwise_equal serial (Array.map (Sweep_engine.eval_jw plan) omegas)) then
@@ -103,7 +103,7 @@ let bench_case ~name ~sys ~omegas ~workers ~reps ~tol =
   let _, naive_wall = time_best ~reps (fun () -> Freq.sweep_naive sys omegas) in
   let _, serial_wall = time_best ~reps (fun () -> Sweep_engine.sweep ~workers:1 plan omegas) in
   let (_, st), engine_wall =
-    time_best ~reps (fun () -> Sweep_engine.sweep_stats ~workers plan omegas)
+    time_best ~reps (fun () -> Sweep_engine.sweep ~workers plan omegas)
   in
   let r =
     {
@@ -193,7 +193,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_sweep.json" json;
+  Util.write_json ~smoke ~file:"BENCH_sweep.json" json;
   (if assert_mc then
      (* r.workers records the pool size the engine actually ran with *)
      let max_actual = List.fold_left (fun m r -> max m r.workers) 0 records in

@@ -15,9 +15,19 @@ let json_object body =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-(* Write the JSON next to the working directory and echo it, the
-   convention every bench follows. *)
-let write_json ~file json =
+(* Write the JSON and echo it.  A full run writes [file] into the working
+   directory: the committed BENCH_*.json files are the perf trajectory.  A
+   --smoke run is a CI gate on a tiny operand, so its JSON goes under
+   _build/bench-smoke/ and never overwrites a full run. *)
+let write_json ~smoke ~file json =
+  let file =
+    if smoke then begin
+      let dir = Filename.concat "_build" "bench-smoke" in
+      List.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) [ "_build"; dir ];
+      Filename.concat dir file
+    end
+    else file
+  in
   let oc = open_out file in
   output_string oc json;
   close_out oc;

@@ -28,8 +28,8 @@
      bitwise-identical across batch sizes and worker counts when driven
      to full consumption.
 
-   Emits BENCH_variants.json in the current directory.  Run from the
-   repo root:
+   Emits BENCH_variants.json in the current directory (a --smoke run writes it
+   under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec bench/variants_bench.exe            # full run, 2x gate
      dune exec bench/variants_bench.exe -- --smoke # CI: tiny system,
@@ -38,6 +38,7 @@
 open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_core
+open Pmtbr_oracle
 
 let now () = Unix.gettimeofday ()
 
@@ -144,9 +145,9 @@ let bench_case ~name ~sys ~points ~order ~reps =
    forces the adaptive loops to full consumption so runs with different
    batch sizes end on the same sample set. *)
 let determinism_checks ~sys ~points =
-  let b1 = (Cross_gramian.reduce_cached ~workers:1 sys points).Cross_gramian.basis in
-  let b3 = (Cross_gramian.reduce_cached ~workers:3 sys points).Cross_gramian.basis in
-  if not (bitwise_equal b1 b3) then failwith "reduce_cached differs across worker counts";
+  let b1 = (Cross_gramian.reduce ~workers:1 sys points).Cross_gramian.basis in
+  let b3 = (Cross_gramian.reduce ~workers:3 sys points).Cross_gramian.basis in
+  if not (bitwise_equal b1 b3) then failwith "Cross_gramian.reduce differs across worker counts";
   let adapt ~batch ~workers =
     (Cross_gramian.reduce_adaptive ~batch ~converge_tol:(-1.0) ~workers sys points)
       .Cross_gramian.basis
@@ -168,10 +169,11 @@ let determinism_checks ~sys ~points =
       ~t0:0.0 ~t1:4e-9 ~samples:200
   in
   let ic ~batch ~workers =
-    let r, st =
-      Input_correlated.reduce_adaptive_stats ~seed:5 ~batch ~converge_tol:(-1.0) ~workers sys
+    let r =
+      Input_correlated.reduce_adaptive ~seed:5 ~batch ~converge_tol:(-1.0) ~workers sys
         ~inputs ~points ~max_draws:24
-    in
+      in
+    let st = r.Input_correlated.stats in
     if st.Sample_cache.solves <> st.Sample_cache.points then
       failwith "input-correlated cache re-solved shifts";
     r.Input_correlated.basis
@@ -227,7 +229,7 @@ let () =
     end
   in
   let json = json_of_records records in
-  Util.write_json ~file:"BENCH_variants.json" json;
+  Util.write_json ~smoke ~file:"BENCH_variants.json" json;
   if not smoke then begin
     (* acceptance gate: the compressed pencil must be >= 2x the dense
        state-dimension QR on the projection stage *)

@@ -329,9 +329,11 @@ let stats_arg =
     & flag
     & info [ "stats" ]
         ~doc:
-          "Print the sample-cache counters (shift solves, columns held, batches, timings).  \
-           Available for the cache-pipeline methods: pmtbr, fs-pmtbr, multipoint, \
-           cross-gramian, correlated; tbr-lr prints its Lyapunov-solver counters instead.")
+          "Print the run's counters; the reduction itself is the same with or without the \
+           flag.  The sample-cache methods (pmtbr, fs-pmtbr, multipoint, cross-gramian, \
+           correlated) print shift solves, columns held, batches and timings; tbr-lr and \
+           tbr-passive print their Lyapunov-solver counters; hier prints its partition, \
+           per-subdomain orders and solves, and stage walls.")
 
 let adaptive_arg =
   Arg.(
@@ -415,17 +417,16 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
   let no_adaptive name = failwith (name ^ " has no adaptive cache pipeline (drop --adaptive)") in
   let no_stats name = failwith (name ^ " does not run through the sample cache (drop --stats)") in
   (* each arm yields the reduced model, the sample count actually consumed
-     (when meaningful), and the cache counters (when the method runs
-     through the pipeline) *)
+     (adaptive runs), and the cache counters (when the method runs through
+     the pipeline); --stats only decides whether they are printed *)
+  let consumed offered samples = if adaptive then Some (samples, offered) else None in
+  let of_pmtbr (r : Pmtbr.result) =
+    (r.Pmtbr.rom, consumed (Array.length pts) r.Pmtbr.samples, Some r.Pmtbr.stats)
+  in
   let rom, used, st =
     match meth with
-    | M_pmtbr when adaptive ->
-        let r, st = Pmtbr.reduce_adaptive_stats ?order ?tol ?workers sys pts in
-        (r.Pmtbr.rom, Some (r.Pmtbr.samples, Array.length pts), Some st)
-    | M_pmtbr when stats ->
-        let r, st = Pmtbr.reduce_stats ?order ?tol ?workers sys pts in
-        (r.Pmtbr.rom, None, Some st)
-    | M_pmtbr -> ((Pmtbr.reduce ?order ?tol ?workers sys pts).Pmtbr.rom, None, None)
+    | M_pmtbr when adaptive -> of_pmtbr (Pmtbr.reduce_adaptive ?order ?tol ?workers sys pts)
+    | M_pmtbr -> of_pmtbr (Pmtbr.reduce ?order ?tol ?workers sys pts)
     | M_hier ->
         if adaptive then no_adaptive "hier";
         let t0 = Unix.gettimeofday () in
@@ -474,48 +475,36 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
     | M_fs ->
         let lo, hi = match band with Some b -> b | None -> (0.0, w_hi) in
         let bands = [ Freq_selective.band ~lo ~hi ] in
-        if adaptive then begin
-          let r, st =
-            Freq_selective.reduce_adaptive_stats ?order ?tol ?workers sys ~bands ~count:samples
-          in
-          (r.Pmtbr.rom, Some (r.Pmtbr.samples, Array.length pts), Some st)
-        end
-        else if stats then begin
-          let r, st = Freq_selective.reduce_stats ?order ?tol ?workers sys ~bands ~count:samples in
-          (r.Pmtbr.rom, None, Some st)
-        end
-        else
-          ((Freq_selective.reduce ?order ?tol ?workers sys ~bands ~count:samples).Pmtbr.rom,
-           None, None)
+        of_pmtbr
+          (if adaptive then
+             Freq_selective.reduce_adaptive ?order ?tol ?workers sys ~bands ~count:samples
+           else Freq_selective.reduce ?order ?tol ?workers sys ~bands ~count:samples)
     | M_multipoint ->
         if adaptive then no_adaptive "multipoint";
-        let r, st =
-          Multipoint.reduce_stats ?workers sys (Sampling.spread_order pts)
+        let r =
+          Multipoint.reduce ?workers sys (Sampling.spread_order pts)
             ~count:(max 1 (Option.value order ~default:10 / 2))
         in
-        (r.Multipoint.rom, None, if stats then Some st else None)
-    | M_cross when adaptive ->
-        let r, st = Cross_gramian.reduce_adaptive_stats ?order ?workers sys pts in
-        (r.Cross_gramian.rom, Some (r.Cross_gramian.samples, Array.length pts), Some st)
+        (r.Multipoint.rom, None, Some r.Multipoint.stats)
     | M_cross ->
-        let r, st = Cross_gramian.reduce_cached_stats ?order ?workers sys pts in
-        (r.Cross_gramian.rom, None, if stats then Some st else None)
+        let r =
+          if adaptive then Cross_gramian.reduce_adaptive ?order ?workers sys pts
+          else Cross_gramian.reduce ?order ?workers sys pts
+        in
+        ( r.Cross_gramian.rom,
+          consumed (Array.length pts) r.Cross_gramian.samples,
+          Some r.Cross_gramian.stats )
     | M_correlated ->
         let inputs = correlated_inputs sys ~seed ~w_hi in
-        if adaptive then begin
-          let r, st =
-            Input_correlated.reduce_adaptive_stats ?order ?tol ~seed ?workers sys ~inputs
-              ~points:pts ~max_draws:draws
-          in
-          (r.Input_correlated.rom, Some (r.Input_correlated.samples, draws), Some st)
-        end
-        else begin
-          let r, st =
-            Input_correlated.reduce_stats ?order ?tol ~seed ?workers sys ~inputs ~points:pts
-              ~draws
-          in
-          (r.Input_correlated.rom, None, if stats then Some st else None)
-        end
+        let r =
+          if adaptive then
+            Input_correlated.reduce_adaptive ?order ?tol ~seed ?workers sys ~inputs ~points:pts
+              ~max_draws:draws
+          else
+            Input_correlated.reduce ?order ?tol ~seed ?workers sys ~inputs ~points:pts ~draws
+        in
+        (r.Input_correlated.rom, consumed draws r.Input_correlated.samples,
+         Some r.Input_correlated.stats)
     | M_prima ->
         if adaptive then no_adaptive "prima";
         if stats then no_stats "prima";
@@ -527,7 +516,8 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
         ((Tbr.reduce_dss ?order ?tol sys).Tbr.rom, None, None)
     | M_tbr_lr ->
         if adaptive then no_adaptive "tbr-lr";
-        let r, st = Tbr_lr.reduce_stats ?order ?tol ?stop:(lyap_stop band) ?workers sys in
+        let r = Tbr_lr.reduce ?order ?tol ?stop:(lyap_stop band) ?workers sys in
+        let st = r.Tbr_lr.stats in
         if stats then begin
           Printf.printf "symbolic analyses: %d\n" st.Tbr_lr.symbolic;
           Printf.printf "refactorizations:  %d (ADI shifts: %d)\n" st.Tbr_lr.refactorizations
@@ -543,9 +533,8 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
     | M_tbr_passive ->
         if adaptive then no_adaptive "tbr-passive";
         let inductors = Pmtbr_circuit.Netlist.inductor_count nl in
-        let r, st =
-          Tbr_passive.reduce_stats ?order ?tol ?stop:(lyap_stop band) ~inductors ?workers sys
-        in
+        let r = Tbr_passive.reduce ?order ?tol ?stop:(lyap_stop band) ~inductors ?workers sys in
+        let st = r.Tbr_passive.stats in
         if stats then begin
           Printf.printf "symbolic analyses: %d\n" st.Tbr_passive.symbolic;
           Printf.printf "refactorizations:  %d (ADI shifts: %d)\n"
@@ -674,19 +663,15 @@ let run_adaptive circuit spice size ports seed monitor order tol batch rebuild s
     | _ -> Sampling.points (Sampling.Uniform { w_max = w_hi }) ~count:samples
   in
   let workers = workers_opt workers in
-  let result, st =
+  let result =
     match monitor with
-    | Mon_svd -> Pmtbr.reduce_adaptive_stats ~rebuild ?order ?tol ~batch ?workers sys pts
-    | Mon_rrqr -> Pmtbr.reduce_adaptive_rrqr_stats ~rebuild ?order ?tol ~batch ?workers sys pts
+    | Mon_svd -> Pmtbr.reduce_adaptive ~rebuild ?order ?tol ~batch ?workers sys pts
+    | Mon_rrqr -> Pmtbr.reduce_adaptive_rrqr ~rebuild ?order ?tol ~batch ?workers sys pts
   in
+  let st = result.Pmtbr.stats in
   Printf.printf "reduced: %d -> %d states\n" (Dss.order sys) (Dss.order result.Pmtbr.rom);
   Printf.printf "samples consumed:  %d of %d offered\n" result.Pmtbr.samples (Array.length pts);
-  Printf.printf "shift solves:      %d%s\n" st.Sample_cache.solves
-    (if rebuild then " (from-scratch reference)" else " (each shift solved once)");
-  Printf.printf "columns held:      %d\n" st.Sample_cache.columns;
-  Printf.printf "batches:           %d\n" st.Sample_cache.batches;
-  Printf.printf "factor/solve time: %.4f s / %.4f s\n" st.Sample_cache.factor_s
-    st.Sample_cache.solve_s;
+  if rebuild then print_stats ~note:"from-scratch reference" st else print_stats st;
   Array.iteri
     (fun i w -> Printf.printf "batch %-2d wall:     %.4f s\n" (i + 1) w)
     st.Sample_cache.batch_wall_s;

@@ -5,11 +5,11 @@
 
    Two routes to the compressed eigenproblem:
 
-   - [reduce] (the retained dense reference): a state-dimension QR of the
-     joint sample block [zr zl] = Q [R^R R^L] and the pencil
-     R^R (R^L)^T at the joint column dimension.
+   - [of_samples] (the dense kernel over pre-built sample blocks): a
+     state-dimension QR of the joint sample block [zr zl] = Q [R^R R^L]
+     and the pencil R^R (R^L)^T at the joint column dimension.
 
-   - [reduce_cached] / [reduce_adaptive]: both sides held in
+   - [reduce] / [reduce_adaptive]: both sides held in
      [Sample_cache]s (sharing one multi-shift handle, so the adjoint
      solves reuse the same symbolic sparse-LU analysis), with
      Z^R = Q_R S_R and Z^L = Q_L S_L maintained as incremental thin QRs.
@@ -34,6 +34,7 @@ type result = {
   basis : Mat.t;
   eigenvalues : Complex.t array; (* of the compressed pencil, |.| descending *)
   samples : int;
+  stats : Sample_cache.stats; (* both sides' counters, merged *)
 }
 
 (* Rank the pencil eigenvalues by magnitude and pick the model order:
@@ -69,12 +70,13 @@ let eigen_coeff schur (order_idx : int array) q_model k =
   Mat.init k (Array.length cols) (fun i j -> cols.(j).(i))
 
 (* ------------------------------------------------------------------ *)
-(* Dense reference path (state-dimension QR)                           *)
+(* Dense kernel (state-dimension QR)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The original one-shot pipeline from pre-built sample blocks — the
-   bitwise reference the cached path is property-tested against, and the
-   baseline bench/variants_bench.ml gates the compressed pencil on. *)
+(* The original pipeline from pre-built sample blocks — the reference the
+   compressed pencil is tested against, and the baseline
+   bench/variants_bench.ml gates it on.  The blocks arrive solved, so the
+   counters record the columns but no solves. *)
 let of_samples ?(order : int option) ?(tol = 1e-8) sys ~(zr : Mat.t) ~(zl : Mat.t) ~samples =
   let q = Qr.orth (Mat.hcat zr zl) in
   let rr = Mat.mul (Mat.transpose q) zr in
@@ -87,12 +89,18 @@ let of_samples ?(order : int option) ?(tol = 1e-8) sys ~(zr : Mat.t) ~(zl : Mat.
   let small_orth = Qr.orth small in
   let basis = Mat.mul q small_orth in
   let evs_sorted = Array.map (fun i -> evs.(i)) order_idx in
-  { rom = Dss.project_congruence sys basis; basis; eigenvalues = evs_sorted; samples }
-
-let reduce ?order ?tol ?workers sys (pts : Sampling.point array) =
-  let zr = Zmat.build ?workers sys pts in
-  let zl = Zmat.build_left ?workers sys pts in
-  of_samples ?order ?tol sys ~zr ~zl ~samples:(Array.length pts)
+  let stats =
+    {
+      Sample_cache.solves = 0;
+      points = 2 * samples;
+      columns = zr.Mat.cols + zl.Mat.cols;
+      batches = 0;
+      factor_s = 0.0;
+      solve_s = 0.0;
+      batch_wall_s = [||];
+    }
+  in
+  { rom = Dss.project_congruence sys basis; basis; eigenvalues = evs_sorted; samples; stats }
 
 (* ------------------------------------------------------------------ *)
 (* Compressed-pencil path (column dimension)                           *)
@@ -130,6 +138,9 @@ let pencil ?workers ~right ~left ~scale () =
   in
   (p, w)
 
+let merged_stats right left =
+  Sample_cache.merge_stats (Sample_cache.stats right) (Sample_cache.stats left)
+
 let of_caches ?order ?(tol = 1e-8) ?workers sys ~right ~left ~scale ~samples =
   let p, w = pencil ?workers ~right ~left ~scale () in
   let schur = Cschur.of_real p in
@@ -141,7 +152,13 @@ let of_caches ?order ?(tol = 1e-8) ?workers sys ~right ~left ~scale ~samples =
      restores orthonormality cheaply. *)
   let basis = Qr.orth ?workers (Sample_cache.apply_q right (Par_kernel.mul ?workers w coeff)) in
   let evs_sorted = Array.map (fun i -> evs.(i)) order_idx in
-  { rom = Dss.project_congruence sys basis; basis; eigenvalues = evs_sorted; samples }
+  {
+    rom = Dss.project_congruence sys basis;
+    basis;
+    eigenvalues = evs_sorted;
+    samples;
+    stats = merged_stats right left;
+  }
 
 (* Both sides' caches over one shared multi-shift handle. *)
 let make_caches ?workers sys (template : Sampling.point) =
@@ -150,27 +167,18 @@ let make_caches ?workers sys (template : Sampling.point) =
   let left = Sample_cache.create ?workers ~ms ~source:Sample_cache.Observability sys in
   (right, left)
 
-let merged_stats right left =
-  Sample_cache.merge_stats (Sample_cache.stats right) (Sample_cache.stats left)
-
-let reduce_cached_stats ?order ?tol ?workers sys (pts : Sampling.point array) =
-  if Array.length pts = 0 then invalid_arg "Cross_gramian.reduce_cached: no sample points";
+let reduce ?order ?tol ?workers sys (pts : Sampling.point array) =
+  if Array.length pts = 0 then invalid_arg "Cross_gramian.reduce: no sample points";
   let right, left = make_caches ?workers sys pts.(0) in
   Sample_cache.extend right pts;
   Sample_cache.extend left pts;
-  let result =
-    of_caches ?order ?tol ?workers sys ~right ~left ~scale:1.0 ~samples:(Array.length pts)
-  in
-  (result, merged_stats right left)
-
-let reduce_cached ?order ?tol ?workers sys pts =
-  fst (reduce_cached_stats ?order ?tol ?workers sys pts)
+  of_caches ?order ?tol ?workers sys ~right ~left ~scale:1.0 ~samples:(Array.length pts)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive sampling with per-batch eigenvalue convergence             *)
 (* ------------------------------------------------------------------ *)
 
-let reduce_adaptive_stats ?order ?(tol = 1e-8) ?(batch = 8) ?(converge_tol = 0.02) ?workers sys
+let reduce_adaptive ?order ?(tol = 1e-8) ?(batch = 8) ?(converge_tol = 0.02) ?workers sys
     (pts : Sampling.point array) =
   if Array.length pts = 0 then invalid_arg "Cross_gramian.reduce_adaptive: no sample points";
   if batch < 1 then invalid_arg "Cross_gramian.reduce_adaptive: batch must be >= 1";
@@ -180,8 +188,7 @@ let reduce_adaptive_stats ?order ?(tol = 1e-8) ?(batch = 8) ?(converge_tol = 0.0
   let right, left = make_caches ?workers sys pts.(0) in
   let finish upto =
     let scale = float_of_int n_pts /. float_of_int upto in
-    let result = of_caches ?order ~tol ?workers sys ~right ~left ~scale ~samples:upto in
-    (result, merged_stats right left)
+    of_caches ?order ~tol ?workers sys ~right ~left ~scale ~samples:upto
   in
   let rec loop consumed prev =
     let upto = min n_pts (consumed + batch) in
@@ -223,6 +230,3 @@ let reduce_adaptive_stats ?order ?(tol = 1e-8) ?(batch = 8) ?(converge_tol = 0.0
     else loop upto (Some mags)
   in
   loop 0 None
-
-let reduce_adaptive ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  fst (reduce_adaptive_stats ?order ?tol ?batch ?converge_tol ?workers sys pts)

@@ -4,11 +4,11 @@
     eigenproblem whose dominant eigenvectors approximate the dominant
     cross-Gramian eigenspace.
 
-    {!reduce} is the retained dense reference: a state-dimension QR of the
-    joint block [\[zr zl\] = Q \[R^R R^L\]] and the pencil
-    [R^R (R^L)^T y = lambda y] at the joint column dimension.
+    {!of_samples} is the dense kernel over pre-built sample blocks: a
+    state-dimension QR of the joint block [\[zr zl\] = Q \[R^R R^L\]] and
+    the pencil [R^R (R^L)^T y = lambda y] at the joint column dimension.
 
-    {!reduce_cached} and {!reduce_adaptive} run both sides through
+    {!reduce} and {!reduce_adaptive} run both sides through
     {!Sample_cache}s sharing one multi-shift handle (the adjoint solves
     reuse the same symbolic sparse-LU analysis) and solve the pencil
     [S_R S_L^T (Q_L^T Q_R) y = lambda y] built from the two small thin-QR
@@ -25,31 +25,24 @@ type result = {
   basis : Mat.t;
   eigenvalues : Complex.t array;  (** of the compressed pencil, |.| descending *)
   samples : int;
+  stats : Sample_cache.stats;
+      (** the two sides' merged counters ({!Sample_cache.merge_stats}):
+          [solves = points] certifies no shift was re-solved on either
+          side; {!of_samples} records its columns but no solves *)
 }
-
-val reduce : ?order:int -> ?tol:float -> ?workers:int -> Dss.t -> Sampling.point array -> result
-(** Reduce onto the dominant cross-Gramian eigenspace through the dense
-    state-dimension QR (the reference path); [tol] (default [1e-8]) drops
-    eigenvalues relative to the largest magnitude when [order] is not
-    given. *)
 
 val of_samples :
   ?order:int -> ?tol:float -> Dss.t -> zr:Mat.t -> zl:Mat.t -> samples:int -> result
-(** The dense pipeline from pre-built sample blocks (what {!reduce} runs
-    after its solves) — the baseline {e bench/variants_bench.ml} gates the
-    compressed-pencil path against. *)
+(** The dense pipeline from pre-built sample blocks: a state-dimension QR
+    of [\[zr zl\]] — the reference {e bench/variants_bench.ml} gates the
+    compressed pencil against.  [tol] (default [1e-8]) drops eigenvalues
+    relative to the largest magnitude when [order] is not given. *)
 
-val reduce_cached :
-  ?order:int -> ?tol:float -> ?workers:int -> Dss.t -> Sampling.point array -> result
-(** One-shot reduction through two {!Sample_cache}s and the
-    compressed pencil at the single-side column dimension. *)
-
-val reduce_cached_stats :
-  ?order:int -> ?tol:float -> ?workers:int -> Dss.t -> Sampling.point array ->
-  result * Sample_cache.stats
-(** {!reduce_cached} with the two sides' merged counters
-    ({!Sample_cache.merge_stats}): [solves = points] certifies no shift
-    was re-solved on either side. *)
+val reduce : ?order:int -> ?tol:float -> ?workers:int -> Dss.t -> Sampling.point array -> result
+(** Reduce onto the dominant cross-Gramian eigenspace: both sides sampled
+    once into two {!Sample_cache}s and the compressed pencil solved at the
+    single-side column dimension ({!of_caches}); [tol] as in
+    {!of_samples}. *)
 
 val make_caches :
   ?workers:int -> Dss.t -> Sampling.point -> Sample_cache.t * Sample_cache.t
@@ -78,8 +71,3 @@ val reduce_adaptive :
     eigenvalue magnitudes have converged to [converge_tol] relative change
     (default 2%) and the sample block holds at least twice the model order
     in columns per side.  [result.samples] reports the points consumed. *)
-
-val reduce_adaptive_stats :
-  ?order:int -> ?tol:float -> ?batch:int -> ?converge_tol:float -> ?workers:int -> Dss.t ->
-  Sampling.point array -> result * Sample_cache.stats
-(** {!reduce_adaptive} with the merged per-side counters. *)

@@ -17,17 +17,9 @@ let scheme_of_bands bands = Sampling.Bands (List.map (fun b -> (b.lo, b.hi)) ban
 
 (* Reduce with points drawn only from [bands]. *)
 let reduce ?order ?tol ?workers sys ~bands ~count =
-  let pts = Sampling.points (scheme_of_bands bands) ~count in
-  Pmtbr.reduce ?order ?tol ?workers sys pts
-
-let reduce_stats ?order ?tol ?workers sys ~bands ~count =
-  let pts = Sampling.points (scheme_of_bands bands) ~count in
-  Pmtbr.reduce_stats ?order ?tol ?workers sys pts
+  Pmtbr.reduce ?order ?tol ?workers sys (Sampling.points (scheme_of_bands bands) ~count)
 
 (* Adaptive variant with on-the-fly order control. *)
-let reduce_adaptive_stats ?order ?tol ?batch ?converge_tol ?workers sys ~bands ~count =
-  let pts = Sampling.points (scheme_of_bands bands) ~count in
-  Pmtbr.reduce_adaptive_stats ?order ?tol ?batch ?converge_tol ?workers sys pts
-
 let reduce_adaptive ?order ?tol ?batch ?converge_tol ?workers sys ~bands ~count =
-  fst (reduce_adaptive_stats ?order ?tol ?batch ?converge_tol ?workers sys ~bands ~count)
+  Pmtbr.reduce_adaptive ?order ?tol ?batch ?converge_tol ?workers sys
+    (Sampling.points (scheme_of_bands bands) ~count)

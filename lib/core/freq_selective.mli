@@ -16,20 +16,10 @@ val scheme_of_bands : band list -> Sampling.scheme
 
 val reduce : ?order:int -> ?tol:float -> ?workers:int -> Pmtbr_lti.Dss.t -> bands:band list ->
   count:int -> Pmtbr.result
-(** Reduce with [count] points drawn only from [bands]. *)
-
-val reduce_stats : ?order:int -> ?tol:float -> ?workers:int -> Pmtbr_lti.Dss.t ->
-  bands:band list -> count:int -> Pmtbr.result * Sample_cache.stats
-(** {!reduce} through the cache pipeline, surfacing the solve counters
-    ([solves = points]). *)
+(** Reduce with [count] points drawn only from [bands], through
+    {!Pmtbr.reduce} ([result.stats] carries the solve counters). *)
 
 val reduce_adaptive : ?order:int -> ?tol:float -> ?batch:int -> ?converge_tol:float ->
   ?workers:int -> Pmtbr_lti.Dss.t -> bands:band list -> count:int -> Pmtbr.result
 (** Adaptive variant with on-the-fly order control (see
     {!Pmtbr.reduce_adaptive}). *)
-
-val reduce_adaptive_stats : ?order:int -> ?tol:float -> ?batch:int -> ?converge_tol:float ->
-  ?workers:int -> Pmtbr_lti.Dss.t -> bands:band list -> count:int ->
-  Pmtbr.result * Sample_cache.stats
-(** {!reduce_adaptive} plus the incremental-sampling counters
-    ([solves = points]: no shift re-solved across batches). *)

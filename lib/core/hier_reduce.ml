@@ -68,7 +68,6 @@ type stats = {
   sub_orders : int array;
   solves : int;
   sub_wall_s : float array;
-  partition_wall_s : float;
   sample_wall_s : float;
   recombine_wall_s : float;
   compress_wall_s : float;
@@ -94,7 +93,7 @@ let basis_of_part ?order ?tol ?(workers = 1) (part : Partition.part) cache ~samp
     basis = r.Pmtbr.basis;
     singular_values = r.Pmtbr.singular_values;
     sub_order = r.Pmtbr.basis.Mat.cols;
-    solves = (Sample_cache.stats cache).Sample_cache.solves;
+    solves = r.Pmtbr.stats.Sample_cache.solves;
   }
 
 (* A part whose rhs has no columns (no ports, no couplings: a floating
@@ -392,29 +391,9 @@ let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = fal
       sub_orders = Array.map (fun s -> s.sub_order) subs;
       solves = Array.fold_left (fun acc (s : sub) -> acc + s.solves) 0 subs;
       sub_wall_s = walls;
-      partition_wall_s = 0.0;
       sample_wall_s;
       recombine_wall_s;
       compress_wall_s;
     }
   in
   (rom, stats)
-
-let timed_split f =
-  let t0 = Unix.gettimeofday () in
-  let pt = f () in
-  (pt, Unix.gettimeofday () -. t0)
-
-let reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points =
-  let pt, pw = timed_split (fun () -> Partition.split ~parts ?sketch nl) in
-  let rom, stats = reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points in
-  (rom, { stats with partition_wall_s = pw })
-
-let reduce_auto_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ?depth_cap
-    ~max_states nl points =
-  let pt, pw = timed_split (fun () -> Partition.split_auto ~max_states ?depth_cap ?sketch nl) in
-  let rom, stats = reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points in
-  (rom, { stats with partition_wall_s = pw })
-
-let reduce ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points =
-  fst (reduce_stats ?order ?tol ?interface_tol ?workers ?oversubscribe ?sketch ~parts nl points)

@@ -68,7 +68,6 @@ type stats = {
   sub_orders : int array;
   solves : int;  (** total shifted solves across subdomains *)
   sub_wall_s : float array;  (** per-subdomain wall seconds, partition order *)
-  partition_wall_s : float;  (** dissection wall (0 in {!reduce_partitioned}) *)
   sample_wall_s : float;  (** fan-out stage wall: sampling + per-part blocks *)
   recombine_wall_s : float;  (** serial assembly wall *)
   compress_wall_s : float;  (** interface-compression wall (0 when off) *)
@@ -85,9 +84,10 @@ val sample_part :
 val basis_of_part :
   ?order:int -> ?tol:float -> ?workers:int -> Partition.part -> Sample_cache.t ->
   samples:int -> unit -> sub
-(** Finish one subdomain through {!Pmtbr.of_cache}: SVD of the cache's
-    small factor, basis lifted from its thin Q.  [order]/[tol] bound each
-    subdomain's kept columns (same semantics as {!Pmtbr.choose_order}). *)
+(** Finish one subdomain through {!Pmtbr.of_cache} (the cache's
+    {!Sample_cache.svd_operand} rule decides which SVD runs).
+    [order]/[tol] bound each subdomain's kept columns (same semantics as
+    {!Pmtbr.choose_order}). *)
 
 val reduce_part : ?order:int -> ?tol:float -> Partition.part -> Sampling.point array -> sub
 (** {!sample_part} then {!basis_of_part}; a part with an empty sampling
@@ -130,22 +130,3 @@ val reduce_partitioned :
     {!assemble}, then {!compress_interface} when [interface_tol] is
     given.  A subdomain failure re-raises the lowest-index exception
     after the pool drains.  Bitwise worker-invariant. *)
-
-val reduce_stats :
-  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t * stats
-(** {!Partition.split} then {!reduce_partitioned} (with the dissection
-    wall filled in). *)
-
-val reduce_auto_stats :
-  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> ?depth_cap:int -> max_states:int ->
-  Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t * stats
-(** {!Partition.split_auto} then {!reduce_partitioned}: the recursive
-    budget-driven path — parts multiply until every interior fits
-    [max_states]. *)
-
-val reduce :
-  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
-  ?sketch:int -> parts:int -> Pmtbr_circuit.Netlist.t -> Sampling.point array -> Dss.t
-(** {!reduce_stats} without the counters. *)

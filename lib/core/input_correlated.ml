@@ -8,11 +8,10 @@
    Both variants run through the shared [Sample_cache] pipeline — the
    random-draw path on a [Per_point] source (one right-hand side per
    draw), the deterministic path on a [Fixed_rhs] source — so every shift
-   is solved exactly once per run through one symbolic analysis, the
-   counters are surfaced by the [_stats] entry points, and the adaptive
-   draws-loop monitors order from the cache's small factor.  The one-shot
-   assemblies are bitwise-identical to the [Zmat.build_per_point] /
-   [Zmat.build_rhs] reference paths. *)
+   is solved exactly once per run through one symbolic analysis, every
+   run finishes through [Pmtbr.of_cache] with its counters in the result,
+   and the adaptive draws-loop monitors order from the cache's SVD
+   operand. *)
 
 open Pmtbr_la
 open Pmtbr_lti
@@ -24,7 +23,18 @@ type result = {
   singular_values : float array;
   input_rank : int; (* retained input directions *)
   samples : int;
+  stats : Sample_cache.stats;
 }
+
+let of_pmtbr ~input_rank (r : Pmtbr.result) =
+  {
+    rom = r.Pmtbr.rom;
+    basis = r.Pmtbr.basis;
+    singular_values = r.Pmtbr.singular_values;
+    input_rank;
+    samples = r.Pmtbr.samples;
+    stats = r.Pmtbr.stats;
+  }
 
 (* One sampled direction (Algorithm 3 steps 3/5): frequency point [k mod
    n_pts] paired with the random input image B V_K r.  The rhs is the
@@ -59,8 +69,8 @@ let analyse_inputs sys ~input_tol (inputs : Mat.t) =
    [inputs] is the p x N matrix of sampled input waveforms; [points] the
    frequency points to cycle through; [draws] the number of sample vectors
    (each pairs one frequency point with one random input direction). *)
-let reduce_stats ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?workers sys
-    ~(inputs : Mat.t) ~(points : Sampling.point array) ~draws =
+let reduce ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?workers sys ~(inputs : Mat.t)
+    ~(points : Sampling.point array) ~draws =
   if Array.length points = 0 then invalid_arg "Input_correlated.reduce: no points";
   if draws < 1 then invalid_arg "Input_correlated.reduce: draws must be >= 1";
   let rng = Rng.create seed in
@@ -68,19 +78,8 @@ let reduce_stats ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?workers sys
   let b = Dss.b_matrix sys in
   let cache = Sample_cache.create ?workers ~source:Sample_cache.Per_point sys in
   Sample_cache.extend_rhs cache (draw_block ~rng ~basis ~b points ~from:0 ~count:draws);
-  let zw = Sample_cache.assemble cache ~scale:1.0 in
-  let r = Pmtbr.of_basis sys ~zw ?order ?tol ~samples:draws () in
-  ( {
-      rom = r.Pmtbr.rom;
-      basis = r.Pmtbr.basis;
-      singular_values = r.Pmtbr.singular_values;
-      input_rank = basis.Correlation.directions.Mat.cols;
-      samples = draws;
-    },
-    Sample_cache.stats cache )
-
-let reduce ?order ?tol ?input_tol ?seed ?workers sys ~inputs ~points ~draws =
-  fst (reduce_stats ?order ?tol ?input_tol ?seed ?workers sys ~inputs ~points ~draws)
+  of_pmtbr ~input_rank:basis.Correlation.directions.Mat.cols
+    (Pmtbr.of_cache sys cache ~scale:1.0 ?order ?tol ?workers ~samples:draws ())
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive draws-loop                                                 *)
@@ -95,29 +94,16 @@ let reduce ?order ?tol ?input_tol ?seed ?workers sys ~inputs ~points ~draws =
    (the Section V-B budget guard).  Batch boundaries and worker counts
    leave no trace: the rng stream is consumed in draw order and the cache
    is batch-invariant, so results are bitwise-independent of both. *)
-let reduce_adaptive_stats ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?(batch = 8)
+let reduce_adaptive ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?(batch = 8)
     ?(converge_tol = 0.02) ?workers sys ~(inputs : Mat.t) ~(points : Sampling.point array)
     ~max_draws =
   if Array.length points = 0 then invalid_arg "Input_correlated.reduce_adaptive: no points";
   if max_draws < 1 then invalid_arg "Input_correlated.reduce_adaptive: max_draws must be >= 1";
   if batch < 1 then invalid_arg "Input_correlated.reduce_adaptive: batch must be >= 1";
-  let stop_tol = Option.value tol ~default:1e-10 in
   let rng = Rng.create seed in
   let basis = analyse_inputs sys ~input_tol inputs in
   let b = Dss.b_matrix sys in
   let cache = Sample_cache.create ?workers ~source:Sample_cache.Per_point sys in
-  let finish upto =
-    let scale = float_of_int max_draws /. float_of_int upto in
-    let r = Pmtbr.of_cache sys cache ~scale ?order ?tol ~samples:upto () in
-    ( {
-        rom = r.Pmtbr.rom;
-        basis = r.Pmtbr.basis;
-        singular_values = r.Pmtbr.singular_values;
-        input_rank = basis.Correlation.directions.Mat.cols;
-        samples = upto;
-      },
-      Sample_cache.stats cache )
-  in
   let rec loop consumed prev =
     let upto = min max_draws (consumed + batch) in
     Sample_cache.extend_rhs cache
@@ -125,40 +111,17 @@ let reduce_adaptive_stats ?order ?tol ?(input_tol = 1e-6) ?(seed = 2004) ?(batch
     let scale = float_of_int max_draws /. float_of_int upto in
     (* monitoring compares values across batches to a few percent; the
        loose sweep threshold keeps the per-batch monitor cheap *)
-    let sigma = Svd.values ~threshold:1e-10 (Sample_cache.small_factor cache ~scale) in
-    let q = Pmtbr.choose_order ~sigma ?order ?tol () in
-    let converged =
-      match prev with
-      | None -> false
-      | Some prev ->
-          let k = min q (min (Array.length prev) (Array.length sigma)) in
-          let ok = ref (k > 0) in
-          for i = 0 to k - 1 do
-            let denom = Float.max sigma.(i) 1e-300 in
-            if Float.abs (sigma.(i) -. prev.(i)) /. denom > converge_tol then ok := false
-          done;
-          !ok
-    in
-    let tail_small =
-      match (order, tol) with
-      | Some _, None -> true (* explicitly sized model: no tail criterion *)
-      | _ ->
-          let smax = Float.max sigma.(0) 1e-300 in
-          let tail = ref 0.0 in
-          Array.iteri (fun i s -> if i >= q then tail := !tail +. s) sigma;
-          !tail <= stop_tol *. smax
-    in
-    let enough_columns = Sample_cache.columns cache >= 2 * q in
-    if upto >= max_draws || (converged && tail_small && enough_columns) then finish upto
+    let sigma = Svd.values ~threshold:1e-10 (Sample_cache.svd_operand cache ~scale) in
+    if
+      upto >= max_draws
+      || Pmtbr.settled ?order ?tol ~converge_tol ~columns:(Sample_cache.columns cache) ~prev
+           sigma
+    then
+      of_pmtbr ~input_rank:basis.Correlation.directions.Mat.cols
+        (Pmtbr.of_cache sys cache ~scale ?order ?tol ~samples:upto ())
     else loop upto (Some sigma)
   in
   loop 0 None
-
-let reduce_adaptive ?order ?tol ?input_tol ?seed ?batch ?converge_tol ?workers sys ~inputs
-    ~points ~max_draws =
-  fst
-    (reduce_adaptive_stats ?order ?tol ?input_tol ?seed ?batch ?converge_tol ?workers sys
-       ~inputs ~points ~max_draws)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic variant                                               *)
@@ -168,7 +131,7 @@ let reduce_adaptive ?order ?tol ?input_tol ?seed ?batch ?converge_tol ?workers s
    directions themselves, scaled by their singular values, at every
    frequency point.  Cheaper and reproducible; used for the large substrate
    experiments. *)
-let reduce_deterministic_stats ?order ?tol ?(input_tol = 1e-6) ?(directions = 0) ?workers sys
+let reduce_deterministic ?order ?tol ?(input_tol = 1e-6) ?(directions = 0) ?workers sys
     ~(inputs : Mat.t) ~(points : Sampling.point array) =
   if Array.length points = 0 then invalid_arg "Input_correlated.reduce_deterministic: no points";
   let basis = analyse_inputs sys ~input_tol inputs in
@@ -182,16 +145,5 @@ let reduce_deterministic_stats ?order ?tol ?(input_tol = 1e-6) ?(directions = 0)
   in
   let cache = Sample_cache.create ?workers ~source:(Sample_cache.Fixed_rhs rhs) sys in
   Sample_cache.extend cache points;
-  let zw = Sample_cache.assemble cache ~scale:1.0 in
-  let r = Pmtbr.of_basis sys ~zw ?order ?tol ~samples:(Array.length points) () in
-  ( {
-      rom = r.Pmtbr.rom;
-      basis = r.Pmtbr.basis;
-      singular_values = r.Pmtbr.singular_values;
-      input_rank = r_in;
-      samples = Array.length points;
-    },
-    Sample_cache.stats cache )
-
-let reduce_deterministic ?order ?tol ?input_tol ?directions ?workers sys ~inputs ~points =
-  fst (reduce_deterministic_stats ?order ?tol ?input_tol ?directions ?workers sys ~inputs ~points)
+  of_pmtbr ~input_rank:r_in
+    (Pmtbr.of_cache sys cache ~scale:1.0 ?order ?tol ?workers ~samples:(Array.length points) ())

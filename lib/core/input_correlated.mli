@@ -11,8 +11,9 @@
     {!Sample_cache.Per_point} source for the random draws, a
     {!Sample_cache.Fixed_rhs} source for the deterministic directions):
     every shift is solved exactly once per run through one symbolic
-    analysis, [_stats] entry points surface the counters, and
-    {!reduce_adaptive} controls the Monte Carlo draw count on the fly. *)
+    analysis, every run finishes through {!Pmtbr.of_cache} with the
+    cache counters in its result, and {!reduce_adaptive} controls the
+    Monte Carlo draw count on the fly. *)
 
 open Pmtbr_la
 open Pmtbr_lti
@@ -23,6 +24,10 @@ type result = {
   singular_values : float array;
   input_rank : int;  (** retained input directions *)
   samples : int;
+  stats : Sample_cache.stats;
+      (** cache counters: [solves = points] — one solve per draw (random
+          variants) or per frequency point (deterministic), none repeated
+          across adaptive batches *)
 }
 
 val reduce : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int -> ?workers:int ->
@@ -31,15 +36,7 @@ val reduce : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int -> ?worke
     waveforms; [points] the frequency points to cycle through; [draws] the
     number of sample vectors (each pairing one frequency point with one
     random input direction).  [input_tol] truncates the input SVD (default
-    [1e-6] relative); [seed] makes the direction draws reproducible.  The
-    assembled sample matrix is bitwise-identical to the
-    {!Zmat.build_per_point} reference over the same draws. *)
-
-val reduce_stats : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int -> ?workers:int ->
-  Dss.t -> inputs:Mat.t -> points:Sampling.point array -> draws:int ->
-  result * Sample_cache.stats
-(** {!reduce} plus the cache counters; [stats.solves = stats.points = draws]
-    certifies one solve per draw. *)
+    [1e-6] relative); [seed] makes the direction draws reproducible. *)
 
 val reduce_adaptive : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int -> ?batch:int ->
   ?converge_tol:float -> ?workers:int -> Dss.t -> inputs:Mat.t ->
@@ -54,22 +51,9 @@ val reduce_adaptive : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int 
     bitwise-independent of [batch] boundaries and worker count (the rng
     stream is consumed strictly in draw order). *)
 
-val reduce_adaptive_stats : ?order:int -> ?tol:float -> ?input_tol:float -> ?seed:int ->
-  ?batch:int -> ?converge_tol:float -> ?workers:int -> Dss.t -> inputs:Mat.t ->
-  points:Sampling.point array -> max_draws:int -> result * Sample_cache.stats
-(** {!reduce_adaptive} with the run's counters ([solves = points] — no
-    draw's shift is ever re-solved across batches). *)
-
 val reduce_deterministic : ?order:int -> ?tol:float -> ?input_tol:float -> ?directions:int ->
   ?workers:int -> Dss.t -> inputs:Mat.t -> points:Sampling.point array -> result
 (** Deterministic variant: use the leading input directions themselves,
     scaled by their singular values, at every frequency point.  Cheaper and
     reproducible; used for the large substrate experiments.  [directions]
-    caps the retained input rank (0 = keep all above [input_tol]).  The
-    assembled sample matrix is bitwise-identical to the {!Zmat.build_rhs}
-    reference. *)
-
-val reduce_deterministic_stats : ?order:int -> ?tol:float -> ?input_tol:float ->
-  ?directions:int -> ?workers:int -> Dss.t -> inputs:Mat.t -> points:Sampling.point array ->
-  result * Sample_cache.stats
-(** {!reduce_deterministic} plus the cache counters. *)
+    caps the retained input rank (0 = keep all above [input_tol]). *)

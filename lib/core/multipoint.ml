@@ -6,18 +6,17 @@
    the weakness Fig. 10 exposes.
 
    The samples run through a [Sample_cache] (controllability source) like
-   every other variant, so the one-shot assembly is bitwise-identical to
-   the [Zmat.build] reference and [reduce_stats] surfaces the shared
-   counters — one solve per point through one symbolic analysis. *)
+   every other variant, and the result carries the shared counters — one
+   solve per point through one symbolic analysis. *)
 
 open Pmtbr_la
 open Pmtbr_lti
 
-type result = { rom : Dss.t; basis : Mat.t; samples : int }
+type result = { rom : Dss.t; basis : Mat.t; samples : int; stats : Sample_cache.stats }
 
 (* Reduce with the first [count] points of [pts] (unweighted: multipoint
    projection has no quadrature interpretation). *)
-let reduce_stats ?workers sys (pts : Sampling.point array) ~count =
+let reduce ?workers sys (pts : Sampling.point array) ~count =
   if count < 1 || count > Array.length pts then
     invalid_arg
       (Printf.sprintf "Multipoint.reduce: count %d out of range [1, %d]" count
@@ -28,11 +27,9 @@ let reduce_stats ?workers sys (pts : Sampling.point array) ~count =
   Sample_cache.extend cache unweighted;
   let z = Sample_cache.assemble cache ~scale:1.0 in
   let basis = Qr.orth z in
-  ( { rom = Dss.project_congruence sys basis; basis; samples = count },
-    Sample_cache.stats cache )
-
-let reduce ?workers sys pts ~count = fst (reduce_stats ?workers sys pts ~count)
-
-(* The model order obtained from [count] points (2 columns per complex
-   point, 1 per real point, minus rank deficiencies). *)
-let order_of result = result.basis.Mat.cols
+  {
+    rom = Dss.project_congruence sys basis;
+    basis;
+    samples = count;
+    stats = Sample_cache.stats cache;
+  }

@@ -7,20 +7,16 @@
 open Pmtbr_la
 open Pmtbr_lti
 
-type result = { rom : Dss.t; basis : Mat.t; samples : int }
+type result = {
+  rom : Dss.t;
+  basis : Mat.t;
+  samples : int;
+  stats : Sample_cache.stats;  (** cache counters ([solves = points = count]) *)
+}
 
 val reduce : ?workers:int -> Dss.t -> Sampling.point array -> count:int -> result
 (** Reduce with the first [count] points (weights ignored: multipoint
     projection has no quadrature interpretation).  The model interpolates
     the transfer function at the sample points.  Runs through a
-    {!Sample_cache}; the assembled sample matrix is bitwise-identical to
-    the {!Zmat.build} reference.  Raises [Invalid_argument] when [count]
-    is outside [\[1, Array.length pts\]]. *)
-
-val reduce_stats :
-  ?workers:int -> Dss.t -> Sampling.point array -> count:int -> result * Sample_cache.stats
-(** {!reduce} plus the cache counters ([solves = points = count]). *)
-
-val order_of : result -> int
-(** Resulting model order: realified sample columns minus rank
-    deficiencies. *)
+    {!Sample_cache}.  Raises [Invalid_argument] when [count] is outside
+    [\[1, Array.length pts\]]. *)

@@ -17,6 +17,7 @@ type result = {
   basis : Mat.t; (* projection basis V, n x q *)
   singular_values : float array; (* all singular values of ZW, descending *)
   samples : int; (* number of frequency points consumed *)
+  stats : Sample_cache.stats; (* counters of the cache the run finished from *)
 }
 
 (* Truncation order from singular values: keep sigma_i while the *tail sum*
@@ -47,8 +48,15 @@ let choose_order ~(sigma : float array) ?order ?tol () =
     | None, _ -> from_tol (Option.value tol ~default:1e-10)
   end
 
-let of_basis sys ~(zw : Mat.t) ?order ?tol ?workers ~samples () =
-  let { Svd.u; sigma; _ } = Svd.decompose ?workers zw in
+(* The one finish of every sampled PMTBR run (Algorithm 1 steps 3-5),
+   from a cache's columns: SVD the cache's operand — the assembled ZW when
+   it is wide, the small factor R D otherwise (see
+   [Sample_cache.svd_operand]) — keep the dominant left singular vectors,
+   lift them to state space, and project.  One-shot, adaptive,
+   frequency-selective, input-correlated, hierarchical and served runs
+   all finish here, so one job gives the same bits on every route. *)
+let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
+  let { Svd.u; sigma; _ } = Svd.decompose ?workers (Sample_cache.svd_operand cache ~scale) in
   let q = choose_order ~sigma ?order ?tol () in
   (* never keep directions below numerical noise *)
   let q =
@@ -56,15 +64,28 @@ let of_basis sys ~(zw : Mat.t) ?order ?tol ?workers ~samples () =
     let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
     cap q
   in
-  let basis = Mat.sub_cols u 0 q in
-  { rom = Dss.project_congruence sys basis; basis; singular_values = sigma; samples }
+  let basis = Sample_cache.lift cache (Mat.sub_cols u 0 q) in
+  {
+    rom = Dss.project_congruence sys basis;
+    basis;
+    singular_values = sigma;
+    samples;
+    stats = Sample_cache.stats cache;
+  }
 
-(* One-shot PMTBR with a fixed point set.  [workers] sizes the shifted-solve
-   domain pool (default: all recommended domains; results are identical for
-   any worker count). *)
+(* A cache holding the controllability samples at every point, each shift
+   solved once.  [workers] sizes the shifted-solve domain pool (default:
+   all recommended domains; results are identical for any worker count). *)
+let sampled ?workers sys (pts : Sampling.point array) =
+  if Array.length pts = 0 then invalid_arg "Pmtbr.reduce: no sample points";
+  let cache = Sample_cache.create ?workers sys in
+  Sample_cache.extend cache pts;
+  cache
+
+(* One-shot PMTBR with a fixed point set. *)
 let reduce ?order ?tol ?workers sys (pts : Sampling.point array) =
-  let zw = Zmat.build ?workers sys pts in
-  of_basis sys ~zw ?order ?tol ?workers ~samples:(Array.length pts) ()
+  of_cache sys (sampled ?workers sys pts) ~scale:1.0 ?order ?tol ?workers
+    ~samples:(Array.length pts) ()
 
 (* Convenience: uniform sampling of [0, w_max]. *)
 let reduce_uniform ?order ?tol ?workers sys ~w_max ~count =
@@ -75,65 +96,67 @@ let reduce_uniform ?order ?tol ?workers sys ~w_max ~count =
 (* ------------------------------------------------------------------ *)
 
 (* Per-batch monitor: values standing in for the singular values of the
-   current weighted prefix, computed from the cache's small factor [R D]
-   (column dimension, no state-dimension work, no re-solve).  The SVD
-   monitor yields the singular values themselves; the RRQR monitor the
-   normalised pivoted-R diagonal profile — R's diagonal magnitudes are
-   single-column norms whose absolute scale shrinks as prefix weights are
-   rescaled, so only the profile d_i / d_0 converges. *)
+   current weighted prefix, computed from the cache (no re-solve).  The
+   SVD monitor yields the singular values themselves, from the same
+   operand [of_cache] finishes on; the RRQR monitor the normalised
+   pivoted-R diagonal profile of the small factor R D — R's diagonal
+   magnitudes are single-column norms whose absolute scale shrinks as
+   prefix weights are rescaled, so only the profile d_i / d_0 converges. *)
 type monitor = Monitor_svd | Monitor_rrqr
 
 let monitor_values ?workers cache ~monitor ~scale =
-  let small = Sample_cache.small_factor cache ~scale in
   match monitor with
   | Monitor_svd ->
       (* monitoring only compares values across batches (to a few percent)
          and against [tol]; 1e-10 relative accuracy is plenty, and the
          looser sweep threshold is what keeps the per-batch monitor cheap
          next to the solves.  The final decomposition stays full-precision
-         in [result_of_cache]. *)
-      Svd.values ?workers ~threshold:1e-10 small
+         in [of_cache]. *)
+      Svd.values ?workers ~threshold:1e-10 (Sample_cache.svd_operand cache ~scale)
   | Monitor_rrqr ->
-      let { Qr.r; rank; _ } = Qr.pivoted ~tol:1e-15 small in
+      let { Qr.r; rank; _ } = Qr.pivoted ~tol:1e-15 (Sample_cache.small_factor cache ~scale) in
       let d = Array.init rank (fun i -> Float.abs (Mat.get r i i)) in
       let d0 = if rank > 0 then Float.max d.(0) 1e-300 else 1.0 in
       Array.map (fun x -> x /. d0) d
 
-(* Final result from the cache's thin factorisation: ZW = Q (R D), so the
-   SVD of the small [R D] supplies the singular values and [Q U_small] the
-   left singular basis — one small SVD per adaptive run instead of one
-   state-dimension SVD per batch.  Exposed as [of_cache]: every
-   cache-based variant (frequency-selective, input-correlated) finishes
-   through here. *)
-let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
-  let { Svd.u; sigma; _ } = Svd.decompose ?workers (Sample_cache.small_factor cache ~scale) in
+(* The stopping rule every adaptive loop over a sample cache shares: the
+   leading [q] values have converged to [converge_tol] relative change
+   against the previous batch's, the tail is below [tol] (skipped for an
+   explicitly sized model), and — Section V-B asks for about twice the
+   model order in samples before the tail estimate is trusted — the cache
+   holds at least 2q realified columns.  Information lives in columns,
+   not points: a complex point contributes two per input (it stands for
+   its conjugate pair too), a real point one. *)
+let settled ?order ?tol ~converge_tol ~columns ~prev sigma =
   let q = choose_order ~sigma ?order ?tol () in
-  (* never keep directions below numerical noise *)
-  let q =
-    let smax = Float.max sigma.(0) 1e-300 in
-    let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
-    cap q
+  let leading_converged =
+    match prev with
+    | None -> false
+    | Some prev ->
+        let k = min q (min (Array.length prev) (Array.length sigma)) in
+        let ok = ref (k > 0) in
+        for i = 0 to k - 1 do
+          let denom = Float.max sigma.(i) 1e-300 in
+          if Float.abs (sigma.(i) -. prev.(i)) /. denom > converge_tol then ok := false
+        done;
+        !ok
   in
-  let basis = Sample_cache.apply_q cache (Mat.sub_cols u 0 q) in
-  { rom = Dss.project_congruence sys basis; basis; singular_values = sigma; samples }
-
-(* One-shot PMTBR through the cache pipeline, surfacing the solve
-   counters.  Same subspace and singular values as [reduce]; the basis is
-   formed from the thin factorisation ([Q U_small]) instead of a
-   state-dimension SVD of the assembled matrix. *)
-let reduce_stats ?order ?tol ?workers sys (pts : Sampling.point array) =
-  if Array.length pts = 0 then invalid_arg "Pmtbr.reduce_stats: no sample points";
-  let cache = Sample_cache.create ?workers sys in
-  Sample_cache.extend cache pts;
-  let r = of_cache sys cache ~scale:1.0 ?order ?tol ?workers ~samples:(Array.length pts) () in
-  (r, Sample_cache.stats cache)
+  let tail_small =
+    match (order, tol) with
+    | Some _, None -> true (* explicitly sized model: no tail criterion *)
+    | _ ->
+        let stop_tol = Option.value tol ~default:1e-10 in
+        let smax = Float.max sigma.(0) 1e-300 in
+        let tail = ref 0.0 in
+        Array.iteri (fun i s -> if i >= q then tail := !tail +. s) sigma;
+        !tail <= stop_tol *. smax
+  in
+  leading_converged && tail_small && columns >= 2 * q
 
 (* The adaptive loop shared by both monitors: consume the point sequence
    in batches through a [Sample_cache] — each shift solved exactly once
    for the whole run — and after each batch compare the monitor values
-   with the previous batch's; stop when the leading values have converged
-   to [converge_tol] relative change, the tail is below [tol], and the
-   sample matrix is wide enough to trust the tail.
+   with the previous batch's until [settled].
 
    [rebuild] selects the reference from-scratch path: a fresh cache per
    batch, re-solving every consumed shift — exactly what this loop did
@@ -141,44 +164,37 @@ let reduce_stats ?order ?tol ?workers sys (pts : Sampling.point array) =
    oracle for the incremental == from-scratch equivalence tests; both
    paths run the identical per-column arithmetic in the identical order,
    so their results are bitwise-equal. *)
-let adaptive_loop ~monitor ~rebuild ~default_converge ?order ?tol ?(batch = 8) ?converge_tol
-    ?workers sys (pts : Sampling.point array) =
+let adaptive_loop ~monitor ~default_converge ?(rebuild = false) ?order ?tol ?(batch = 8)
+    ?converge_tol ?workers sys (pts : Sampling.point array) =
   if Array.length pts = 0 then invalid_arg "Pmtbr.reduce_adaptive: no sample points";
   if batch < 1 then invalid_arg "Pmtbr.reduce_adaptive: batch must be >= 1";
   let converge_tol = Option.value converge_tol ~default:default_converge in
-  let stop_tol = Option.value tol ~default:1e-10 in
   (* prefixes must cover the whole band: consume in bit-reversed order *)
   let pts = Sampling.spread_order pts in
   let n_pts = Array.length pts in
   let cache = ref (Sample_cache.create ?workers sys) in
-  (* solves/timings of caches discarded by the rebuild path, folded into
-     the final stats so the counter reflects the whole run *)
-  let acc_solves = ref 0
-  and acc_batches = ref 0
-  and acc_factor = ref 0.0
-  and acc_solve = ref 0.0
-  and acc_wall = ref [||] in
+  (* counters of caches discarded by the rebuild path, folded into the
+     final stats so they reflect the whole run *)
+  let discarded = ref None in
   let discard c =
     let st = Sample_cache.stats c in
-    acc_solves := !acc_solves + st.Sample_cache.solves;
-    acc_batches := !acc_batches + st.Sample_cache.batches;
-    acc_factor := !acc_factor +. st.Sample_cache.factor_s;
-    acc_solve := !acc_solve +. st.Sample_cache.solve_s;
-    acc_wall := Array.append !acc_wall st.Sample_cache.batch_wall_s
+    discarded :=
+      Some (match !discarded with None -> st | Some acc -> Sample_cache.merge_stats acc st)
   in
   let finish upto =
     let scale = float_of_int n_pts /. float_of_int upto in
     let result = of_cache sys !cache ~scale ?order ?tol ?workers ~samples:upto () in
-    let st = Sample_cache.stats !cache in
-    ( result,
-      {
-        st with
-        Sample_cache.solves = st.Sample_cache.solves + !acc_solves;
-        batches = st.Sample_cache.batches + !acc_batches;
-        factor_s = st.Sample_cache.factor_s +. !acc_factor;
-        solve_s = st.Sample_cache.solve_s +. !acc_solve;
-        batch_wall_s = Array.append !acc_wall st.Sample_cache.batch_wall_s;
-      } )
+    match !discarded with
+    | None -> result
+    | Some acc ->
+        (* held points and columns are the final cache's, not a sum *)
+        let last = result.stats in
+        let st = Sample_cache.merge_stats acc last in
+        {
+          result with
+          stats =
+            { st with Sample_cache.points = last.Sample_cache.points; columns = last.columns };
+        }
   in
   let rec loop consumed prev =
     let upto = min n_pts (consumed + batch) in
@@ -195,64 +211,35 @@ let adaptive_loop ~monitor ~rebuild ~default_converge ?order ?tol ?(batch = 8) ?
     end
     else Sample_cache.extend !cache (Array.sub pts consumed (upto - consumed));
     let sigma = monitor_values ?workers !cache ~monitor ~scale in
-    let q = choose_order ~sigma ?order ?tol () in
-    let leading_converged =
-      match prev with
-      | None -> false
-      | Some prev ->
-          let k = min q (min (Array.length prev) (Array.length sigma)) in
-          let ok = ref (k > 0) in
-          for i = 0 to k - 1 do
-            let denom = Float.max sigma.(i) 1e-300 in
-            if Float.abs (sigma.(i) -. prev.(i)) /. denom > converge_tol then ok := false
-          done;
-          !ok
-    in
-    let tail_small =
-      match (order, tol) with
-      | Some _, None -> true (* explicitly sized model: no tail criterion *)
-      | _ ->
-          let smax = Float.max sigma.(0) 1e-300 in
-          let tail = ref 0.0 in
-          Array.iteri (fun i s -> if i >= q then tail := !tail +. s) sigma;
-          !tail <= stop_tol *. smax
-    in
-    (* Section V-B asks for about twice the model order in samples before
-       the tail estimate is trusted.  Information lives in columns, not
-       points: a complex point contributes two realified columns per input
-       (it stands for its conjugate pair too), a real point one — so the
-       guard counts realified columns against 2q, instead of the old
-       [upto >= 2 * ((q + 1) / 2)], which collapsed to "points >= q". *)
-    let enough_columns = Sample_cache.columns !cache >= 2 * q in
-    if upto >= n_pts || (leading_converged && tail_small && enough_columns) then finish upto
+    if
+      upto >= n_pts
+      || settled ?order ?tol ~converge_tol ~columns:(Sample_cache.columns !cache) ~prev sigma
+    then finish upto
     else loop upto (Some sigma)
   in
   loop 0 None
 
-let reduce_adaptive_stats ?(rebuild = false) ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  adaptive_loop ~monitor:Monitor_svd ~rebuild ~default_converge:0.02 ?order ?tol ?batch
+let reduce_adaptive ?rebuild ?order ?tol ?batch ?converge_tol ?workers sys pts =
+  adaptive_loop ~monitor:Monitor_svd ~default_converge:0.02 ?rebuild ?order ?tol ?batch
     ?converge_tol ?workers sys pts
-
-let reduce_adaptive ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  fst (reduce_adaptive_stats ?order ?tol ?batch ?converge_tol ?workers sys pts)
 
 (* Variant monitoring convergence with a rank-revealing (column-pivoted)
    QR per batch instead of singular values (Section V-C points out that
    the SVD has no cheap update and suggests RRQR/UTV instead).  The
-   stopping criterion mirrors [reduce_adaptive]'s: leading-profile
-   convergence alone is not enough — the tail of the normalised R-diagonal
-   profile must also be below [tol], so a run can no longer stop with an
-   under-resolved truncation tail. *)
-let reduce_adaptive_rrqr_stats ?(rebuild = false) ?order ?tol ?batch ?converge_tol ?workers sys
-    pts =
-  adaptive_loop ~monitor:Monitor_rrqr ~rebuild ~default_converge:0.05 ?order ?tol ?batch
+   stopping criterion is [reduce_adaptive]'s: leading-profile convergence
+   alone is not enough — the tail of the normalised R-diagonal profile
+   must also be below [tol], so a run cannot stop with an under-resolved
+   truncation tail. *)
+let reduce_adaptive_rrqr ?rebuild ?order ?tol ?batch ?converge_tol ?workers sys pts =
+  adaptive_loop ~monitor:Monitor_rrqr ~default_converge:0.05 ?rebuild ?order ?tol ?batch
     ?converge_tol ?workers sys pts
 
-let reduce_adaptive_rrqr ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  fst (reduce_adaptive_rrqr_stats ?order ?tol ?batch ?converge_tol ?workers sys pts)
-
-(* Singular values of the ZW matrix only (Figs. 5 and 8). *)
-let sample_singular_values ?workers sys pts = Svd.values ?workers (Zmat.build ?workers sys pts)
+(* Singular values of the ZW matrix only (Figs. 5 and 8): the values
+   [of_cache] would report, from the same operand, without the basis or
+   the projection ([Svd.values] matches [Svd.decompose]'s bit for bit at
+   its default threshold). *)
+let sample_singular_values ?workers sys pts =
+  Svd.values ?workers (Sample_cache.svd_operand (sampled ?workers sys pts) ~scale:1.0)
 
 (* Hankel-singular-value estimates.  The sampled Gramian is
    X^ = (1/pi) (ZW)(ZW)^T (the 1/2pi of the inverse Fourier transform and

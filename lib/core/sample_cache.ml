@@ -29,12 +29,14 @@
      analysis — the adjoint solve reuses the same elimination structure.
 
    - A thin QR factorisation of the raw columns (Gram-Schmidt with one
-     re-orthogonalisation pass, extended column by column) is maintained
-     alongside: with [ZW = Q R D] for the diagonal weight matrix [D], the
-     singular values of the small [R D] are those of [ZW], so per-batch
-     order monitoring costs O(c^3) on the column count instead of a full
-     SVD at the state dimension — and the final basis is [Q] times the
-     left singular vectors of [R D].  For two caches, [cross_q] gives the
+     re-orthogonalisation pass, column by column) is grown on first use:
+     with [ZW = Q R D] for the diagonal weight matrix [D], the singular
+     values of the small [R D] are those of [ZW], and [Q] times the left
+     singular vectors of [R D] is the left singular basis of [ZW].  That
+     pays off while the cache holds at most as many columns as states;
+     past that [ZW] itself is the smaller SVD operand, and [svd_operand]
+     hands it over instead — so a wide cache never pays the O(n c^2) QR
+     or the c^2 factor nobody reads.  For two caches, [cross_q] gives the
      small Gram matrix [Q_a^T Q_b] that compresses cross products such as
      the sampled cross-Gramian pencil to the column dimension.
 
@@ -63,8 +65,9 @@ type t = {
   mutable ms : Dss.multi_shift option; (* created at the first extend *)
   mutable entries : (float * int) array; (* per point: weight, column count *)
   mutable raw : float array array; (* raw unweighted columns, each length n *)
-  mutable q_cols : float array array; (* thin-QR orthonormal columns *)
+  mutable q_cols : float array array; (* thin-QR orthonormal columns, a prefix of [raw]'s *)
   mutable r_cols : float array array; (* column j of R, length j + 1 *)
+  qr_lock : Mutex.t; (* the lazy QR build: caches are shared across store jobs *)
   mutable solves : int;
   mutable batches : int;
   mutable factor_s : float;
@@ -109,6 +112,7 @@ let create ?workers ?(oversubscribe = false) ?ms ?(source = Controllability) sys
     raw = [||];
     q_cols = [||];
     r_cols = [||];
+    qr_lock = Mutex.create ();
     solves = 0;
     batches = 0;
     factor_s = 0.0;
@@ -116,8 +120,6 @@ let create ?workers ?(oversubscribe = false) ?ms ?(source = Controllability) sys
     batch_wall = [];
   }
 
-let source t = t.source
-let handle t = t.ms
 let points t = Array.length t.entries
 let columns t = Array.length t.raw
 
@@ -147,24 +149,23 @@ let merge_stats (a : stats) (b : stats) : stats =
 (* Incremental thin QR                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Orthogonalise one new raw column against the held Q columns
+(* Orthogonalise raw column [j] against the Q columns [q.(0 .. j-1)]
    (Gram-Schmidt, two passes — "twice is enough" keeps Q orthonormal to
    roundoff), yielding its Q column and R column.  Strictly sequential in
    column order, so replaying the same columns in the same order — in one
-   batch or many — produces bitwise-identical factors.  The level-1 work
+   build or many — produces bitwise-identical factors.  The level-1 work
    inside each column step runs on the [Par_kernel] blocked kernels: the
    projections use the fixed-blocking dot, and the subtraction — a
    single independent operation per row — is sliced over row ranges.
    Neither depends on the worker count, so the per-column (and hence
    per-batch) determinism contract is untouched. *)
-let orthogonalise t (raw_col : float array) =
+let orthogonalise t (q : float array array) j =
   let n = t.n in
-  let j = columns t in
-  let v = Array.copy raw_col in
+  let v = Array.copy t.raw.(j) in
   let rj = Array.make (j + 1) 0.0 in
   for _pass = 1 to 2 do
     for i = 0 to j - 1 do
-      let qi = t.q_cols.(i) in
+      let qi = q.(i) in
       let h = Par_kernel.dot qi v in
       rj.(i) <- rj.(i) +. h;
       Par_kernel.parallel_ranges ?workers:t.workers ~work:(2 * n) n (fun lo hi ->
@@ -178,12 +179,31 @@ let orthogonalise t (raw_col : float array) =
   let qj = if rho > 0.0 then Array.map (fun x -> x /. rho) v else Array.make n 0.0 in
   (qj, rj)
 
+(* Extend the thin QR over every raw column it does not cover yet.  The
+   store shares sample caches across jobs (and subdomain caches across
+   networks), so two domains can ask at once: the build runs under the
+   cache's own lock. *)
+let ensure_qr t =
+  Mutex.protect t.qr_lock (fun () ->
+      let built = Array.length t.q_cols and c = columns t in
+      if built < c then begin
+        let q = Array.append t.q_cols (Array.make (c - built) [||]) in
+        let r = Array.append t.r_cols (Array.make (c - built) [||]) in
+        for j = built to c - 1 do
+          let qj, rj = orthogonalise t q j in
+          q.(j) <- qj;
+          r.(j) <- rj
+        done;
+        t.q_cols <- q;
+        t.r_cols <- r
+      end)
+
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Shared extension core: solve every task through the one multi-shift
-   handle, store the raw columns, and grow the thin QR.  Each task's
+   handle and store the raw columns (the thin QR follows on first use).  Each task's
    weight has already been forced to 1.0 (raw columns); the original
    weights arrive through [new_entries]. *)
 let extend_tasks t (tasks : Shift_engine.task array) (new_entries : (float * int) array) =
@@ -203,13 +223,7 @@ let extend_tasks t (tasks : Shift_engine.task array) (new_entries : (float * int
     let new_cols = Array.fold_left (fun acc (_, c) -> acc + c) 0 new_entries in
     assert (block.Mat.cols = new_cols);
     t.entries <- Array.append t.entries new_entries;
-    for j = 0 to new_cols - 1 do
-      let raw_col = Mat.col block j in
-      let qj, rj = orthogonalise t raw_col in
-      t.raw <- Array.append t.raw [| raw_col |];
-      t.q_cols <- Array.append t.q_cols [| qj |];
-      t.r_cols <- Array.append t.r_cols [| rj |]
-    done;
+    t.raw <- Array.append t.raw (Array.init new_cols (Mat.col block));
     t.solves <- t.solves + st.Shift_engine.solves;
     t.factor_s <- t.factor_s +. st.Shift_engine.factor_s;
     t.solve_s <- t.solve_s +. st.Shift_engine.solve_s;
@@ -303,12 +317,14 @@ let assemble t ~scale =
 let small_factor t ~scale =
   let c = columns t in
   if c = 0 then invalid_arg "Sample_cache.small_factor: empty cache";
+  ensure_qr t;
   let cw = col_weights t ~scale in
   Mat.init c c (fun i j -> if i <= j then t.r_cols.(j).(i) *. cw.(j) else 0.0)
 
 let apply_q t (coeff : Mat.t) =
   let c = columns t in
   if coeff.Mat.rows <> c then invalid_arg "Sample_cache.apply_q: row count mismatch";
+  ensure_qr t;
   let p = coeff.Mat.cols in
   let out = Mat.create t.n p in
   (* sliced over output rows; every out(i, k) still accumulates over the
@@ -329,6 +345,8 @@ let apply_q t (coeff : Mat.t) =
 
 let cross_q a b =
   if a.n <> b.n then invalid_arg "Sample_cache.cross_q: state dimensions differ";
+  ensure_qr a;
+  ensure_qr b;
   let ca = columns a and cb = columns b in
   let out = Mat.create ca cb in
   Par_kernel.parallel_ranges ?workers:a.workers ~work:(2 * ca * cb * a.n) ca (fun lo hi ->
@@ -338,3 +356,15 @@ let cross_q a b =
         done
       done);
   out
+
+(* The one SVD-operand rule every finish and monitor goes through.  Both
+   operands share their singular values with the assembled ZW; the
+   smaller one wins.  A wide cache (more columns than states) hands over
+   ZW itself, whose left singular vectors are already state-space
+   columns; a tall one hands over the c x c factor R D, whose left
+   singular vectors [lift] carries back through Q. *)
+let wide t = columns t > t.n
+
+let svd_operand t ~scale = if wide t then assemble t ~scale else small_factor t ~scale
+
+let lift t u = if wide t then u else apply_q t u

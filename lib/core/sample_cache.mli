@@ -13,13 +13,14 @@
     handle (symbolic sparse-LU analysis) is shared across all batches, and
     may be shared across caches (the two sides of a cross-Gramian run).
 
-    A thin QR factorisation of the raw columns is maintained incrementally:
-    with [ZW = Q R D] ([D] the diagonal of column weights), the singular
-    values of the small {!small_factor} [R D] are those of the assembled
-    [ZW], and [Q *] the left singular vectors of [R D] is its left singular
-    basis — so per-batch order monitoring and the final basis never need an
-    SVD at the full state dimension.  {!cross_q} compresses two-cache
-    products (the sampled cross-Gramian pencil) to the column dimension.
+    A thin QR factorisation of the raw columns is grown on first use: with
+    [ZW = Q R D] ([D] the diagonal of column weights), the singular values
+    of the small {!small_factor} [R D] are those of the assembled [ZW], and
+    [Q *] the left singular vectors of [R D] is its left singular basis.
+    {!svd_operand} picks the smaller of [ZW] and [R D] for the SVD that
+    finishes or monitors a run, so a cache wider than the state dimension
+    never builds the QR at all.  {!cross_q} compresses two-cache products
+    (the sampled cross-Gramian pencil) to the column dimension.
 
     Everything held is a pure function of the point sequence consumed so
     far: extending in one batch or many, with any worker count, yields
@@ -56,18 +57,10 @@ val create :
     lazily from the first point consumed.  Raises [Invalid_argument] if a
     {!Fixed_rhs} matrix does not have one row per state. *)
 
-val source : t -> source
-(** The sample source this cache was created with. *)
-
-val handle : t -> Dss.multi_shift option
-(** The multi-shift handle, once one exists (after the first extension, or
-    immediately when [?ms] was passed to {!create}) — pass it to sibling
-    caches to share the symbolic analysis. *)
-
 val extend : t -> Sampling.point array -> unit
 (** Append the given {e new} points: solve each shift once (through the
     shared symbolic analysis, on the adjoint side for {!Observability}),
-    store its raw columns, and extend the thin QR.  Points carry their
+    and store its raw columns.  Points carry their
     original quadrature weights; prefix rescaling belongs to assembly
     ([~scale]), not here.  An empty array is a no-op.  Raises
     [Invalid_argument] on a {!Per_point} cache — use {!extend_rhs}. *)
@@ -97,20 +90,23 @@ val merge_stats : stats -> stats -> stats
 val assemble : t -> scale:float -> Mat.t
 (** The weighted sample matrix [ZW] of every held column, with each
     point's columns scaled by [sqrt (weight *. scale)] — bitwise-identical
-    to the corresponding {!Zmat} builder ([build], [build_left],
-    [build_rhs] or [build_per_point]) over the same points with weights
+    to a one-shot {!Shift_engine.run} over the same tasks with weights
     multiplied by [scale].  Raises [Invalid_argument] on an empty cache. *)
 
 val small_factor : t -> scale:float -> Mat.t
 (** The upper-triangular [R D] ([columns x columns]) with
     [assemble ~scale = Q * small_factor ~scale]: its singular values are
     those of the assembled [ZW] (up to roundoff), at the column dimension
-    instead of the state dimension. *)
+    instead of the state dimension.  Builds the thin QR of any columns it
+    does not cover yet (under the cache's lock, so concurrent readers of a
+    shared cache are safe); the factor only depends on the columns held,
+    never on when it was built. *)
 
 val apply_q : t -> Mat.t -> Mat.t
 (** [apply_q t coeff] is [Q * coeff] for a [columns x k] coefficient
     matrix — used to lift singular vectors of {!small_factor} back to
-    state-space columns. *)
+    state-space columns.  Builds the thin QR on first use, as
+    {!small_factor} does. *)
 
 val cross_q : t -> t -> Mat.t
 (** [cross_q a b] is the small Gram matrix [Q_a^T Q_b]
@@ -118,3 +114,15 @@ val cross_q : t -> t -> Mat.t
     compresses products such as the sampled cross-Gramian
     [Z^R (Z^L)^T] to the column dimension.  Raises [Invalid_argument] if
     the caches' state dimensions differ. *)
+
+val svd_operand : t -> scale:float -> Mat.t
+(** The matrix whose SVD finishes or monitors a run over this cache: the
+    assembled [ZW] ({!assemble}) when the cache holds more columns than
+    states, otherwise the [columns x columns] {!small_factor}.  Either way
+    its singular values are those of [ZW]; only the smaller operand is
+    ever formed.  Raises [Invalid_argument] on an empty cache. *)
+
+val lift : t -> Mat.t -> Mat.t
+(** [lift t u] maps left singular vectors of {!svd_operand} to
+    state-space columns: [u] itself for a wide cache, {!apply_q} for a
+    tall one. *)

@@ -197,31 +197,3 @@ let run ?workers ?(oversubscribe = false) ?(chunk = 1) ?ms sys (tasks : task arr
     }
   in
   (zw, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Sample-matrix builders                                              *)
-(* ------------------------------------------------------------------ *)
-
-let tasks_of_points ~rhs ~hermitian pts =
-  Array.map (fun point -> { point; rhs; hermitian }) pts
-
-let build_stats ?workers ?oversubscribe ?chunk sys (pts : Sampling.point array) =
-  run ?workers ?oversubscribe ?chunk sys
-    (tasks_of_points ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
-
-let build ?workers ?oversubscribe ?chunk sys pts =
-  fst (build_stats ?workers ?oversubscribe ?chunk sys pts)
-
-let build_rhs ?workers ?oversubscribe ?chunk sys ~rhs (pts : Sampling.point array) =
-  fst (run ?workers ?oversubscribe ?chunk sys (tasks_of_points ~rhs ~hermitian:false pts))
-
-let build_per_point ?workers ?oversubscribe ?chunk sys (pts_rhs : (Sampling.point * Mat.t) array)
-    =
-  fst
-    (run ?workers ?oversubscribe ?chunk sys
-       (Array.map (fun (point, rhs) -> { point; rhs; hermitian = false }) pts_rhs))
-
-let build_left ?workers ?oversubscribe ?chunk sys (pts : Sampling.point array) =
-  fst
-    (run ?workers ?oversubscribe ?chunk sys
-       (tasks_of_points ~rhs:(Mat.transpose (Dss.c_matrix sys)) ~hermitian:true pts))

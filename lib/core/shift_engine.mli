@@ -61,45 +61,6 @@ val run :
     cap (the determinism tests use it to exercise genuine multi-domain
     runs on any machine); results are bitwise-identical either way. *)
 
-val build_stats :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  Dss.t ->
-  Sampling.point array ->
-  Mat.t * stats
-(** The PMTBR sample matrix [ZW] ([B] as right-hand side), with run
-    statistics. *)
-
-val build :
-  ?workers:int -> ?oversubscribe:bool -> ?chunk:int -> Dss.t -> Sampling.point array -> Mat.t
-(** {!build_stats} without the statistics. *)
-
-val build_rhs :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  Dss.t ->
-  rhs:Mat.t ->
-  Sampling.point array ->
-  Mat.t
-(** Sample matrix with one fixed arbitrary right-hand side. *)
-
-val build_per_point :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  Dss.t ->
-  (Sampling.point * Mat.t) array ->
-  Mat.t
-(** Sample matrix with a right-hand side per point (input-correlated
-    variant). *)
-
-val build_left :
-  ?workers:int -> ?oversubscribe:bool -> ?chunk:int -> Dss.t -> Sampling.point array -> Mat.t
-(** Observability-side sample matrix [(s_k E - A)^{-H} C^T] (cross-Gramian
-    method). *)
-
 val is_effectively_real : Complex.t -> bool
 (** Whether a sample point is treated as real (one column per input
     instead of a realified pair). *)

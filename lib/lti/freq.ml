@@ -35,7 +35,7 @@ let sweep ?workers sys (omegas : float array) =
   if Array.length omegas = 0 then [||]
   else
     let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = omegas.(0) } sys in
-    Sweep_engine.sweep ?workers plan omegas
+    fst (Sweep_engine.sweep ?workers plan omegas)
 
 (* Entry (i, j) of each response in a sweep. *)
 let entry_series responses i j = Array.map (fun h -> Cmat.get h i j) responses

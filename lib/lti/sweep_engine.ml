@@ -376,13 +376,10 @@ let run_block ?workers ?(oversubscribe = false) ?chunk plan (omegas : float arra
 
 let empty_stats = { points = 0; workers = 0; factor_s = 0.0; solve_s = 0.0; wall_s = 0.0; busy_s = [||] }
 
-let sweep_stats ?workers ?oversubscribe ?chunk plan omegas =
+let sweep ?workers ?oversubscribe ?chunk plan omegas =
   let n = Array.length omegas in
   if n = 0 then ([||], empty_stats)
   else run_block ?workers ?oversubscribe ?chunk plan omegas 0 n
-
-let sweep ?workers ?oversubscribe ?chunk plan omegas =
-  fst (sweep_stats ?workers ?oversubscribe ?chunk plan omegas)
 
 (* Window size for the streaming drivers: enough points to keep every
    pool worker fed through several chunks, small enough that a window of

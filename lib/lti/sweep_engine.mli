@@ -61,21 +61,13 @@ val eval_jw : t -> float -> Cmat.t
 (** [eval_jw plan omega] is [eval plan (j omega)]. *)
 
 val sweep :
-  ?workers:int -> ?oversubscribe:bool -> ?chunk:int -> t -> float array -> Cmat.t array
-(** Responses over a grid of frequencies (rad/s), evaluated in parallel.
-    Bitwise-identical to [Array.map (eval_jw plan) omegas] for every
-    worker count.  [oversubscribe] lifts the hardware cap on the pool
-    (tests use it to force real multi-domain runs anywhere); [chunk] is
-    the queue grab size. *)
-
-val sweep_stats :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  t ->
-  float array ->
-  Cmat.t array * stats
-(** {!sweep} plus pool timing. *)
+  ?workers:int -> ?oversubscribe:bool -> ?chunk:int -> t -> float array -> Cmat.t array * stats
+(** Responses over a grid of frequencies (rad/s), evaluated in parallel,
+    with the pool's timing.  The responses are bitwise-identical to
+    [Array.map (eval_jw plan) omegas] for every worker count.
+    [oversubscribe] lifts the hardware cap on the pool (tests use it to
+    force real multi-domain runs anywhere); [chunk] is the queue grab
+    size. *)
 
 val fold :
   ?workers:int ->

@@ -7,8 +7,6 @@
 
 open Pmtbr_la
 
-type t = { rom : Dss.t; hsv : float array; order : int }
-
 type meth = Adi | Extended_krylov
 
 type stats = {
@@ -21,6 +19,8 @@ type stats = {
   col_solves : int;
   wall_s : float;
 }
+
+type t = { rom : Dss.t; hsv : float array; order : int; stats : stats }
 
 let now () = Unix.gettimeofday ()
 
@@ -97,7 +97,7 @@ let hankel_singular_values ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
   in
   Svd.values ?workers (hankel_core ?workers sys zc zo)
 
-let reduce_stats ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
+let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
     ?(meth = Adi) ?workers sys =
   let t0 = now () in
   let zc, zo, st_c, st_o, shifts_used, counters =
@@ -131,20 +131,19 @@ let reduce_stats ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
   let t_r = scale_cols (Par_kernel.mul ?workers zc (Mat.sub_cols v 0 q)) inv_sqrt in
   let t_l = scale_cols (Par_kernel.mul ?workers zo (Mat.sub_cols u 0 q)) inv_sqrt in
   let rom = Dss.project_oblique sys ~w:t_l ~v:t_r in
-  ( { rom; hsv = sigma; order = q },
-    {
-      ctrl = st_c;
-      obs = st_o;
-      shifts = shifts_used;
-      symbolic = counters.Lyap_ops.symbolic;
-      refactorizations = counters.Lyap_ops.numeric;
-      solves = counters.Lyap_ops.solve_count;
-      col_solves = counters.Lyap_ops.col_solves;
-      wall_s = now () -. t0;
-    } )
-
-let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ?meth
-    ?workers sys =
-  fst
-    (reduce_stats ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
-       ?meth ?workers sys)
+  {
+    rom;
+    hsv = sigma;
+    order = q;
+    stats =
+      {
+        ctrl = st_c;
+        obs = st_o;
+        shifts = shifts_used;
+        symbolic = counters.Lyap_ops.symbolic;
+        refactorizations = counters.Lyap_ops.numeric;
+        solves = counters.Lyap_ops.solve_count;
+        col_solves = counters.Lyap_ops.col_solves;
+        wall_s = now () -. t0;
+      };
+  }

@@ -22,12 +22,6 @@
 
 open Pmtbr_la
 
-type t = {
-  rom : Dss.t;  (** reduced model (same descriptor flavour as the input) *)
-  hsv : float array;  (** approximate Hankel singular values, descending *)
-  order : int;  (** reduced order actually used *)
-}
-
 type meth = Adi | Extended_krylov  (** Gramian engine selector *)
 
 type stats = {
@@ -44,6 +38,13 @@ type stats = {
           path ({!Tbr_passive}), since the Ritz-value solves for shift
           selection cost both methods the same *)
   wall_s : float;  (** wall-clock of the whole reduction *)
+}
+
+type t = {
+  rom : Dss.t;  (** reduced model (same descriptor flavour as the input) *)
+  hsv : float array;  (** approximate Hankel singular values, descending *)
+  order : int;  (** reduced order actually used *)
+  stats : stats;  (** solver and handle counters of the run *)
 }
 
 val controllability_factor :
@@ -105,18 +106,3 @@ val reduce :
     Gramian solver tolerance (default [1e-10]).
     @raise Invalid_argument if both [order] and [tol] are given, or if a
     Gramian factor comes back empty (unstable/empty system). *)
-
-val reduce_stats :
-  ?order:int ->
-  ?tol:float ->
-  ?shifts:Complex.t array ->
-  ?num_shifts:int ->
-  ?adi_tol:float ->
-  ?max_steps:int ->
-  ?stop:Lr_lyap.stop ->
-  ?meth:meth ->
-  ?workers:int ->
-  Dss.t ->
-  t * stats
-(** {!reduce} plus the solver/handle counters, in the house [_stats]
-    style. *)

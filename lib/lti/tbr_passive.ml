@@ -36,8 +36,6 @@
 
 open Pmtbr_la
 
-type t = { rom : Dss.t; hsv : float array; order : int }
-
 type stats = {
   gramian : Lr_lyap.stats;
   shifts : Complex.t array;
@@ -47,6 +45,8 @@ type stats = {
   col_solves : int;
   wall_s : float;
 }
+
+type t = { rom : Dss.t; hsv : float array; order : int; stats : stats }
 
 let now () = Unix.gettimeofday ()
 
@@ -80,7 +80,7 @@ let asym m =
   done;
   !worst
 
-let reduce_stats ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
+let reduce ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
     ?stop ?(meth = Tbr_lr.Adi) ?(inductors = 0) ?ms ?workers sys =
   let t0 = now () in
   let n = Dss.order sys in
@@ -177,22 +177,21 @@ let reduce_stats ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
   let t_r = scale_cols (Par_kernel.mul ?workers zc vq) inv_sqrt in
   let t_l = scale_cols (Par_kernel.mul ?workers jz vq) signed in
   let rom = Dss.project_oblique sys ~w:t_l ~v:t_r in
-  ( { rom; hsv; order = q },
-    {
-      gramian = st;
-      shifts = shifts_used;
-      symbolic = counters.Lyap_ops.symbolic;
-      refactorizations = counters.Lyap_ops.numeric;
-      solves = counters.Lyap_ops.solve_count;
-      col_solves = counters.Lyap_ops.col_solves;
-      wall_s = now () -. t0;
-    } )
-
-let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ?meth
-    ?inductors ?ms ?workers sys =
-  fst
-    (reduce_stats ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
-       ?meth ?inductors ?ms ?workers sys)
+  {
+    rom;
+    hsv;
+    order = q;
+    stats =
+      {
+        gramian = st;
+        shifts = shifts_used;
+        symbolic = counters.Lyap_ops.symbolic;
+        refactorizations = counters.Lyap_ops.numeric;
+        solves = counters.Lyap_ops.solve_count;
+        col_solves = counters.Lyap_ops.col_solves;
+        wall_s = now () -. t0;
+      };
+  }
 
 let synthesize ?drop_tol ?workers t =
   let rom = t.rom in

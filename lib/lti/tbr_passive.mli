@@ -20,12 +20,6 @@
 
 open Pmtbr_la
 
-type t = {
-  rom : Dss.t;  (** reduced model *)
-  hsv : float array;  (** singular values [|l_i|] of the Hankel core, descending *)
-  order : int;  (** reduced order actually used *)
-}
-
 type stats = {
   gramian : Lr_lyap.stats;  (** the single Gramian solve *)
   shifts : Complex.t array;  (** ADI shifts used (empty for Krylov) *)
@@ -38,31 +32,12 @@ type stats = {
   wall_s : float;
 }
 
-val reduce_stats :
-  ?order:int ->
-  ?tol:float ->
-  ?shifts:Complex.t array ->
-  ?num_shifts:int ->
-  ?adi_tol:float ->
-  ?max_steps:int ->
-  ?stop:Lr_lyap.stop ->
-  ?meth:Tbr_lr.meth ->
-  ?inductors:int ->
-  ?ms:Dss.multi_shift ->
-  ?workers:int ->
-  Dss.t ->
-  t * stats
-(** One-Gramian balanced truncation.  [inductors] (default [0]) is the
-    number of trailing inductor-current states (the
-    {!Pmtbr_circuit.Netlist.inductor_count} of the stamped netlist);
-    [0] is the RC case.  Order selection mirrors {!Tbr_lr.reduce_stats}:
-    one of [order] or [tol], neither truncates at numerical rank.
-    [?ms] reuses an already prepared multi-shift handle (the serve layer
-    keeps one per cached network).
-    @raise Invalid_argument if [C <> B]{^ T} (the system is not
-    reciprocal), if the Hankel core comes out non-symmetric (wrong
-    [inductors] or non-symmetric [E]), if both [order] and [tol] are
-    given, or if the Gramian factor is empty. *)
+type t = {
+  rom : Dss.t;  (** reduced model *)
+  hsv : float array;  (** singular values [|l_i|] of the Hankel core, descending *)
+  order : int;  (** reduced order actually used *)
+  stats : stats;  (** solver and handle counters of the run *)
+}
 
 val reduce :
   ?order:int ->
@@ -78,7 +53,17 @@ val reduce :
   ?workers:int ->
   Dss.t ->
   t
-(** {!reduce_stats} without the counters. *)
+(** One-Gramian balanced truncation.  [inductors] (default [0]) is the
+    number of trailing inductor-current states (the
+    {!Pmtbr_circuit.Netlist.inductor_count} of the stamped netlist);
+    [0] is the RC case.  Order selection mirrors {!Tbr_lr.reduce}:
+    one of [order] or [tol], neither truncates at numerical rank.
+    [?ms] reuses an already prepared multi-shift handle (the serve layer
+    keeps one per cached network).
+    @raise Invalid_argument if [C <> B]{^ T} (the system is not
+    reciprocal), if the Hankel core comes out non-symmetric (wrong
+    [inductors] or non-symmetric [E]), if both [order] and [tol] are
+    given, or if the Gramian factor is empty. *)
 
 val synthesize : ?drop_tol:float -> ?workers:int -> t -> Pmtbr_circuit.Spice_ir.t
 (** Realise the reduced model as an R/C netlist through

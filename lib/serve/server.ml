@@ -147,7 +147,7 @@ let run ?(on_ready = fun _ -> ()) config =
       Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
       Unix.listen listen_fd 64;
       let pool =
-        Scheduler.create ~workers:config.workers
+        Pmtbr_la.Scheduler.create ~workers:config.workers
           (handle_connection store ~max_frame:config.max_frame ~shutdown)
       in
       on_ready store;
@@ -157,8 +157,8 @@ let run ?(on_ready = fun _ -> ()) config =
         | [], _, _ -> ()
         | _ :: _, _, _ -> (
             match Unix.accept listen_fd with
-            | fd, _ -> if not (Scheduler.submit pool fd) then Unix.close fd
+            | fd, _ -> if not (Pmtbr_la.Scheduler.submit pool fd) then Unix.close fd
             | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done;
-      Scheduler.stop pool)
+      Pmtbr_la.Scheduler.stop pool)

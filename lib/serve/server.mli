@@ -1,6 +1,6 @@
 (** The reduction daemon: a Unix-domain stream socket speaking
     {!Protocol} frames, answering jobs from a {!Store} shared by a
-    {!Scheduler} pool of connection workers.
+    {!Pmtbr_la.Scheduler} pool of connection workers.
 
     Lifecycle: {!run} binds the socket (replacing a stale socket file left
     by a killed process), accepts until a [shutdown] job arrives, then

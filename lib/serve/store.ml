@@ -245,7 +245,8 @@ let hier_samples_key part ~meth ~band ~samples =
 let network_cost ~canonical sys = String.length canonical + (64 * Dss.order sys) + 1024
 
 let samples_cost sys cache =
-  (* raw columns + incremental Q + small R, all [n x columns]-dominated *)
+  (* raw columns, plus the thin Q and small R once a finish reads them —
+     all [n x columns]-dominated *)
   (24 * Dss.order sys * Sample_cache.columns cache) + 4096
 
 let rom_cost (r : rom_entry) =
@@ -544,10 +545,11 @@ let reduce t ~netlist ~meth ~band ?tol ?order ?partition ?max_part_states ?inter
                 in
                 let inductors = Pmtbr_circuit.Netlist.inductor_count nl in
                 match
-                  Tbr_passive.reduce_stats ?order ?tol ?stop ~inductors
+                  Tbr_passive.reduce ?order ?tol ?stop ~inductors
                     ~ms:(Lazy.force network.ms) ~workers:t.job_workers network.sys
                 with
-                | red, stats ->
+                | red ->
+                    let solves = red.Tbr_passive.stats.Tbr_passive.solves in
                     let tier = if net_was_warm then Network_hit else Miss in
                     let r =
                       {
@@ -561,11 +563,11 @@ let reduce t ~netlist ~meth ~band ?tol ?order ?partition ?max_part_states ?inter
                         (match tier with
                         | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
                         | _ -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-                        t.ctr.c_solves <- t.ctr.c_solves + stats.Tbr_passive.solves;
+                        t.ctr.c_solves <- t.ctr.c_solves + solves;
                         Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
                     let* netlist = export_of_rom ~export r.r_rom in
                     Ok
-                      (outcome_of_rom ~tier ~hash ~solves:stats.Tbr_passive.solves
+                      (outcome_of_rom ~tier ~hash ~solves
                          ~wall:(Unix.gettimeofday () -. t0)
                          ~netlist network.sys r)
                 | exception e ->

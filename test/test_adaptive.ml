@@ -8,6 +8,7 @@ open Pmtbr_la
 open Pmtbr_circuit
 open Pmtbr_lti
 open Pmtbr_core
+open Pmtbr_oracle
 
 let mesh_system ~rows ~cols ~ports = Dss.of_netlist (Rc_mesh.generate ~rows ~cols ~ports ())
 let rc_line_sys () = Dss.of_netlist (Rc_line.generate ~sections:30 ())
@@ -120,10 +121,12 @@ let prop_incremental_equals_rebuild =
     (fun (dim, npts, batch, workers) ->
       let sys = mesh_system ~rows:dim ~cols:dim ~ports:2 in
       let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:npts in
-      let inc, st_inc = Pmtbr.reduce_adaptive_stats ~tol:1e-9 ~batch ~workers sys pts in
-      let reb, st_reb =
-        Pmtbr.reduce_adaptive_stats ~rebuild:true ~tol:1e-9 ~batch ~workers:1 sys pts
+      let inc = Pmtbr.reduce_adaptive ~tol:1e-9 ~batch ~workers sys pts in
+      let st_inc = inc.Pmtbr.stats in
+      let reb =
+        Pmtbr.reduce_adaptive ~rebuild:true ~tol:1e-9 ~batch ~workers:1 sys pts
       in
+      let st_reb = reb.Pmtbr.stats in
       same_result inc reb
       (* the counter invariant: incremental solves each consumed shift
          once; the from-scratch baseline re-solves across batches *)
@@ -136,15 +139,16 @@ let prop_incremental_equals_rebuild_rrqr =
     (fun (dim, npts, batch) ->
       let sys = mesh_system ~rows:dim ~cols:dim ~ports:2 in
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
-      let inc, st_inc = Pmtbr.reduce_adaptive_rrqr_stats ~tol:1e-9 ~batch sys pts in
-      let reb, _ = Pmtbr.reduce_adaptive_rrqr_stats ~rebuild:true ~tol:1e-9 ~batch sys pts in
+      let inc = Pmtbr.reduce_adaptive_rrqr ~tol:1e-9 ~batch sys pts in
+      let st_inc = inc.Pmtbr.stats in
+      let reb = Pmtbr.reduce_adaptive_rrqr ~rebuild:true ~tol:1e-9 ~batch sys pts in
       same_result inc reb && st_inc.Sample_cache.solves = st_inc.Sample_cache.points)
 
 let test_adaptive_worker_invariant () =
   let sys = mesh_system ~rows:5 ~cols:5 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:16 in
-  let r1, _ = Pmtbr.reduce_adaptive_stats ~tol:1e-9 ~workers:1 sys pts in
-  let r3, _ = Pmtbr.reduce_adaptive_stats ~tol:1e-9 ~workers:3 sys pts in
+  let r1 = Pmtbr.reduce_adaptive ~tol:1e-9 ~workers:1 sys pts in
+  let r3 = Pmtbr.reduce_adaptive ~tol:1e-9 ~workers:3 sys pts in
   Alcotest.(check bool) "same result at any worker count" true (same_result r1 r3)
 
 let test_adaptive_solves_once_on_early_stop () =
@@ -152,7 +156,8 @@ let test_adaptive_solves_once_on_early_stop () =
      shift must still have been solved exactly once *)
   let sys = rc_line_sys () in
   let pts = Sampling.points (Sampling.Uniform { w_max = rc_line_band }) ~count:64 in
-  let r, st = Pmtbr.reduce_adaptive_stats ~tol:1e-8 ~batch:8 sys pts in
+  let r = Pmtbr.reduce_adaptive ~tol:1e-8 ~batch:8 sys pts in
+  let st = r.Pmtbr.stats in
   Alcotest.(check bool) "stops early" true (r.Pmtbr.samples < 64);
   Alcotest.(check int) "solves == points consumed" r.Pmtbr.samples st.Sample_cache.solves;
   Alcotest.(check int) "points counter" r.Pmtbr.samples st.Sample_cache.points
@@ -189,7 +194,8 @@ let test_adaptive_column_guard () =
      hold at least twice the model order in realified columns *)
   let sys = rc_line_sys () in
   let pts = Sampling.points (Sampling.Uniform { w_max = rc_line_band }) ~count:64 in
-  let r, st = Pmtbr.reduce_adaptive_stats ~tol:1e-8 ~batch:4 sys pts in
+  let r = Pmtbr.reduce_adaptive ~tol:1e-8 ~batch:4 sys pts in
+  let st = r.Pmtbr.stats in
   let q = r.Pmtbr.basis.Mat.cols in
   Alcotest.(check bool)
     (Printf.sprintf "columns %d >= 2q = %d" st.Sample_cache.columns (2 * q))

@@ -5,6 +5,7 @@ open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_circuit
 open Pmtbr_core
+open Pmtbr_oracle
 
 let check_small ?(tol = 1e-9) msg value =
   if Float.abs value > tol then Alcotest.failf "%s: |%.3e| > %g" msg value tol

@@ -365,36 +365,6 @@ let test_modal_dominant () =
   | _ -> Alcotest.fail "unexpected")
 
 (* ------------------------------------------------------------------ *)
-(* LQG balanced truncation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_lqg_characteristic_values () =
-  let sys = Dss.of_netlist (Rc_line.generate ~sections:15 ()) in
-  let a, b, c = Dss.to_standard sys in
-  let cv = Lqg.characteristic_values ~a ~b ~c () in
-  Array.iteri
-    (fun i s ->
-      if s < 0.0 then Alcotest.fail "negative characteristic value";
-      if i > 0 && s > cv.(i - 1) +. 1e-12 then Alcotest.fail "not descending")
-    cv
-
-let test_lqg_exact_at_full_order () =
-  let sys = Dss.of_netlist (Rc_line.generate ~sections:10 ()) in
-  let r = Lqg.reduce_dss ~order:11 sys in
-  let om = Vec.linspace 0.0 3e9 15 in
-  let err = Freq.max_rel_error (Freq.sweep sys om) (Freq.sweep r.Lqg.rom om) in
-  if err > 1e-6 then Alcotest.failf "full-order LQG not exact: %g" err
-
-let test_lqg_reduction_accuracy () =
-  let sys = Dss.of_netlist (Rc_line.generate ~sections:25 ()) in
-  let r = Lqg.reduce_dss ~order:8 sys in
-  Alcotest.(check bool) "order" true (Dss.order r.Lqg.rom <= 8);
-  Alcotest.(check bool) "stable" true (Stability.is_stable ~tol:1e-3 r.Lqg.rom);
-  let om = Vec.linspace 0.0 3e9 20 in
-  let err = Freq.max_rel_error (Freq.sweep sys om) (Freq.sweep r.Lqg.rom om) in
-  if err > 1e-2 then Alcotest.failf "LQG order-8 error %g" err
-
-(* ------------------------------------------------------------------ *)
 (* New generators                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -507,12 +477,6 @@ let () =
           Alcotest.test_case "modal reconstructs" `Quick test_modal_reconstructs_response;
           Alcotest.test_case "modal poles stable" `Quick test_modal_poles_stable;
           Alcotest.test_case "modal dominant" `Quick test_modal_dominant;
-        ] );
-      ( "lqg",
-        [
-          Alcotest.test_case "characteristic values" `Quick test_lqg_characteristic_values;
-          Alcotest.test_case "exact at full order" `Quick test_lqg_exact_at_full_order;
-          Alcotest.test_case "reduction accuracy" `Quick test_lqg_reduction_accuracy;
         ] );
       ( "generators",
         [

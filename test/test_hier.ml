@@ -188,7 +188,9 @@ let omegas_mesh = Array.init 9 (fun i -> 1e6 *. (10.0 ** (0.5 *. float_of_int i)
 let test_untruncated_exact () =
   let nl = mesh ~rows:8 ~cols:8 ~ports:2 in
   let full = Dss.of_netlist nl in
-  let rom, st = Hier_reduce.reduce_stats ~order:10_000 ~parts:4 nl (points 4) in
+  let rom, st =
+    Hier_reduce.reduce_partitioned ~order:10_000 (Partition.split ~parts:4 nl) (points 4)
+  in
   Alcotest.(check int) "untruncated order = states" st.Hier_reduce.states st.Hier_reduce.order;
   let err = max_rel_err full rom omegas_mesh in
   if err > 1e-6 then Alcotest.failf "untruncated hier drifts from full model: %.3e" err
@@ -198,7 +200,9 @@ let test_truncated_tracks_flat () =
   let nl = mesh ~rows:9 ~cols:9 ~ports:3 in
   let full = Dss.of_netlist nl in
   let flat = (Pmtbr.reduce ~tol:1e-12 full (points 8)).Pmtbr.rom in
-  let rom, _ = Hier_reduce.reduce_stats ~tol:1e-12 ~parts:3 nl (points 8) in
+  let rom, _ =
+    Hier_reduce.reduce_partitioned ~tol:1e-12 (Partition.split ~parts:3 nl) (points 8)
+  in
   let e_flat = max_rel_err full flat omegas_mesh in
   let e_hier = max_rel_err full rom omegas_mesh in
   if e_hier > 1e-6 then Alcotest.failf "hier error %.3e above 1e-6 (flat %.3e)" e_hier e_flat
@@ -207,7 +211,9 @@ let test_truncated_tracks_flat () =
 let test_one_part_matches_flat_samples () =
   let nl = mesh ~rows:6 ~cols:6 ~ports:2 in
   let full = Dss.of_netlist nl in
-  let rom, st = Hier_reduce.reduce_stats ~tol:1e-12 ~parts:1 nl (points 6) in
+  let rom, st =
+    Hier_reduce.reduce_partitioned ~tol:1e-12 (Partition.split ~parts:1 nl) (points 6)
+  in
   Alcotest.(check int) "no interface" 0 st.Hier_reduce.interface;
   let err = max_rel_err full rom omegas_mesh in
   if err > 1e-6 then Alcotest.failf "single-part hier drifts: %.3e" err
@@ -227,7 +233,10 @@ let test_interface_compression () =
   let nl = mesh ~rows:9 ~cols:9 ~ports:2 in
   let full = Dss.of_netlist nl in
   let pts = points 8 in
-  let rom, st = Hier_reduce.reduce_stats ~tol:1e-12 ~interface_tol:1e-10 ~parts:4 nl pts in
+  let rom, st =
+    Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-10
+      (Partition.split ~parts:4 nl) pts
+  in
   if st.Hier_reduce.interface_kept > st.Hier_reduce.interface then
     Alcotest.failf "kept %d > interface %d" st.Hier_reduce.interface_kept st.Hier_reduce.interface;
   Alcotest.(check int) "order accounts for kept interface" st.Hier_reduce.order
@@ -240,9 +249,10 @@ let test_interface_compression () =
 let test_compression_exact_fallback () =
   let nl = mesh ~rows:7 ~cols:7 ~ports:2 in
   let pts = points 6 in
-  let rom0, st0 = Hier_reduce.reduce_stats ~tol:1e-12 ~parts:3 nl pts in
+  let rom0, st0 = Hier_reduce.reduce_partitioned ~tol:1e-12 (Partition.split ~parts:3 nl) pts in
   let rom1, st1 =
-    Hier_reduce.reduce_stats ~tol:1e-12 ~interface_tol:1e-300 ~parts:3 nl pts
+    Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-300
+      (Partition.split ~parts:3 nl) pts
   in
   Alcotest.(check int) "full rank kept" st0.Hier_reduce.interface st1.Hier_reduce.interface_kept;
   Alcotest.(check string) "fallback is bitwise the exact-interface ROM" (rom_digest rom0)
@@ -259,8 +269,8 @@ let test_worker_invariance () =
     List.map
       (fun (w, over) ->
         let rom, _ =
-          Hier_reduce.reduce_stats ~tol:1e-10 ~interface_tol:1e-9 ~workers:w ~oversubscribe:over
-            ~parts:4 nl pts
+          Hier_reduce.reduce_partitioned ~tol:1e-10 ~interface_tol:1e-9 ~workers:w
+            ~oversubscribe:over (Partition.split ~parts:4 nl) pts
         in
         rom_digest rom)
       [ (1, false); (2, true); (5, true) ]
@@ -302,9 +312,12 @@ let prop_hier_agrees_and_invariant =
       let nl = mesh ~rows ~cols ~ports:2 in
       let full = Dss.of_netlist nl in
       let pts = points 6 in
-      let rom1, _ = Hier_reduce.reduce_stats ~tol:1e-12 ~parts ~workers:1 nl pts in
+      let rom1, _ =
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~workers:1 (Partition.split ~parts nl) pts
+      in
       let romw, _ =
-        Hier_reduce.reduce_stats ~tol:1e-12 ~parts ~workers ~oversubscribe:true nl pts
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~workers ~oversubscribe:true
+          (Partition.split ~parts nl) pts
       in
       if rom_digest rom1 <> rom_digest romw then
         QCheck2.Test.fail_report "ROM digest depends on worker count";
@@ -323,7 +336,7 @@ let prop_substrate_agrees =
       let w0 = Substrate.corner_frequency () in
       let pts = Sampling.points (Sampling.Uniform { w_max = 4.0 *. w0 }) ~count:8 in
       let omegas = Array.init 7 (fun i -> w0 *. (0.25 +. (0.5 *. float_of_int i))) in
-      let rom, _ = Hier_reduce.reduce_stats ~tol:1e-12 ~parts nl pts in
+      let rom, _ = Hier_reduce.reduce_partitioned ~tol:1e-12 (Partition.split ~parts nl) pts in
       let err = max_rel_err full rom omegas in
       if err > 1e-6 then
         QCheck2.Test.fail_reportf "substrate hier error %.3e > 1e-6 (internal %d parts %d)" err
@@ -346,12 +359,12 @@ let prop_auto_compressed =
           if s > budget then QCheck2.Test.fail_reportf "part of %d states > budget %d" s budget)
         (Partition.part_sizes (Partition.split_auto ~max_states:budget nl));
       let rom1, st =
-        Hier_reduce.reduce_auto_stats ~tol:1e-12 ~interface_tol:1e-9 ~max_states:budget
-          ~workers:1 nl pts
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-9 ~workers:1
+          (Partition.split_auto ~max_states:budget nl) pts
       in
       let romw, _ =
-        Hier_reduce.reduce_auto_stats ~tol:1e-12 ~interface_tol:1e-9 ~max_states:budget ~workers
-          ~oversubscribe:true nl pts
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-9 ~workers ~oversubscribe:true
+          (Partition.split_auto ~max_states:budget nl) pts
       in
       if rom_digest rom1 <> rom_digest romw then
         QCheck2.Test.fail_report "compressed ROM digest depends on worker count";

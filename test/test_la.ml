@@ -448,46 +448,6 @@ let test_orth_zero_matrix () =
   Alcotest.(check int) "no columns" 0 q.Mat.cols
 
 (* ------------------------------------------------------------------ *)
-(* Riccati                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_care_scalar () =
-  (* -2x - x^2 + 1 = 0 (a = -1, g = q = 1): x = sqrt 2 - 1 *)
-  let one = Mat.of_arrays [| [| 1.0 |] |] in
-  let a = Mat.of_arrays [| [| -1.0 |] |] in
-  let x = Riccati.care ~a ~g:one ~q:one () in
-  approx ~tol:1e-10 "scalar care" (sqrt 2.0 -. 1.0) (Mat.get x 0 0)
-
-let test_care_zero_q () =
-  (* q = 0 with stable a: x = 0 *)
-  let a = random_stable 6 in
-  let g = Mat.identity 6 in
-  let x = Riccati.care ~a ~g ~q:(Mat.create 6 6) () in
-  check_small ~tol:1e-12 "zero solution" (Mat.frobenius x)
-
-let test_care_residual_random () =
-  let a = random_stable_nonsym ~seed:31 8 in
-  let b = Mat.random ~seed:37 8 2 in
-  let c = Mat.random ~seed:41 1 8 in
-  let g = Mat.mul b (Mat.transpose b) in
-  let q = Mat.mul (Mat.transpose c) c in
-  let x = Riccati.care ~a ~g ~q () in
-  check_small ~tol:1e-8 "care residual" (Riccati.care_residual ~a ~g ~q x);
-  (* stabilising solution: X symmetric PSD *)
-  if not (Mat.is_symmetric ~tol:1e-8 x) then Alcotest.fail "X not symmetric";
-  let eigs = Eig_sym.eigenvalues x in
-  if eigs.(Array.length eigs - 1) < -1e-10 then Alcotest.fail "X not PSD"
-
-let test_care_reduces_to_lyapunov () =
-  (* g = 0: the CARE is the Lyapunov equation A^T X + X A + Q = 0 *)
-  let a = random_stable_nonsym ~seed:43 7 in
-  let q0 = Mat.random ~seed:47 7 1 in
-  let q = Mat.mul q0 (Mat.transpose q0) in
-  let x_care = Riccati.care ~a ~g:(Mat.create 7 7) ~q () in
-  let x_lyap = Lyap.solve (Mat.transpose a) q in
-  check_small ~tol:1e-8 "g=0 care = lyapunov" (Mat.frobenius (Mat.sub x_care x_lyap))
-
-(* ------------------------------------------------------------------ *)
 (* Subspace angles                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -668,13 +628,6 @@ let () =
           Alcotest.test_case "factor reuse" `Quick test_lyap_factor_reuse;
           Alcotest.test_case "sylvester cross" `Quick test_sylvester_cross;
           Alcotest.test_case "cross = lyap when symmetric" `Quick test_cross_gramian_symmetric_case;
-        ] );
-      ( "riccati",
-        [
-          Alcotest.test_case "scalar" `Quick test_care_scalar;
-          Alcotest.test_case "zero q" `Quick test_care_zero_q;
-          Alcotest.test_case "random residual" `Quick test_care_residual_random;
-          Alcotest.test_case "reduces to lyapunov" `Quick test_care_reduces_to_lyapunov;
         ] );
       ( "subspace",
         [

@@ -157,12 +157,12 @@ let test_worker_invariance () =
 let test_handle_reuse_counters () =
   let sys = mesh_system ~rows:6 ~cols:6 ~ports:2 in
   (* take the first few auto-selected shifts as a realistic explicit list *)
-  let _, st0 = Tbr_lr.reduce_stats ~order:6 sys in
+  let st0 = (Tbr_lr.reduce ~order:6 sys).Tbr_lr.stats in
   let shifts = Array.sub st0.Tbr_lr.shifts 0 (min 4 (Array.length st0.Tbr_lr.shifts)) in
   let distinct =
     Array.to_list shifts |> List.sort_uniq compare |> List.length
   in
-  let _, st = Tbr_lr.reduce_stats ~order:6 ~shifts sys in
+  let st = (Tbr_lr.reduce ~order:6 ~shifts sys).Tbr_lr.stats in
   Alcotest.(check int) "symbolic analyses" 1 st.Tbr_lr.symbolic;
   Alcotest.(check int) "one refactorization per distinct shift" distinct
     st.Tbr_lr.refactorizations;

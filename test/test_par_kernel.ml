@@ -194,8 +194,8 @@ let test_reduce_adaptive_worker_invariant () =
 let test_cross_gramian_worker_invariant () =
   let sys = mesh_system ~rows:5 ~cols:5 ~ports:2 in
   let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:10 in
-  let r1 = Cross_gramian.reduce_cached ~workers:1 sys pts in
-  let r4 = Cross_gramian.reduce_cached ~workers:4 sys pts in
+  let r1 = Cross_gramian.reduce ~workers:1 sys pts in
+  let r4 = Cross_gramian.reduce ~workers:4 sys pts in
   Alcotest.(check bool)
     "eigenvalues bitwise" true
     (r1.Cross_gramian.eigenvalues = r4.Cross_gramian.eigenvalues);

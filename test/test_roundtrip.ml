@@ -113,7 +113,7 @@ let prop_positive_real =
 let hsv_agree () =
   let nl = substrate_of_seed 7 in
   let sys = Dss.of_netlist nl in
-  let red, _ = Tbr_passive.reduce_stats ~order:12 sys in
+  let red = Tbr_passive.reduce ~order:12 sys in
   let lr = Tbr_lr.reduce ~order:12 sys in
   let k = min 8 (min (Array.length red.Tbr_passive.hsv) (Array.length lr.Tbr_lr.hsv)) in
   for i = 0 to k - 1 do
@@ -134,8 +134,8 @@ let hsv_agree () =
 let col_solves_halved () =
   let nl = substrate_of_seed 3 in
   let sys = Dss.of_netlist nl in
-  let _, passive = Tbr_passive.reduce_stats ~order:10 sys in
-  let _, two_sided = Tbr_lr.reduce_stats ~order:10 sys in
+  let passive = (Tbr_passive.reduce ~order:10 sys).Tbr_passive.stats in
+  let two_sided = (Tbr_lr.reduce ~order:10 sys).Tbr_lr.stats in
   Alcotest.(check bool) "one symbolic analysis" true (passive.Tbr_passive.symbolic = 1);
   let ratio =
     float_of_int passive.Tbr_passive.col_solves
@@ -169,7 +169,8 @@ let rlck_j_symmetric () =
   let nl = rlck_ladder () in
   let sys = Dss.of_netlist nl in
   let inductors = Netlist.inductor_count nl in
-  let red, stats = Tbr_passive.reduce_stats ~order:12 ~inductors sys in
+  let red = Tbr_passive.reduce ~order:12 ~inductors sys in
+  let stats = red.Tbr_passive.stats in
   Alcotest.(check bool) "order > 0" true (red.Tbr_passive.order >= 1);
   Alcotest.(check bool) "one symbolic" true (stats.Tbr_passive.symbolic = 1);
   let omegas = Array.init 9 (fun i -> 10.0 ** (8.0 +. float_of_int i /. 4.0)) in

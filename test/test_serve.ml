@@ -1,9 +1,9 @@
 (* Tests for the reduction service: the LRU eviction structure, the wire
    protocol (including malformed/oversized frames), the content-addressed
    store contracts (hash stability, tier progression, warm == cold
-   bitwise, eviction forces recompute), a concurrent end-to-end daemon
-   run, and regressions for the two parser bugfixes that rode along
-   (--band validation, SPICE value suffixes). *)
+   bitwise, library == daemon bitwise, eviction forces recompute), a
+   concurrent end-to-end daemon run, and regressions for the two parser
+   bugfixes that rode along (--band validation, SPICE value suffixes). *)
 
 open Pmtbr_circuit
 open Pmtbr_serve
@@ -395,6 +395,40 @@ let test_reformatted_collides_to_one_rom () =
   let cold = run_job (Store.create ()) noisy in
   Alcotest.(check string) "digest independent of submitted formatting" o1.Store.digest
     cold.Store.digest
+
+(* One job, one answer: a flat pmtbr job through the daemon's store and
+   [Pmtbr.reduce] on the same canonical network, points, tolerance and
+   worker count return bitwise-identical ROMs — on a mesh whose cache
+   holds fewer columns than states (the small-factor SVD) and on a
+   substrate holding more (the state-dimension SVD). *)
+let test_library_equals_daemon () =
+  let check name text ~w_max ~samples =
+    let o =
+      must
+        (Store.reduce (Store.create ()) ~netlist:text ~meth:Protocol.Pmtbr ~band:(0.0, w_max)
+           ~tol:1e-8 ~samples ())
+    in
+    let sys =
+      Pmtbr_lti.Dss.of_netlist
+        (Spice_ir.to_netlist (Spice_ir.canonical (Spice.ir (Spice.parse_string text))))
+    in
+    let pts = Pmtbr_core.Sampling.points (Pmtbr_core.Sampling.Uniform { w_max }) ~count:samples in
+    let lib = Pmtbr_core.Pmtbr.reduce ~tol:1e-8 ~workers:1 sys pts in
+    let columns = lib.Pmtbr_core.Pmtbr.stats.Pmtbr_core.Sample_cache.columns in
+    Alcotest.(check string)
+      (Printf.sprintf "%s (%d columns, %d states): library digest == daemon digest" name columns
+         o.Store.states)
+      o.Store.digest
+      (Store.rom_digest lib.Pmtbr_core.Pmtbr.rom);
+    columns < o.Store.states
+  in
+  let tall = check "rc mesh" (mesh_netlist ~n:12 ()) ~w_max:2e10 ~samples:10 in
+  let wide =
+    check "substrate"
+      (Spice.to_string (Substrate.generate ~ports:12 ~internal:20 ~seed:5 ()))
+      ~w_max:(4.0 *. Substrate.corner_frequency ()) ~samples:6
+  in
+  Alcotest.(check (pair bool bool)) "one tall and one wide cache" (true, false) (tall, wide)
 
 (* tbr-passive through the store: tier progression, export body closing
    the roundtrip, and multi-shift handle reuse on a new band. *)
@@ -864,6 +898,7 @@ let () =
           Alcotest.test_case "tiers and counters" `Quick test_store_tiers_and_counters;
           Alcotest.test_case "reformatted collides to one rom" `Quick
             test_reformatted_collides_to_one_rom;
+          Alcotest.test_case "library equals daemon" `Quick test_library_equals_daemon;
           Alcotest.test_case "tbr-passive tiers and export" `Quick
             test_tbr_passive_tiers_and_export;
           Alcotest.test_case "hier tiers and stats" `Quick test_hier_tiers_and_stats;

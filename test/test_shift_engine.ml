@@ -8,6 +8,7 @@ open Pmtbr_sparse
 open Pmtbr_circuit
 open Pmtbr_lti
 open Pmtbr_core
+open Pmtbr_oracle
 
 let mesh_system ~rows ~cols ~ports =
   Dss.of_netlist (Rc_mesh.generate ~rows ~cols ~ports ())
@@ -27,8 +28,8 @@ let prop_parallel_equals_serial =
     (fun (rows, cols, ports, npts, workers, chunk) ->
       let sys = mesh_system ~rows ~cols ~ports in
       let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:npts in
-      let serial = Shift_engine.build ~workers:1 sys pts in
-      let par = Shift_engine.build ~workers ~oversubscribe:true ~chunk sys pts in
+      let serial = Zmat.build ~workers:1 sys pts in
+      let par = Zmat.build ~workers ~oversubscribe:true ~chunk sys pts in
       bitwise_equal serial par)
 
 (* The observability side goes through the hermitian solve path; it must
@@ -39,8 +40,8 @@ let prop_parallel_equals_serial_left =
     (fun (rows, cols, npts, workers) ->
       let sys = mesh_system ~rows ~cols ~ports:2 in
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
-      let serial = Shift_engine.build_left ~workers:1 sys pts in
-      let par = Shift_engine.build_left ~workers ~oversubscribe:true sys pts in
+      let serial = Zmat.build_left ~workers:1 sys pts in
+      let par = Zmat.build_left ~workers ~oversubscribe:true sys pts in
       bitwise_equal serial par)
 
 (* The engine's refactorised numerics against the legacy path (a fresh
@@ -58,7 +59,7 @@ let prop_engine_matches_legacy =
         | [] -> assert false
         | first :: rest -> List.fold_left Mat.hcat first rest
       in
-      let engine = Shift_engine.build ~workers:1 sys pts in
+      let engine = Zmat.build ~workers:1 sys pts in
       let scale = Float.max (Mat.max_abs legacy) 1e-300 in
       Mat.max_abs (Mat.sub legacy engine) /. scale < 1e-9)
 
@@ -91,20 +92,23 @@ let singular_points =
 
 let test_singular_propagates_serial () =
   let sys = singular_system 12 in
-  match Shift_engine.build ~workers:1 sys singular_points with
+  match Zmat.build ~workers:1 sys singular_points with
   | _ -> Alcotest.fail "expected Singular"
   | exception Sparse_lu.C.Singular _ -> ()
 
 let test_singular_propagates_parallel () =
   let sys = singular_system 12 in
-  match Shift_engine.build ~workers:3 ~oversubscribe:true sys singular_points with
+  match Zmat.build ~workers:3 ~oversubscribe:true sys singular_points with
   | _ -> Alcotest.fail "expected Singular"
   | exception Sparse_lu.C.Singular _ -> ()
 
 let test_stats_sane () =
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:7 in
-  let _, st = Shift_engine.build_stats ~workers:2 ~oversubscribe:true sys pts in
+  let _, st =
+    Shift_engine.run ~workers:2 ~oversubscribe:true sys
+      (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
+  in
   Alcotest.(check int) "solves" 7 st.Shift_engine.solves;
   Alcotest.(check int) "workers" 2 st.Shift_engine.workers;
   Alcotest.(check int) "busy per worker" 2 (Array.length st.Shift_engine.busy_s);
@@ -133,7 +137,9 @@ let test_worker_cap () =
   (* without [oversubscribe] the pool never exceeds the hardware *)
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:1 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:5 in
-  let _, st = Shift_engine.build_stats ~workers:64 sys pts in
+  let _, st =
+    Shift_engine.run ~workers:64 sys (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
+  in
   if st.Shift_engine.workers > Shift_engine.default_workers () then
     Alcotest.failf "pool %d exceeds the %d-core cap" st.Shift_engine.workers
       (Shift_engine.default_workers ())

@@ -46,8 +46,8 @@ let prop_worker_invariance =
       let sys = mesh_system ~rows ~cols ~ports in
       let om = grid ~w_max:1e10 ~npts in
       let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
-      let serial = Sweep_engine.sweep ~workers:1 plan om in
-      let par = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk plan om in
+      let serial, _ = Sweep_engine.sweep ~workers:1 plan om in
+      let par, _ = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk plan om in
       sweeps_bitwise_equal serial par)
 
 (* The engine sweep at any worker count is exactly the serial map of the
@@ -59,7 +59,7 @@ let prop_sweep_equals_eval_map =
       let sys = mesh_system ~rows ~cols ~ports:2 in
       let om = grid ~w_max:1e10 ~npts in
       let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
-      let swept = Sweep_engine.sweep ~workers ~oversubscribe:true plan om in
+      let swept, _ = Sweep_engine.sweep ~workers ~oversubscribe:true plan om in
       sweeps_bitwise_equal swept (Array.map (Sweep_engine.eval_jw plan) om))
 
 (* Freq.sweep is the engine with the first grid point as template — and
@@ -82,8 +82,8 @@ let prop_worker_invariance_dense =
       let sys = Dss.of_standard ~a ~b ~c in
       let om = grid ~w_max:10.0 ~npts in
       let plan = Sweep_engine.prepare sys in
-      let serial = Sweep_engine.sweep ~workers:1 plan om in
-      let par = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk:3 plan om in
+      let serial, _ = Sweep_engine.sweep ~workers:1 plan om in
+      let par, _ = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk:3 plan om in
       sweeps_bitwise_equal serial par)
 
 (* ------------------------------------------------------------------ *)
@@ -262,7 +262,7 @@ let test_sweep_stats_sane () =
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:2 in
   let om = grid ~w_max:1e10 ~npts:9 in
   let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
-  let _, st = Sweep_engine.sweep_stats ~workers:2 ~oversubscribe:true plan om in
+  let _, st = Sweep_engine.sweep ~workers:2 ~oversubscribe:true plan om in
   Alcotest.(check int) "points" 9 st.Sweep_engine.points;
   Alcotest.(check int) "workers" 2 st.Sweep_engine.workers;
   Alcotest.(check int) "busy per worker" 2 (Array.length st.Sweep_engine.busy_s);

@@ -1,7 +1,8 @@
 (* Tests for the unified sample-source pipeline: each cache source
    assembles bitwise-identically to its retained Zmat one-shot reference,
    the cached variants (cross-Gramian, input-correlated, multipoint)
-   reproduce their pre-cache pipelines, the adaptive loops are batch- and
+   reproduce their pre-cache pipelines, the merged PMTBR finish matches
+   the oracle's state-dimension finish, the adaptive loops are batch- and
    worker-invariant, and regressions for the satellite fixes (Time_sampled
    snapshot selection, Error_est.curve). *)
 
@@ -10,6 +11,7 @@ open Pmtbr_circuit
 open Pmtbr_lti
 open Pmtbr_signal
 open Pmtbr_core
+open Pmtbr_oracle
 
 let mesh_system ~rows ~cols ~ports = Dss.of_netlist (Rc_mesh.generate ~rows ~cols ~ports ())
 
@@ -104,8 +106,9 @@ let leading_mags evs =
 let test_cross_compressed_matches_dense () =
   let sys = mesh_system ~rows:7 ~cols:7 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 2e10 }) ~count:12 in
-  let dense = Cross_gramian.reduce ~order:8 ~workers:1 sys pts in
-  let cached, st = Cross_gramian.reduce_cached_stats ~order:8 ~workers:1 sys pts in
+  let dense = Dense.cross_gramian ~order:8 ~workers:1 sys pts in
+  let cached = Cross_gramian.reduce ~order:8 ~workers:1 sys pts in
+  let st = cached.Cross_gramian.stats in
   Alcotest.(check int) "solves == points" st.Sample_cache.points st.Sample_cache.solves;
   Alcotest.(check int) "one solve per point per side" (2 * Array.length pts)
     st.Sample_cache.solves;
@@ -174,17 +177,18 @@ let test_correlated_matches_reference () =
     List.rev !out
   in
   let zw = Zmat.build_per_point ~workers:1 sys entries in
-  let reference = Pmtbr.of_basis sys ~zw ~order:10 ~samples:draws () in
+  let reference = Dense.pmtbr_finish sys ~zw ~order:10 () in
   Alcotest.(check bool) "basis == one-shot reference (bitwise)" true
-    (bitwise_equal r.Input_correlated.basis reference.Pmtbr.basis);
+    (bitwise_equal r.Input_correlated.basis reference.Dense.basis);
   Alcotest.(check bool) "singular values identical" true
-    (r.Input_correlated.singular_values = reference.Pmtbr.singular_values)
+    (r.Input_correlated.singular_values = reference.Dense.singular_values)
 
 let test_deterministic_matches_reference () =
   let sys, inputs, points = correlated_fixture ~ports:4 ~seed:9 in
-  let r, st =
-    Input_correlated.reduce_deterministic_stats ~order:10 ~workers:1 sys ~inputs ~points
+  let r =
+    Input_correlated.reduce_deterministic ~order:10 ~workers:1 sys ~inputs ~points
   in
+  let st = r.Input_correlated.stats in
   Alcotest.(check int) "solves == points" st.Sample_cache.points st.Sample_cache.solves;
   Alcotest.(check int) "one solve per frequency point" (Array.length points)
     st.Sample_cache.solves;
@@ -196,9 +200,9 @@ let test_deterministic_matches_reference () =
          (fun i j -> Mat.get dirs i j *. basis.Correlation.sigmas.(j)))
   in
   let zw = Zmat.build_rhs ~workers:1 sys ~rhs points in
-  let reference = Pmtbr.of_basis sys ~zw ~order:10 ~samples:(Array.length points) () in
+  let reference = Dense.pmtbr_finish sys ~zw ~order:10 () in
   Alcotest.(check bool) "basis == one-shot reference (bitwise)" true
-    (bitwise_equal r.Input_correlated.basis reference.Pmtbr.basis)
+    (bitwise_equal r.Input_correlated.basis reference.Dense.basis)
 
 let prop_correlated_adaptive_invariant =
   QCheck2.Test.make ~name:"adaptive input-correlated batch/worker-invariant (bitwise)" ~count:6
@@ -206,11 +210,12 @@ let prop_correlated_adaptive_invariant =
     (fun (batch, workers) ->
       let sys, inputs, points = correlated_fixture ~ports:4 ~seed:5 in
       let run ~batch ~workers =
-        Input_correlated.reduce_adaptive_stats ~seed:23 ~batch ~converge_tol:(-1.0) ~workers sys
+        Input_correlated.reduce_adaptive ~seed:23 ~batch ~converge_tol:(-1.0) ~workers sys
           ~inputs ~points ~max_draws:14
       in
-      let reference, st_ref = run ~batch:3 ~workers:1 in
-      let other, st = run ~batch ~workers in
+      let reference = run ~batch:3 ~workers:1 in
+      let other = run ~batch ~workers in
+      let st_ref = reference.Input_correlated.stats and st = other.Input_correlated.stats in
       st_ref.Sample_cache.solves = st_ref.Sample_cache.points
       && st.Sample_cache.solves = st.Sample_cache.points
       && reference.Input_correlated.samples = other.Input_correlated.samples
@@ -223,7 +228,8 @@ let prop_correlated_adaptive_invariant =
 let test_multipoint_stats () =
   let sys = mesh_system ~rows:5 ~cols:5 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:8 in
-  let r, st = Multipoint.reduce_stats ~workers:1 sys pts ~count:5 in
+  let r = Multipoint.reduce ~workers:1 sys pts ~count:5 in
+  let st = r.Multipoint.stats in
   Alcotest.(check int) "solves == points" st.Sample_cache.points st.Sample_cache.solves;
   Alcotest.(check int) "count points consumed" 5 st.Sample_cache.points;
   Alcotest.(check int) "samples reported" 5 r.Multipoint.samples;
@@ -234,20 +240,60 @@ let test_multipoint_stats () =
 let test_pmtbr_stats () =
   let sys = mesh_system ~rows:5 ~cols:5 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:10 in
-  let direct = Pmtbr.reduce ~order:8 ~workers:1 sys pts in
-  let cached, st = Pmtbr.reduce_stats ~order:8 ~workers:1 sys pts in
+  let direct = Dense.pmtbr_finish sys ~zw:(Zmat.build ~workers:1 sys pts) ~order:8 () in
+  let cached = Pmtbr.reduce ~order:8 ~workers:1 sys pts in
+  let st = cached.Pmtbr.stats in
   Alcotest.(check int) "solves == points" st.Sample_cache.points st.Sample_cache.solves;
   Alcotest.(check int) "all points solved" (Array.length pts) st.Sample_cache.solves;
-  Alcotest.(check int) "same model order" (Dss.order direct.Pmtbr.rom)
+  Alcotest.(check int) "same model order" (Dss.order direct.Dense.rom)
     (Dss.order cached.Pmtbr.rom);
-  (* the state-dimension SVD returns min(n, cols) values, the small-factor
-     SVD all cols; the shared prefix must agree *)
-  let sd = direct.Pmtbr.singular_values and sc = cached.Pmtbr.singular_values in
+  (* the state-dimension SVD returns min(n, cols) values, a tall cache's
+     small factor all cols; the shared prefix must agree *)
+  let sd = direct.Dense.singular_values and sc = cached.Pmtbr.singular_values in
   let smax = Float.max sd.(0) 1e-300 in
   for i = 0 to min (Array.length sd) (Array.length sc) - 1 do
     if Float.abs (sd.(i) -. sc.(i)) /. smax > 1e-10 then
       Alcotest.failf "singular value %d drifts: %g vs %g" i sd.(i) sc.(i)
   done
+
+(* The merged finish against the state-dimension one it replaced: on a
+   wide cache (more columns than states) [Pmtbr.of_cache] SVDs the
+   assembled ZW exactly as the old finish did, so the ROMs are bitwise
+   equal; on a tall one it reaches the same subspace through the c x c
+   factor, so singular values agree to roundoff at the sigma_0 scale
+   and the in-band transfer functions to roundoff at the response
+   scale. *)
+let prop_finish_pins_state_dimension =
+  QCheck2.Test.make ~name:"merged finish == state-dimension finish (mesh, substrate)" ~count:12
+    QCheck2.Gen.(
+      tup4 bool (int_range 2 8) (pair (int_range 2 8) (int_range 1 4)) (int_range 0 999))
+    (fun (substrate, npts, (dim, ports), seed) ->
+      let sys, w_max =
+        if substrate then
+          ( Dss.of_netlist (Substrate.generate ~ports:(2 * ports) ~internal:(4 * dim) ~seed ()),
+            4.0 *. Substrate.corner_frequency () )
+        else (mesh_system ~rows:dim ~cols:(dim + 1) ~ports, 1e10)
+      in
+      let pts = Sampling.points (Sampling.Uniform { w_max }) ~count:npts in
+      let merged = Pmtbr.reduce ~tol:1e-9 ~workers:1 sys pts in
+      let dense = Dense.pmtbr_finish sys ~zw:(Zmat.build ~workers:1 sys pts) ~tol:1e-9 () in
+      let sm = merged.Pmtbr.singular_values and sd = dense.Dense.singular_values in
+      let s0 = sd.(0) in
+      for i = 0 to min (Array.length sm) (Array.length sd) - 1 do
+        if Float.abs (sm.(i) -. sd.(i)) > 1e-12 *. s0 then
+          QCheck2.Test.fail_reportf "sigma %d: %.17g vs %.17g" i sm.(i) sd.(i)
+      done;
+      let q = Dss.order merged.Pmtbr.rom in
+      if q <> Dss.order dense.Dense.rom then
+        QCheck2.Test.fail_reportf "order %d vs %d" q (Dss.order dense.Dense.rom);
+      if merged.Pmtbr.stats.Sample_cache.columns > Dss.order sys then
+        bitwise_equal merged.Pmtbr.basis dense.Dense.basis
+      else begin
+        let om = Vec.linspace (w_max /. 100.0) w_max 15 in
+        let err = Freq.max_rel_error (Freq.sweep dense.Dense.rom om) (Freq.sweep merged.Pmtbr.rom om) in
+        if err > 1e-10 then QCheck2.Test.fail_reportf "tall ROMs differ in band: %.3e" err;
+        true
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions: Error_est.curve and Time_sampled             *)
@@ -322,7 +368,8 @@ let () =
         [
           Alcotest.test_case "multipoint counters" `Quick test_multipoint_stats;
           Alcotest.test_case "pmtbr one-shot counters" `Quick test_pmtbr_stats;
-        ] );
+        ]
+        @ qsuite [ prop_finish_pins_state_dimension ] );
       ( "satellites",
         Alcotest.test_case "snapshot count" `Quick test_time_sampled_snapshot_count
         :: Alcotest.test_case "snapshot invalid args" `Quick test_time_sampled_invalid_args
