@@ -10,14 +10,17 @@
      QR preconditioning to the c x c triangular factor + round-robin
      Jacobi rounds + packed-reflector U recovery),
 
-   with the QR (unblocked reference vs panel-blocked) and GEMM (naive vs
-   row-panelled) kernels recorded alongside.
+   with the QR (unblocked reference vs panel-blocked) and GEMM kernels
+   recorded alongside.  The GEMM baseline is the generic functor loop
+   ([Pmtbr_oracle.Generic_mat.mul], every float boxed) against the
+   row-panelled [Par_kernel.mul], which runs [Mat.mul]'s unboxed loop.
 
    Invariants asserted on every pass (both modes):
 
-   - GEMM/gram and the blocked QR are bitwise-identical to the naive
-     [Mat] kernels / the unblocked serial sweep, for every worker count
-     tried (the determinism contract CI relies on);
+   - GEMM/gram and the blocked QR are bitwise-identical to the [Mat]
+     kernels / the unblocked serial sweep, for every worker count tried
+     (the determinism contract CI relies on), and [Mat.mul] is
+     bitwise-identical to the generic baseline;
    - [Svd.values] is bitwise worker-invariant;
    - the round-robin singular values agree with the serial cyclic
      reference to 1e-12 relative to sigma_max.
@@ -86,10 +89,14 @@ type record = {
    reference. *)
 let invariant_checks ~name ~(zw : Mat.t) ~workers =
   let small = Mat.gram zw in
+  let zwt = Mat.transpose zw in
+  let generic = Generic_mat.(to_mat (mul (of_mat zwt) (of_mat zw))) in
+  if not (bitwise_equal (Mat.mul zwt zw) generic) then
+    failwith (Printf.sprintf "%s: Mat.mul differs from the generic functor loop" name);
   List.iter
     (fun w ->
-      if not (bitwise_equal (Par_kernel.mul ~workers:w (Mat.transpose zw) zw) (Mat.mul (Mat.transpose zw) zw))
-      then failwith (Printf.sprintf "%s: Par_kernel.mul differs from Mat.mul at workers=%d" name w);
+      if not (bitwise_equal (Par_kernel.mul ~workers:w zwt zw) (Mat.mul zwt zw)) then
+        failwith (Printf.sprintf "%s: Par_kernel.mul differs from Mat.mul at workers=%d" name w);
       if not (bitwise_equal (Par_kernel.gram ~workers:w zw) small) then
         failwith (Printf.sprintf "%s: Par_kernel.gram differs from Mat.gram at workers=%d" name w);
       let q, r = Qr.thin ~workers:w zw in
@@ -119,7 +126,8 @@ let bench_case ~name ~sys ~points ~workers ~reps =
   let _, qr_reference_wall = time_best ~reps (fun () -> Qr.thin_reference zw) in
   let _, qr_blocked_wall = time_best ~reps (fun () -> Qr.thin ~workers zw) in
   let zwt = Mat.transpose zw in
-  let _, gemm_naive_wall = time_best ~reps (fun () -> Mat.mul zwt zw) in
+  let gzwt = Generic_mat.of_mat zwt and gzw = Generic_mat.of_mat zw in
+  let _, gemm_naive_wall = time_best ~reps (fun () -> Generic_mat.mul gzwt gzw) in
   let _, gemm_kernel_wall = time_best ~reps (fun () -> Par_kernel.mul ~workers zwt zw) in
   let r =
     {

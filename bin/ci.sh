@@ -38,6 +38,9 @@ OCAMLRUNPARAM=b dune exec bench/export_bench.exe -- --smoke
 echo "== hierarchical-reduction smoke bench (flat-vs-hier agreement + worker invariance)"
 OCAMLRUNPARAM=b dune exec bench/hier_bench.exe -- --smoke
 
+echo "== perfbench self-test (release build of the frozen benchmark + failure counting)"
+sh perfbench/run.sh --self-test
+
 echo "== real-multicore lane (shift/sweep/hier smoke at 4 workers)"
 # each bench asserts its pool really expanded past one domain, or prints
 # a documented SKIP on single-core hosts (the correctness gates above

@@ -85,15 +85,15 @@ let sample_part ?(workers = 1) ?(oversubscribe = false) (part : Partition.part) 
   Sample_cache.extend cache points;
   cache
 
-let basis_of_part ?order ?tol ?(workers = 1) (part : Partition.part) cache ~samples () =
-  let r =
-    Pmtbr.of_cache part.Partition.sys cache ~scale:1.0 ?order ?tol ~workers ~samples ()
-  in
+(* The part's basis only: [project_part] does the projection, contracting
+   the couplings and port maps with the same basis. *)
+let basis_of_part ?order ?tol ?(workers = 1) (_ : Partition.part) cache ~samples:_ () =
+  let basis, singular_values = Pmtbr.basis_of_cache cache ~scale:1.0 ?order ?tol ~workers () in
   {
-    basis = r.Pmtbr.basis;
-    singular_values = r.Pmtbr.singular_values;
-    sub_order = r.Pmtbr.basis.Mat.cols;
-    solves = r.Pmtbr.stats.Sample_cache.solves;
+    basis;
+    singular_values;
+    sub_order = basis.Mat.cols;
+    solves = (Sample_cache.stats cache).Sample_cache.solves;
   }
 
 (* A part whose rhs has no columns (no ports, no couplings: a floating
@@ -126,16 +126,19 @@ let project_part (pt : Partition.t) i (v : Mat.t) =
   let m = Array.length pt.Partition.interface in
   let p = pt.Partition.p in
   let qi = v.Mat.cols in
+  let vd = v.Mat.data in
   let vt = Mat.transpose v in
   let eh = Mat.mul vt (Dss.apply_e part.Partition.sys v) in
   let ah = Mat.mul vt (Dss.apply_a part.Partition.sys v) in
   (* interior -> interface coupling: rows contract with V *)
   let contract_ig entries =
     let dst = Mat.create qi m in
+    let dd = dst.Mat.data in
     Array.iter
       (fun (l, g, x) ->
         for r = 0 to qi - 1 do
-          Mat.update dst r g (fun acc -> acc +. (x *. Mat.get v l r))
+          let k = (r * m) + g in
+          dd.(k) <- dd.(k) +. (x *. vd.((l * qi) + r))
         done)
       entries;
     dst
@@ -143,28 +146,36 @@ let project_part (pt : Partition.t) i (v : Mat.t) =
   (* interface -> interior coupling: columns contract with V *)
   let contract_gi entries =
     let dst = Mat.create m qi in
+    let dd = dst.Mat.data in
     Array.iter
       (fun (g, l, x) ->
+        let grow = g * qi and vrow = l * qi in
         for c = 0 to qi - 1 do
-          Mat.update dst g c (fun acc -> acc +. (x *. Mat.get v l c))
+          dd.(grow + c) <- dd.(grow + c) +. (x *. vd.(vrow + c))
         done)
       entries;
     dst
   in
   let bh = Mat.create qi p and ch = Mat.create p qi in
+  let gb = pt.Partition.b and gc = pt.Partition.c in
+  let bhd = bh.Mat.data and chd = ch.Mat.data in
   Array.iteri
     (fun l gstate ->
+      let vrow = l * qi in
       for j = 0 to p - 1 do
-        let bval = Mat.get pt.Partition.b gstate j in
+        let bval = gb.Mat.data.((gstate * gb.Mat.cols) + j) in
         if bval <> 0.0 then
           for r = 0 to qi - 1 do
-            Mat.update bh r j (fun acc -> acc +. (bval *. Mat.get v l r))
+            let k = (r * p) + j in
+            bhd.(k) <- bhd.(k) +. (bval *. vd.(vrow + r))
           done;
-        let cval = Mat.get pt.Partition.c j gstate in
-        if cval <> 0.0 then
+        let cval = gc.Mat.data.((j * gc.Mat.cols) + gstate) in
+        if cval <> 0.0 then begin
+          let crow = j * qi in
           for c = 0 to qi - 1 do
-            Mat.update ch j c (fun acc -> acc +. (cval *. Mat.get v l c))
+            chd.(crow + c) <- chd.(crow + c) +. (cval *. vd.(vrow + c))
           done
+        end
       done)
     part.Partition.states;
   {

@@ -84,10 +84,12 @@ val sample_part :
 val basis_of_part :
   ?order:int -> ?tol:float -> ?workers:int -> Partition.part -> Sample_cache.t ->
   samples:int -> unit -> sub
-(** Finish one subdomain through {!Pmtbr.of_cache} (the cache's
-    {!Sample_cache.svd_operand} rule decides which SVD runs).
+(** One subdomain's basis through {!Pmtbr.basis_of_cache} (the cache's
+    {!Sample_cache.svd_operand} rule decides which SVD runs), without a
+    projection: {!project_part} projects the part with it.
     [order]/[tol] bound each subdomain's kept columns (same semantics as
-    {!Pmtbr.choose_order}). *)
+    {!Pmtbr.choose_order}).  The part and [samples] are not read; they
+    keep the call shape of the other per-part stages. *)
 
 val reduce_part : ?order:int -> ?tol:float -> Partition.part -> Sampling.point array -> sub
 (** {!sample_part} then {!basis_of_part}; a part with an empty sampling

@@ -48,14 +48,13 @@ let choose_order ~(sigma : float array) ?order ?tol () =
     | None, _ -> from_tol (Option.value tol ~default:1e-10)
   end
 
-(* The one finish of every sampled PMTBR run (Algorithm 1 steps 3-5),
+(* The basis half of every sampled PMTBR finish (Algorithm 1 steps 3-4),
    from a cache's columns: SVD the cache's operand — the assembled ZW when
    it is wide, the small factor R D otherwise (see
-   [Sample_cache.svd_operand]) — keep the dominant left singular vectors,
-   lift them to state space, and project.  One-shot, adaptive,
-   frequency-selective, input-correlated, hierarchical and served runs
-   all finish here, so one job gives the same bits on every route. *)
-let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
+   [Sample_cache.svd_operand]) — keep the dominant left singular vectors
+   and lift them to state space.  Returns the basis and all singular
+   values. *)
+let basis_of_cache cache ~scale ?order ?tol ?workers () =
   let { Svd.u; sigma; _ } = Svd.decompose ?workers (Sample_cache.svd_operand cache ~scale) in
   let q = choose_order ~sigma ?order ?tol () in
   (* never keep directions below numerical noise *)
@@ -64,7 +63,14 @@ let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
     let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
     cap q
   in
-  let basis = Sample_cache.lift cache (Mat.sub_cols u 0 q) in
+  (Sample_cache.lift cache (Mat.sub_cols u 0 q), sigma)
+
+(* The one finish of every sampled PMTBR run (Algorithm 1 steps 3-5): the
+   cache's basis, then the congruence projection.  One-shot, adaptive,
+   frequency-selective, input-correlated, hierarchical and served runs
+   all finish here, so one job gives the same bits on every route. *)
+let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
+  let basis, sigma = basis_of_cache cache ~scale ?order ?tol ?workers () in
   {
     rom = Dss.project_congruence sys basis;
     basis;

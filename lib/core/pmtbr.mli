@@ -27,6 +27,16 @@ val choose_order : sigma:float array -> ?order:int -> ?tol:float -> unit -> int
     only when [tol] is {e also} given does the tail criterion cap it — the
     default tolerance never shrinks an explicitly requested order. *)
 
+val basis_of_cache :
+  Sample_cache.t -> scale:float -> ?order:int -> ?tol:float -> ?workers:int -> unit ->
+  Mat.t * float array
+(** The basis half of {!of_cache}: SVD of {!Sample_cache.svd_operand},
+    order choice ({!choose_order}, never below [1e-14] of [sigma_0]) and
+    the dominant left singular vectors lifted to state space
+    ({!Sample_cache.lift}).  Returns the [n x q] basis and all singular
+    values, descending.  For callers that project elsewhere, such as the
+    hierarchical recombination. *)
+
 val of_cache :
   Dss.t -> Sample_cache.t -> scale:float -> ?order:int -> ?tol:float -> ?workers:int ->
   samples:int -> unit -> result

@@ -327,18 +327,20 @@ let apply_q t (coeff : Mat.t) =
   ensure_qr t;
   let p = coeff.Mat.cols in
   let out = Mat.create t.n p in
-  (* sliced over output rows; every out(i, k) still accumulates over the
-     cache columns j in ascending order, so the result is bitwise the
-     same for any worker count *)
+  let q = t.q_cols and cd = coeff.Mat.data and od = out.Mat.data in
+  (* one output row at a time, so the row stays in cache; every out(i, k)
+     accumulates over the cache columns j in ascending order, skipping
+     zero coefficients, so the result is bitwise the same for any worker
+     count *)
   Par_kernel.parallel_ranges ?workers:t.workers ~work:(2 * t.n * c * p) t.n (fun lo hi ->
-      for j = 0 to c - 1 do
-        let qj = t.q_cols.(j) in
-        for k = 0 to p - 1 do
-          let w = Mat.get coeff j k in
-          if w <> 0.0 then
-            for i = lo to hi - 1 do
-              out.Mat.data.((i * p) + k) <- out.Mat.data.((i * p) + k) +. (w *. qj.(i))
-            done
+      for i = lo to hi - 1 do
+        let orow = i * p in
+        for j = 0 to c - 1 do
+          let qji = q.(j).(i) and crow = j * p in
+          for k = 0 to p - 1 do
+            let w = cd.(crow + k) in
+            if w <> 0.0 then od.(orow + k) <- od.(orow + k) +. (w *. qji)
+          done
         done
       done);
   out

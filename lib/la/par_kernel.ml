@@ -3,9 +3,8 @@
    that every kernel here decomposes its iteration space into tiles that
    depend only on the operand shapes, each output slot is owned by exactly
    one task, and per-slot accumulation replays the serial order — so the
-   results are bitwise-identical for any worker count, and [mul]/[gram]/
-   [mv] are bitwise-identical to the naive [Mat] kernels they replace on
-   the hot path. *)
+   results are bitwise-identical for any worker count; [mul]/[gram]/[mv]
+   are [Mat]'s own kernels run over row panels. *)
 
 let installed_workers : int option ref = ref None
 
@@ -102,67 +101,11 @@ let dot (x : float array) (y : float array) =
     !total
   end
 
-let mul ?workers (a : Mat.t) (b : Mat.t) =
-  assert (a.Mat.cols = b.Mat.rows);
-  let c = Mat.create a.Mat.rows b.Mat.cols in
-  let n = b.Mat.cols and kc = a.Mat.cols in
-  let ad = a.Mat.data and bd = b.Mat.data and cd = c.Mat.data in
-  parallel_ranges ?workers ~work:(2 * a.Mat.rows * kc * n) a.Mat.rows (fun lo hi ->
-      (* the exact ikj loop of [Mat.mul], restricted to a row panel *)
-      for i = lo to hi - 1 do
-        for k = 0 to kc - 1 do
-          let aik = ad.((i * kc) + k) in
-          if aik <> 0.0 then begin
-            let brow = k * n and crow = i * n in
-            for j = 0 to n - 1 do
-              cd.(crow + j) <- cd.(crow + j) +. (aik *. bd.(brow + j))
-            done
-          end
-        done
-      done);
-  c
-
-let gram ?workers (m : Mat.t) =
-  let rows = m.Mat.rows and cols = m.Mat.cols in
-  let g = Mat.create cols cols in
-  let md = m.Mat.data and gd = g.Mat.data in
-  parallel_ranges ?workers ~work:(rows * cols * cols) cols (fun lo hi ->
-      (* [Mat.gram]'s k-outer sweep restricted to output rows [lo, hi):
-         every g(i, j) still accumulates over k in ascending order *)
-      for k = 0 to rows - 1 do
-        let base = k * cols in
-        for i = lo to hi - 1 do
-          let aki = md.(base + i) in
-          if aki <> 0.0 then begin
-            let grow = i * cols in
-            for j = i to cols - 1 do
-              gd.(grow + j) <- gd.(grow + j) +. (aki *. md.(base + j))
-            done
-          end
-        done
-      done);
-  for i = 0 to cols - 1 do
-    for j = 0 to i - 1 do
-      Mat.set g i j (Mat.get g j i)
-    done
-  done;
-  g
-
-let mv ?workers (m : Mat.t) (x : float array) =
-  assert (Array.length x = m.Mat.cols);
-  let rows = m.Mat.rows and cols = m.Mat.cols in
-  let y = Array.make rows 0.0 in
-  let md = m.Mat.data in
-  parallel_ranges ?workers ~work:(2 * rows * cols) rows (fun lo hi ->
-      for i = lo to hi - 1 do
-        let base = i * cols in
-        let acc = ref 0.0 in
-        for j = 0 to cols - 1 do
-          acc := !acc +. (md.(base + j) *. x.(j))
-        done;
-        y.(i) <- !acc
-      done);
-  y
+(* [Mat]'s own loops, run over row panels: each output row is owned by
+   one panel and accumulates in the serial order. *)
+let mul ?workers a b = Mat.mul_over (parallel_ranges ?workers) a b
+let gram ?workers m = Mat.gram_over (parallel_ranges ?workers) m
+let mv ?workers m x = Mat.mv_over (parallel_ranges ?workers) m x
 
 (* ------------------------------------------------------------------ *)
 (* Blocked Householder QR                                              *)

@@ -13,10 +13,11 @@
     order by exactly one task.  Serial and parallel runs therefore produce
     bitwise-identical results for any [workers], which CI enforces.
 
-    Moreover [mul], [gram] and [mv] replay the exact accumulation order of
-    the naive {!Mat} kernels, so they are bitwise-equal to [Mat.mul],
-    [Mat.gram] and [Mat.mv], and the blocked QR replays the exact
-    reflector arithmetic of the classic unblocked Householder sweep.
+    Moreover [mul], [gram] and [mv] are {!Mat}'s own loops run over row
+    panels ({!Mat.mul_over} and friends), so they are bitwise-equal to
+    [Mat.mul], [Mat.gram] and [Mat.mv], and the blocked QR replays the
+    exact reflector arithmetic of the classic unblocked Householder
+    sweep.
 
     Kernels fall back to the plain serial loop when the operand is too
     small to amortise a domain spawn; the cutover depends only on the
@@ -63,13 +64,13 @@ val dot : float array -> float array -> float
     plain sequential dot, bit for bit. *)
 
 val mul : ?workers:int -> Mat.t -> Mat.t -> Mat.t
-(** Tiled GEMM, parallel over row panels.  Bitwise-equal to {!Mat.mul}
-    for any worker count (each output element accumulates over [k] in
-    ascending order with the same zero-skip). *)
+(** {!Mat.mul}'s ikj loop, parallel over row panels.  Bitwise-equal to
+    {!Mat.mul} for any worker count (each output element accumulates over
+    [k] in ascending order with the same zero-skip). *)
 
 val gram : ?workers:int -> Mat.t -> Mat.t
-(** [A^T A] without forming the transpose, parallel over column panels.
-    Bitwise-equal to {!Mat.gram}. *)
+(** [A^T A] without forming the transpose: {!Mat.gram}'s loop, parallel
+    over panels of output rows.  Bitwise-equal to {!Mat.gram}. *)
 
 val mv : ?workers:int -> Mat.t -> float array -> float array
 (** Matrix-vector product, parallel over row panels.  Bitwise-equal to

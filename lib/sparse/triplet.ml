@@ -32,9 +32,15 @@ let axpby alpha a beta b =
   List.iter (fun (i, j, v) -> add out i j (beta *. v)) b.entries;
   out
 
+(* Duplicates are summed in list order. *)
 let to_dense t =
   let m = Pmtbr_la.Mat.create t.rows t.cols in
-  List.iter (fun (i, j, v) -> Pmtbr_la.Mat.update m i j (fun x -> x +. v)) t.entries;
+  let d = m.Pmtbr_la.Mat.data in
+  List.iter
+    (fun (i, j, v) ->
+      let k = (i * t.cols) + j in
+      d.(k) <- d.(k) +. v)
+    t.entries;
   m
 
 let transpose t =
@@ -56,14 +62,19 @@ let mv_transposed t x =
   List.iter (fun (i, j, v) -> y.(j) <- y.(j) +. (v *. x.(i))) t.entries;
   y
 
-(* Dense product T * M for dense M (used to form E*V etc. during projection). *)
+(* Dense product T * M for dense M (used to form E*V etc. during
+   projection): each entry adds its multiple of row j of M into row i of
+   the output, entries in list order. *)
 let mul_dense t (m : Pmtbr_la.Mat.t) =
   assert (t.cols = m.Pmtbr_la.Mat.rows);
-  let out = Pmtbr_la.Mat.create t.rows m.Pmtbr_la.Mat.cols in
+  let p = m.Pmtbr_la.Mat.cols in
+  let out = Pmtbr_la.Mat.create t.rows p in
+  let od = out.Pmtbr_la.Mat.data and md = m.Pmtbr_la.Mat.data in
   List.iter
     (fun (i, j, v) ->
-      for c = 0 to m.Pmtbr_la.Mat.cols - 1 do
-        Pmtbr_la.Mat.update out i c (fun x -> x +. (v *. Pmtbr_la.Mat.get m j c))
+      let orow = i * p and mrow = j * p in
+      for c = 0 to p - 1 do
+        od.(orow + c) <- od.(orow + c) +. (v *. md.(mrow + c))
       done)
     t.entries;
   out

@@ -1,10 +1,13 @@
 (* Tests for the dense kernel layer (Par_kernel / Svd / Qr): bitwise
    worker-invariance of the panelled GEMM/gram/mv and the blocked
    Householder QR (including bitwise equality with the naive [Mat]
-   kernels and the unblocked serial sweep), agreement of the round-robin
-   Jacobi schedule with the serial cyclic reference to 1e-12 relative
-   accuracy, and end-to-end worker-invariance of the adaptive reduction
-   drivers now that [?workers] also sizes the reduction-stage pool. *)
+   kernels and the unblocked serial sweep), bitwise equality of [Mat]'s
+   float kernels, [Triplet]'s products and [Sample_cache.apply_q] with
+   the generic functor and the closure loops they replaced, agreement
+   of the round-robin Jacobi schedule with the serial cyclic reference
+   to 1e-12 relative accuracy, and end-to-end worker-invariance of the
+   adaptive reduction drivers now that [?workers] also sizes the
+   reduction-stage pool. *)
 
 open Pmtbr_la
 open Pmtbr_circuit
@@ -62,6 +65,114 @@ let test_dot_blocked_accuracy () =
   let scale = Float.max (Float.abs d_ref) 1.0 in
   if Float.abs (d -. d_ref) > 1e-12 *. scale then
     Alcotest.failf "blocked dot %.17g vs sequential %.17g" d d_ref
+
+(* ------------------------------------------------------------------ *)
+(* Float kernels == the generic functor, bit for bit                    *)
+(* ------------------------------------------------------------------ *)
+
+module G = Pmtbr_oracle.Generic_mat
+
+(* Bit patterns, so [-0.0] and [0.0] differ and NaN payloads count. *)
+let same_bits (a : float array) (b : float array) =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_mat (a : Mat.t) (b : Mat.t) =
+  a.Mat.rows = b.Mat.rows && a.Mat.cols = b.Mat.cols && same_bits a.Mat.data b.Mat.data
+
+let same_g (a : Mat.t) (g : G.t) = same_mat a (G.to_mat g)
+let same_float x y = same_bits [| x |] [| y |]
+
+(* Entries in (-1, 1) with exact 0.0 and -0.0 mixed in, about a quarter
+   each, so every zero-skip is taken on both signs of zero, and a rare
+   infinity, so a skip that went missing would turn 0 * inf into a NaN. *)
+let zeroed_random ~seed rows cols =
+  let st = Random.State.make [| seed |] in
+  Mat.init rows cols (fun _ _ ->
+      match Random.State.int st 512 with
+      | k when k < 128 -> 0.0
+      | k when k < 256 -> -0.0
+      | 256 -> Float.infinity
+      | 257 -> Float.neg_infinity
+      | _ -> Random.State.float st 2.0 -. 1.0)
+
+(* Empty dimensions, small shapes and tall (state-dimension) operands. *)
+let dim = QCheck2.Gen.(frequency [ (1, return 0); (4, int_range 1 9) ])
+let rows_gen = QCheck2.Gen.(frequency [ (3, dim); (1, int_range 100 300) ])
+
+let prop_float_kernels_match_generic =
+  QCheck2.Test.make ~name:"Mat float kernels == Gen_mat at floats (bitwise)" ~count:200
+    QCheck2.Gen.(tup4 rows_gen dim dim (int_range 0 99_999))
+    (fun (m, k, n, seed) ->
+      let a = zeroed_random ~seed m k and b = zeroed_random ~seed:(seed + 1) k n in
+      let ga = G.of_mat a in
+      let x = (zeroed_random ~seed:(seed + 2) 1 k).Mat.data in
+      let s = Mat.get (zeroed_random ~seed:(seed + 3) 1 1) 0 0 in
+      let row = seed mod (m + 1) and col = seed mod (k + 1) in
+      let rows = (seed / 7) mod (m - row + 1) and cols = (seed / 11) mod (k - col + 1) in
+      let j = if k > 0 then seed mod k else 0 in
+      let written = Mat.copy a and gwritten = G.of_mat a in
+      if m > 0 && k > 0 then begin
+        Mat.set written (row mod m) j s;
+        Mat.update written (m - 1) j (fun e -> e +. s);
+        G.set gwritten (row mod m) j s;
+        G.update gwritten (m - 1) j (fun e -> e +. s)
+      end;
+      same_g (Mat.mul a b) (G.mul ga (G.of_mat b))
+      && same_g (Mat.transpose a) (G.transpose ga)
+      && same_bits (Mat.mv a x) (G.mv ga x)
+      && same_g (Mat.gram a) (G.gram ga)
+      && same_g (Mat.sub_matrix a ~row ~col ~rows ~cols) (G.sub_matrix ga ~row ~col ~rows ~cols)
+      && same_g (Mat.sub_cols a col cols) (G.sub_cols ga col cols)
+      && same_g written gwritten
+      && (m = 0 || k = 0 || same_float (Mat.get a (m - 1) j) (G.get ga (m - 1) j)))
+
+(* Random triplets with repeated (row, col) positions, against the old
+   per-entry closure loops. *)
+let prop_triplet_products_match_closure_loops =
+  QCheck2.Test.make ~name:"Triplet.mul_dense/to_dense == closure loops (bitwise)" ~count:60
+    QCheck2.Gen.(tup4 rows_gen rows_gen dim (int_range 0 99_999))
+    (fun (rows, cols, p, seed) ->
+      let st = Random.State.make [| seed |] in
+      let t = Pmtbr_sparse.Triplet.create rows cols in
+      if rows > 0 && cols > 0 then
+        for _ = 1 to 3 * (rows + cols) do
+          Pmtbr_sparse.Triplet.add t
+            (Random.State.int st (min rows 12))
+            (Random.State.int st cols)
+            (Random.State.float st 2.0 -. 1.0)
+        done;
+      let m = zeroed_random ~seed:(seed + 1) cols p in
+      same_mat (Pmtbr_sparse.Triplet.mul_dense t m) (G.triplet_mul_dense t m)
+      && same_mat (Pmtbr_sparse.Triplet.to_dense t) (G.triplet_to_dense t))
+
+(* A tall cache: an 8x8 mesh (64 states), 3 ports, 4 points, built at 1
+   and 3 workers.  [apply_q] of the identity is Q itself, up to the sign
+   of zero entries, which a sum that starts at +0.0 never sees; the
+   reference loop then runs on that Q. *)
+let tall_cache =
+  lazy
+    (let sys = Dss.of_netlist (Rc_mesh.generate ~rows:8 ~cols:8 ~ports:3 ()) in
+     let pts = Sampling.points (Sampling.Uniform { w_max = 2e10 }) ~count:4 in
+     let caches =
+       Array.map
+         (fun workers ->
+           let c = Sample_cache.create ~workers ~oversubscribe:true sys in
+           Sample_cache.extend c pts;
+           c)
+         [| 1; 3 |]
+     in
+     let c = Sample_cache.columns caches.(0) in
+     (caches, Sample_cache.apply_q caches.(0) (Mat.identity c)))
+
+let prop_apply_q_matches_column_loop =
+  QCheck2.Test.make ~name:"Sample_cache.apply_q == column-outer loop (bitwise)" ~count:30
+    QCheck2.Gen.(pair (int_range 0 40) (int_range 0 99_999))
+    (fun (p, seed) ->
+      let caches, q = Lazy.force tall_cache in
+      let coeff = zeroed_random ~seed q.Mat.cols p in
+      let expected = G.apply_q q coeff in
+      Array.for_all (fun c -> same_mat (Sample_cache.apply_q c coeff) expected) caches)
 
 (* ------------------------------------------------------------------ *)
 (* Blocked Householder QR                                              *)
@@ -209,6 +320,9 @@ let props =
       prop_mul_bitwise;
       prop_gram_bitwise;
       prop_mv_bitwise;
+      prop_float_kernels_match_generic;
+      prop_triplet_products_match_closure_loops;
+      prop_apply_q_matches_column_loop;
       prop_dot_bitwise_small;
       prop_qr_blocked_equals_reference;
       prop_qr_factor_worker_invariant;

@@ -604,6 +604,65 @@ let test_warm_equals_cold () =
   Alcotest.(check string) "samples-warm tier" "samples-hit" (Store.tier_name via_samples.Store.tier);
   Alcotest.(check string) "samples-warm digest" cold.Store.digest via_samples.Store.digest
 
+(* Absolute pins: every other digest check is relative (warm == cold,
+   library == daemon, any worker count), so a change that moved every
+   route's bits the same way would pass them all.  These literals move
+   only on an intentional numerical change, which CHANGES.md records.
+   Pinned on x86-64 Linux with OCaml 5.1.1: [rom_digest] hashes the
+   marshalled matrices, and the sampled columns go through libm.  An
+   export job pins the ROM digest and the MD5 of the exported netlist. *)
+let pinned_jobs =
+  let mesh8 = mesh_netlist ~n:8 () and mesh5 = mesh_netlist ~n:5 () in
+  let substrate = Spice.to_string (Substrate.generate ~ports:12 ~internal:20 ~seed:5 ()) in
+  let by_tol ~band ~samples netlist s =
+    must (Store.reduce s ~netlist ~meth:Protocol.Pmtbr ~band ~tol:1e-8 ~samples ())
+  in
+  [
+    ( "pmtbr by tol",
+      by_tol ~band:(0.0, 2e10) ~samples:10 mesh8,
+      "712eedf600949d108c093ad578b9d3fe" );
+    ( "pmtbr by order",
+      (fun s -> run_job ~order:8 s mesh8),
+      "e7edb3af416a42a14485f75ce735df9a" );
+    ( "pmtbr by order, 16x16 mesh",
+      (fun s -> run_job ~order:30 ~samples:12 s (mesh_netlist ~n:16 ())),
+      "8d935010a809e1b1705ba6a5539a8e7b" );
+    ( "fs-pmtbr",
+      (fun s -> run_job ~meth:Protocol.Fs_pmtbr ~band:(1e8, 1e10) ~order:8 s mesh8),
+      "917024812d474139bc353f9933158285" );
+    ( "pmtbr export",
+      (fun s -> run_job ~order:6 ~export:true s mesh5),
+      "9eeab3bb00caea0560956123f951786f bd115147c6bedd6eae5440afa957a457" );
+    ( "tbr-passive export",
+      (fun s -> run_job ~meth:Protocol.Tbr_passive ~order:6 ~export:true s mesh5),
+      "0cc8e42264d0b87525e137f6449fef2b 92676c6f874c505936fd89d60d7324b2" );
+    ( "hier K=4",
+      (fun s ->
+        run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~samples:8 s
+          (mesh_netlist ~n:12 ())),
+      "192a6031f4174dadd143f81d3b9f401c" );
+    ( "hier auto interface-tol",
+      (fun s ->
+        run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20
+          ~interface_tol:1e-8 ~samples:8 s mesh8),
+      "9f93d4b1d19be7172237f9918bb2be88" );
+    ( "wide substrate",
+      by_tol ~band:(0.0, 4.0 *. Substrate.corner_frequency ()) ~samples:6 substrate,
+      "f02ea67891c6595b3d3555108f314d50" );
+  ]
+
+let test_pinned_rom_digests () =
+  List.iter
+    (fun (name, job, expected) ->
+      let o = job (Store.create ()) in
+      let got =
+        match o.Store.netlist with
+        | None -> o.Store.digest
+        | Some body -> o.Store.digest ^ " " ^ Digest.to_hex (Digest.string body)
+      in
+      Alcotest.(check string) name expected got)
+    pinned_jobs
+
 let test_eviction_forces_recompute () =
   (* a budget too small for even one network: every entry is evicted as
      soon as the next one lands, so a repeat must recompute — and still
@@ -907,6 +966,7 @@ let () =
             test_hier_changed_subtree_warm;
           Alcotest.test_case "hier warm equals cold (bitwise)" `Quick test_hier_warm_equals_cold;
           Alcotest.test_case "warm equals cold (bitwise)" `Quick test_warm_equals_cold;
+          Alcotest.test_case "pinned rom digests" `Quick test_pinned_rom_digests;
           Alcotest.test_case "eviction forces recompute" `Quick test_eviction_forces_recompute;
           Alcotest.test_case "rejects garbage" `Quick test_store_rejects_garbage;
         ] );
