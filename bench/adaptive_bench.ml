@@ -2,9 +2,9 @@
 
    Measures Pmtbr.reduce_adaptive on a >= 64-point sweep along two axes:
 
-   - from-scratch (the pre-cache behaviour, [~rebuild:true]): every batch
-     rebuilds the sample matrix, re-solving all previously consumed
-     shifts — O(total^2) solves;
+   - from-scratch (the pre-cache behaviour, [Pmtbr_oracle.Adaptive]):
+     every batch rebuilds the sample matrix, re-solving all previously
+     consumed shifts — O(total^2) solves;
    - incremental (the Sample_cache path): each shift solved exactly once,
      weights and prefix rescaling applied as a diagonal at assembly.
 
@@ -62,9 +62,10 @@ type record = {
 let bench_case ~name ~sys ~points ~batch ~tol =
   Printf.eprintf "[adaptive_bench] %s: %d states, %d points, batch %d\n%!" name (Dss.order sys)
     (Array.length points) batch;
-  let run rebuild = Pmtbr.reduce_adaptive ~rebuild ~tol ~batch sys points in
-  let inc, inc_wall = time_best (fun () -> run false) in
-  let reb, reb_wall = time_best (fun () -> run true) in
+  let inc, inc_wall = time_best (fun () -> Pmtbr.reduce_adaptive ~tol ~batch sys points) in
+  let reb, reb_wall =
+    time_best (fun () -> Pmtbr_oracle.Adaptive.reduce_adaptive ~tol ~batch sys points)
+  in
   let st_inc = inc.Pmtbr.stats and st_reb = reb.Pmtbr.stats in
   (* identical outputs: the whole point of the weight-at-assembly design *)
   if inc.Pmtbr.singular_values <> reb.Pmtbr.singular_values then

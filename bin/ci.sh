@@ -87,6 +87,11 @@ dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6
 # incremental: new band on the same network reuses the prepared handle
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
     --band 1e8:1e10 --order 8 --samples 10
+# fs-pmtbr job: the flat finish on the band's Gauss points (the samples
+# tier the pmtbr job above warmed), repeated so the ROM-tier answer must
+# carry the first run's digest
+dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
+    --method fs-pmtbr --band 1e8:1e10 --order 8 --samples 10 --repeat 2
 # hierarchical job: partitioned sampling tiers, repeated so the second
 # run lands on warm per-subdomain sample caches
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 8 \

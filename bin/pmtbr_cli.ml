@@ -10,6 +10,7 @@ open Cmdliner
 open Pmtbr_la
 open Pmtbr_lti
 open Pmtbr_core
+module Sproto = Pmtbr_serve.Protocol
 
 (* ------------------------------------------------------------------ *)
 (* Circuit selection                                                   *)
@@ -102,6 +103,11 @@ let band_of ~circuit ~band ~fallback =
   | None, Some c -> default_band c
   | None, None -> fallback
 
+(* The sample points of a run: --band under the convention the daemon
+   shares ([Sampling.of_band]), or uniform on [0, w_hi] without one. *)
+let band_points ~band ~w_hi ~samples =
+  Sampling.points (Sampling.of_band (Option.value band ~default:(0.0, w_hi))) ~count:samples
+
 let size_arg =
   Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc:"Circuit size parameter.")
 
@@ -138,7 +144,7 @@ let workers_opt w =
    instead of a garbage sampling grid. *)
 let band_arg =
   let parse s =
-    match Pmtbr_serve.Protocol.parse_band s with
+    match Sproto.parse_band s with
     | Ok band -> Ok band
     | Error msg -> Error (`Msg msg)
   in
@@ -178,11 +184,7 @@ let run_hsv circuit spice size ports seed samples band workers =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts =
-    match band with
-    | Some (lo, hi) when lo > 0.0 -> Sampling.points (Sampling.Bands [ (lo, hi) ]) ~count:samples
-    | _ -> Sampling.points (Sampling.Uniform { w_max = w_hi }) ~count:samples
-  in
+  let pts = band_points ~band ~w_hi ~samples in
   (* the estimate-vs-exact comparison is meaningful in the symmetrised
      coordinates (paper Section III); fall back to the raw descriptor system
      for non-RC networks, where only the estimate is printed *)
@@ -256,19 +258,17 @@ let method_arg =
 let order_arg =
   Arg.(value & opt (some int) None & info [ "order" ] ~docv:"Q" ~doc:"Target reduced order.")
 
-(* "auto" or an explicit subdomain count.  K < 2 is rejected right here,
-   at parse time, with a Cmdliner usage error; K > the state count is
-   checked once the circuit is built (same clean error channel through
-   [Term.term_result']). *)
-type partition_choice = P_auto | P_k of int
-
+(* "auto" or an explicit subdomain count, as the daemon's partition
+   field.  K < 2 is rejected right here, at parse time, with a Cmdliner
+   usage error; K > the state count is checked once the circuit is built
+   (same clean error channel through [Term.term_result']). *)
 let partition_conv =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
-    | "auto" -> Ok P_auto
+    | "auto" -> Ok Sproto.Auto
     | t -> (
         match int_of_string_opt t with
-        | Some k when k >= 2 -> Ok (P_k k)
+        | Some k when k >= 2 -> Ok (Sproto.Parts k)
         | Some k ->
             Error
               (`Msg
@@ -280,8 +280,8 @@ let partition_conv =
             Error (`Msg (Printf.sprintf "expected a subdomain count >= 2 or 'auto' (got %S)" s)))
   in
   let print ppf = function
-    | P_auto -> Format.pp_print_string ppf "auto"
-    | P_k k -> Format.pp_print_int ppf k
+    | Sproto.Auto -> Format.pp_print_string ppf "auto"
+    | Sproto.Parts k -> Format.pp_print_int ppf k
   in
   Arg.conv (parse, print)
 
@@ -291,15 +291,17 @@ let partition_arg =
     & opt (some partition_conv) None
     & info [ "partition" ] ~docv:"K|auto"
         ~doc:
-          "Subdomain goal for the hierarchical method (default 4 when --method hier): an \
-           explicit count >= 2, or $(b,auto) to dissect recursively until every part fits \
-           --max-part-states.  Giving --partition with the default method switches it to \
-           hier; combining it with any other method is an error.")
+          (Printf.sprintf
+             "Subdomain goal for the hierarchical method (default %d when --method hier): an \
+              explicit count >= 2, or $(b,auto) to dissect recursively until every part fits \
+              --max-part-states.  Giving --partition with the default method switches it to \
+              hier; combining it with any other method is an error."
+             Partition.default_parts))
 
 let max_part_states_arg =
   Arg.(
     value
-    & opt int 20_000
+    & opt int Partition.default_max_states
     & info [ "max-part-states" ] ~docv:"N"
         ~doc:
           "Per-part state budget for --partition auto: nested dissection recurses while a \
@@ -353,8 +355,8 @@ let draws_arg =
           "Random input-direction draws for the correlated method (the cap when \
            --adaptive).")
 
-let print_stats ?(note = "each shift solved once") (st : Sample_cache.stats) =
-  Printf.printf "shift solves:      %d (%s)\n" st.Sample_cache.solves note;
+let print_stats (st : Sample_cache.stats) =
+  Printf.printf "shift solves:      %d (each shift solved once)\n" st.Sample_cache.solves;
   Printf.printf "points sampled:    %d\n" st.Sample_cache.points;
   Printf.printf "columns held:      %d\n" st.Sample_cache.columns;
   Printf.printf "batches:           %d\n" st.Sample_cache.batches;
@@ -386,13 +388,8 @@ let correlated_inputs sys ~seed ~w_hi =
   Pmtbr_signal.Waveform.sample_matrix waves ~t0:0.0 ~t1:(4.0 *. period) ~samples:400
 
 (* --band with lo > 0 switches the Lyapunov solvers to the band-limited
-   residual stop, over the same Bands sampling PMTBR uses. *)
-let lyap_stop band =
-  match band with
-  | Some (lo, hi) when lo > 0.0 ->
-      let bpts = Sampling.points (Sampling.Bands [ (lo, hi) ]) ~count:8 in
-      Some (Lr_lyap.Band_residual (Array.map (fun p -> (p.Sampling.s, p.Sampling.weight)) bpts))
-  | _ -> None
+   residual stop, as the daemon's band field does. *)
+let lyap_stop band = Option.bind band Sampling.band_stop
 
 let run_reduce_inner circuit spice size ports seed meth partition max_part_states interface_tol
     order tol samples band workers stats adaptive draws export =
@@ -408,11 +405,7 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts =
-    match band with
-    | Some (lo, hi) when lo > 0.0 -> Sampling.points (Sampling.Bands [ (lo, hi) ]) ~count:samples
-    | _ -> Sampling.points (Sampling.Uniform { w_max = w_hi }) ~count:samples
-  in
+  let pts = band_points ~band ~w_hi ~samples in
   let workers = workers_opt workers in
   let no_adaptive name = failwith (name ^ " has no adaptive cache pipeline (drop --adaptive)") in
   let no_stats name = failwith (name ^ " does not run through the sample cache (drop --stats)") in
@@ -431,8 +424,8 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
         if adaptive then no_adaptive "hier";
         let t0 = Unix.gettimeofday () in
         let pt =
-          match Option.value partition ~default:(P_k 4) with
-          | P_k k ->
+          match Option.value partition ~default:(Sproto.Parts Partition.default_parts) with
+          | Sproto.Parts k ->
               if k > Dss.order sys then
                 failwith
                   (Printf.sprintf
@@ -440,7 +433,7 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
                       per state)"
                      k (Dss.order sys));
               Partition.split ~parts:k nl
-          | P_auto -> Partition.split_auto ~max_states:max_part_states nl
+          | Sproto.Auto -> Partition.split_auto ~max_states:max_part_states nl
         in
         let partition_wall = Unix.gettimeofday () -. t0 in
         let rom, hst =
@@ -642,36 +635,21 @@ let monitor_arg =
 let batch_arg =
   Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc:"Points consumed per batch.")
 
-let rebuild_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "rebuild" ]
-        ~doc:
-          "Use the from-scratch reference loop (every batch re-solves all consumed shifts) \
-           instead of the incremental sample cache.  Results are bitwise-identical; only the \
-           solve counters and wall time differ.")
-
-let run_adaptive circuit spice size ports seed monitor order tol batch rebuild samples band
-    workers =
+let run_adaptive circuit spice size ports seed monitor order tol batch samples band workers =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts =
-    match band with
-    | Some (lo, hi) when lo > 0.0 -> Sampling.points (Sampling.Bands [ (lo, hi) ]) ~count:samples
-    | _ -> Sampling.points (Sampling.Uniform { w_max = w_hi }) ~count:samples
-  in
+  let pts = band_points ~band ~w_hi ~samples in
   let workers = workers_opt workers in
   let result =
     match monitor with
-    | Mon_svd -> Pmtbr.reduce_adaptive ~rebuild ?order ?tol ~batch ?workers sys pts
-    | Mon_rrqr -> Pmtbr.reduce_adaptive_rrqr ~rebuild ?order ?tol ~batch ?workers sys pts
+    | Mon_svd -> Pmtbr.reduce_adaptive ?order ?tol ~batch ?workers sys pts
+    | Mon_rrqr -> Pmtbr.reduce_adaptive_rrqr ?order ?tol ~batch ?workers sys pts
   in
   let st = result.Pmtbr.stats in
   Printf.printf "reduced: %d -> %d states\n" (Dss.order sys) (Dss.order result.Pmtbr.rom);
   Printf.printf "samples consumed:  %d of %d offered\n" result.Pmtbr.samples (Array.length pts);
-  if rebuild then print_stats ~note:"from-scratch reference" st else print_stats st;
+  print_stats st;
   Array.iteri
     (fun i w -> Printf.printf "batch %-2d wall:     %.4f s\n" (i + 1) w)
     st.Sample_cache.batch_wall_s;
@@ -684,8 +662,7 @@ let adaptive_cmd =
   Cmd.v (Cmd.info "adaptive" ~doc)
     Term.(
       const run_adaptive $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg
-      $ monitor_arg $ order_arg $ tol_arg $ batch_arg $ rebuild_arg $ samples_arg $ band_arg
-      $ workers_arg)
+      $ monitor_arg $ order_arg $ tol_arg $ batch_arg $ samples_arg $ band_arg $ workers_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -749,7 +726,6 @@ let export_cmd =
 (* serve / batch                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Sproto = Pmtbr_serve.Protocol
 module Sserver = Pmtbr_serve.Server
 module Sclient = Pmtbr_serve.Client
 
@@ -832,9 +808,6 @@ let run_batch_inner socket ping server_stats shutdown circuit spice size ports s
   (* --partition with the default method implies hier, mirroring reduce *)
   let meth =
     match (meth, partition) with Sproto.Pmtbr, Some _ -> Sproto.Hier | m, _ -> m
-  in
-  let partition =
-    Option.map (function P_auto -> Sproto.Auto | P_k k -> Sproto.Parts k) partition
   in
   (* the budget only rides along when auto dissection asked for it — the
      protocol rejects max-part-states on a fixed-count job *)

@@ -248,12 +248,9 @@ let assemble (pt : Partition.t) (blks : blocks array) =
 (* Recombination driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
-  let k = Array.length pt.Partition.parts in
-  if Array.length bases <> k then invalid_arg "Hier_reduce.recombine: one basis per part";
-  let blks = Array.make k None in
-  let run i = blks.(i) <- Some (project_part pt i bases.(i)) in
-  let nw = max 1 (min workers k) in
+(* Run [run 0 .. run (k - 1)] on a [Scheduler] pool of [nw] domains, or
+   serially in index order when [nw <= 1]. *)
+let fan ~nw k run =
   if nw <= 1 then
     for i = 0 to k - 1 do
       run i
@@ -264,7 +261,13 @@ let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
       ignore (Scheduler.submit pool i)
     done;
     Scheduler.stop pool
-  end;
+  end
+
+let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
+  let k = Array.length pt.Partition.parts in
+  if Array.length bases <> k then invalid_arg "Hier_reduce.recombine: one basis per part";
+  let blks = Array.make k None in
+  fan ~nw:(min workers k) k (fun i -> blks.(i) <- Some (project_part pt i bases.(i)));
   assemble pt
     (Array.mapi
        (fun i b ->
@@ -331,7 +334,11 @@ let compress_interface ?(workers = 1) ~tol (pt : Partition.t) (rom : Dss.t) poin
 (* Fan-out driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = false)
+(* The one hierarchical driver.  [columns i part] supplies part [i]'s
+   sample cache: [reduce_partitioned] samples it afresh, the store finds
+   it in (or adds it to) its per-subdomain samples tier.  Everything
+   after the columns is shared, so both routes give the same bits. *)
+let reduce_with_columns ?order ?tol ?interface_tol ?workers ?(oversubscribe = false) ~columns
     (pt : Partition.t) points =
   let k = Array.length pt.Partition.parts in
   let requested = match workers with Some w -> w | None -> Par_kernel.default_workers () in
@@ -341,13 +348,17 @@ let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = fal
     Par_kernel.warn_worker_collapse ~context:"the hierarchical subdomain pool" ~requested ();
   let results : ((sub * blocks), exn) result option array = Array.make k None in
   let walls = Array.make k 0.0 in
-  (* one job = sample + basis + congruence blocks: all the O(interior)
+  (* one job = columns + basis + congruence blocks: all the O(interior)
      work, so the serial stages below never touch the mesh *)
   let run i =
     let t0 = Unix.gettimeofday () in
     let r =
       try
-        let s = reduce_part ?order ?tol pt.Partition.parts.(i) points in
+        let part = pt.Partition.parts.(i) in
+        let s =
+          if part.Partition.rhs.Mat.cols = 0 then empty_sub part
+          else basis_of_part ?order ?tol part (columns i part) ~samples:(Array.length points) ()
+        in
         Ok (s, project_part pt i s.basis)
       with e -> Error e
     in
@@ -355,17 +366,7 @@ let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = fal
     results.(i) <- Some r
   in
   let t_fan = Unix.gettimeofday () in
-  if nw <= 1 then
-    for i = 0 to k - 1 do
-      run i
-    done
-  else begin
-    let pool = Scheduler.create ~workers:nw run in
-    for i = 0 to k - 1 do
-      ignore (Scheduler.submit pool i)
-    done;
-    Scheduler.stop pool
-  end;
+  fan ~nw k run;
   let sample_wall_s = Unix.gettimeofday () -. t_fan in
   (* propagate the lowest-index failure, as Shift_engine does *)
   let done_ =
@@ -406,5 +407,13 @@ let reduce_partitioned ?order ?tol ?interface_tol ?workers ?(oversubscribe = fal
       recombine_wall_s;
       compress_wall_s;
     }
+  in
+  (rom, subs, stats)
+
+let reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points =
+  let rom, _, stats =
+    reduce_with_columns ?order ?tol ?interface_tol ?workers ?oversubscribe
+      ~columns:(fun _ part -> sample_part part points)
+      pt points
   in
   (rom, stats)

@@ -123,12 +123,27 @@ val compress_interface :
     empty interface / point set) returns the model unchanged — the exact
     fallback.  Returns (model, interface states kept). *)
 
+val reduce_with_columns :
+  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
+  columns:(int -> Partition.part -> Sample_cache.t) -> Partition.t -> Sampling.point array ->
+  Dss.t * sub array * stats
+(** The one hierarchical driver.  Fan one job per subdomain over a
+    [Scheduler] pool of [min workers (recommended cap) parts] domains
+    ([oversubscribe] lifts the hardware cap, as in {!Shift_engine}):
+    [columns i part] supplies part [i]'s sample cache (extended with
+    [points]), {!basis_of_part} and {!project_part} run on it; then
+    {!assemble}, and {!compress_interface} when [interface_tol] is given.
+    A part whose sampling right-hand side is empty gets an empty basis
+    and is never handed to [columns].  [columns] runs on pool domains,
+    so it must be domain-safe.  Returns the model, each part's {!sub}
+    (basis and singular values) in partition order, and the stats.  A
+    subdomain failure (including one raised by [columns]) re-raises the
+    lowest-index exception after the pool drains.  Bitwise
+    worker-invariant whenever [columns] returns caches holding the same
+    columns. *)
+
 val reduce_partitioned :
   ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
   Partition.t -> Sampling.point array -> Dss.t * stats
-(** Fan sample+basis+{!project_part} jobs over the subdomains on a
-    [Scheduler] pool of [min workers (recommended cap) parts] domains
-    ([oversubscribe] lifts the hardware cap, as in {!Shift_engine}),
-    {!assemble}, then {!compress_interface} when [interface_tol] is
-    given.  A subdomain failure re-raises the lowest-index exception
-    after the pool drains.  Bitwise worker-invariant. *)
+(** {!reduce_with_columns} with every part sampled afresh by
+    {!sample_part}.  Bitwise worker-invariant. *)

@@ -19,10 +19,9 @@
    store already uses for whole networks.
 
    Everything here is a pure function of the netlist and the options:
-   vertex orderings break ties by global index, the coupling sketch draws
-   from a per-part fixed-seed generator, and no step consults worker
-   counts or wall clocks — the partition underpins the hierarchical
-   reducer's bitwise worker-invariance contract. *)
+   vertex orderings break ties by global index, and no step consults
+   worker counts or wall clocks — the partition underpins the
+   hierarchical reducer's bitwise worker-invariance contract. *)
 
 open Pmtbr_la
 open Pmtbr_circuit
@@ -367,7 +366,7 @@ let sub_netlist_of_part nl ~nodes ~interior ~is_interior =
 (* Split                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let split_goal ~goal ~depth_cap ?sketch nl =
+let split_goal ~goal ~depth_cap nl =
   let m = Mna.stamp nl in
   let n = m.Mna.n in
   if n = 0 then invalid_arg "Partition.split: empty netlist";
@@ -433,9 +432,8 @@ let split_goal ~goal ~depth_cap ?sketch nl =
   let finalize l = Array.of_list (List.rev l) in
   (* per-part sampling right-hand side: global port columns restricted to
      the interior, plus the interface coupling directions (columns of
-     A_ig and E_ig on the adjacent interface states), optionally
-     compressed by a fixed-seed Gaussian sketch; all-zero columns are
-     dropped.  A pure function of the partition and [sketch]. *)
+     A_ig and E_ig on the adjacent interface states); all-zero columns
+     are dropped.  A pure function of the partition. *)
   let build_rhs pid states =
     let nkk = Array.length states in
     let ports = Mat.init nkk m.Mna.b.Mat.cols (fun l j -> Mat.get m.Mna.b states.(l) j) in
@@ -456,14 +454,6 @@ let split_goal ~goal ~depth_cap ?sketch nl =
     List.iter
       (fun (l, g, v) -> Mat.update coup l (madj + Hashtbl.find col_of g) (fun x -> x +. v))
       e_ig.(pid);
-    let coup =
-      match sketch with
-      | Some s when s > 0 && 2 * madj > s ->
-          let rng = Pmtbr_signal.Rng.create ((7919 * pid) + 104729) in
-          let omega = Mat.init (2 * madj) s (fun _ _ -> Pmtbr_signal.Rng.gaussian rng) in
-          Mat.mul coup omega
-      | _ -> coup
-    in
     let raw = Mat.hcat ports coup in
     let keep = ref [] in
     for j = raw.Mat.cols - 1 downto 0 do
@@ -504,12 +494,14 @@ let split_goal ~goal ~depth_cap ?sketch nl =
   }
 
 let default_depth_cap = 48
+let default_parts = 4
+let default_max_states = 20_000
 
-let split ~parts:k ?sketch nl =
+let split ~parts:k nl =
   if k < 1 then invalid_arg "Partition.split: parts must be >= 1";
-  split_goal ~goal:(Leaves k) ~depth_cap:default_depth_cap ?sketch nl
+  split_goal ~goal:(Leaves k) ~depth_cap:default_depth_cap nl
 
-let split_auto ~max_states ?(depth_cap = default_depth_cap) ?sketch nl =
+let split_auto ~max_states ?(depth_cap = default_depth_cap) nl =
   if max_states < 1 then invalid_arg "Partition.split_auto: max_states must be >= 1";
   if depth_cap < 0 then invalid_arg "Partition.split_auto: depth_cap must be >= 0";
-  split_goal ~goal:(Budget max_states) ~depth_cap ?sketch nl
+  split_goal ~goal:(Budget max_states) ~depth_cap nl

@@ -21,9 +21,8 @@
     sample columns).
 
     Every step is a pure function of the netlist and the options: vertex
-    orderings break ties by global state index, the optional coupling
-    sketch draws from a per-part fixed-seed generator, and nothing
-    consults worker counts — the foundation of {!Hier_reduce}'s bitwise
+    orderings break ties by global state index and nothing consults
+    worker counts — the foundation of {!Hier_reduce}'s bitwise
     worker-invariance contract. *)
 
 open Pmtbr_la
@@ -43,8 +42,8 @@ type part = {
           canonical render is the subdomain's content address *)
   rhs : Mat.t;
       (** sampling right-hand side: global port columns restricted to the
-          interior plus the interface coupling directions (optionally
-          sketched), all-zero columns dropped *)
+          interior plus the interface coupling directions, all-zero
+          columns dropped *)
   e_ig : entry array;  (** E interior->interface: (local, interface-local, v) *)
   a_ig : entry array;  (** A interior->interface *)
   e_gi : entry array;  (** E interface->interior: (interface-local, local, v) *)
@@ -71,26 +70,30 @@ type t = {
   p : int;  (** port count *)
 }
 
-val split : parts:int -> ?sketch:int -> Pmtbr_circuit.Netlist.t -> t
+val split : parts:int -> Pmtbr_circuit.Netlist.t -> t
 (** Partition a netlist into (at most) [parts] subdomains by recursive
-    dissection with a leaf-count goal.  [sketch] compresses each part's
-    interface coupling directions to at most [sketch] columns through a
-    fixed-seed Gaussian draw (recommended at scale, where a part can
-    touch hundreds of interface states); without it every coupling column
-    is kept, which is what the <= 1e-6 flat-agreement cases use.  Raises
+    dissection with a leaf-count goal.  Every interface coupling column
+    is kept in the parts' sampling right-hand sides.  Raises
     [Invalid_argument] on an empty netlist, [parts < 1], or if the block
     structure invariant fails (a cross-part entry between two interiors —
     a bug, not an input error). *)
 
-val split_auto :
-  max_states:int -> ?depth_cap:int -> ?sketch:int -> Pmtbr_circuit.Netlist.t -> t
+val split_auto : max_states:int -> ?depth_cap:int -> Pmtbr_circuit.Netlist.t -> t
 (** Partition by state budget: recurse while a side holds more than
     [max_states] states, under [depth_cap] (default 48) — the cap bounds
     the interface a pathological graph can accumulate, so a part may
     exceed the budget only when the cap or the graph (no interior BFS
-    level to remove) stops the recursion first.  Same purity and sketch
-    semantics as {!split}.  Raises [Invalid_argument] on [max_states < 1]
-    or [depth_cap < 0]. *)
+    level to remove) stops the recursion first.  Same purity as
+    {!split}.  Raises [Invalid_argument] on [max_states < 1] or
+    [depth_cap < 0]. *)
+
+val default_parts : int
+(** Leaf-count goal of a hierarchical job that names none (4), for the
+    CLI and the daemon alike. *)
+
+val default_max_states : int
+(** Per-part state budget of an [auto] dissection that names none
+    (20,000), for the CLI and the daemon alike. *)
 
 val part_count : t -> int
 val interface_count : t -> int

@@ -162,46 +162,19 @@ let settled ?order ?tol ~converge_tol ~columns ~prev sigma =
 (* The adaptive loop shared by both monitors: consume the point sequence
    in batches through a [Sample_cache] — each shift solved exactly once
    for the whole run — and after each batch compare the monitor values
-   with the previous batch's until [settled].
-
-   [rebuild] selects the reference from-scratch path: a fresh cache per
-   batch, re-solving every consumed shift — exactly what this loop did
-   before the cache existed.  It is kept as the benchmark baseline and the
-   oracle for the incremental == from-scratch equivalence tests; both
-   paths run the identical per-column arithmetic in the identical order,
-   so their results are bitwise-equal. *)
-let adaptive_loop ~monitor ~default_converge ?(rebuild = false) ?order ?tol ?(batch = 8)
-    ?converge_tol ?workers sys (pts : Sampling.point array) =
+   with the previous batch's until [settled].  The from-scratch reference
+   (a fresh cache per batch, re-solving every consumed shift) lives with
+   the test oracles; both run the identical per-column arithmetic in the
+   identical order, so their results are bitwise-equal. *)
+let adaptive_loop ~monitor ~default_converge ?order ?tol ?(batch = 8) ?converge_tol ?workers sys
+    (pts : Sampling.point array) =
   if Array.length pts = 0 then invalid_arg "Pmtbr.reduce_adaptive: no sample points";
   if batch < 1 then invalid_arg "Pmtbr.reduce_adaptive: batch must be >= 1";
   let converge_tol = Option.value converge_tol ~default:default_converge in
   (* prefixes must cover the whole band: consume in bit-reversed order *)
   let pts = Sampling.spread_order pts in
   let n_pts = Array.length pts in
-  let cache = ref (Sample_cache.create ?workers sys) in
-  (* counters of caches discarded by the rebuild path, folded into the
-     final stats so they reflect the whole run *)
-  let discarded = ref None in
-  let discard c =
-    let st = Sample_cache.stats c in
-    discarded :=
-      Some (match !discarded with None -> st | Some acc -> Sample_cache.merge_stats acc st)
-  in
-  let finish upto =
-    let scale = float_of_int n_pts /. float_of_int upto in
-    let result = of_cache sys !cache ~scale ?order ?tol ?workers ~samples:upto () in
-    match !discarded with
-    | None -> result
-    | Some acc ->
-        (* held points and columns are the final cache's, not a sum *)
-        let last = result.stats in
-        let st = Sample_cache.merge_stats acc last in
-        {
-          result with
-          stats =
-            { st with Sample_cache.points = last.Sample_cache.points; columns = last.columns };
-        }
-  in
+  let cache = Sample_cache.create ?workers sys in
   let rec loop consumed prev =
     let upto = min n_pts (consumed + batch) in
     (* rescale the prefix weights so each batch approximates the same
@@ -210,24 +183,19 @@ let adaptive_loop ~monitor ~default_converge ?(rebuild = false) ?order ?tol ?(ba
        The rescaling is a diagonal applied at assembly time, so it costs
        no solves — the cached raw columns never change. *)
     let scale = float_of_int n_pts /. float_of_int upto in
-    if rebuild then begin
-      discard !cache;
-      cache := Sample_cache.create ?workers sys;
-      Sample_cache.extend !cache (Array.sub pts 0 upto)
-    end
-    else Sample_cache.extend !cache (Array.sub pts consumed (upto - consumed));
-    let sigma = monitor_values ?workers !cache ~monitor ~scale in
+    Sample_cache.extend cache (Array.sub pts consumed (upto - consumed));
+    let sigma = monitor_values ?workers cache ~monitor ~scale in
     if
       upto >= n_pts
-      || settled ?order ?tol ~converge_tol ~columns:(Sample_cache.columns !cache) ~prev sigma
-    then finish upto
+      || settled ?order ?tol ~converge_tol ~columns:(Sample_cache.columns cache) ~prev sigma
+    then of_cache sys cache ~scale ?order ?tol ?workers ~samples:upto ()
     else loop upto (Some sigma)
   in
   loop 0 None
 
-let reduce_adaptive ?rebuild ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  adaptive_loop ~monitor:Monitor_svd ~default_converge:0.02 ?rebuild ?order ?tol ?batch
-    ?converge_tol ?workers sys pts
+let reduce_adaptive ?order ?tol ?batch ?converge_tol ?workers sys pts =
+  adaptive_loop ~monitor:Monitor_svd ~default_converge:0.02 ?order ?tol ?batch ?converge_tol
+    ?workers sys pts
 
 (* Variant monitoring convergence with a rank-revealing (column-pivoted)
    QR per batch instead of singular values (Section V-C points out that
@@ -236,9 +204,9 @@ let reduce_adaptive ?rebuild ?order ?tol ?batch ?converge_tol ?workers sys pts =
    alone is not enough — the tail of the normalised R-diagonal profile
    must also be below [tol], so a run cannot stop with an under-resolved
    truncation tail. *)
-let reduce_adaptive_rrqr ?rebuild ?order ?tol ?batch ?converge_tol ?workers sys pts =
-  adaptive_loop ~monitor:Monitor_rrqr ~default_converge:0.05 ?rebuild ?order ?tol ?batch
-    ?converge_tol ?workers sys pts
+let reduce_adaptive_rrqr ?order ?tol ?batch ?converge_tol ?workers sys pts =
+  adaptive_loop ~monitor:Monitor_rrqr ~default_converge:0.05 ?order ?tol ?batch ?converge_tol
+    ?workers sys pts
 
 (* Singular values of the ZW matrix only (Figs. 5 and 8): the values
    [of_cache] would report, from the same operand, without the basis or

@@ -16,8 +16,7 @@ type result = {
   samples : int;  (** number of frequency points consumed *)
   stats : Sample_cache.stats;
       (** counters of the cache the run finished from: [solves = points]
-          certifies that no shift was solved twice (the [rebuild]
-          reference loop sums its discarded caches' solves in) *)
+          certifies that no shift was solved twice *)
 }
 
 val choose_order : sigma:float array -> ?order:int -> ?tol:float -> unit -> int
@@ -61,6 +60,17 @@ val reduce_uniform : ?order:int -> ?tol:float -> ?workers:int -> Dss.t -> w_max:
   count:int -> result
 (** Convenience: uniform sampling of [0, w_max]. *)
 
+type monitor = Monitor_svd | Monitor_rrqr
+(** The per-batch order monitor of an adaptive loop. *)
+
+val monitor_values : ?workers:int -> Sample_cache.t -> monitor:monitor -> scale:float -> float array
+(** This batch's monitor values, from the cache alone (no solve), at
+    prefix rescaling [scale]: [Monitor_svd] gives the singular values of
+    {!Sample_cache.svd_operand} (to 1e-10 relative — the final finish
+    stays full precision), [Monitor_rrqr] the pivoted-R diagonal of the
+    small factor normalised by its first entry (only that profile
+    converges as prefix weights are rescaled). *)
+
 val settled :
   ?order:int -> ?tol:float -> converge_tol:float -> columns:int -> prev:float array option ->
   float array -> bool
@@ -71,8 +81,8 @@ val settled :
     skipped for an explicit [order] without [tol]), and the cache holds at
     least twice the model order in [columns] (Section V-B). *)
 
-val reduce_adaptive : ?rebuild:bool -> ?order:int -> ?tol:float -> ?batch:int ->
-  ?converge_tol:float -> ?workers:int -> Dss.t -> Sampling.point array -> result
+val reduce_adaptive : ?order:int -> ?tol:float -> ?batch:int -> ?converge_tol:float ->
+  ?workers:int -> Dss.t -> Sampling.point array -> result
 (** On-the-fly order control (Section V-C): consume the points in
     bit-reversed batches of [batch] (default 8) through an incremental
     {!Sample_cache} — each shift is solved exactly once for the whole run,
@@ -81,14 +91,10 @@ val reduce_adaptive : ?rebuild:bool -> ?order:int -> ?tol:float -> ?batch:int ->
     {!Sample_cache.svd_operand}.  Stops when {!settled} (with
     [converge_tol] default 2%) or the points run out; with an explicit
     [order] and no [tol], leading convergence alone decides.
-    [result.samples] reports how many points were actually used.
-    [rebuild] (default [false]) switches to the reference from-scratch
-    loop — a fresh cache per batch, re-solving every consumed shift,
-    O(total^2) solves — kept as the benchmark baseline; its results are
-    bitwise-identical to the incremental path's. *)
+    [result.samples] reports how many points were actually used. *)
 
-val reduce_adaptive_rrqr : ?rebuild:bool -> ?order:int -> ?tol:float -> ?batch:int ->
-  ?converge_tol:float -> ?workers:int -> Dss.t -> Sampling.point array -> result
+val reduce_adaptive_rrqr : ?order:int -> ?tol:float -> ?batch:int -> ?converge_tol:float ->
+  ?workers:int -> Dss.t -> Sampling.point array -> result
 (** Like {!reduce_adaptive}, but monitoring convergence with a
     rank-revealing (column-pivoted) QR of the cache's small factor per
     batch — the cheaper order-control machinery Section V-C recommends;

@@ -49,6 +49,20 @@ let points scheme ~count =
       in
       Array.of_list all
 
+(* The band convention the CLI and the daemon share: a band starting
+   above 0 draws Gauss points inside it, one starting at 0 means uniform
+   (midpoint) sampling of [0, hi]. *)
+let of_band (lo, hi) = if lo > 0.0 then Bands [ (lo, hi) ] else Uniform { w_max = hi }
+
+(* The band-limited Lyapunov stop: the residual is measured at 8 Gauss
+   points of the band, the same Bands sampling PMTBR uses. *)
+let band_stop (lo, hi) =
+  if lo > 0.0 then
+    Some
+      (Pmtbr_la.Lr_lyap.Band_residual
+         (Array.map (fun p -> (p.s, p.weight)) (points (Bands [ (lo, hi) ]) ~count:8)))
+  else None
+
 (* The total quadrature mass, i.e. the implied bandwidth of the weighting. *)
 let total_weight pts = Array.fold_left (fun acc p -> acc +. p.weight) 0.0 pts
 

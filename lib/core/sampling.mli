@@ -24,6 +24,18 @@ val points : scheme -> count:int -> point array
     total).  Raises [Invalid_argument] on [count < 1], an empty band list,
     or a band with [hi <= lo]. *)
 
+val of_band : float * float -> scheme
+(** The band convention of the CLI's [--band] and the daemon's band
+    field: [(lo, hi)] with [lo > 0] is [Bands [(lo, hi)]] (Gauss points
+    in the band), otherwise [Uniform { w_max = hi }] (the midpoint rule
+    on [[0, hi]]). *)
+
+val band_stop : float * float -> Pmtbr_la.Lr_lyap.stop option
+(** The band-limited Lyapunov stop both front ends use for the low-rank
+    TBR methods: for [lo > 0], {!Pmtbr_la.Lr_lyap.Band_residual} at 8
+    Gauss points of [(lo, hi)] with their weights; [None] (the default
+    Frobenius stop) otherwise. *)
+
 val total_weight : point array -> float
 (** Total quadrature mass, i.e. the implied bandwidth of the weighting. *)
 

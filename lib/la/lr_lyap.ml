@@ -1,5 +1,5 @@
-(* Low-rank Lyapunov solvers: LR-ADI with real/complex-pair shift handling
-   and Penzl-style heuristic shifts, plus an extended Krylov alternative.
+(* Low-rank Lyapunov solver: LR-ADI with real/complex-pair shift handling
+   and Penzl-style heuristic shifts.
 
    Everything works through the abstract [ops] record so the same code runs
    on dense (E, A) pairs (tests) and on the sparse multi-shift machinery
@@ -25,9 +25,6 @@ type stats = {
 }
 
 (* ---------------------------------------------------------------- helpers *)
-
-let mat_of_cols n (cols : float array array) =
-  Mat.init n (Array.length cols) (fun i j -> cols.(j).(i))
 
 let re_block n (cols : Complex.t array array) =
   Mat.init n (Array.length cols) (fun i j -> cols.(j).(i).Complex.re)
@@ -382,150 +379,6 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
     flush ~final:true ();
     finish ~steps:!steps ~columns:(!z_acc).Mat.cols ~residuals:!residuals
       ~converged:!converged !z_acc
-  end
-
-(* ------------------------------------------------------- extended Krylov *)
-
-(* The extended Krylov engine mirrors the Sample_cache column-store shape:
-   raw orthonormal columns are appended incrementally, and the operator
-   image F q of each accepted column is cached alongside so the projected
-   matrix T = Q^T F Q never recomputes a product. *)
-let extended_krylov ?(tol = 1e-10) ?(max_steps = 40) ops (b : Mat.t) =
-  if b.Mat.rows <> ops.n then
-    invalid_arg
-      "Lr_lyap.extended_krylov: right-hand side row count does not match n";
-  let n = ops.n in
-  let solves = ref 0 in
-  let stats ~steps ~columns ~residuals ~converged =
-    {
-      steps;
-      solves = !solves;
-      columns;
-      residuals = Array.of_list (List.rev residuals);
-      converged;
-    }
-  in
-  if n = 0 || b.Mat.cols = 0 then
-    ( Mat.create n 0,
-      stats ~steps:0 ~columns:0 ~residuals:[] ~converged:true )
-  else begin
-    let apply_f (m : Mat.t) = ops.solve_e (ops.mul_a m) in
-    let apply_finv (m : Mat.t) =
-      let cols = ops.solve_shift Complex.zero (ops.mul_e m) in
-      incr solves;
-      re_block n cols
-    in
-    let btil = ops.solve_e b in
-    let den = Float.max 1e-300 (low_rank_fro btil) in
-    (* Growing column stores: orthonormal basis and cached F-images. *)
-    let q_cols = ref [||] and fq_cols = ref [||] in
-    let append_orth (block : Mat.t) =
-      (* Twice-applied MGS of each column against everything accepted so
-         far; returns the indices of the newly accepted columns. *)
-      let fresh = ref [] in
-      for j = 0 to block.Mat.cols - 1 do
-        let v = Array.init n (fun i -> Mat.get block i j) in
-        let nrm0 = Vec.norm2 v in
-        for _pass = 1 to 2 do
-          Array.iter (fun q -> Vec.axpy (-.Vec.dot q v) q v) !q_cols
-        done;
-        let nrm = Vec.norm2 v in
-        if nrm > 1e-10 *. Float.max nrm0 1e-300 then begin
-          q_cols := Array.append !q_cols [| Vec.scale (1.0 /. nrm) v |];
-          fresh := (Array.length !q_cols - 1) :: !fresh
-        end
-      done;
-      List.rev !fresh
-    in
-    let cols_at idxs =
-      mat_of_cols n (Array.of_list (List.map (fun i -> !q_cols.(i)) idxs))
-    in
-    let cache_images idxs =
-      if idxs <> [] then begin
-        let imgs = apply_f (cols_at idxs) in
-        List.iteri
-          (fun j _ ->
-            fq_cols :=
-              Array.append !fq_cols
-                [| Array.init n (fun i -> Mat.get imgs i j) |])
-          idxs
-      end
-    in
-    let plus = ref (append_orth btil) in
-    cache_images !plus;
-    let minus = ref (append_orth (apply_finv btil)) in
-    cache_images !minus;
-    let residuals = ref [] in
-    let last_y = ref None and last_k = ref 0 in
-    let converged = ref false and it = ref 0 in
-    while (not !converged) && !it < max_steps && (!plus <> [] || !minus <> [])
-    do
-      incr it;
-      let k = Array.length !q_cols in
-      let qmat = mat_of_cols n !q_cols and fqmat = mat_of_cols n !fq_cols in
-      let t = Mat.mul (Mat.transpose qmat) fqmat in
-      let bhat = Mat.mul (Mat.transpose qmat) btil in
-      (match
-         Lyap.solve t (Mat.symmetrize (Mat.mul bhat (Mat.transpose bhat)))
-       with
-      | y ->
-          last_y := Some y;
-          last_k := k;
-          (* Exact residual via the Gram identity: with S = [Q, FQ, Btil]
-             and M the block matrix pairing Y against the off-diagonal,
-             ||R||_F^2 = tr((M G)^2) for G = S^T S — no n x n matrix. *)
-          let s = Mat.hcat qmat (Mat.hcat fqmat btil) in
-          let g = Mat.gram s in
-          let m = b.Mat.cols in
-          let mm = Mat.create ((2 * k) + m) ((2 * k) + m) in
-          for i = 0 to k - 1 do
-            for j = 0 to k - 1 do
-              Mat.set mm i (k + j) (Mat.get y i j);
-              Mat.set mm (k + i) j (Mat.get y i j)
-            done
-          done;
-          for i = 0 to m - 1 do
-            Mat.set mm ((2 * k) + i) ((2 * k) + i) 1.0
-          done;
-          let mg = Mat.mul mm g in
-          let tr = ref 0.0 in
-          let d = (2 * k) + m in
-          for i = 0 to d - 1 do
-            for j = 0 to d - 1 do
-              tr := !tr +. (Mat.get mg i j *. Mat.get mg j i)
-            done
-          done;
-          let rel = sqrt (Float.max 0.0 !tr) /. den in
-          residuals := rel :: !residuals;
-          if rel <= tol then converged := true
-      | exception Lyap.Unstable_pencil ->
-          (* the projected pencil can be marginally stable early on; keep
-             enlarging the space *)
-          residuals := infinity :: !residuals);
-      if not !converged then begin
-        let np = if !plus = [] then [] else append_orth (apply_f (cols_at !plus)) in
-        cache_images np;
-        let nm =
-          if !minus = [] then [] else append_orth (apply_finv (cols_at !minus))
-        in
-        cache_images nm;
-        plus := np;
-        minus := nm
-      end
-    done;
-    match !last_y with
-    | None ->
-        ( Mat.create n 0,
-          stats ~steps:!it ~columns:0 ~residuals:!residuals ~converged:false )
-    | Some y ->
-        let l = Eig_sym.psd_factor (Mat.symmetrize y) in
-        let qmat =
-          mat_of_cols n (Array.sub !q_cols 0 !last_k)
-        in
-        let z = Mat.mul qmat l in
-        ( z,
-          stats ~steps:!it ~columns:z.Mat.cols ~residuals:!residuals
-            ~converged:!converged )
   end
 
 (* -------------------------------------------------------------- dense ops *)

@@ -12,26 +12,18 @@
     the same sizes as PMTBR (ROADMAP item 2; Giamouzis et al.,
     arXiv 2411.13571 / 2311.08478).
 
-    Two engines share one operator interface {!ops}:
-
-    - {!lr_adi}: the low-rank ADI iteration with real/complex-pair shift
-      handling (Benner-Kuerschner-Saak double step, so all stored columns
-      are real), Penzl-style heuristic shift selection from Ritz values
-      ({!penzl_shifts}), and low-rank residual-norm stopping — the
-      residual Gramian stays in factored form [W W^T], so its norm is a
-      small Gram computation per step.
-
-    - {!extended_krylov}: the extended (two-sided) Krylov subspace method
-      — blocks [F^k B~] and [F^{-k} B~] for [F = E^{-1} A] — holding raw
-      orthonormal columns plus cached operator images, the same
-      column-cache shape {!Pmtbr_core.Sample_cache} uses, with the small
-      projected equation solved by the dense {!Lyap} core.
+    The engine, {!lr_adi}, is the low-rank ADI iteration with
+    real/complex-pair shift handling (Benner-Kuerschner-Saak double step,
+    so all stored columns are real), Penzl-style heuristic shift
+    selection from Ritz values ({!penzl_shifts}), and low-rank
+    residual-norm stopping — the residual Gramian stays in factored form
+    [W W^T], so its norm is a small Gram computation per step.
 
     The module is operator-abstract (no sparse or system dependency):
     callers supply {!ops}; {!ops_of_dense} covers dense [(E, A)] pairs
     and the LTI layer wires the sparse multi-shift handle in.
 
-    {b Determinism}: both engines are serial fixed-order iterations over
+    {b Determinism}: the iteration is serial and fixed-order over
     deterministic kernels, so results are bitwise-reproducible and
     independent of any worker-pool size used by the caller around them. *)
 
@@ -42,11 +34,11 @@ type ops = {
   solve_shift : Complex.t -> Mat.t -> Complex.t array array;
       (** [solve_shift p r] solves [(A + p E) X = R] for a dense real
           right-hand side; one complex column per column of [R].  ADI
-          calls it with [Re p < 0]; shift selection and the extended
-          Krylov engine also use [p = 0] (plain [A^{-1}]). *)
+          calls it with [Re p < 0]; shift selection also uses [p = 0]
+          (plain [A^{-1}]). *)
   solve_e : Mat.t -> Mat.t;  (** [E^{-1} R]; requires invertible [E] *)
 }
-(** The operator interface both engines consume.  Implementations are
+(** The operator interface the engine consumes.  Implementations are
     expected to be pure in their arguments (any caching must be
     value-transparent) so that runs are reproducible. *)
 
@@ -70,13 +62,12 @@ type stop =
           point, through the same factor cache). *)
 
 type stats = {
-  steps : int;  (** ADI steps taken (a conjugate pair counts as 2), or
-                    extended-Krylov iterations *)
+  steps : int;  (** ADI steps taken (a conjugate pair counts as 2) *)
   solves : int;  (** [solve_shift] calls (Ritz/band solves included) *)
   columns : int;  (** columns of the returned factor [Z] *)
   residuals : float array;
       (** relative Frobenius residual-norm history, one entry per
-          appended block (ADI) or per iteration (extended Krylov) *)
+          appended block *)
   converged : bool;  (** whether the stopping criterion was met *)
 }
 
@@ -123,15 +114,3 @@ val lr_adi :
     [0.] to disable compression entirely.
     @raise Invalid_argument on a shift with [Re p >= 0], an empty shift
     array, or a right-hand side with the wrong row count. *)
-
-val extended_krylov :
-  ?tol:float -> ?max_steps:int -> ops -> Mat.t -> Mat.t * stats
-(** [extended_krylov ops b] builds the extended Krylov subspace
-    [span {B~, F B~, F^{-1} B~, F^2 B~, ...}] for [F = E^{-1} A] and
-    [B~ = E^{-1} B], solves the projected small Lyapunov equation with
-    the dense {!Lyap} core each iteration, and stops when the true
-    residual (evaluated exactly through a small Gram identity, no
-    [n x n] matrix formed) is below [tol] (default [1e-10]) relative —
-    or after [max_steps] (default 40) iterations.  Returns [(z, st)]
-    with [Z Z^T ~= X].  Only the Frobenius criterion is supported; use
-    {!lr_adi} for band-limited stopping. *)

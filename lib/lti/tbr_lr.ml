@@ -7,8 +7,6 @@
 
 open Pmtbr_la
 
-type meth = Adi | Extended_krylov
-
 type stats = {
   ctrl : Lr_lyap.stats;
   obs : Lr_lyap.stats;
@@ -24,84 +22,51 @@ type t = { rom : Dss.t; hsv : float array; order : int; stats : stats }
 
 let now () = Unix.gettimeofday ()
 
-let run_side ?shifts ?num_shifts ?(tol = 1e-10) ?max_steps ?stop ~meth ops rhs
-    =
-  match meth with
-  | Adi -> Lr_lyap.lr_adi ?shifts ?num_shifts ~tol ?max_steps ?stop ops rhs
-  | Extended_krylov -> (
-      match stop with
-      | Some (Lr_lyap.Band_residual _) ->
-          invalid_arg "Tbr_lr: band-limited stopping requires the ADI engine"
-      | _ -> Lr_lyap.extended_krylov ~tol ?max_steps ops rhs)
-
-let controllability_factor ?shifts ?num_shifts ?tol ?max_steps ?stop
-    ?(meth = Adi) sys =
+let controllability_factor ?shifts ?num_shifts ?(tol = 1e-10) ?max_steps ?stop sys =
   let solve, _ = Lyap_ops.shared_solver sys in
   let ctrl, _ = Lyap_ops.ops_of_dss solve sys in
-  run_side ?shifts ?num_shifts ?tol ?max_steps ?stop ~meth ctrl
-    (Dss.b_matrix sys)
+  Lr_lyap.lr_adi ?shifts ?num_shifts ~tol ?max_steps ?stop ctrl (Dss.b_matrix sys)
 
-let observability_factor ?shifts ?num_shifts ?tol ?max_steps ?stop
-    ?(meth = Adi) sys =
+let observability_factor ?shifts ?num_shifts ?(tol = 1e-10) ?max_steps ?stop sys =
   let solve, _ = Lyap_ops.shared_solver sys in
   let ctrl, obs = Lyap_ops.ops_of_dss solve sys in
+  (* the selection the paired run would use, then conjugated *)
   let shifts =
-    match (meth, shifts) with
-    | Adi, None ->
-        (* same selection the paired run would use, then conjugated *)
-        Some
-          (Array.map Complex.conj
-             (Lr_lyap.penzl_shifts ?num:num_shifts ctrl (Dss.b_matrix sys)))
-    | _, s -> Option.map (Array.map Complex.conj) s
+    match shifts with
+    | Some s -> s
+    | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl (Dss.b_matrix sys)
   in
-  run_side ?shifts ?num_shifts ?tol ?max_steps ?stop ~meth obs
+  Lr_lyap.lr_adi ~shifts:(Array.map Complex.conj shifts) ~tol ?max_steps ?stop obs
     (Mat.transpose (Dss.c_matrix sys))
 
 (* Both Gramian factors through one shared handle; the core of every public
    entry point. *)
-let gramian_factors ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps ?stop
-    ~meth sys =
+let gramian_factors ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps ?stop sys =
   let solve, counters = Lyap_ops.shared_solver sys in
   let ctrl_ops, obs_ops = Lyap_ops.ops_of_dss solve sys in
   let b = Dss.b_matrix sys and ct = Mat.transpose (Dss.c_matrix sys) in
   let shifts_used =
-    match meth with
-    | Extended_krylov -> [||]
-    | Adi -> (
-        match shifts with
-        | Some s -> Array.copy s
-        | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl_ops b)
+    match shifts with
+    | Some s -> Array.copy s
+    | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl_ops b
   in
-  let side ops rhs conj_shifts =
-    let shifts =
-      match meth with
-      | Extended_krylov -> None
-      | Adi ->
-          Some
-            (if conj_shifts then Array.map Complex.conj shifts_used
-             else shifts_used)
-    in
-    run_side ?shifts ~tol:adi_tol ?max_steps ?stop ~meth ops rhs
-  in
-  let zc, st_c = side ctrl_ops b false in
-  let zo, st_o = side obs_ops ct true in
+  let side ops rhs shifts = Lr_lyap.lr_adi ~shifts ~tol:adi_tol ?max_steps ?stop ops rhs in
+  let zc, st_c = side ctrl_ops b shifts_used in
+  (* the observability side conjugates the shifts onto the same keys *)
+  let zo, st_o = side obs_ops ct (Array.map Complex.conj shifts_used) in
   (zc, zo, st_c, st_o, shifts_used, counters)
 
 let hankel_core ?workers sys zc zo =
   Par_kernel.mul ?workers (Mat.transpose zo) (Dss.apply_e sys zc)
 
-let hankel_singular_values ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
-    ?(meth = Adi) ?workers sys =
-  let zc, zo, _, _, _, _ =
-    gramian_factors ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ~meth sys
-  in
+let hankel_singular_values ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ?workers sys =
+  let zc, zo, _, _, _, _ = gramian_factors ?shifts ?num_shifts ?adi_tol ?max_steps ?stop sys in
   Svd.values ?workers (hankel_core ?workers sys zc zo)
 
-let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop
-    ?(meth = Adi) ?workers sys =
+let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ?workers sys =
   let t0 = now () in
   let zc, zo, st_c, st_o, shifts_used, counters =
-    gramian_factors ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ~meth sys
+    gramian_factors ?shifts ?num_shifts ?adi_tol ?max_steps ?stop sys
   in
   if zc.Mat.cols = 0 || zo.Mat.cols = 0 then
     invalid_arg "Tbr_lr.reduce: empty Gramian factor";

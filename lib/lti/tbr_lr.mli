@@ -2,8 +2,7 @@
 
     The dense baseline {!Tbr} is O(n^3) in the dense Gramian solves; this
     backend computes both Gramians in low-rank factored form with
-    {!Pmtbr_la.Lr_lyap} (LR-ADI by default, extended Krylov as the
-    alternative) and balances from the factors: the SVD core is
+    {!Pmtbr_la.Lr_lyap}'s LR-ADI and balances from the factors: the SVD core is
     [Zo^T E Zc] — a (cols x cols) matrix — so the reduction stage costs
     O(n k^2) for factor rank k.
 
@@ -15,19 +14,17 @@
     sides land on identical factorisation keys).  {!stats} exposes the
     counters that make this contract testable.
 
-    Determinism: the ADI/Krylov iterations are serial; the only
+    Determinism: the ADI iterations are serial; the only
     worker-parallel pieces are the {!Pmtbr_la.Par_kernel} products and the
     {!Pmtbr_la.Svd} core, both bitwise worker-invariant — so the reduced
     model is identical for every [?workers] value (PR-4 contract). *)
 
 open Pmtbr_la
 
-type meth = Adi | Extended_krylov  (** Gramian engine selector *)
-
 type stats = {
   ctrl : Lr_lyap.stats;  (** controllability-side solver statistics *)
   obs : Lr_lyap.stats;  (** observability-side solver statistics *)
-  shifts : Complex.t array;  (** ADI shifts used (empty for Krylov) *)
+  shifts : Complex.t array;  (** ADI shifts used *)
   symbolic : int;  (** symbolic analyses of the sparse pencil (1 by contract) *)
   refactorizations : int;
       (** numeric refactorisations — one per distinct shift by contract *)
@@ -53,13 +50,12 @@ val controllability_factor :
   ?tol:float ->
   ?max_steps:int ->
   ?stop:Lr_lyap.stop ->
-  ?meth:meth ->
   Dss.t ->
   Mat.t * Lr_lyap.stats
 (** Low-rank factor [Zc] with [Zc Zc^T ~= X] of the controllability
     Gramian [A X E^T + E X A^T + B B^T = 0].  [tol] (default [1e-10]) is
     the solver's relative residual tolerance; [stop] switches to the
-    band-limited criterion (ADI only). *)
+    band-limited criterion. *)
 
 val observability_factor :
   ?shifts:Complex.t array ->
@@ -67,7 +63,6 @@ val observability_factor :
   ?tol:float ->
   ?max_steps:int ->
   ?stop:Lr_lyap.stop ->
-  ?meth:meth ->
   Dss.t ->
   Mat.t * Lr_lyap.stats
 (** Low-rank factor [Zo] of the observability Gramian
@@ -79,7 +74,6 @@ val hankel_singular_values :
   ?adi_tol:float ->
   ?max_steps:int ->
   ?stop:Lr_lyap.stop ->
-  ?meth:meth ->
   ?workers:int ->
   Dss.t ->
   float array
@@ -95,7 +89,6 @@ val reduce :
   ?adi_tol:float ->
   ?max_steps:int ->
   ?stop:Lr_lyap.stop ->
-  ?meth:meth ->
   ?workers:int ->
   Dss.t ->
   t

@@ -81,7 +81,7 @@ let asym m =
   !worst
 
 let reduce ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
-    ?stop ?(meth = Tbr_lr.Adi) ?(inductors = 0) ?ms ?workers sys =
+    ?stop ?(inductors = 0) ?ms ?workers sys =
   let t0 = now () in
   let n = Dss.order sys in
   if inductors < 0 || inductors > n then
@@ -109,24 +109,12 @@ let reduce ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
        E/A structure)";
   let b = Dss.b_matrix sys in
   let shifts_used =
-    match meth with
-    | Tbr_lr.Extended_krylov -> [||]
-    | Tbr_lr.Adi -> (
-        match shifts with
-        | Some s -> Array.copy s
-        | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl_ops b)
+    match shifts with
+    | Some s -> Array.copy s
+    | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl_ops b
   in
   let zc, st =
-    match meth with
-    | Tbr_lr.Adi ->
-        Lr_lyap.lr_adi ~shifts:shifts_used ~tol:adi_tol ?max_steps ?stop
-          ctrl_ops b
-    | Tbr_lr.Extended_krylov -> (
-        match stop with
-        | Some (Lr_lyap.Band_residual _) ->
-            invalid_arg
-              "Tbr_passive: band-limited stopping requires the ADI engine"
-        | _ -> Lr_lyap.extended_krylov ~tol:adi_tol ?max_steps ctrl_ops b)
+    Lr_lyap.lr_adi ~shifts:shifts_used ~tol:adi_tol ?max_steps ?stop ctrl_ops b
   in
   if zc.Mat.cols = 0 then invalid_arg "Tbr_passive: empty Gramian factor";
   (* one Gramian, both factors: Zo = J Zc *)

@@ -15,14 +15,14 @@
     {!synthesize} can realise it back into an R/C netlist.
 
     Determinism: the same worker-invariance contract as {!Tbr_lr} — the
-    ADI/Krylov iterations are serial and the parallel kernels are bitwise
+    ADI iterations are serial and the parallel kernels are bitwise
     worker-invariant. *)
 
 open Pmtbr_la
 
 type stats = {
   gramian : Lr_lyap.stats;  (** the single Gramian solve *)
-  shifts : Complex.t array;  (** ADI shifts used (empty for Krylov) *)
+  shifts : Complex.t array;  (** ADI shifts used *)
   symbolic : int;  (** symbolic analyses (1 by contract; 0 when [?ms] reused) *)
   refactorizations : int;  (** numeric refactorisations, one per distinct shift *)
   solves : int;  (** shifted-solve calls through the shared handle *)
@@ -47,7 +47,6 @@ val reduce :
   ?adi_tol:float ->
   ?max_steps:int ->
   ?stop:Lr_lyap.stop ->
-  ?meth:Tbr_lr.meth ->
   ?inductors:int ->
   ?ms:Dss.multi_shift ->
   ?workers:int ->

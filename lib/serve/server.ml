@@ -76,14 +76,8 @@ let respond store ~shutdown request =
   | Shutdown ->
       Atomic.set shutdown true;
       Protocol.ok ~fields:[ ("stopping", "1") ] ()
-  | Reduce j -> (
-      match
-        Store.reduce store ~netlist:j.Protocol.netlist ~meth:j.Protocol.meth
-          ~band:j.Protocol.band ?tol:j.Protocol.tol ?order:j.Protocol.order
-          ?partition:j.Protocol.partition ?max_part_states:j.Protocol.max_part_states
-          ?interface_tol:j.Protocol.interface_tol ~export:j.Protocol.export
-          ~samples:j.Protocol.samples ()
-      with
+  | Reduce job -> (
+      match Store.reduce store job with
       | Ok outcome ->
           let fields = fields_of_outcome outcome in
           let fields, body =

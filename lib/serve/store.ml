@@ -28,18 +28,11 @@ open Pmtbr_lti
    point of serving networks beyond one global sparse LU. *)
 type network = { sys : Dss.t; ms : Dss.multi_shift Lazy.t; lock : Mutex.t }
 
-type samples_entry = { cache : Sample_cache.t }
-
-type rom_entry = {
-  r_rom : Dss.t;
-  r_order : int;
-  r_sigma : float array;
-  r_digest : string;
-}
+type rom_entry = { r_rom : Dss.t; r_sigma : float array; r_digest : string }
 
 type entry =
   | Network of network
-  | Samples of samples_entry
+  | Samples of Sample_cache.t
   | Rom of rom_entry
   | Part of Partition.t
 
@@ -190,14 +183,14 @@ let rom_digest rom =
 (* Keys, points and costs                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The sampling scheme is what the solved columns depend on; both methods
-   over an in-band request draw the same Bands points, so they share the
-   samples tier.  (The CLI convention is preserved: a pmtbr band starting
-   at 0 means uniform sampling of [0, hi].) *)
-let scheme_of ~meth ~band:(lo, hi) =
+(* The sampling scheme is what the solved columns depend on; pmtbr and
+   hier follow the shared band convention ([Sampling.of_band]), while
+   fs-pmtbr and tbr-passive always draw Gauss points in the band — so an
+   in-band pmtbr and fs-pmtbr request share the samples tier. *)
+let scheme_of ~meth ~band =
   match (meth : Protocol.meth) with
-  | (Pmtbr | Hier) when lo <= 0.0 -> Sampling.Uniform { w_max = hi }
-  | Pmtbr | Fs_pmtbr | Tbr_passive | Hier -> Sampling.Bands [ (lo, hi) ]
+  | Pmtbr | Hier -> Sampling.of_band band
+  | Fs_pmtbr | Tbr_passive -> Sampling.Bands [ band ]
 
 let scheme_descriptor ~meth ~band:(lo, hi) ~samples =
   let kind =
@@ -250,7 +243,8 @@ let samples_cost sys cache =
   (24 * Dss.order sys * Sample_cache.columns cache) + 4096
 
 let rom_cost (r : rom_entry) =
-  (32 * r.r_order * r.r_order) + (8 * Array.length r.r_sigma) + 1024
+  let q = Dss.order r.r_rom in
+  (32 * q * q) + (8 * Array.length r.r_sigma) + 1024
 
 let part_cost (pt : Partition.t) =
   Array.fold_left
@@ -267,31 +261,19 @@ let part_cost (pt : Partition.t) =
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let ( let* ) = Result.bind
+
 let find_network t key =
   match Lru.find t.lru key with Some (Network n) -> Some n | Some _ | None -> None
 
 let find_samples t key =
-  match Lru.find t.lru key with Some (Samples s) -> Some s | Some _ | None -> None
+  match Lru.find t.lru key with Some (Samples c) -> Some c | Some _ | None -> None
 
 let find_rom t key =
   match Lru.find t.lru key with Some (Rom r) -> Some r | Some _ | None -> None
 
 let find_part t key =
   match Lru.find t.lru key with Some (Part p) -> Some p | Some _ | None -> None
-
-let outcome_of_rom ~tier ~hash ~solves ~wall ~netlist sys (r : rom_entry) =
-  {
-    rom = r.r_rom;
-    states = Dss.order sys;
-    order = r.r_order;
-    singular_values = r.r_sigma;
-    tier;
-    hash;
-    digest = r.r_digest;
-    job_solves = solves;
-    wall_s = wall;
-    netlist;
-  }
 
 (* Export synthesis runs on demand from the cached ROM (deterministic, so
    a warm-tier export is byte-identical to a cold one) and is never part
@@ -307,326 +289,222 @@ let export_of_rom ~export rom =
     | exception Pmtbr_circuit.Synth.Unrealizable msg ->
         Error ("export failed: ROM is not realizable: " ^ msg)
 
-let default_partition = 4
-let default_max_part_states = 20_000
+(* The hierarchical half: partition tier (keyed by the dissection mode),
+   then [Hier_reduce]'s one driver, fed each leaf's columns from its
+   per-subdomain samples tier — never the global samples tier, never the
+   global multi-shift.  The partition tree is shared across interface
+   tolerances: compression happens after recombination, on the assembled
+   pencil.  Part lookups may run on pool domains, so each records into
+   its own slot and takes only [t.lock] (the caller holds the network
+   lock: outer, never taken inside). *)
+let reduce_hier t (job : Protocol.job) ~hash ~nl ~band ~spec ~budget ~net_tier =
+  try
+    let pkey = part_key hash ~mode:(partition_descriptor ~spec ~max_part_states:budget) in
+    let pt =
+      match with_lock t.lock (fun () -> find_part t pkey) with
+      | Some pt -> pt
+      | None ->
+          let pt =
+            match spec with
+            | Protocol.Parts k -> Partition.split ~parts:k nl
+            | Protocol.Auto -> Partition.split_auto ~max_states:budget nl
+          in
+          with_lock t.lock (fun () -> Lru.add t.lru pkey ~cost:(part_cost pt) (Part pt));
+          pt
+    in
+    let meth = job.Protocol.meth and samples = job.Protocol.samples in
+    let pts = Sampling.points (scheme_of ~meth ~band) ~count:samples in
+    let k = Partition.part_count pt in
+    let hits = Array.make k 0 and misses = Array.make k 0 and solves = Array.make k 0 in
+    let columns i (part : Partition.part) =
+      let hkey = hier_samples_key part ~meth ~band ~samples in
+      match with_lock t.lock (fun () -> find_samples t hkey) with
+      | Some cache ->
+          hits.(i) <- 1;
+          cache
+      | None ->
+          misses.(i) <- 1;
+          let cache = Hier_reduce.sample_part part pts in
+          solves.(i) <- (Sample_cache.stats cache).Sample_cache.solves;
+          with_lock t.lock (fun () ->
+              t.ctr.c_solves <- t.ctr.c_solves + solves.(i);
+              Lru.add t.lru hkey ~cost:(samples_cost part.Partition.sys cache) (Samples cache));
+          cache
+    in
+    let rom, subs, _ =
+      Hier_reduce.reduce_with_columns ?order:job.Protocol.order ?tol:job.Protocol.tol
+        ?interface_tol:job.Protocol.interface_tol ~workers:t.job_workers ~columns pt pts
+    in
+    with_lock t.lock (fun () ->
+        let hn =
+          match Hashtbl.find_opt t.hier hash with
+          | Some hn when hn.partitions = k -> hn
+          | _ ->
+              let hn = { partitions = k; sub_hits = Array.make k 0; sub_misses = Array.make k 0 } in
+              Hashtbl.replace t.hier hash hn;
+              hn
+        in
+        Array.iteri (fun i h -> hn.sub_hits.(i) <- hn.sub_hits.(i) + h) hits;
+        Array.iteri (fun i m -> hn.sub_misses.(i) <- hn.sub_misses.(i) + m) misses);
+    (* samples-warm when at least one part was sampled and none missed *)
+    let tier = if Array.mem 1 hits && not (Array.mem 1 misses) then Samples_hit else net_tier in
+    let sigma =
+      Array.concat (Array.to_list (Array.map (fun s -> s.Hier_reduce.singular_values) subs))
+    in
+    Ok (rom, sigma, tier, Array.fold_left ( + ) 0 solves)
+  with e -> Error (Printf.sprintf "hierarchical reduction failed: %s" (Printexc.to_string e))
 
-let reduce t ~netlist ~meth ~band ?tol ?order ?partition ?max_part_states ?interface_tol
-    ?(export = false) ~samples () =
+(* The one-Gramian passive half: no samples tier — the ADI columns are
+   method-specific and cheap next to the ROM; the network tier's shared
+   multi-shift handle is still reused. *)
+let reduce_passive t (job : Protocol.job) network ~nl ~band ~net_tier =
+  match
+    Tbr_passive.reduce ?order:job.Protocol.order ?tol:job.Protocol.tol
+      ?stop:(Sampling.band_stop band)
+      ~inductors:(Pmtbr_circuit.Netlist.inductor_count nl)
+      ~ms:(Lazy.force network.ms) ~workers:t.job_workers network.sys
+  with
+  | exception e -> Error (Printf.sprintf "passive reduction failed: %s" (Printexc.to_string e))
+  | red ->
+      let solves = red.Tbr_passive.stats.Tbr_passive.solves in
+      with_lock t.lock (fun () -> t.ctr.c_solves <- t.ctr.c_solves + solves);
+      Ok (red.Tbr_passive.rom, red.Tbr_passive.hsv, net_tier, solves)
+
+(* The flat half: the samples tier (solved once, extended with the whole
+   point set in one batch), then [Pmtbr.of_cache]. *)
+let reduce_flat t (job : Protocol.job) network ~hash ~band ~net_tier =
+  let meth = job.Protocol.meth and samples = job.Protocol.samples in
+  let skey = samples_key hash ~meth ~band ~samples in
+  let* cache, tier, solves =
+    match with_lock t.lock (fun () -> find_samples t skey) with
+    | Some cache -> Ok (cache, Samples_hit, 0)
+    | None -> (
+        match
+          let cache =
+            Sample_cache.create ~workers:t.job_workers ~ms:(Lazy.force network.ms) network.sys
+          in
+          Sample_cache.extend cache (Sampling.points (scheme_of ~meth ~band) ~count:samples);
+          cache
+        with
+        | exception e ->
+            Error (Printf.sprintf "shifted solves failed: %s" (Printexc.to_string e))
+        | cache ->
+            let solves = (Sample_cache.stats cache).Sample_cache.solves in
+            with_lock t.lock (fun () ->
+                t.ctr.c_solves <- t.ctr.c_solves + solves;
+                Lru.add t.lru skey ~cost:(samples_cost network.sys cache) (Samples cache));
+            Ok (cache, net_tier, solves))
+  in
+  match
+    Pmtbr.of_cache network.sys cache ~scale:1.0 ?order:job.Protocol.order ?tol:job.Protocol.tol
+      ~workers:t.job_workers ~samples ()
+  with
+  | exception e -> Error (Printf.sprintf "reduction failed: %s" (Printexc.to_string e))
+  | r -> Ok (r.Pmtbr.rom, r.Pmtbr.singular_values, tier, solves)
+
+let reduce t (job : Protocol.job) =
   let t0 = Unix.gettimeofday () in
-  let ( let* ) = Result.bind in
-  let* band = Protocol.validate_band band in
+  let* band = Protocol.validate_band job.Protocol.band in
+  let meth = job.Protocol.meth and samples = job.Protocol.samples in
   if samples < 1 then Error (Printf.sprintf "samples must be >= 1 (got %d)" samples)
   else
-    let partition =
-      match (meth, partition) with
-      | Protocol.Hier, None -> Some (Protocol.Parts default_partition)
-      | Protocol.Hier, some -> some
-      | _, _ -> None
+    let spec =
+      Option.value job.Protocol.partition ~default:(Protocol.Parts Partition.default_parts)
     in
-    let budget = Option.value max_part_states ~default:default_max_part_states in
+    let budget = Option.value job.Protocol.max_part_states ~default:Partition.default_max_states in
     (* the ROM key carries the full hierarchical mode: dissection goal
        (and budget when auto) plus the interface-compression tolerance *)
     let hier_desc =
-      Option.map
-        (fun spec ->
-          partition_descriptor ~spec ~max_part_states:budget
-          ^ match interface_tol with
-            | Some it -> Printf.sprintf "|itol=%.17g" it
-            | None -> "")
-        partition
+      if meth <> Protocol.Hier then None
+      else
+        Some
+          (partition_descriptor ~spec ~max_part_states:budget
+          ^
+          match job.Protocol.interface_tol with
+          | Some it -> Printf.sprintf "|itol=%.17g" it
+          | None -> "")
     in
-    let* nl, canonical = canonicalize netlist in
+    let* nl, canonical = canonicalize job.Protocol.netlist in
     let hash = hash_of_canonical canonical in
-    let rkey = rom_key hash ~meth ~band ~tol ~order ~samples ~hier:hier_desc in
-    let nkey = network_key hash in
-    let skey = samples_key hash ~meth ~band ~samples in
-    (* fast path: exact repeat *)
-    let fast =
-      with_lock t.lock (fun () ->
-          t.ctr.c_jobs <- t.ctr.c_jobs + 1;
-          match (find_rom t rkey, find_network t nkey) with
-          | Some r, Some n ->
-              t.ctr.c_rom_hits <- t.ctr.c_rom_hits + 1;
-              Some (n, r)
-          | _ -> None)
+    let rkey =
+      rom_key hash ~meth ~band ~tol:job.Protocol.tol ~order:job.Protocol.order ~samples
+        ~hier:hier_desc
     in
-    match fast with
-    | Some (n, r) ->
-        let* netlist = export_of_rom ~export r.r_rom in
-        Ok
-          (outcome_of_rom ~tier:Rom_hit ~hash ~solves:0
-             ~wall:(Unix.gettimeofday () -. t0)
-             ~netlist n.sys r)
-    | None -> (
-        (* find-or-build the network entry.  The build (MNA stamp +
-           symbolic analysis) runs under the store lock: it is quick next
-           to the solves, and holding the lock makes the build unique. *)
-        let* network, net_was_warm =
-          with_lock t.lock (fun () ->
-              match find_network t nkey with
-              | Some n -> Ok (n, true)
-              | None -> (
-                  match Dss.of_netlist nl with
-                  | sys ->
-                      t.ctr.c_parses <- t.ctr.c_parses + 1;
-                      (* the global symbolic analysis is deferred until a
-                         flat method forces it; the counter bump happens
-                         at force time, under [t.lock] only (we are never
-                         forced while holding it) *)
-                      let ms =
-                        lazy
-                          (let handle = Dss.multi_shift sys in
-                           with_lock t.lock (fun () ->
-                               t.ctr.c_symbolic <- t.ctr.c_symbolic + 1);
-                           handle)
-                      in
-                      let n = { sys; ms; lock = Mutex.create () } in
-                      Lru.add t.lru nkey ~cost:(network_cost ~canonical sys) (Network n);
-                      Ok (n, false)
-                  | exception e ->
-                      Error (Printf.sprintf "MNA stamping failed: %s" (Printexc.to_string e))))
-        in
-        (* all sample-cache work for one network is serialised *)
-        with_lock network.lock (fun () ->
-            (* a racing job may have finished the same ROM while we
-               waited; answer from it so the hit counters stay honest *)
-            match with_lock t.lock (fun () -> find_rom t rkey) with
-            | Some r ->
-                with_lock t.lock (fun () -> t.ctr.c_rom_hits <- t.ctr.c_rom_hits + 1);
-                let* netlist = export_of_rom ~export r.r_rom in
-                Ok
-                  (outcome_of_rom ~tier:Rom_hit ~hash ~solves:0
-                     ~wall:(Unix.gettimeofday () -. t0)
-                     ~netlist network.sys r)
-            | None when meth = Protocol.Hier -> (
-                (* hierarchical path: partition tier (keyed by the
-                   dissection mode), then per-subdomain sample tiers keyed
-                   by the sub-netlist hash — never the global samples
-                   tier, never the global multi-shift.  The partition
-                   tree is shared across interface tolerances: compression
-                   happens after recombination, on the assembled pencil *)
-                let spec = Option.value partition ~default:(Protocol.Parts default_partition) in
-                match
-                  let pkey =
-                    part_key hash ~mode:(partition_descriptor ~spec ~max_part_states:budget)
-                  in
-                  let pt =
-                    match with_lock t.lock (fun () -> find_part t pkey) with
-                    | Some pt -> pt
-                    | None ->
-                        let pt =
-                          match spec with
-                          | Protocol.Parts k -> Partition.split ~parts:k nl
-                          | Protocol.Auto -> Partition.split_auto ~max_states:budget nl
+    let nkey = network_key hash in
+    let* network, tier, solves, r =
+      (* fast path: exact repeat on a warm network *)
+      match
+        with_lock t.lock (fun () ->
+            t.ctr.c_jobs <- t.ctr.c_jobs + 1;
+            let n = find_network t nkey in
+            match (n, find_rom t rkey) with Some n, Some r -> Some (n, r) | _ -> None)
+      with
+      | Some (n, r) -> Ok (n, Rom_hit, 0, r)
+      | None ->
+          (* find-or-build the network entry.  The build (MNA stamp +
+             symbolic analysis) runs under the store lock: it is quick next
+             to the solves, and holding the lock makes the build unique. *)
+          let* network, net_was_warm =
+            with_lock t.lock (fun () ->
+                match find_network t nkey with
+                | Some n -> Ok (n, true)
+                | None -> (
+                    match Dss.of_netlist nl with
+                    | sys ->
+                        t.ctr.c_parses <- t.ctr.c_parses + 1;
+                        (* the global symbolic analysis is deferred until a
+                           flat method forces it; the counter bump happens
+                           at force time, under [t.lock] only (we are never
+                           forced while holding it) *)
+                        let ms =
+                          lazy
+                            (let handle = Dss.multi_shift sys in
+                             with_lock t.lock (fun () -> t.ctr.c_symbolic <- t.ctr.c_symbolic + 1);
+                             handle)
                         in
-                        with_lock t.lock (fun () ->
-                            Lru.add t.lru pkey ~cost:(part_cost pt) (Part pt));
-                        pt
+                        let n = { sys; ms; lock = Mutex.create () } in
+                        Lru.add t.lru nkey ~cost:(network_cost ~canonical sys) (Network n);
+                        Ok (n, false)
+                    | exception e ->
+                        Error (Printf.sprintf "MNA stamping failed: %s" (Printexc.to_string e))))
+          in
+          (* all sample-cache work for one network is serialised *)
+          with_lock network.lock (fun () ->
+              (* a racing job may have finished the same ROM while we
+                 waited; answer from it so the hit counters stay honest *)
+              match with_lock t.lock (fun () -> find_rom t rkey) with
+              | Some r -> Ok (network, Rom_hit, 0, r)
+              | None ->
+                  let net_tier = if net_was_warm then Network_hit else Miss in
+                  let* rom, sigma, tier, solves =
+                    match meth with
+                    | Protocol.Hier -> reduce_hier t job ~hash ~nl ~band ~spec ~budget ~net_tier
+                    | Protocol.Tbr_passive -> reduce_passive t job network ~nl ~band ~net_tier
+                    | Protocol.Pmtbr | Protocol.Fs_pmtbr ->
+                        reduce_flat t job network ~hash ~band ~net_tier
                   in
-                  let pts = Sampling.points (scheme_of ~meth ~band) ~count:samples in
-                  let k = Partition.part_count pt in
-                  let hits = Array.make k 0 and misses = Array.make k 0 in
-                  let job_solves = ref 0 in
-                  let all_warm = ref true in
-                  let sampled = ref false in
-                  let subs =
-                    Array.mapi
-                      (fun i (part : Partition.part) ->
-                        if part.Partition.rhs.Pmtbr_la.Mat.cols = 0 then
-                          Hier_reduce.reduce_part ?order ?tol part pts
-                        else begin
-                          sampled := true;
-                          let hkey = hier_samples_key part ~meth ~band ~samples in
-                          let cache =
-                            match with_lock t.lock (fun () -> find_samples t hkey) with
-                            | Some s ->
-                                hits.(i) <- 1;
-                                s.cache
-                            | None ->
-                                all_warm := false;
-                                misses.(i) <- 1;
-                                let cache =
-                                  Hier_reduce.sample_part ~workers:t.job_workers part pts
-                                in
-                                job_solves :=
-                                  !job_solves + (Sample_cache.stats cache).Sample_cache.solves;
-                                with_lock t.lock (fun () ->
-                                    Lru.add t.lru hkey
-                                      ~cost:(samples_cost part.Partition.sys cache)
-                                      (Samples { cache }));
-                                cache
-                          in
-                          Hier_reduce.basis_of_part ?order ?tol ~workers:t.job_workers part
-                            cache ~samples ()
-                        end)
-                      pt.Partition.parts
-                  in
-                  let rom =
-                    Hier_reduce.recombine ~workers:t.job_workers pt
-                      (Array.map (fun (s : Hier_reduce.sub) -> s.Hier_reduce.basis) subs)
-                  in
-                  let rom =
-                    match interface_tol with
-                    | None -> rom
-                    | Some itol ->
-                        fst
-                          (Hier_reduce.compress_interface ~workers:t.job_workers ~tol:itol pt
-                             rom pts)
-                  in
-                  let sigma =
-                    Array.concat
-                      (Array.to_list
-                         (Array.map
-                            (fun (s : Hier_reduce.sub) -> s.Hier_reduce.singular_values)
-                            subs))
-                  in
-                  let tier =
-                    if !sampled && !all_warm then Samples_hit
-                    else if net_was_warm then Network_hit
-                    else Miss
-                  in
-                  (rom, sigma, hits, misses, !job_solves, tier, k)
-                with
-                | rom, sigma, hits, misses, job_solves, tier, k ->
-                    let r =
-                      {
-                        r_rom = rom;
-                        r_order = Dss.order rom;
-                        r_sigma = sigma;
-                        r_digest = rom_digest rom;
-                      }
-                    in
-                    with_lock t.lock (fun () ->
-                        (match tier with
-                        | Samples_hit -> t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1
-                        | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
-                        | _ -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-                        t.ctr.c_solves <- t.ctr.c_solves + job_solves;
-                        let hn =
-                          match Hashtbl.find_opt t.hier hash with
-                          | Some hn when hn.partitions = k -> hn
-                          | _ ->
-                              let hn =
-                                {
-                                  partitions = k;
-                                  sub_hits = Array.make k 0;
-                                  sub_misses = Array.make k 0;
-                                }
-                              in
-                              Hashtbl.replace t.hier hash hn;
-                              hn
-                        in
-                        Array.iteri (fun i h -> hn.sub_hits.(i) <- hn.sub_hits.(i) + h) hits;
-                        Array.iteri
-                          (fun i m -> hn.sub_misses.(i) <- hn.sub_misses.(i) + m)
-                          misses;
-                        Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
-                    let* netlist = export_of_rom ~export r.r_rom in
-                    Ok
-                      (outcome_of_rom ~tier ~hash ~solves:job_solves
-                         ~wall:(Unix.gettimeofday () -. t0)
-                         ~netlist network.sys r)
-                | exception e ->
-                    Error
-                      (Printf.sprintf "hierarchical reduction failed: %s"
-                         (Printexc.to_string e)))
-            | None when meth = Protocol.Tbr_passive -> (
-                (* one-Gramian symmetric path: no samples tier — the ADI
-                   columns are method-specific and cheap next to the ROM;
-                   the shared multi-shift handle is still reused *)
-                let stop =
-                  let lo, _ = band in
-                  if lo > 0.0 then
-                    let pts = Sampling.points (Sampling.Bands [ band ]) ~count:8 in
-                    Some
-                      (Pmtbr_la.Lr_lyap.Band_residual
-                         (Array.map (fun p -> (p.Sampling.s, p.Sampling.weight)) pts))
-                  else None
-                in
-                let inductors = Pmtbr_circuit.Netlist.inductor_count nl in
-                match
-                  Tbr_passive.reduce ?order ?tol ?stop ~inductors
-                    ~ms:(Lazy.force network.ms) ~workers:t.job_workers network.sys
-                with
-                | red ->
-                    let solves = red.Tbr_passive.stats.Tbr_passive.solves in
-                    let tier = if net_was_warm then Network_hit else Miss in
-                    let r =
-                      {
-                        r_rom = red.Tbr_passive.rom;
-                        r_order = red.Tbr_passive.order;
-                        r_sigma = red.Tbr_passive.hsv;
-                        r_digest = rom_digest red.Tbr_passive.rom;
-                      }
-                    in
-                    with_lock t.lock (fun () ->
-                        (match tier with
-                        | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
-                        | _ -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-                        t.ctr.c_solves <- t.ctr.c_solves + solves;
-                        Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
-                    let* netlist = export_of_rom ~export r.r_rom in
-                    Ok
-                      (outcome_of_rom ~tier ~hash ~solves
-                         ~wall:(Unix.gettimeofday () -. t0)
-                         ~netlist network.sys r)
-                | exception e ->
-                    Error
-                      (Printf.sprintf "passive reduction failed: %s"
-                         (Printexc.to_string e)))
-            | None -> (
-                let cached = with_lock t.lock (fun () -> find_samples t skey) in
-                let* cache, tier, job_solves =
-                  match cached with
-                  | Some s ->
-                      with_lock t.lock (fun () ->
-                          t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1);
-                      Ok (s.cache, Samples_hit, 0)
-                  | None -> (
-                      let pts = Sampling.points (scheme_of ~meth ~band) ~count:samples in
-                      match
-                        let cache =
-                          Sample_cache.create ~workers:t.job_workers
-                            ~ms:(Lazy.force network.ms) network.sys
-                        in
-                        Sample_cache.extend cache pts;
-                        cache
-                      with
-                      | cache ->
-                          let st = Sample_cache.stats cache in
-                          let tier = if net_was_warm then Network_hit else Miss in
-                          with_lock t.lock (fun () ->
-                              (match tier with
-                              | Network_hit ->
-                                  t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
-                              | _ -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-                              t.ctr.c_solves <- t.ctr.c_solves + st.Sample_cache.solves;
-                              Lru.add t.lru skey
-                                ~cost:(samples_cost network.sys cache)
-                                (Samples { cache }));
-                          Ok (cache, tier, st.Sample_cache.solves)
-                      | exception e ->
-                          Error
-                            (Printf.sprintf "shifted solves failed: %s" (Printexc.to_string e)))
-                in
-                match
-                  Pmtbr.of_cache network.sys cache ~scale:1.0 ?order ?tol
-                    ~workers:t.job_workers ~samples ()
-                with
-                | result ->
-                    let r =
-                      {
-                        r_rom = result.Pmtbr.rom;
-                        r_order = Dss.order result.Pmtbr.rom;
-                        r_sigma = result.Pmtbr.singular_values;
-                        r_digest = rom_digest result.Pmtbr.rom;
-                      }
-                    in
-                    with_lock t.lock (fun () -> Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
-                    let* netlist = export_of_rom ~export r.r_rom in
-                    Ok
-                      (outcome_of_rom ~tier ~hash ~solves:job_solves
-                         ~wall:(Unix.gettimeofday () -. t0)
-                         ~netlist network.sys r)
-                | exception e ->
-                    Error (Printf.sprintf "reduction failed: %s" (Printexc.to_string e)))))
+                  let r = { r_rom = rom; r_sigma = sigma; r_digest = rom_digest rom } in
+                  with_lock t.lock (fun () -> Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
+                  Ok (network, tier, solves, r))
+    in
+    (* every job that got a ROM, hit or built, is answered here *)
+    with_lock t.lock (fun () ->
+        match tier with
+        | Rom_hit -> t.ctr.c_rom_hits <- t.ctr.c_rom_hits + 1
+        | Samples_hit -> t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1
+        | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
+        | Miss -> t.ctr.c_misses <- t.ctr.c_misses + 1);
+    let* netlist = export_of_rom ~export:job.Protocol.export r.r_rom in
+    Ok
+      {
+        rom = r.r_rom;
+        states = Dss.order network.sys;
+        order = Dss.order r.r_rom;
+        singular_values = r.r_sigma;
+        tier;
+        hash;
+        digest = r.r_digest;
+        job_solves = solves;
+        wall_s = Unix.gettimeofday () -. t0;
+        netlist;
+      }

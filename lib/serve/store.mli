@@ -106,33 +106,31 @@ val rom_digest : Dss.t -> string
 (** Hex digest of a model's dense (E, A, B, C) — equal digests certify
     bitwise-identical ROMs. *)
 
-val reduce :
-  t ->
-  netlist:string ->
-  meth:Protocol.meth ->
-  band:float * float ->
-  ?tol:float ->
-  ?order:int ->
-  ?partition:Protocol.partition_spec ->
-  ?max_part_states:int ->
-  ?interface_tol:float ->
-  ?export:bool ->
-  samples:int ->
-  unit ->
-  (outcome, string) result
-(** Run (or answer from cache) one reduction job.  The band must already
-    satisfy {!Protocol.validate_band}; netlist parse errors, port-less
-    netlists and singular pencils come back as [Error].
+val reduce : t -> Protocol.job -> (outcome, string) result
+(** Run (or answer from cache) one reduction job, as {!Protocol} parsed
+    it: the tier layer around the library's reducers.  The band must
+    satisfy {!Protocol.validate_band} and [samples] must be positive;
+    violations, netlist parse errors, port-less netlists and singular
+    pencils come back as [Error].
+
+    [meth = Pmtbr | Fs_pmtbr] finishes through [Pmtbr.of_cache] on the
+    samples tier.
 
     [meth = Tbr_passive] runs the one-Gramian passivity-preserving
     truncation through the network tier's shared multi-shift handle (no
     samples tier — the ADI columns are method-specific); a band with
     [lo > 0] switches the Gramian solver to the band-limited residual
-    criterion.  [meth = Hier] dissects per [partition] ([Parts k], default
-    [Parts 4], or [Auto] recursing to [max_part_states] states per part,
-    default 20000; ignored by other methods) and runs the
-    domain-decomposed pipeline through the per-subdomain sample tiers;
-    its tier is [Samples_hit] when every sampled subdomain was warm.
+    criterion ({!Pmtbr_core.Sampling.band_stop}).  [meth = Hier] dissects
+    per [partition] ([Parts k], default
+    {!Pmtbr_core.Partition.default_parts}, or [Auto] recursing to
+    [max_part_states] states per part, default
+    {!Pmtbr_core.Partition.default_max_states}; ignored by other methods)
+    and runs {!Pmtbr_core.Hier_reduce.reduce_with_columns}, the driver
+    behind [reduce_partitioned], feeding it each leaf's columns from the
+    per-subdomain sample tiers (sampling and caching them on a miss); its
+    tier is [Samples_hit] when at least one subdomain was sampled and
+    every sampled one was warm, and its singular values are the parts'
+    concatenated in partition order.
     The partition tier is keyed by the dissection mode, and the
     per-subdomain sample tiers by each leaf's canonical sub-netlist hash
     — re-partitioning that leaves a subtree's leaves unchanged re-finds

@@ -123,9 +123,7 @@ let prop_incremental_equals_rebuild =
       let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:npts in
       let inc = Pmtbr.reduce_adaptive ~tol:1e-9 ~batch ~workers sys pts in
       let st_inc = inc.Pmtbr.stats in
-      let reb =
-        Pmtbr.reduce_adaptive ~rebuild:true ~tol:1e-9 ~batch ~workers:1 sys pts
-      in
+      let reb = Pmtbr_oracle.Adaptive.reduce_adaptive ~tol:1e-9 ~batch ~workers:1 sys pts in
       let st_reb = reb.Pmtbr.stats in
       same_result inc reb
       (* the counter invariant: incremental solves each consumed shift
@@ -141,7 +139,7 @@ let prop_incremental_equals_rebuild_rrqr =
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
       let inc = Pmtbr.reduce_adaptive_rrqr ~tol:1e-9 ~batch sys pts in
       let st_inc = inc.Pmtbr.stats in
-      let reb = Pmtbr.reduce_adaptive_rrqr ~rebuild:true ~tol:1e-9 ~batch sys pts in
+      let reb = Pmtbr_oracle.Adaptive.reduce_adaptive_rrqr ~tol:1e-9 ~batch sys pts in
       same_result inc reb && st_inc.Sample_cache.solves = st_inc.Sample_cache.points)
 
 let test_adaptive_worker_invariant () =

@@ -69,16 +69,6 @@ let prop_adi_matches_dense =
       let z, st = Lr_lyap.lr_adi ~tol:1e-12 (Lr_lyap.ops_of_dense ~e ~a) b in
       st.Lr_lyap.converged && rel_gramian_error z x <= 1e-8)
 
-let prop_ek_matches_dense =
-  QCheck2.Test.make ~name:"extended_krylov matches dense Lyap.solve" ~count:8 sys_gen
-    (fun (n, m, seed, spd_e, sym_a) ->
-      let e, a, b = random_system ~seed ~n ~m ~spd_e ~sym_a in
-      let x = dense_gramian e a b in
-      let z, _ = Lr_lyap.extended_krylov ~tol:1e-12 (Lr_lyap.ops_of_dense ~e ~a) b in
-      (* the Krylov space can stagnate at the basis-roundoff floor, so the
-         bar is looser than the ADI one *)
-      rel_gramian_error z x <= 1e-6)
-
 (* For symmetric negative-definite A with E = I every ADI step is a
    contraction of the residual factor: |lambda - p| / |lambda + p| < 1 for
    lambda, p < 0 — so the Frobenius residual history must be monotone
@@ -192,25 +182,6 @@ let test_band_limited_stop () =
     (fun i s ->
       if s > 1e-4 *. smax && i < Array.length lr then
         check_small ~tol:1e-6 "band hsv drift" (Float.abs (s -. lr.(i)) /. smax))
-    dense;
-  (* the extended-Krylov engine has no resolvent sweep to band-limit *)
-  match Tbr_lr.controllability_factor ~stop ~meth:Tbr_lr.Extended_krylov sys with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Extended Krylov through the full reduction                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_extended_krylov_hsv () =
-  let sys = mesh_system ~rows:6 ~cols:6 ~ports:2 in
-  let dense = Tbr.hsv_dss sys in
-  let lr = Tbr_lr.hankel_singular_values ~meth:Tbr_lr.Extended_krylov sys in
-  let smax = dense.(0) in
-  Array.iteri
-    (fun i s ->
-      if s > 1e-4 *. smax && i < Array.length lr then
-        check_small ~tol:1e-7 "ek hsv drift" (Float.abs (s -. lr.(i)) /. smax))
     dense
 
 (* ------------------------------------------------------------------ *)
@@ -306,7 +277,6 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_adi_matches_dense;
-      prop_ek_matches_dense;
       prop_adi_residual_monotone;
       prop_tbr_lr_hsv_matches_dense;
     ]
@@ -320,7 +290,6 @@ let () =
           Alcotest.test_case "worker invariance (bitwise)" `Quick test_worker_invariance;
           Alcotest.test_case "handle reuse counters" `Quick test_handle_reuse_counters;
           Alcotest.test_case "band-limited stop" `Quick test_band_limited_stop;
-          Alcotest.test_case "extended krylov hsv" `Quick test_extended_krylov_hsv;
         ] );
       ( "failures",
         [

@@ -332,14 +332,21 @@ let mesh_netlist ?(n = 6) () =
 
 let must = function Ok v -> v | Error e -> Alcotest.fail e
 
-let job_defaults = (Protocol.Pmtbr, (0.0, 2e10), 10)
+(* A job with the test suite's defaults: a flat pmtbr job over [0, 2e10]
+   at 10 samples. *)
+let job_of ?(meth = Protocol.Pmtbr) ?(band = (0.0, 2e10)) ?tol ?order ?(samples = 10) ?partition
+    ?max_part_states ?interface_tol ?(export = false) netlist =
+  { Protocol.meth; band; tol; order; samples; partition; max_part_states; interface_tol; export;
+    netlist }
 
-let run_job ?(meth = Protocol.Pmtbr) ?(band = (0.0, 2e10)) ?tol ?(order = 8) ?(samples = 10)
-    ?partition ?max_part_states ?interface_tol ?(export = false) store netlist =
-  let _ = job_defaults in
+let daemon_job ?meth ?band ?tol ?order ?samples ?partition ?max_part_states ?interface_tol ?export
+    store netlist =
   must
-    (Store.reduce store ~netlist ~meth ~band ?tol ~order ?partition ?max_part_states
-       ?interface_tol ~export ~samples ())
+    (Store.reduce store
+       (job_of ?meth ?band ?tol ?order ?samples ?partition ?max_part_states ?interface_tol ?export
+          netlist))
+
+let run_job ?meth ?band ?tol ?(order = 8) = daemon_job ?meth ?band ?tol ~order
 
 let test_hash_stability () =
   let text = mesh_netlist () in
@@ -396,39 +403,134 @@ let test_reformatted_collides_to_one_rom () =
   Alcotest.(check string) "digest independent of submitted formatting" o1.Store.digest
     cold.Store.digest
 
-(* One job, one answer: a flat pmtbr job through the daemon's store and
-   [Pmtbr.reduce] on the same canonical network, points, tolerance and
-   worker count return bitwise-identical ROMs — on a mesh whose cache
-   holds fewer columns than states (the small-factor SVD) and on a
-   substrate holding more (the state-dimension SVD). *)
+(* One job, one answer: every served method, run through the daemon's
+   store and through its library entry point on the same canonical
+   network, points, tolerance and order, returns a bitwise-identical ROM.
+   Each row is (name, netlist, daemon job, library reduction of the
+   canonical netlist).  Hier rows run the library side at 1 and 3
+   workers, and every row runs the daemon side at 1 and 3 job workers
+   (hier parts then fan out over the store's pool, looking up their
+   sample tiers from pool domains).  The flat pmtbr rows cover a mesh
+   whose cache holds fewer columns than states (the small-factor SVD)
+   and a substrate holding more (the state-dimension SVD). *)
 let test_library_equals_daemon () =
-  let check name text ~w_max ~samples =
-    let o =
-      must
-        (Store.reduce (Store.create ()) ~netlist:text ~meth:Protocol.Pmtbr ~band:(0.0, w_max)
-           ~tol:1e-8 ~samples ())
-    in
-    let sys =
-      Pmtbr_lti.Dss.of_netlist
-        (Spice_ir.to_netlist (Spice_ir.canonical (Spice.ir (Spice.parse_string text))))
-    in
-    let pts = Pmtbr_core.Sampling.points (Pmtbr_core.Sampling.Uniform { w_max }) ~count:samples in
-    let lib = Pmtbr_core.Pmtbr.reduce ~tol:1e-8 ~workers:1 sys pts in
-    let columns = lib.Pmtbr_core.Pmtbr.stats.Pmtbr_core.Sample_cache.columns in
-    Alcotest.(check string)
-      (Printf.sprintf "%s (%d columns, %d states): library digest == daemon digest" name columns
-         o.Store.states)
-      o.Store.digest
-      (Store.rom_digest lib.Pmtbr_core.Pmtbr.rom);
-    columns < o.Store.states
+  let open Pmtbr_lti in
+  let open Pmtbr_core in
+  let mesh8 = mesh_netlist ~n:8 () and mesh12 = mesh_netlist ~n:12 () in
+  let substrate ports = Spice.to_string (Substrate.generate ~ports ~internal:20 ~seed:5 ()) in
+  let w_sub = 4.0 *. Substrate.corner_frequency () in
+  let uniform w_max count = Sampling.points (Sampling.Uniform { w_max }) ~count in
+  let gauss (lo, hi) count = Sampling.points (Sampling.Bands [ (lo, hi) ]) ~count in
+  let canonical text =
+    Spice_ir.to_netlist (Spice_ir.canonical (Spice.ir (Spice.parse_string text)))
   in
-  let tall = check "rc mesh" (mesh_netlist ~n:12 ()) ~w_max:2e10 ~samples:10 in
-  let wide =
-    check "substrate"
-      (Spice.to_string (Substrate.generate ~ports:12 ~internal:20 ~seed:5 ()))
-      ~w_max:(4.0 *. Substrate.corner_frequency ()) ~samples:6
+  let pmtbr ?order ?tol pts nl =
+    [ (Pmtbr.reduce ?order ?tol ~workers:1 (Dss.of_netlist nl) pts).Pmtbr.rom ]
   in
-  Alcotest.(check (pair bool bool)) "one tall and one wide cache" (true, false) (tall, wide)
+  let passive ?stop nl =
+    [
+      (Tbr_passive.reduce ~order:6 ?stop ~inductors:(Netlist.inductor_count nl) ~workers:1
+         (Dss.of_netlist nl))
+        .Tbr_passive.rom;
+    ]
+  in
+  let hier ?order ?interface_tol split pts nl =
+    let pt = split nl in
+    List.map
+      (fun workers ->
+        fst
+          (Hier_reduce.reduce_partitioned ?order ?interface_tol ~workers ~oversubscribe:true pt
+             pts))
+      [ 1; 3 ]
+  in
+  let band = (1e8, 1e10) in
+  let band_stop =
+    Pmtbr_la.Lr_lyap.Band_residual
+      (Array.map (fun p -> (p.Sampling.s, p.Sampling.weight)) (gauss band 8))
+  in
+  let rows =
+    [
+      ( "pmtbr, rc mesh (tall cache)",
+        mesh12,
+        (fun s -> daemon_job ~tol:1e-8 s),
+        pmtbr ~tol:1e-8 (uniform 2e10 10) );
+      ( "pmtbr, substrate (wide cache)",
+        substrate 12,
+        (fun s -> daemon_job ~band:(0.0, w_sub) ~tol:1e-8 ~samples:6 s),
+        pmtbr ~tol:1e-8 (uniform w_sub 6) );
+      ( "pmtbr on a band",
+        mesh8,
+        (fun s -> daemon_job ~band ~order:8 s),
+        pmtbr ~order:8 (gauss band 10) );
+      ( "fs-pmtbr",
+        mesh8,
+        (fun s -> daemon_job ~meth:Protocol.Fs_pmtbr ~band ~order:8 s),
+        fun nl ->
+          [
+            (Freq_selective.reduce ~order:8 ~workers:1 (Dss.of_netlist nl)
+               ~bands:[ Freq_selective.band ~lo:1e8 ~hi:1e10 ]
+               ~count:10)
+              .Pmtbr.rom;
+          ] );
+      ( "tbr-passive, lo = 0",
+        mesh8,
+        (fun s -> daemon_job ~meth:Protocol.Tbr_passive ~order:6 s),
+        fun nl -> passive nl );
+      ( "tbr-passive, band-limited stop",
+        mesh8,
+        (fun s -> daemon_job ~meth:Protocol.Tbr_passive ~band ~order:6 s),
+        passive ~stop:band_stop );
+      ( "hier K=4",
+        mesh12,
+        (fun s ->
+          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~order:8 ~samples:8 s),
+        hier ~order:8 (Partition.split ~parts:4) (uniform 2e10 8) );
+      ( "hier K=4 on a band",
+        mesh12,
+        (fun s ->
+          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~band ~order:8 ~samples:8 s),
+        hier ~order:8 (Partition.split ~parts:4) (gauss band 8) );
+      ( "hier auto + interface-tol",
+        mesh8,
+        (fun s ->
+          daemon_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20
+            ~interface_tol:1e-8 ~order:8 ~samples:8 s),
+        hier ~order:8 ~interface_tol:1e-8 (Partition.split_auto ~max_states:20) (uniform 2e10 8)
+      );
+      ( "hier K=3 on a substrate",
+        substrate 8,
+        (fun s ->
+          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 3) ~band:(0.0, w_sub)
+            ~order:8 ~samples:6 s),
+        hier ~order:8 (Partition.split ~parts:3) (uniform w_sub 6) );
+    ]
+  in
+  List.iter
+    (fun (name, text, job, library) ->
+      let roms = library (canonical text) in
+      List.iter
+        (fun job_workers ->
+          let o = job (Store.create ~job_workers ()) text in
+          List.iter
+            (fun rom ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %d job workers: library digest == daemon digest" name
+                   job_workers)
+                o.Store.digest (Store.rom_digest rom))
+            roms)
+        [ 1; 3 ])
+    rows;
+  (* the two flat pmtbr rows really exercise both SVD operands *)
+  let columns text ~w_max ~samples =
+    let sys = Dss.of_netlist (canonical text) in
+    ( (Pmtbr.reduce ~tol:1e-8 ~workers:1 sys (uniform w_max samples)).Pmtbr.stats
+        .Sample_cache.columns,
+      Dss.order sys )
+  in
+  let tall_c, tall_n = columns mesh12 ~w_max:2e10 ~samples:10 in
+  let wide_c, wide_n = columns (substrate 12) ~w_max:w_sub ~samples:6 in
+  Alcotest.(check (pair bool bool)) "one tall and one wide cache" (true, false)
+    (tall_c < tall_n, wide_c < wide_n)
 
 (* tbr-passive through the store: tier progression, export body closing
    the roundtrip, and multi-shift handle reuse on a new band. *)
@@ -615,7 +717,7 @@ let pinned_jobs =
   let mesh8 = mesh_netlist ~n:8 () and mesh5 = mesh_netlist ~n:5 () in
   let substrate = Spice.to_string (Substrate.generate ~ports:12 ~internal:20 ~seed:5 ()) in
   let by_tol ~band ~samples netlist s =
-    must (Store.reduce s ~netlist ~meth:Protocol.Pmtbr ~band ~tol:1e-8 ~samples ())
+    daemon_job ~band ~tol:1e-8 ~samples s netlist
   in
   [
     ( "pmtbr by tol",
@@ -680,19 +782,14 @@ let test_eviction_forces_recompute () =
 
 let test_store_rejects_garbage () =
   let store = Store.create () in
-  (match Store.reduce store ~netlist:"R1 1 0 banana\n.port 1\n" ~meth:Protocol.Pmtbr
-           ~band:(0.0, 1e9) ~samples:5 ()
-   with
+  let garbage ~band netlist = Store.reduce store (job_of ~band ~samples:5 netlist) in
+  (match garbage ~band:(0.0, 1e9) "R1 1 0 banana\n.port 1\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unparseable netlist must be rejected");
-  (match Store.reduce store ~netlist:"R1 1 0 1k\n.end\n" ~meth:Protocol.Pmtbr ~band:(0.0, 1e9)
-           ~samples:5 ()
-   with
+  (match garbage ~band:(0.0, 1e9) "R1 1 0 1k\n.end\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "port-less netlist must be rejected");
-  match Store.reduce store ~netlist:(mesh_netlist ()) ~meth:Protocol.Pmtbr ~band:(1e9, 1e8)
-          ~samples:5 ()
-  with
+  match garbage ~band:(1e9, 1e8) (mesh_netlist ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "reversed band must be rejected"
 
