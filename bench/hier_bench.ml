@@ -90,8 +90,7 @@ let agreement_case () =
   let pt = Partition.split ~parts:4 nl in
   let hier1, _ = Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-8 ~workers:1 pt pts in
   let hierw, _ =
-    Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-8 ~workers:(max 2 workers)
-      ~oversubscribe:true pt pts
+    Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-8 ~workers:(max 2 workers) pt pts
   in
   let invariant = rom_digest hier1 = rom_digest hierw in
   if not invariant then begin
@@ -175,9 +174,7 @@ let scale_case () =
           Hier_reduce.reduce_partitioned ~tol:1e-10 ~interface_tol:scale_interface_tol ~workers
             pt pts ))
   in
-  (* the pool is capped by the hardware and the part count, exactly as
-     Hier_reduce sizes it *)
-  let actual = max 1 (min (min workers (Domain.recommended_domain_count ())) parts) in
+  let actual = st.Hier_reduce.pool.Par_kernel.workers in
   let speedup = flat_s /. Float.max hier_s 1e-9 in
   Printf.eprintf
     "[hier_bench]   hier: %.3f s at %d worker(s) [pool %d], order %d (interface %d -> %d): \
@@ -187,7 +184,7 @@ let scale_case () =
   Printf.eprintf
     "[hier_bench]   stage walls: partition %.3f s, sample+project %.3f s, recombine %.4f s, \
      compress %.3f s\n%!"
-    partition_s st.Hier_reduce.sample_wall_s st.Hier_reduce.recombine_wall_s
+    partition_s st.Hier_reduce.pool.Par_kernel.wall_s st.Hier_reduce.recombine_wall_s
     st.Hier_reduce.compress_wall_s;
   if (not smoke) && 2 * st.Hier_reduce.interface_kept > st.Hier_reduce.interface then begin
     Printf.eprintf "[hier_bench] FAIL: interface kept %d > half of %d states\n%!"
@@ -200,7 +197,7 @@ let scale_case () =
      let walls =
        List.sort (fun a b -> compare b a)
          [
-           partition_s; st.Hier_reduce.sample_wall_s;
+           partition_s; st.Hier_reduce.pool.Par_kernel.wall_s;
            st.Hier_reduce.recombine_wall_s; st.Hier_reduce.compress_wall_s;
          ]
      in
@@ -247,7 +244,7 @@ let scale_case () =
     s_flat_wall_s = flat_s;
     s_hier_wall_s = hier_s;
     s_partition_wall_s = partition_s;
-    s_sample_wall_s = st.Hier_reduce.sample_wall_s;
+    s_sample_wall_s = st.Hier_reduce.pool.Par_kernel.wall_s;
     s_recombine_wall_s = st.Hier_reduce.recombine_wall_s;
     s_compress_wall_s = st.Hier_reduce.compress_wall_s;
     s_speedup = speedup;

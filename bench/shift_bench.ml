@@ -65,7 +65,7 @@ let bitwise_equal (a : Mat.t) (b : Mat.t) =
 
 type run_record = {
   workers : int; (* requested *)
-  actual : int; (* pool size after the hardware cap *)
+  actual : int; (* pool size the fan ran *)
   wall_s : float;
   factor_s : float;
   solve_s : float;
@@ -87,25 +87,23 @@ let bench_substrate ~name ~(sys : Dss.t) ~points ~worker_list ~reps =
     Printf.eprintf "[shift_bench]   note: engine vs legacy max |diff| = %.3e (%.3e relative)\n%!"
       d (d /. scale)
   end;
+  let tasks = Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false points in
+  let cols_serial, _ = Shift_engine.run ~workers:1 sys tasks in
   let runs =
     List.map
       (fun w ->
-        let (zw, st), wall =
-          time_best ~reps (fun () ->
-              Shift_engine.run ~workers:w sys
-                (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false points))
-        in
-        if not (bitwise_equal zw z_serial) then
+        let (cols, st), wall = time_best ~reps (fun () -> Shift_engine.run ~workers:w sys tasks) in
+        if cols <> cols_serial then
           failwith
             (Printf.sprintf "DETERMINISM VIOLATION: %s at %d workers differs from serial" name w);
         let r =
           {
             workers = w;
-            actual = st.Shift_engine.workers;
+            actual = st.Shift_engine.pool.Par_kernel.workers;
             wall_s = wall;
             factor_s = st.Shift_engine.factor_s;
             solve_s = st.Shift_engine.solve_s;
-            util = Shift_engine.utilisation st;
+            util = Par_kernel.utilisation st.Shift_engine.pool;
             speedup = base_s /. wall;
           }
         in

@@ -81,7 +81,7 @@ type record = {
 (* The determinism contract, checked on the actual bench operand. *)
 let invariant_checks ~name ~sys ~plan ~omegas ~tol =
   let serial, _ = Sweep_engine.sweep ~workers:1 plan omegas in
-  let par, _ = Sweep_engine.sweep ~workers:4 ~oversubscribe:true plan omegas in
+  let par, _ = Sweep_engine.sweep ~workers:4 plan omegas in
   if not (sweeps_bitwise_equal serial par) then
     failwith (name ^ ": sweep differs between workers=1 and workers=4");
   if not (sweeps_bitwise_equal serial (Array.map (Sweep_engine.eval_jw plan) omegas)) then
@@ -110,14 +110,14 @@ let bench_case ~name ~sys ~omegas ~workers ~reps ~tol =
       name;
       states = Dss.order sys;
       grid_points = Array.length omegas;
-      workers = st.Sweep_engine.workers;
+      workers = st.Sweep_engine.pool.Par_kernel.workers;
       naive_wall_s = naive_wall;
       engine_serial_wall_s = serial_wall;
       engine_wall_s = engine_wall;
       speedup = naive_wall /. engine_wall;
       serial_speedup = naive_wall /. serial_wall;
       rel_drift = drift;
-      utilisation = Sweep_engine.utilisation st;
+      utilisation = Par_kernel.utilisation st.Sweep_engine.pool;
     }
   in
   Printf.eprintf

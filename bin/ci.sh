@@ -49,9 +49,9 @@ OCAMLRUNPARAM=b dune exec bench/shift_bench.exe -- --smoke --workers 4 --assert-
 OCAMLRUNPARAM=b dune exec bench/sweep_bench.exe -- --smoke --workers 4 --assert-multicore
 OCAMLRUNPARAM=b dune exec bench/hier_bench.exe -- --smoke --workers 4 --assert-multicore
 # the nested-dissection CLI path end to end: budget-driven recursive
-# partitioning plus interface compression, fanned over 4 workers (pool
-# collapses to 1 on a single-core host; the result is bitwise-identical
-# either way, which is what the suites assert)
+# partitioning plus interface compression, asking for 4 workers (the CLI
+# caps the count at the host's recommended domain count; the result is
+# bitwise-identical for any count, which is what the suites assert)
 OCAMLRUNPARAM=b dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 6 \
     --method hier --partition auto --max-part-states 20 --interface-tol 1e-8 \
     --samples 8 --tol 1e-10 --workers 4 --stats
@@ -76,7 +76,10 @@ cleanup() {
     rm -f "$SOCK"
 }
 trap cleanup EXIT INT TERM
-dune exec bin/pmtbr_cli.exe -- serve --socket "$SOCK" --workers 2 &
+# two job workers: on a host with two or more cores the store's
+# hierarchical fan, and its lock order with part lookups on the calling
+# domain, run on several domains end to end
+dune exec bin/pmtbr_cli.exe -- serve --socket "$SOCK" --workers 2 --job-workers 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "daemon socket never appeared" >&2; exit 1; }

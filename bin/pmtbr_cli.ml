@@ -128,13 +128,16 @@ let workers_arg =
         ~doc:
           "Worker domains for both stages of a run: the parallel multi-shift sampling engine \
            and the dense reduction kernels (SVD/QR/GEMM in Pmtbr_la.Par_kernel).  0 = one per \
-           recommended core.  Any value produces bitwise-identical results.")
+           recommended core; larger values are capped at that count.  Any value produces \
+           bitwise-identical results.")
 
-(* 0 = auto (engine default); the engine treats values < 1 the same way.
-   Also installs the same pool size as the dense-kernel default, so one
-   flag covers the solve stage and the reduction stage. *)
+(* 0 = auto (the library default); values < 1 mean the same.  A count
+   is capped at the host's here, where it enters the program (the
+   library honours any explicit count).  Also installs the same pool
+   size as the dense-kernel default, so one flag covers the solve stage
+   and the reduction stage. *)
 let workers_opt w =
-  let w = if w >= 1 then Some w else None in
+  let w = if w >= 1 then Some (Par_kernel.cap_to_host w) else None in
   Par_kernel.set_default_workers w;
   w
 
@@ -458,7 +461,7 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
           Printf.printf
             "stage walls:       partition %.4f s, sample+project %.4f s, recombine %.4f s, \
              compress %.4f s\n"
-            partition_wall hst.Hier_reduce.sample_wall_s hst.Hier_reduce.recombine_wall_s
+            partition_wall hst.Hier_reduce.pool.Par_kernel.wall_s hst.Hier_reduce.recombine_wall_s
             hst.Hier_reduce.compress_wall_s;
           Printf.printf "subdomain wall:    %s s\n"
             (String.concat " "
@@ -741,7 +744,7 @@ let run_serve socket workers job_workers max_cost_mb =
     {
       (Sserver.default_config ~socket_path:socket) with
       Sserver.workers;
-      job_workers = max 1 job_workers;
+      job_workers = Par_kernel.cap_to_host job_workers;
       max_cost = max 1 max_cost_mb * 1024 * 1024;
     }
   in
@@ -765,7 +768,9 @@ let serve_cmd =
       value
       & opt int 1
       & info [ "job-workers" ] ~docv:"W"
-          ~doc:"Solver/dense-kernel domains used inside each job (results are invariant).")
+          ~doc:
+            "Solver/dense-kernel domains used inside each job, at least 1 and capped at the \
+             recommended core count (results are invariant).")
   in
   let max_cost =
     Arg.(

@@ -29,12 +29,12 @@
    untouched; with [tol] at zero rank selection keeps everything and the
    result is the exact-interface model again.
 
-   Subdomains are fanned across the shared [Scheduler] domain pool.  Each
-   subdomain job runs its solver and dense kernels with [workers:1] and
-   everything it computes is a pure function of (partition, points,
-   order/tol) — never of the pool size or the completion order — so the
-   recombined ROM is bitwise-identical for any worker count, the same
-   contract Shift_engine established (the compression SVD inherits the
+   Subdomains fan out on [Par_kernel.fan], one job per part.  Each job
+   runs its solver and dense kernels with [workers:1] and everything it
+   computes is a pure function of (partition, points, order/tol) — never
+   of the pool size or the completion order — so the recombined ROM is
+   bitwise-identical for any worker count, the same contract
+   Shift_engine established (the compression SVD inherits the
    tournament-Jacobi bitwise worker-invariance from Par_kernel). *)
 
 open Pmtbr_la
@@ -68,7 +68,7 @@ type stats = {
   sub_orders : int array;
   solves : int;
   sub_wall_s : float array;
-  sample_wall_s : float;
+  pool : Par_kernel.pool;
   recombine_wall_s : float;
   compress_wall_s : float;
 }
@@ -77,9 +77,9 @@ type stats = {
 (* Per-subdomain sampling                                               *)
 (* ------------------------------------------------------------------ *)
 
-let sample_part ?(workers = 1) ?(oversubscribe = false) (part : Partition.part) points =
+let sample_part ?(workers = 1) (part : Partition.part) points =
   let cache =
-    Sample_cache.create ~workers ~oversubscribe ~source:(Sample_cache.Fixed_rhs part.Partition.rhs)
+    Sample_cache.create ~workers ~source:(Sample_cache.Fixed_rhs part.Partition.rhs)
       part.Partition.sys
   in
   Sample_cache.extend cache points;
@@ -120,7 +120,7 @@ let reduce_part ?order ?tol (part : Partition.part) points =
    V^T E V / V^T A V, the couplings contracted with V on the interior
    side (interface side exact), and the port maps restricted to the
    interior and contracted.  Pure in (partition, basis); runs inside the
-   part's scheduler job so the serial assembly never touches the mesh. *)
+   part's fan job so the serial assembly never touches the mesh. *)
 let project_part (pt : Partition.t) i (v : Mat.t) =
   let part = pt.Partition.parts.(i) in
   let m = Array.length pt.Partition.interface in
@@ -248,33 +248,10 @@ let assemble (pt : Partition.t) (blks : blocks array) =
 (* Recombination driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [run 0 .. run (k - 1)] on a [Scheduler] pool of [nw] domains, or
-   serially in index order when [nw <= 1]. *)
-let fan ~nw k run =
-  if nw <= 1 then
-    for i = 0 to k - 1 do
-      run i
-    done
-  else begin
-    let pool = Scheduler.create ~workers:nw run in
-    for i = 0 to k - 1 do
-      ignore (Scheduler.submit pool i)
-    done;
-    Scheduler.stop pool
-  end
-
 let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
   let k = Array.length pt.Partition.parts in
   if Array.length bases <> k then invalid_arg "Hier_reduce.recombine: one basis per part";
-  let blks = Array.make k None in
-  fan ~nw:(min workers k) k (fun i -> blks.(i) <- Some (project_part pt i bases.(i)));
-  assemble pt
-    (Array.mapi
-       (fun i b ->
-         match b with
-         | Some blk -> blk
-         | None -> invalid_arg (Printf.sprintf "Hier_reduce.recombine: part %d never projected" i))
-       blks)
+  assemble pt (fst (Par_kernel.fan ~workers k (fun i -> project_part pt i bases.(i))))
 
 (* ------------------------------------------------------------------ *)
 (* Interface compression (second-pass PMTBR over the interface states)  *)
@@ -338,56 +315,32 @@ let compress_interface ?(workers = 1) ~tol (pt : Partition.t) (rom : Dss.t) poin
    sample cache: [reduce_partitioned] samples it afresh, the store finds
    it in (or adds it to) its per-subdomain samples tier.  Everything
    after the columns is shared, so both routes give the same bits. *)
-let reduce_with_columns ?order ?tol ?interface_tol ?workers ?(oversubscribe = false) ~columns
-    (pt : Partition.t) points =
+let reduce_with_columns ?order ?tol ?interface_tol ?(workers = 0) ~columns (pt : Partition.t)
+    points =
   let k = Array.length pt.Partition.parts in
-  let requested = match workers with Some w -> w | None -> Par_kernel.default_workers () in
-  let cap = if oversubscribe then requested else Domain.recommended_domain_count () in
-  let nw = max 1 (min (min requested cap) k) in
-  if requested > 1 && nw = 1 && k > 1 then
-    Par_kernel.warn_worker_collapse ~context:"the hierarchical subdomain pool" ~requested ();
-  let results : ((sub * blocks), exn) result option array = Array.make k None in
-  let walls = Array.make k 0.0 in
   (* one job = columns + basis + congruence blocks: all the O(interior)
      work, so the serial stages below never touch the mesh *)
   let run i =
     let t0 = Unix.gettimeofday () in
-    let r =
-      try
-        let part = pt.Partition.parts.(i) in
-        let s =
-          if part.Partition.rhs.Mat.cols = 0 then empty_sub part
-          else basis_of_part ?order ?tol part (columns i part) ~samples:(Array.length points) ()
-        in
-        Ok (s, project_part pt i s.basis)
-      with e -> Error e
+    let part = pt.Partition.parts.(i) in
+    let s =
+      if part.Partition.rhs.Mat.cols = 0 then empty_sub part
+      else basis_of_part ?order ?tol part (columns i part) ~samples:(Array.length points) ()
     in
-    walls.(i) <- Unix.gettimeofday () -. t0;
-    results.(i) <- Some r
+    let blk = project_part pt i s.basis in
+    (s, blk, Unix.gettimeofday () -. t0)
   in
-  let t_fan = Unix.gettimeofday () in
-  fan ~nw k run;
-  let sample_wall_s = Unix.gettimeofday () -. t_fan in
-  (* propagate the lowest-index failure, as Shift_engine does *)
-  let done_ =
-    Array.mapi
-      (fun i r ->
-        match r with
-        | Some (Ok sb) -> sb
-        | Some (Error e) -> raise e
-        | None -> invalid_arg (Printf.sprintf "Hier_reduce: subdomain %d never ran" i))
-      results
-  in
-  let subs = Array.map fst done_ in
+  let done_, pool = Par_kernel.fan ~workers k run in
+  let subs = Array.map (fun (s, _, _) -> s) done_ in
   let t_asm = Unix.gettimeofday () in
-  let rom = assemble pt (Array.map snd done_) in
+  let rom = assemble pt (Array.map (fun (_, blk, _) -> blk) done_) in
   let recombine_wall_s = Unix.gettimeofday () -. t_asm in
   let interface = Array.length pt.Partition.interface in
   let t_cmp = Unix.gettimeofday () in
   let rom, interface_kept =
     match interface_tol with
     | None -> (rom, interface)
-    | Some itol -> compress_interface ~workers:nw ~tol:itol pt rom points
+    | Some itol -> compress_interface ~workers:pool.Par_kernel.workers ~tol:itol pt rom points
   in
   let compress_wall_s =
     match interface_tol with None -> 0.0 | Some _ -> Unix.gettimeofday () -. t_cmp
@@ -402,17 +355,17 @@ let reduce_with_columns ?order ?tol ?interface_tol ?workers ?(oversubscribe = fa
       order = Dss.order rom;
       sub_orders = Array.map (fun s -> s.sub_order) subs;
       solves = Array.fold_left (fun acc (s : sub) -> acc + s.solves) 0 subs;
-      sub_wall_s = walls;
-      sample_wall_s;
+      sub_wall_s = Array.map (fun (_, _, wall) -> wall) done_;
+      pool;
       recombine_wall_s;
       compress_wall_s;
     }
   in
   (rom, subs, stats)
 
-let reduce_partitioned ?order ?tol ?interface_tol ?workers ?oversubscribe pt points =
+let reduce_partitioned ?order ?tol ?interface_tol ?workers pt points =
   let rom, _, stats =
-    reduce_with_columns ?order ?tol ?interface_tol ?workers ?oversubscribe
+    reduce_with_columns ?order ?tol ?interface_tol ?workers
       ~columns:(fun _ part -> sample_part part points)
       pt points
   in

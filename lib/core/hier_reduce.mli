@@ -11,7 +11,7 @@
 
     Recombination is two-phase: {!project_part} computes one part's
     congruence blocks (all the O(interior) work) inside that part's
-    scheduler job, and the serial {!assemble} scatters the small dense
+    fan job, and the serial {!assemble} scatters the small dense
     blocks into the reduced pencil — an O(q^2) epilogue that never
     touches the mesh, so the recombination stage stays trivial even with
     one worker.
@@ -27,12 +27,11 @@
     subdomain interior, which is what lets networks beyond the flat
     path's reach complete.
 
-    {b Determinism.}  Subdomains fan across the shared
-    {!Pmtbr_la.Scheduler} pool but each job runs its solves and dense
-    kernels serially and computes a pure function of (partition, points,
-    order/tol) — the recombined ROM is bitwise-identical for any
-    [workers] (or [oversubscribe]) setting, the contract Shift_engine
-    established and CI enforces for this layer too.  The compression SVD
+    {b Determinism.}  Subdomains fan out on {!Pmtbr_la.Par_kernel.fan}
+    but each job runs its solves and dense kernels serially and computes
+    a pure function of (partition, points, order/tol) — the recombined
+    ROM is bitwise-identical for any [workers] setting, the contract
+    Shift_engine established and CI enforces for this layer too.  The compression SVD
     inherits the tournament-Jacobi bitwise worker invariance. *)
 
 open Pmtbr_la
@@ -68,13 +67,12 @@ type stats = {
   sub_orders : int array;
   solves : int;  (** total shifted solves across subdomains *)
   sub_wall_s : float array;  (** per-subdomain wall seconds, partition order *)
-  sample_wall_s : float;  (** fan-out stage wall: sampling + per-part blocks *)
+  pool : Par_kernel.pool;  (** the subdomain fan; its wall is sampling + per-part blocks *)
   recombine_wall_s : float;  (** serial assembly wall *)
   compress_wall_s : float;  (** interface-compression wall (0 when off) *)
 }
 
-val sample_part :
-  ?workers:int -> ?oversubscribe:bool -> Partition.part -> Sampling.point array -> Sample_cache.t
+val sample_part : ?workers:int -> Partition.part -> Sampling.point array -> Sample_cache.t
 (** Solve the part's sampling right-hand side at every point through a
     fresh subdomain cache (its own multi-shift handle; [workers] defaults
     to 1 — fan-out parallelism lives across subdomains, not inside one).
@@ -99,7 +97,7 @@ val project_part : Partition.t -> int -> Mat.t -> blocks
 (** Congruence blocks of part [i] under basis [v]: the projected
     diagonal blocks, the couplings contracted with [v] on the interior
     side (interface side exact), and the restricted port maps.  Pure in
-    (partition, basis) — safe to run inside any scheduler job. *)
+    (partition, basis) — safe to run inside any fan job. *)
 
 val assemble : Partition.t -> blocks array -> Dss.t
 (** Scatter per-part blocks plus the verbatim interface block into the
@@ -107,9 +105,10 @@ val assemble : Partition.t -> blocks array -> Dss.t
     raises [Invalid_argument] unless given one block set per part. *)
 
 val recombine : ?workers:int -> Partition.t -> Mat.t array -> Dss.t
-(** {!project_part} for every part (fanned over a [Scheduler] pool when
-    [workers > 1]) then {!assemble}.  Bitwise worker-invariant.  Raises
-    [Invalid_argument] unless given one basis per part. *)
+(** {!project_part} for every part (one {!Pmtbr_la.Par_kernel.fan} job
+    each; [workers] defaults to 1) then {!assemble}.  Bitwise
+    worker-invariant.  Raises [Invalid_argument] unless given one basis
+    per part. *)
 
 val compress_interface :
   ?workers:int -> tol:float -> Partition.t -> Dss.t -> Sampling.point array -> Dss.t * int
@@ -124,26 +123,26 @@ val compress_interface :
     fallback.  Returns (model, interface states kept). *)
 
 val reduce_with_columns :
-  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
+  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int ->
   columns:(int -> Partition.part -> Sample_cache.t) -> Partition.t -> Sampling.point array ->
   Dss.t * sub array * stats
-(** The one hierarchical driver.  Fan one job per subdomain over a
-    [Scheduler] pool of [min workers (recommended cap) parts] domains
-    ([oversubscribe] lifts the hardware cap, as in {!Shift_engine}):
-    [columns i part] supplies part [i]'s sample cache (extended with
-    [points]), {!basis_of_part} and {!project_part} run on it; then
-    {!assemble}, and {!compress_interface} when [interface_tol] is given.
-    A part whose sampling right-hand side is empty gets an empty basis
-    and is never handed to [columns].  [columns] runs on pool domains,
-    so it must be domain-safe.  Returns the model, each part's {!sub}
-    (basis and singular values) in partition order, and the stats.  A
-    subdomain failure (including one raised by [columns]) re-raises the
-    lowest-index exception after the pool drains.  Bitwise
+(** The one hierarchical reduction.  Fan one job per subdomain on
+    {!Pmtbr_la.Par_kernel.fan} ([workers] follows its
+    {!Pmtbr_la.Par_kernel.pool_size}): [columns i part] supplies part
+    [i]'s sample cache (extended with [points]), {!basis_of_part} and
+    {!project_part} run on it; then {!assemble}, and
+    {!compress_interface} when [interface_tol] is given.  A part whose
+    sampling right-hand side is empty gets an empty basis and is never
+    handed to [columns].  [columns] runs on the fan's domains, the
+    calling one included, so it must be domain-safe.  Returns the model,
+    each part's {!sub} (basis and singular values) in partition order,
+    and the stats.  A subdomain failure (including one raised by
+    [columns]) re-raises the lowest-index exception.  Bitwise
     worker-invariant whenever [columns] returns caches holding the same
     columns. *)
 
 val reduce_partitioned :
-  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int -> ?oversubscribe:bool ->
+  ?order:int -> ?tol:float -> ?interface_tol:float -> ?workers:int ->
   Partition.t -> Sampling.point array -> Dss.t * stats
 (** {!reduce_with_columns} with every part sampled afresh by
     {!sample_part}.  Bitwise worker-invariant. *)

@@ -61,7 +61,6 @@ type t = {
   hermitian : bool; (* adjoint solves (observability side) *)
   n : int; (* state dimension *)
   workers : int option;
-  oversubscribe : bool;
   mutable ms : Dss.multi_shift option; (* created at the first extend *)
   mutable entries : (float * int) array; (* per point: weight, column count *)
   mutable raw : float array array; (* raw unweighted columns, each length n *)
@@ -85,7 +84,7 @@ type stats = {
   batch_wall_s : float array;
 }
 
-let create ?workers ?(oversubscribe = false) ?ms ?(source = Controllability) sys =
+let create ?workers ?ms ?(source = Controllability) sys =
   let n = Dss.order sys in
   let rhs, hermitian =
     match source with
@@ -106,7 +105,6 @@ let create ?workers ?(oversubscribe = false) ?ms ?(source = Controllability) sys
     hermitian;
     n;
     workers;
-    oversubscribe;
     ms;
     entries = [||];
     raw = [||];
@@ -203,9 +201,8 @@ let ensure_qr t =
 (* ------------------------------------------------------------------ *)
 
 (* Shared extension core: solve every task through the one multi-shift
-   handle and store the raw columns (the thin QR follows on first use).  Each task's
-   weight has already been forced to 1.0 (raw columns); the original
-   weights arrive through [new_entries]. *)
+   handle and append its raw columns (the thin QR follows on first use);
+   the points' weights arrive through [new_entries]. *)
 let extend_tasks t (tasks : Shift_engine.task array) (new_entries : (float * int) array) =
   if Array.length tasks > 0 then begin
     let t0 = Unix.gettimeofday () in
@@ -213,17 +210,14 @@ let extend_tasks t (tasks : Shift_engine.task array) (new_entries : (float * int
       match t.ms with
       | Some ms -> ms
       | None ->
-          let ms = Dss.multi_shift ~template:tasks.(0).Shift_engine.point.Sampling.s t.sys in
+          let ms = Dss.multi_shift ~template:tasks.(0).Shift_engine.s t.sys in
           t.ms <- Some ms;
           ms
     in
-    let block, st =
-      Shift_engine.run ?workers:t.workers ~oversubscribe:t.oversubscribe ~ms t.sys tasks
-    in
-    let new_cols = Array.fold_left (fun acc (_, c) -> acc + c) 0 new_entries in
-    assert (block.Mat.cols = new_cols);
+    let cols, st = Shift_engine.run ?workers:t.workers ~ms t.sys tasks in
+    assert (Array.length cols = Array.fold_left (fun acc (_, c) -> acc + c) 0 new_entries);
     t.entries <- Array.append t.entries new_entries;
-    t.raw <- Array.append t.raw (Array.init new_cols (Mat.col block));
+    t.raw <- Array.append t.raw cols;
     t.solves <- t.solves + st.Shift_engine.solves;
     t.factor_s <- t.factor_s +. st.Shift_engine.factor_s;
     t.solve_s <- t.solve_s +. st.Shift_engine.solve_s;
@@ -240,16 +234,8 @@ let extend t (pts : Sampling.point array) =
     | Some rhs -> rhs
     | None -> invalid_arg "Sample_cache.extend: Per_point cache needs extend_rhs"
   in
-  (* weight 1.0 realifies to the raw columns: sqrt 1.0 *. x = x, bitwise *)
   let tasks =
-    Array.map
-      (fun p ->
-        {
-          Shift_engine.point = { p with Sampling.weight = 1.0 };
-          rhs;
-          hermitian = t.hermitian;
-        })
-      pts
+    Array.map (fun p -> { Shift_engine.s = p.Sampling.s; rhs; hermitian = t.hermitian }) pts
   in
   let new_entries =
     Array.map (fun p -> (p.Sampling.weight, cols_of_point rhs.Mat.cols p)) pts
@@ -269,10 +255,7 @@ let extend_rhs t (pts_rhs : (Sampling.point * Mat.t) array) =
              r.Mat.rows t.n))
     pts_rhs;
   let tasks =
-    Array.map
-      (fun (p, rhs) ->
-        { Shift_engine.point = { p with Sampling.weight = 1.0 }; rhs; hermitian = false })
-      pts_rhs
+    Array.map (fun (p, rhs) -> { Shift_engine.s = p.Sampling.s; rhs; hermitian = false }) pts_rhs
   in
   let new_entries =
     Array.map (fun (p, (r : Mat.t)) -> (p.Sampling.weight, cols_of_point r.Mat.cols p)) pts_rhs
@@ -283,9 +266,9 @@ let extend_rhs t (pts_rhs : (Sampling.point * Mat.t) array) =
 (* Weighted assembly                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-column weights sqrt(weight * scale): exactly the factor
-   [Shift_engine.realify_block] would have applied had the point been
-   solved with its rescaled weight — same expression, same bits. *)
+(* Per-column weights sqrt(weight * scale): exactly the factor a one-shot
+   weighted assembly applies to a point solved with its rescaled weight —
+   same expression, same bits. *)
 let col_weights t ~scale =
   let cw = Array.make (columns t) 0.0 in
   let j = ref 0 in

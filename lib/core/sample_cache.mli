@@ -47,15 +47,14 @@ type stats = {
   batch_wall_s : float array;  (** wall seconds of each [extend], in order *)
 }
 
-val create :
-  ?workers:int -> ?oversubscribe:bool -> ?ms:Dss.multi_shift -> ?source:source -> Dss.t -> t
+val create : ?workers:int -> ?ms:Dss.multi_shift -> ?source:source -> Dss.t -> t
 (** Empty cache for the given sample [source] (default {!Controllability}).
-    [workers] and [oversubscribe] configure the {!Shift_engine} pool used
-    by every {!extend}.  [ms] supplies a pre-built multi-shift handle so
-    several caches (e.g. the right/left sides of a cross-Gramian run)
-    share one symbolic sparse-LU analysis; without it a handle is created
-    lazily from the first point consumed.  Raises [Invalid_argument] if a
-    {!Fixed_rhs} matrix does not have one row per state. *)
+    [workers] sizes the {!Shift_engine} fan of every {!extend}.  [ms]
+    supplies a pre-built multi-shift handle so several caches (e.g. the
+    right/left sides of a cross-Gramian run) share one symbolic sparse-LU
+    analysis; without it a handle is created lazily from the first point
+    consumed.  Raises [Invalid_argument] if a {!Fixed_rhs} matrix does not
+    have one row per state. *)
 
 val extend : t -> Sampling.point array -> unit
 (** Append the given {e new} points: solve each shift once (through the
@@ -90,7 +89,7 @@ val merge_stats : stats -> stats -> stats
 val assemble : t -> scale:float -> Mat.t
 (** The weighted sample matrix [ZW] of every held column, with each
     point's columns scaled by [sqrt (weight *. scale)] — bitwise-identical
-    to a one-shot {!Shift_engine.run} over the same tasks with weights
+    to a one-shot weighted assembly of the same points with weights
     multiplied by [scale].  Raises [Invalid_argument] on an empty cache. *)
 
 val small_factor : t -> scale:float -> Mat.t

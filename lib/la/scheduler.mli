@@ -1,12 +1,13 @@
-(** Fixed pool of worker domains draining a shared job queue — the unit
-    of coarse-grained concurrency shared by the reduction service (one
-    job per connection) and the hierarchical reducer (one job per
-    subdomain).  Each job keeps the bitwise worker-invariance contract:
-    the result of a job never depends on which worker ran it, or when.
+(** Fixed pool of worker domains draining a shared job queue — the
+    reduction service's connection queue (one job per connection).
+    Connections are long-lived and arrive over time, which is not an
+    indexed fan: a known set of jobs runs on {!Par_kernel.fan} instead.
+    Each job keeps the bitwise worker-invariance contract: the result of
+    a job never depends on which worker ran it, or when.
 
     Lives in the linear-algebra layer (it only needs [Domain] and the
-    stdlib sync primitives) so every layer above can fan work across it
-    without a dependency cycle. *)
+    stdlib sync primitives) so every layer above can use it without a
+    dependency cycle. *)
 
 type 'a t
 
@@ -20,13 +21,4 @@ val submit : 'a t -> 'a -> bool
 
 val stop : 'a t -> unit
 (** Drain outstanding jobs, then join every worker.  Idempotent in effect;
-    must be called from the domain that owns the pool.  If the pool had
-    more than one worker but every job drained onto a single domain, this
-    reports the serialization through
-    {!Par_kernel.warn_worker_collapse}[ ~kind:`Serialized] — the
-    pool-exists-but-ran-serial case that creation-time checks miss. *)
-
-val busiest_share : 'a t -> int * int
-(** [(jobs_on_busiest_worker, total_jobs)] processed so far — the
-    serialization diagnostic {!stop} reads.  A healthy multi-worker run
-    has [busiest < total]. *)
+    must be called from the domain that owns the pool. *)

@@ -14,12 +14,11 @@
 
    with s T - H upper Hessenberg for every s.
 
-   Grid points fan out across a domain pool with the same chunked
-   atomic-counter queue as Shift_engine, under the same contract: each
-   response is a pure function of (plan, s), results are assembled in
-   grid order, and a worker failure is re-raised deterministically (the
-   one at the lowest grid index wins).  Serial and parallel sweeps are
-   bitwise identical. *)
+   Grid points fan out on Par_kernel.fan, as Shift_engine's shifts do,
+   under the same contract: each response is a pure function of
+   (plan, s), results come back in grid order, and a failure is re-raised
+   deterministically (the one at the lowest grid index wins).  Serial and
+   parallel sweeps are bitwise identical. *)
 
 open Pmtbr_la
 
@@ -36,21 +35,7 @@ type hess_plan = {
 type t = Sparse_plan of sparse_plan | Hess_plan of hess_plan
 type tier = Replay | Hessenberg
 
-type stats = {
-  points : int;
-  workers : int;
-  factor_s : float;
-  solve_s : float;
-  wall_s : float;
-  busy_s : float array;
-}
-
-let default_workers () = Domain.recommended_domain_count ()
-
-let utilisation st =
-  if st.wall_s <= 0.0 || Array.length st.busy_s = 0 then 0.0
-  else
-    Array.fold_left ( +. ) 0.0 st.busy_s /. (st.wall_s *. float_of_int (Array.length st.busy_s))
+type stats = { points : int; factor_s : float; solve_s : float; pool : Par_kernel.pool }
 
 let now () = Unix.gettimeofday ()
 
@@ -236,8 +221,8 @@ let hess_eval (p : hess_plan) (s : Complex.t) =
    addends in the same (ascending-k) order as the naive complex loop in
    [Freq.eval], and partial sums starting from +0.0 can never produce
    -0.0 on finite data, so the result is bitwise-identical to the boxed
-   reference.  The pool workers each hold one grid point, so the GEMM
-   itself stays on this domain. *)
+   reference.  Each fan job holds one grid point, so the GEMM itself
+   stays on the job's domain. *)
 let sparse_output (p : sparse_plan) (z : Complex.t array array) =
   let p_in = Array.length z in
   let zr =
@@ -267,131 +252,56 @@ let prepare ?template (sys : Dss.t) =
 
 let tier = function Sparse_plan _ -> Replay | Hess_plan _ -> Hessenberg
 
-(* One grid point.  Pure in (plan, s); timings are observational only. *)
-let eval_timed plan (s : Complex.t) ~factor_acc ~solve_acc =
+(* One grid point, with its factor and solve seconds.  Pure in
+   (plan, s); the timings are observational only. *)
+let eval_timed plan (s : Complex.t) =
   match plan with
   | Sparse_plan p ->
       let t0 = now () in
       let f = Dss.multi_factor p.ms ~hermitian:false s in
       let t1 = now () in
-      let z = Dss.multi_solve_factored f ~hermitian:false p.b in
-      let h = sparse_output p z in
-      let t2 = now () in
-      factor_acc := !factor_acc +. (t1 -. t0);
-      solve_acc := !solve_acc +. (t2 -. t1);
-      h
+      let h = sparse_output p (Dss.multi_solve_factored f ~hermitian:false p.b) in
+      (h, t1 -. t0, now () -. t1)
   | Hess_plan p ->
       let t0 = now () in
       let h = hess_eval p s in
-      solve_acc := !solve_acc +. (now () -. t0);
-      h
+      (h, 0.0, now () -. t0)
 
 let eval plan s =
-  let dead = ref 0.0 in
-  eval_timed plan s ~factor_acc:dead ~solve_acc:dead
+  let h, _, _ = eval_timed plan s in
+  h
 
 let eval_jw plan omega = eval plan { Complex.re = 0.0; im = omega }
 
-(* ------------------------------------------------------------------ *)
-(* The worker pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Replay points cost a sparse refactorisation each (ms scale) — chunk 1
-   keeps the queue balanced; Hessenberg points are microseconds, so a
-   larger default grab amortises the atomic traffic.  Both defaults are
-   shape-only, so they cannot perturb results. *)
-let default_chunk = function Sparse_plan _ -> 1 | Hess_plan _ -> 16
-
 (* Evaluate grid indices [lo, hi) into a fresh array (slot [k] holds
-   point [lo + k]), fanning across the pool. *)
-let run_block ?workers ?(oversubscribe = false) ?chunk plan (omegas : float array) lo hi =
-  let nt = hi - lo in
-  let chunk = match chunk with Some c -> c | None -> default_chunk plan in
-  if chunk < 1 then invalid_arg "Sweep_engine: chunk must be >= 1";
-  let requested =
-    match workers with Some w when w >= 1 -> w | Some _ | None -> default_workers ()
+   point [lo + k]), one fan job per point. *)
+let run_block ?(workers = 0) plan (omegas : float array) lo hi =
+  let done_, pool =
+    Par_kernel.fan ~workers (hi - lo) (fun k ->
+        eval_timed plan { Complex.re = 0.0; im = omegas.(lo + k) })
   in
-  let cap = if oversubscribe then requested else min requested (default_workers ()) in
-  let nw = max 1 (min cap nt) in
-  let out : Cmat.t array = Array.make nt (Cmat.create 0 0) in
-  let failures : (int * exn) option array = Array.make nw None in
-  let factor_t = Array.make nw 0.0
-  and solve_t = Array.make nw 0.0
-  and busy_t = Array.make nw 0.0
-  and n_done = Array.make nw 0 in
-  let next = Atomic.make 0 in
-  let work wid =
-    let factor_acc = ref 0.0 and solve_acc = ref 0.0 in
-    let solved = ref 0 in
-    let t_in = now () in
-    let running = ref true in
-    while !running do
-      let start = Atomic.fetch_and_add next chunk in
-      if start >= nt || failures.(wid) <> None then running := false
-      else
-        for k = start to min nt (start + chunk) - 1 do
-          if failures.(wid) = None then
-            match
-              eval_timed plan
-                { Complex.re = 0.0; im = omegas.(lo + k) }
-                ~factor_acc ~solve_acc
-            with
-            | h ->
-                out.(k) <- h;
-                incr solved
-            | exception e -> failures.(wid) <- Some (k, e)
-        done
-    done;
-    factor_t.(wid) <- !factor_acc;
-    solve_t.(wid) <- !solve_acc;
-    n_done.(wid) <- !solved;
-    busy_t.(wid) <- now () -. t_in
-  in
-  let t_start = now () in
-  if nw = 1 then work 0
-  else begin
-    let domains = Array.init nw (fun wid -> Domain.spawn (fun () -> work wid)) in
-    Array.iter Domain.join domains
-  end;
-  let wall = now () -. t_start in
-  let first_failure =
-    Array.fold_left
-      (fun acc f ->
-        match (acc, f) with
-        | None, f -> f
-        | Some _, None -> acc
-        | Some (i, _), Some (j, _) -> if j < i then f else acc)
-      None failures
-  in
-  (match first_failure with Some (_, e) -> raise e | None -> ());
-  ( out,
+  let sum f = Array.fold_left (fun acc d -> acc +. f d) 0.0 done_ in
+  ( Array.map (fun (h, _, _) -> h) done_,
     {
-      points = Array.fold_left ( + ) 0 n_done;
-      workers = nw;
-      factor_s = Array.fold_left ( +. ) 0.0 factor_t;
-      solve_s = Array.fold_left ( +. ) 0.0 solve_t;
-      wall_s = wall;
-      busy_s = busy_t;
+      points = hi - lo;
+      factor_s = sum (fun (_, f, _) -> f);
+      solve_s = sum (fun (_, _, s) -> s);
+      pool;
     } )
 
-let empty_stats = { points = 0; workers = 0; factor_s = 0.0; solve_s = 0.0; wall_s = 0.0; busy_s = [||] }
-
-let sweep ?workers ?oversubscribe ?chunk plan omegas =
-  let n = Array.length omegas in
-  if n = 0 then ([||], empty_stats)
-  else run_block ?workers ?oversubscribe ?chunk plan omegas 0 n
+let sweep ?workers plan omegas = run_block ?workers plan omegas 0 (Array.length omegas)
 
 (* Window size for the streaming drivers: enough points to keep every
-   pool worker fed through several chunks, small enough that a window of
-   responses stays cheap next to the plan itself. *)
+   pool worker fed, small enough that a window of responses stays cheap
+   next to the plan itself. *)
 let stream_window = 64
 
-let fold ?workers ?oversubscribe ?chunk plan omegas ~init ~f =
+let fold ?workers plan omegas ~init ~f =
   let n = Array.length omegas in
   let acc = ref init and lo = ref 0 in
   while !lo < n do
     let hi = min n (!lo + stream_window) in
-    let block, _ = run_block ?workers ?oversubscribe ?chunk plan omegas !lo hi in
+    let block, _ = run_block ?workers plan omegas !lo hi in
     for k = 0 to hi - !lo - 1 do
       acc := f !acc (!lo + k) block.(k)
     done;
@@ -399,5 +309,4 @@ let fold ?workers ?oversubscribe ?chunk plan omegas ~init ~f =
   done;
   !acc
 
-let iteri ?workers ?oversubscribe ?chunk plan omegas ~f =
-  fold ?workers ?oversubscribe ?chunk plan omegas ~init:() ~f:(fun () k h -> f k h)
+let iteri ?workers plan omegas ~f = fold ?workers plan omegas ~init:() ~f:(fun () k h -> f k h)

@@ -18,11 +18,11 @@
       grid point then costs one O(q^2) Hessenberg elimination and back
       substitution instead of an O(q^3) dense LU.
 
-    Grid points fan out across an OCaml 5 domain pool under the same
-    shape-only bitwise worker-invariance contract as [Shift_engine] and
-    [Par_kernel]: each response is a pure function of (plan, s) — never of
-    the worker count, chunk size or scheduling — and results are
-    assembled in grid order.  CI enforces serial == parallel bitwise. *)
+    Grid points fan out on {!Pmtbr_la.Par_kernel.fan}, one job per
+    point, under the same bitwise worker-invariance contract as
+    [Shift_engine] and [Par_kernel]: each response is a pure function of
+    (plan, s) — never of the worker count or scheduling — and results
+    come back in grid order.  CI enforces serial == parallel bitwise. *)
 
 open Pmtbr_la
 
@@ -35,11 +35,9 @@ type tier = Replay | Hessenberg
 
 type stats = {
   points : int;  (** grid points evaluated *)
-  workers : int;  (** pool size actually used *)
   factor_s : float;  (** summed per-point factorisation time *)
   solve_s : float;  (** summed solve + output-fold time *)
-  wall_s : float;  (** wall clock of the whole sweep *)
-  busy_s : float array;  (** per-worker busy time *)
+  pool : Par_kernel.pool;  (** the fan that evaluated the points *)
 }
 
 val prepare : ?template:Complex.t -> Dss.t -> t
@@ -60,42 +58,19 @@ val eval : t -> Complex.t -> Cmat.t
 val eval_jw : t -> float -> Cmat.t
 (** [eval_jw plan omega] is [eval plan (j omega)]. *)
 
-val sweep :
-  ?workers:int -> ?oversubscribe:bool -> ?chunk:int -> t -> float array -> Cmat.t array * stats
+val sweep : ?workers:int -> t -> float array -> Cmat.t array * stats
 (** Responses over a grid of frequencies (rad/s), evaluated in parallel,
-    with the pool's timing.  The responses are bitwise-identical to
-    [Array.map (eval_jw plan) omegas] for every worker count.
-    [oversubscribe] lifts the hardware cap on the pool (tests use it to
-    force real multi-domain runs anywhere); [chunk] is the queue grab
-    size. *)
+    with the fan's timing.  [workers] follows
+    {!Pmtbr_la.Par_kernel.pool_size}.  The responses are
+    bitwise-identical to [Array.map (eval_jw plan) omegas] for every
+    worker count. *)
 
-val fold :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  t ->
-  float array ->
-  init:'a ->
-  f:('a -> int -> Cmat.t -> 'a) ->
-  'a
+val fold : ?workers:int -> t -> float array -> init:'a -> f:('a -> int -> Cmat.t -> 'a) -> 'a
 (** Streaming sweep: evaluates the grid in bounded windows (points still
     fan out across the pool inside each window) and folds [f acc k h_k]
     serially in grid order, so the full [Cmat.t array] is never
     materialised.  The fold order — and therefore the result — is
     worker-invariant. *)
 
-val iteri :
-  ?workers:int ->
-  ?oversubscribe:bool ->
-  ?chunk:int ->
-  t ->
-  float array ->
-  f:(int -> Cmat.t -> unit) ->
-  unit
+val iteri : ?workers:int -> t -> float array -> f:(int -> Cmat.t -> unit) -> unit
 (** {!fold} specialised to side effects. *)
-
-val utilisation : stats -> float
-(** Mean busy fraction of the pool, in [0, 1]. *)
-
-val default_workers : unit -> int
-(** The hardware pool cap, [Domain.recommended_domain_count ()]. *)

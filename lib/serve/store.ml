@@ -277,13 +277,14 @@ let find_part t key =
 
 (* Export synthesis runs on demand from the cached ROM (deterministic, so
    a warm-tier export is byte-identical to a cold one) and is never part
-   of the cached entry. *)
-let export_of_rom ~export rom =
+   of the cached entry.  Its QR and products run on the job's pool, like
+   every other stage of the job. *)
+let export_of_rom t ~export rom =
   if not export then Ok None
   else
     match
-      Pmtbr_circuit.Synth.realize ~e:(Dss.e_dense rom) ~a:(Dss.a_dense rom)
-        ~b:(Dss.b_matrix rom) ~c:(Dss.c_matrix rom) ()
+      Pmtbr_circuit.Synth.realize ~workers:t.job_workers ~e:(Dss.e_dense rom)
+        ~a:(Dss.a_dense rom) ~b:(Dss.b_matrix rom) ~c:(Dss.c_matrix rom) ()
     with
     | ir -> Ok (Some (Pmtbr_circuit.Spice_ir.render ir))
     | exception Pmtbr_circuit.Synth.Unrealizable msg ->
@@ -294,9 +295,9 @@ let export_of_rom ~export rom =
    per-subdomain samples tier — never the global samples tier, never the
    global multi-shift.  The partition tree is shared across interface
    tolerances: compression happens after recombination, on the assembled
-   pencil.  Part lookups may run on pool domains, so each records into
-   its own slot and takes only [t.lock] (the caller holds the network
-   lock: outer, never taken inside). *)
+   pencil.  Part lookups run on the fan's domains, the calling one
+   included, so each records into its own slot and takes only [t.lock]
+   (the caller holds the network lock: outer, never taken inside). *)
 let reduce_hier t (job : Protocol.job) ~hash ~nl ~band ~spec ~budget ~net_tier =
   try
     let pkey = part_key hash ~mode:(partition_descriptor ~spec ~max_part_states:budget) in
@@ -494,7 +495,7 @@ let reduce t (job : Protocol.job) =
         | Samples_hit -> t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1
         | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
         | Miss -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-    let* netlist = export_of_rom ~export:job.Protocol.export r.r_rom in
+    let* netlist = export_of_rom t ~export:job.Protocol.export r.r_rom in
     Ok
       {
         rom = r.r_rom;

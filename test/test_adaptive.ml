@@ -70,7 +70,7 @@ let prop_cache_worker_invariant =
       let sys = mesh_system ~rows:dim ~cols:dim ~ports:2 in
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
       let serial = Sample_cache.create ~workers:1 sys in
-      let parallel = Sample_cache.create ~workers ~oversubscribe:true sys in
+      let parallel = Sample_cache.create ~workers sys in
       Sample_cache.extend serial pts;
       Sample_cache.extend parallel pts;
       bitwise_equal (Sample_cache.assemble serial ~scale:1.0)

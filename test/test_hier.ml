@@ -267,13 +267,13 @@ let test_worker_invariance () =
   let pts = points 6 in
   let digests =
     List.map
-      (fun (w, over) ->
+      (fun workers ->
         let rom, _ =
-          Hier_reduce.reduce_partitioned ~tol:1e-10 ~interface_tol:1e-9 ~workers:w
-            ~oversubscribe:over (Partition.split ~parts:4 nl) pts
+          Hier_reduce.reduce_partitioned ~tol:1e-10 ~interface_tol:1e-9 ~workers
+            (Partition.split ~parts:4 nl) pts
         in
         rom_digest rom)
-      [ (1, false); (2, true); (5, true) ]
+      [ 1; 2; 5 ]
   in
   match digests with
   | [ d1; d2; d3 ] ->
@@ -297,6 +297,39 @@ let test_recombine_invariance () =
   let d4 = rom_digest (Hier_reduce.recombine ~workers:4 pt bases) in
   Alcotest.(check string) "recombine workers 1 == 4" d1 d4
 
+(* a [columns] callback that fails on several parts: whatever the pool
+   size and however the parts were scheduled, [reduce_with_columns]
+   re-raises the exception of the lowest-index failing part.  A failing
+   part first sleeps a moment, so with several workers more than one
+   failure is in flight at once. *)
+exception Part_failed of int
+
+let test_failure_order () =
+  let nl = mesh ~rows:8 ~cols:8 ~ports:2 in
+  let pts = points 4 in
+  let pt = Partition.split ~parts:4 nl in
+  Alcotest.(check int) "four parts" 4 (Partition.part_count pt);
+  let columns failing i part =
+    if List.mem i failing then begin
+      Unix.sleepf 0.01;
+      raise (Part_failed i)
+    end
+    else Hier_reduce.sample_part part pts
+  in
+  List.iter
+    (fun failing ->
+      let lowest = List.fold_left min max_int failing in
+      List.iter
+        (fun workers ->
+          match
+            Hier_reduce.reduce_with_columns ~tol:1e-10 ~workers ~columns:(columns failing) pt pts
+          with
+          | _ -> Alcotest.failf "workers %d: no exception surfaced" workers
+          | exception Part_failed i ->
+              Alcotest.(check int) (Printf.sprintf "workers %d surfaces part" workers) lowest i)
+        [ 1; 2; 4 ])
+    [ [ 3 ]; [ 1; 3 ]; [ 0; 2 ]; [ 1; 2; 3 ] ]
+
 (* ------------------------------------------------------------------ *)
 (* qcheck properties                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -316,8 +349,7 @@ let prop_hier_agrees_and_invariant =
         Hier_reduce.reduce_partitioned ~tol:1e-12 ~workers:1 (Partition.split ~parts nl) pts
       in
       let romw, _ =
-        Hier_reduce.reduce_partitioned ~tol:1e-12 ~workers ~oversubscribe:true
-          (Partition.split ~parts nl) pts
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~workers (Partition.split ~parts nl) pts
       in
       if rom_digest rom1 <> rom_digest romw then
         QCheck2.Test.fail_report "ROM digest depends on worker count";
@@ -363,7 +395,7 @@ let prop_auto_compressed =
           (Partition.split_auto ~max_states:budget nl) pts
       in
       let romw, _ =
-        Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-9 ~workers ~oversubscribe:true
+        Hier_reduce.reduce_partitioned ~tol:1e-12 ~interface_tol:1e-9 ~workers
           (Partition.split_auto ~max_states:budget nl) pts
       in
       if rom_digest rom1 <> rom_digest romw then
@@ -413,6 +445,7 @@ let () =
         [
           Alcotest.test_case "worker invariance" `Quick test_worker_invariance;
           Alcotest.test_case "recombine invariance" `Quick test_recombine_invariance;
+          Alcotest.test_case "failure order" `Quick test_failure_order;
         ] );
       ("properties", props);
     ]

@@ -1,5 +1,6 @@
-(* Tests for the dense kernel layer (Par_kernel / Svd / Qr): bitwise
-   worker-invariance of the panelled GEMM/gram/mv and the blocked
+(* Tests for the dense kernel layer (Par_kernel / Svd / Qr): the fan
+   every parallel loop runs on (index order, lowest-index failure, the
+   one worker rule), bitwise worker-invariance of the panelled GEMM/gram/mv and the blocked
    Householder QR (including bitwise equality with the naive [Mat]
    kernels and the unblocked serial sweep), bitwise equality of [Mat]'s
    float kernels, [Triplet]'s products and [Sample_cache.apply_q] with
@@ -16,6 +17,46 @@ open Pmtbr_core
 
 let bitwise_equal (a : Mat.t) (b : Mat.t) =
   a.Mat.rows = b.Mat.rows && a.Mat.cols = b.Mat.cols && a.Mat.data = b.Mat.data
+
+(* ------------------------------------------------------------------ *)
+(* The fan                                                             *)
+(* ------------------------------------------------------------------ *)
+
+exception Job_failed of int
+
+(* Every parallel loop runs on [fan]: results in index order, or the
+   exception of the lowest failing index whatever the schedule, and a
+   pool record sized by the one worker rule.  A failing job first sleeps
+   a moment, so with several workers more than one failure is in flight
+   at once. *)
+let prop_fan =
+  QCheck2.Test.make ~name:"Par_kernel.fan: index order, lowest failure, pool record" ~count:40
+    QCheck2.Gen.(
+      triple (int_range 0 40) (int_range 1 5) (list_size (int_range 0 3) (int_range 0 45)))
+    (fun (n, workers, failing) ->
+      let job i =
+        if List.mem i failing then begin
+          Unix.sleepf 0.001;
+          raise (Job_failed i)
+        end
+        else (i * i) + 1
+      in
+      let lowest = List.fold_left (fun acc i -> if i < n then min acc i else acc) n failing in
+      match Par_kernel.fan ~workers n job with
+      | out, pool ->
+          if lowest < n then QCheck2.Test.fail_reportf "job %d failed but nothing raised" lowest;
+          if out <> Array.init n job then QCheck2.Test.fail_report "results out of index order";
+          if pool.Par_kernel.workers <> Par_kernel.pool_size ~workers n then
+            QCheck2.Test.fail_reportf "pool of %d workers, rule says %d" pool.Par_kernel.workers
+              (Par_kernel.pool_size ~workers n);
+          if Array.length pool.Par_kernel.busy_s <> pool.Par_kernel.workers then
+            QCheck2.Test.fail_report "busy_s needs one slot per worker";
+          let u = Par_kernel.utilisation pool in
+          if u < 0.0 || u > 1.0 then QCheck2.Test.fail_reportf "utilisation %g out of [0,1]" u;
+          true
+      | exception Job_failed i ->
+          if i <> lowest then QCheck2.Test.fail_reportf "job %d surfaced, lowest is %d" i lowest;
+          true)
 
 (* ------------------------------------------------------------------ *)
 (* Level-1/2/3 kernels: bitwise equal to the naive Mat loops           *)
@@ -157,7 +198,7 @@ let tall_cache =
      let caches =
        Array.map
          (fun workers ->
-           let c = Sample_cache.create ~workers ~oversubscribe:true sys in
+           let c = Sample_cache.create ~workers sys in
            Sample_cache.extend c pts;
            c)
          [| 1; 3 |]
@@ -317,6 +358,7 @@ let test_cross_gramian_worker_invariant () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_fan;
       prop_mul_bitwise;
       prop_gram_bitwise;
       prop_mv_bitwise;

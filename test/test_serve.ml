@@ -438,9 +438,7 @@ let test_library_equals_daemon () =
     let pt = split nl in
     List.map
       (fun workers ->
-        fst
-          (Hier_reduce.reduce_partitioned ?order ?interface_tol ~workers ~oversubscribe:true pt
-             pts))
+        fst (Hier_reduce.reduce_partitioned ?order ?interface_tol ~workers pt pts))
       [ 1; 3 ]
   in
   let band = (1e8, 1e10) in

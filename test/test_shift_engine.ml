@@ -17,19 +17,18 @@ let bitwise_equal (a : Mat.t) (b : Mat.t) =
   a.Mat.rows = b.Mat.rows && a.Mat.cols = b.Mat.cols && a.Mat.data = b.Mat.data
 
 (* The contract the whole test exists for: the sample matrix is a pure
-   function of (system, points) — never of the worker count, the chunk
-   size, or the scheduling.  [oversubscribe] makes the engine really spawn
+   function of (system, points) — never of the worker count or the
+   scheduling.  The engine honours an explicit count, so it really spawns
    the domains even on a single-core machine. *)
 let prop_parallel_equals_serial =
   QCheck2.Test.make ~name:"parallel == serial (bitwise)" ~count:12
     QCheck2.Gen.(
-      tup6 (int_range 3 6) (int_range 3 6) (int_range 1 3) (int_range 3 10) (int_range 2 4)
-        (int_range 1 3))
-    (fun (rows, cols, ports, npts, workers, chunk) ->
+      tup5 (int_range 3 6) (int_range 3 6) (int_range 1 3) (int_range 3 10) (int_range 2 4))
+    (fun (rows, cols, ports, npts, workers) ->
       let sys = mesh_system ~rows ~cols ~ports in
       let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:npts in
       let serial = Zmat.build ~workers:1 sys pts in
-      let par = Zmat.build ~workers ~oversubscribe:true ~chunk sys pts in
+      let par = Zmat.build ~workers sys pts in
       bitwise_equal serial par)
 
 (* The observability side goes through the hermitian solve path; it must
@@ -41,7 +40,7 @@ let prop_parallel_equals_serial_left =
       let sys = mesh_system ~rows ~cols ~ports:2 in
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
       let serial = Zmat.build_left ~workers:1 sys pts in
-      let par = Zmat.build_left ~workers ~oversubscribe:true sys pts in
+      let par = Zmat.build_left ~workers sys pts in
       bitwise_equal serial par)
 
 (* The engine's refactorised numerics against the legacy path (a fresh
@@ -98,7 +97,7 @@ let test_singular_propagates_serial () =
 
 let test_singular_propagates_parallel () =
   let sys = singular_system 12 in
-  match Zmat.build ~workers:3 ~oversubscribe:true sys singular_points with
+  match Zmat.build ~workers:3 sys singular_points with
   | _ -> Alcotest.fail "expected Singular"
   | exception Sparse_lu.C.Singular _ -> ()
 
@@ -106,43 +105,35 @@ let test_stats_sane () =
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:2 in
   let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:7 in
   let _, st =
-    Shift_engine.run ~workers:2 ~oversubscribe:true sys
-      (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
+    Shift_engine.run ~workers:2 sys (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
   in
+  let pool = st.Shift_engine.pool in
   Alcotest.(check int) "solves" 7 st.Shift_engine.solves;
-  Alcotest.(check int) "workers" 2 st.Shift_engine.workers;
-  Alcotest.(check int) "busy per worker" 2 (Array.length st.Shift_engine.busy_s);
-  let u = Shift_engine.utilisation st in
+  Alcotest.(check int) "workers" 2 pool.Par_kernel.workers;
+  Alcotest.(check int) "busy per worker" 2 (Array.length pool.Par_kernel.busy_s);
+  let u = Par_kernel.utilisation pool in
   if u < 0.0 || u > 1.0 then Alcotest.failf "utilisation %g out of [0,1]" u
 
 let test_utilisation_degenerate () =
   (* a run that never ticked the clock has no meaningful utilisation;
      reporting 1.0 (as the old code did) painted an idle pool as fully
      busy in the CLI summary *)
-  let st =
-    {
-      Shift_engine.solves = 0;
-      workers = 2;
-      factor_s = 0.0;
-      solve_s = 0.0;
-      wall_s = 0.0;
-      busy_s = [| 0.0; 0.0 |];
-    }
-  in
-  Alcotest.(check (float 0.0)) "zero wall clock" 0.0 (Shift_engine.utilisation st);
-  let st = { st with Shift_engine.workers = 0; busy_s = [||] } in
-  Alcotest.(check (float 0.0)) "no workers" 0.0 (Shift_engine.utilisation st)
+  let pool = { Par_kernel.workers = 2; wall_s = 0.0; busy_s = [| 0.0; 0.0 |] } in
+  Alcotest.(check (float 0.0)) "zero wall clock" 0.0 (Par_kernel.utilisation pool);
+  let pool = { pool with Par_kernel.workers = 0; busy_s = [||] } in
+  Alcotest.(check (float 0.0)) "no workers" 0.0 (Par_kernel.utilisation pool)
 
 let test_worker_cap () =
-  (* without [oversubscribe] the pool never exceeds the hardware *)
-  let sys = mesh_system ~rows:4 ~cols:4 ~ports:1 in
-  let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:5 in
-  let _, st =
-    Shift_engine.run ~workers:64 sys (Zmat.tasks ~rhs:(Dss.b_matrix sys) ~hermitian:false pts)
-  in
-  if st.Shift_engine.workers > Shift_engine.default_workers () then
-    Alcotest.failf "pool %d exceeds the %d-core cap" st.Shift_engine.workers
-      (Shift_engine.default_workers ())
+  (* a user's count (the CLI's --workers and serve --job-workers) never
+     exceeds the hardware, and never drops below one worker *)
+  let hw = Domain.recommended_domain_count () in
+  List.iter
+    (fun w ->
+      let c = Par_kernel.cap_to_host w in
+      if c < 1 || c > hw then Alcotest.failf "cap_to_host %d = %d outside [1, %d]" w c hw)
+    [ -3; 0; 1; 2; hw; hw + 1; 64 ];
+  Alcotest.(check int) "one worker stays one" 1 (Par_kernel.cap_to_host 1);
+  Alcotest.(check int) "the host count stays" hw (Par_kernel.cap_to_host hw)
 
 (* End-to-end: the reduction driver threaded through ?workers gives the
    same reduced model regardless of the worker count. *)

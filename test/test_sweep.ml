@@ -1,6 +1,6 @@
 (* Tests for the two-tier frequency-sweep engine (Sweep_engine / Freq):
    the bitwise worker-invariance contract (a sweep is a pure function of
-   (plan, grid) — never of the worker count, chunk size or scheduling,
+   (plan, grid) — never of the worker count or scheduling,
    and equals a serial map of the per-point [eval] through the same
    plan), agreement of the replay tier with the naive fresh-factorisation
    [Freq.eval] to the replay roundoff scale, agreement of the Hessenberg
@@ -34,20 +34,19 @@ let grid ~w_max ~npts = Vec.linspace (w_max /. 50.0) w_max npts
 (* Determinism: the contract CI relies on                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One plan, shared by every run: any worker count and chunk size must
-   reproduce the serial sweep bit for bit.  [oversubscribe] forces real
-   domain spawns even on a single-core machine. *)
+(* One plan, shared by every run: any worker count must reproduce the
+   serial sweep bit for bit.  The engine honours an explicit count, so
+   the domains really spawn even on a single-core machine. *)
 let prop_worker_invariance =
   QCheck2.Test.make ~name:"sweep: parallel == serial (bitwise, sparse tier)" ~count:10
     QCheck2.Gen.(
-      tup6 (int_range 3 6) (int_range 3 6) (int_range 1 3) (int_range 3 12) (int_range 2 4)
-        (int_range 1 3))
-    (fun (rows, cols, ports, npts, workers, chunk) ->
+      tup5 (int_range 3 6) (int_range 3 6) (int_range 1 3) (int_range 3 12) (int_range 2 4))
+    (fun (rows, cols, ports, npts, workers) ->
       let sys = mesh_system ~rows ~cols ~ports in
       let om = grid ~w_max:1e10 ~npts in
       let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
       let serial, _ = Sweep_engine.sweep ~workers:1 plan om in
-      let par, _ = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk plan om in
+      let par, _ = Sweep_engine.sweep ~workers plan om in
       sweeps_bitwise_equal serial par)
 
 (* The engine sweep at any worker count is exactly the serial map of the
@@ -59,7 +58,7 @@ let prop_sweep_equals_eval_map =
       let sys = mesh_system ~rows ~cols ~ports:2 in
       let om = grid ~w_max:1e10 ~npts in
       let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
-      let swept, _ = Sweep_engine.sweep ~workers ~oversubscribe:true plan om in
+      let swept, _ = Sweep_engine.sweep ~workers plan om in
       sweeps_bitwise_equal swept (Array.map (Sweep_engine.eval_jw plan) om))
 
 (* Freq.sweep is the engine with the first grid point as template — and
@@ -83,7 +82,7 @@ let prop_worker_invariance_dense =
       let om = grid ~w_max:10.0 ~npts in
       let plan = Sweep_engine.prepare sys in
       let serial, _ = Sweep_engine.sweep ~workers:1 plan om in
-      let par, _ = Sweep_engine.sweep ~workers ~oversubscribe:true ~chunk:3 plan om in
+      let par, _ = Sweep_engine.sweep ~workers plan om in
       sweeps_bitwise_equal serial par)
 
 (* ------------------------------------------------------------------ *)
@@ -262,11 +261,12 @@ let test_sweep_stats_sane () =
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:2 in
   let om = grid ~w_max:1e10 ~npts:9 in
   let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
-  let _, st = Sweep_engine.sweep ~workers:2 ~oversubscribe:true plan om in
+  let _, st = Sweep_engine.sweep ~workers:2 plan om in
+  let pool = st.Sweep_engine.pool in
   Alcotest.(check int) "points" 9 st.Sweep_engine.points;
-  Alcotest.(check int) "workers" 2 st.Sweep_engine.workers;
-  Alcotest.(check int) "busy per worker" 2 (Array.length st.Sweep_engine.busy_s);
-  let u = Sweep_engine.utilisation st in
+  Alcotest.(check int) "workers" 2 pool.Par_kernel.workers;
+  Alcotest.(check int) "busy per worker" 2 (Array.length pool.Par_kernel.busy_s);
+  let u = Par_kernel.utilisation pool in
   if u < 0.0 || u > 1.0 then Alcotest.failf "utilisation %g out of [0,1]" u;
   match Sweep_engine.tier plan with
   | Sweep_engine.Replay -> ()
@@ -279,8 +279,7 @@ let test_fold_order () =
   let om = grid ~w_max:1e10 ~npts:150 in
   let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = om.(0) } sys in
   let seen =
-    Sweep_engine.fold ~workers:3 ~oversubscribe:true plan om ~init:[] ~f:(fun acc k _ ->
-        k :: acc)
+    Sweep_engine.fold ~workers:3 plan om ~init:[] ~f:(fun acc k _ -> k :: acc)
   in
   Alcotest.(check (list int)) "grid order" (List.init 150 (fun i -> 149 - i)) seen
 

@@ -73,9 +73,7 @@ let prop_observability_matches_zmat =
     (fun (dim, npts, batch, workers) ->
       let sys = mesh_system ~rows:dim ~cols:dim ~ports:2 in
       let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e10 }) ~count:npts in
-      let cache =
-        Sample_cache.create ~workers ~oversubscribe:true ~source:Sample_cache.Observability sys
-      in
+      let cache = Sample_cache.create ~workers ~source:Sample_cache.Observability sys in
       extend_batched cache pts ~batch;
       bitwise_equal (Sample_cache.assemble cache ~scale:1.0) (Zmat.build_left ~workers:1 sys pts))
 
@@ -86,9 +84,7 @@ let prop_per_point_matches_zmat =
       let sys = mesh_system ~rows:dim ~cols:dim ~ports:2 in
       let pts = Sampling.points (Sampling.Uniform { w_max = 1e10 }) ~count:npts in
       let entries = make_per_point sys pts ~seed:(dim + npts) in
-      let cache =
-        Sample_cache.create ~workers ~oversubscribe:true ~source:Sample_cache.Per_point sys
-      in
+      let cache = Sample_cache.create ~workers ~source:Sample_cache.Per_point sys in
       extend_rhs_batched cache entries ~batch;
       bitwise_equal
         (Sample_cache.assemble cache ~scale:1.0)
