@@ -4,8 +4,8 @@
    half of the pipeline: the SVD/QR/GEMM reduction stage on a real
    1000+-state sample matrix.  The headline comparison is
 
-   - serial cyclic Jacobi ([Svd.decompose_cyclic], the original reference:
-     cyclic sweeps over the full n x c sample matrix), vs
+   - serial cyclic Jacobi ([Pmtbr_oracle.Cyclic_svd.decompose], the original
+     reference: cyclic sweeps over the full n x c sample matrix), vs
    - the kernel-layer path ([Svd.decompose ~workers], blocked Householder
      QR preconditioning to the c x c triangular factor + round-robin
      Jacobi rounds + packed-reflector U recovery),
@@ -107,7 +107,7 @@ let invariant_checks ~name ~(zw : Mat.t) ~workers =
   let s1 = Svd.values ~workers:1 zw in
   let sw = Svd.values ~workers zw in
   if s1 <> sw then failwith (name ^ ": Svd.values is not worker-invariant");
-  let drift = sigma_drift sw (Svd.values_cyclic zw) in
+  let drift = sigma_drift sw (Cyclic_svd.values zw) in
   if drift > 1e-12 then
     failwith (Printf.sprintf "%s: round-robin sigma drift %.3e > 1e-12" name drift);
   Printf.eprintf "[dense_bench] %s: determinism OK (sigma drift %.2e)\n%!" name drift;
@@ -120,7 +120,7 @@ let bench_case ~name ~sys ~points ~workers ~reps =
   Printf.eprintf "[dense_bench] %s: %d states, %d sample columns\n%!" name zw.Mat.rows
     zw.Mat.cols;
   let drift = invariant_checks ~name ~zw ~workers in
-  let cyclic, svd_cyclic_wall = time_best ~reps (fun () -> Svd.decompose_cyclic zw) in
+  let cyclic, svd_cyclic_wall = time_best ~reps (fun () -> Cyclic_svd.decompose zw) in
   let kernel, svd_kernel_wall = time_best ~reps (fun () -> Svd.decompose ~workers zw) in
   ignore (sigma_drift cyclic.Svd.sigma kernel.Svd.sigma);
   let _, qr_reference_wall = time_best ~reps (fun () -> Qr.thin_reference zw) in

@@ -96,7 +96,7 @@ let fig6 () =
   List.iter
     (fun count ->
       let r = Pmtbr.reduce ~order:4 sys (clock_points count) in
-      let angle = Subspace.vector_to_subspace_angle second r.Pmtbr.basis in
+      let angle = Subspace.vector_to_subspace_angle second (Lazy.force r.Pmtbr.basis) in
       Util.row [ string_of_int count; Util.fmt_e angle ])
     [ 4; 6; 8; 12; 16; 24; 32; 48; 64 ]
 

@@ -20,7 +20,8 @@
    Invariants asserted on every pass (both modes):
 
    - every warm repeat returns the same ROM digest as the cold run;
-   - a second fresh daemon given the same job cold produces that same
+   - a fresh daemon given the same job cold produces that same digest,
+     and another given the tighter-tol job cold produces the re-finish's
      digest (warm-path ROMs are bitwise-identical to cold-path ROMs);
    - the incremental jobs hit the advertised tiers with the advertised
      counter deltas (symbolic = 1 forever, re-tol solves delta = 0).
@@ -153,9 +154,8 @@ let run_scenario ~mesh_n ~samples ~warm_jobs =
           if field band_r "tier" <> "network-hit" then
             failwith "new-band job must land on the network tier";
           (* --- incremental: tighter tol on the cached sample set --- *)
-          let retol_wall, retol_r =
-            timed_job conn { job with Protocol.order = None; tol = Some 1e-10 }
-          in
+          let retol_job = { job with Protocol.order = None; tol = Some 1e-10 } in
+          let retol_wall, retol_r = timed_job conn retol_job in
           if field retol_r "tier" <> "samples-hit" then
             failwith "re-tol job must land on the samples tier";
           let retol_solves = int_field retol_r "solves" in
@@ -173,19 +173,23 @@ let run_scenario ~mesh_n ~samples ~warm_jobs =
             "[serve_bench] incremental: band %.4f s (network-hit), re-tol %.4f s \
              (samples-hit, 0 solves), symbolic total %d\n%!"
             band_wall retol_wall symbolic_total;
-          (* --- cold-path identity on a fresh daemon --- *)
-          let socket2 = Printf.sprintf ".serve_bench.%d.cold.sock" (Unix.getpid ()) in
-          let daemon2 = start_daemon ~socket:socket2 ~workers:1 in
-          let cold_digest =
+          (* --- cold-path identity: each job alone on a fresh daemon --- *)
+          let cold_digest job =
+            let socket2 = Printf.sprintf ".serve_bench.%d.cold.sock" (Unix.getpid ()) in
+            let daemon2 = start_daemon ~socket:socket2 ~workers:1 in
             Fun.protect
               ~finally:(fun () -> stop_daemon daemon2)
               (fun () ->
                 Client.with_connection socket2 (fun c2 ->
                     field (snd (timed_job c2 job)) "digest"))
           in
-          if cold_digest <> digest then
+          if cold_digest job <> digest then
             failwith "fresh-daemon cold digest differs from the warm-path digest";
-          Printf.eprintf "[serve_bench] cold-path digest reproduced on a fresh daemon\n%!";
+          if cold_digest retol_job <> field retol_r "digest" then
+            failwith "fresh-daemon cold digest differs from the re-tol re-finish digest";
+          Printf.eprintf
+            "[serve_bench] cold-path digests of the repeat and the re-tol reproduced on fresh \
+             daemons\n%!";
           {
             circuit = Printf.sprintf "rc-mesh-%dx%d" mesh_n mesh_n;
             states;

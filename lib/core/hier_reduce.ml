@@ -289,11 +289,11 @@ let compress_interface ?(workers = 1) ~tol (pt : Partition.t) (rom : Dss.t) poin
           done
         done)
       points;
-    let svd = Svd.decompose ~workers cols in
-    let rank = min m (Pmtbr.choose_order ~sigma:svd.Svd.sigma ~tol ()) in
+    let u, sigma = Svd.left ~workers cols in
+    let rank = min m (Pmtbr.choose_order ~sigma ~tol ()) in
     if rank >= m then (rom, m)
     else begin
-      let w = Svd.left_vectors svd rank in
+      let w = Mat.sub_cols u 0 rank in
       let t = Mat.create q (goff + rank) in
       for i = 0 to goff - 1 do
         Mat.set t i i 1.0

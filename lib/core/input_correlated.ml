@@ -29,7 +29,7 @@ type result = {
 let of_pmtbr ~input_rank (r : Pmtbr.result) =
   {
     rom = r.Pmtbr.rom;
-    basis = r.Pmtbr.basis;
+    basis = Lazy.force r.Pmtbr.basis;
     singular_values = r.Pmtbr.singular_values;
     input_rank;
     samples = r.Pmtbr.samples;

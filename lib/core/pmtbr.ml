@@ -14,7 +14,7 @@ open Pmtbr_lti
 
 type result = {
   rom : Dss.t; (* reduced model *)
-  basis : Mat.t; (* projection basis V, n x q *)
+  basis : Mat.t Lazy.t; (* projection basis V, n x q, lifted when read *)
   singular_values : float array; (* all singular values of ZW, descending *)
   samples : int; (* number of frequency points consumed *)
   stats : Sample_cache.stats; (* counters of the cache the run finished from *)
@@ -48,14 +48,12 @@ let choose_order ~(sigma : float array) ?order ?tol () =
     | None, _ -> from_tol (Option.value tol ~default:1e-10)
   end
 
-(* The basis half of every sampled PMTBR finish (Algorithm 1 steps 3-4),
-   from a cache's columns: SVD the cache's operand — the assembled ZW when
-   it is wide, the small factor R D otherwise (see
-   [Sample_cache.svd_operand]) — keep the dominant left singular vectors
-   and lift them to state space.  Returns the basis and all singular
-   values. *)
-let basis_of_cache cache ~scale ?order ?tol ?workers () =
-  let { Svd.u; sigma; _ } = Svd.decompose ?workers (Sample_cache.svd_operand cache ~scale) in
+(* Algorithm 1 steps 3-4 in the coordinates of the cache's SVD operand —
+   the assembled ZW when it is wide, the small factor R D otherwise (see
+   [Sample_cache.svd_operand]): its dominant left singular vectors, and
+   all singular values.  The right singular vectors are never formed. *)
+let leading cache ~scale ?order ?tol ?workers () =
+  let u, sigma = Svd.left ?workers (Sample_cache.svd_operand cache ~scale) in
   let q = choose_order ~sigma ?order ?tol () in
   (* never keep directions below numerical noise *)
   let q =
@@ -63,17 +61,36 @@ let basis_of_cache cache ~scale ?order ?tol ?workers () =
     let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
     cap q
   in
-  (Sample_cache.lift cache (Mat.sub_cols u 0 q), sigma)
+  (Mat.sub_cols u 0 q, sigma)
 
-(* The one finish of every sampled PMTBR run (Algorithm 1 steps 3-5): the
-   cache's basis, then the congruence projection.  One-shot, adaptive,
-   frequency-selective, input-correlated, hierarchical and served runs
-   all finish here, so one job gives the same bits on every route. *)
+(* The basis half of a finish, lifted to state space: for callers that
+   project elsewhere, such as the hierarchical recombination. *)
+let basis_of_cache cache ~scale ?order ?tol ?workers () =
+  let u_q, sigma = leading cache ~scale ?order ?tol ?workers () in
+  (Sample_cache.lift cache u_q, sigma)
+
+(* The one finish of every sampled PMTBR run (Algorithm 1 steps 3-5):
+   the leading vectors, then the congruence projection of the cache's
+   pencil onto them — U_q^T (Q^T E Q) U_q is the Galerkin model on
+   V = Q U_q, so a tall cache never touches the state dimension here
+   (the pencil itself is built once per sample set).  One-shot,
+   adaptive, frequency-selective, input-correlated and served runs all
+   finish here, so one job gives the same bits on every route.  The
+   pencil is the cache's own system projected, so any other [sys] would
+   be silently wrong: it is refused.  So is a basis forced after the
+   cache has grown: the lift reads the cache as it is then. *)
 let of_cache sys cache ~scale ?order ?tol ?workers ~samples () =
-  let basis, sigma = basis_of_cache cache ~scale ?order ?tol ?workers () in
+  if sys != Sample_cache.system cache then
+    invalid_arg "Pmtbr.of_cache: sys is not the system the cache samples";
+  let u_q, sigma = leading cache ~scale ?order ?tol ?workers () in
+  let columns = Sample_cache.columns cache in
   {
-    rom = Dss.project_congruence sys basis;
-    basis;
+    rom = Dss.project_congruence (Sample_cache.pencil cache) u_q;
+    basis =
+      lazy
+        (if Sample_cache.columns cache <> columns then
+           invalid_arg "Pmtbr.result.basis: the cache has grown since the finish";
+         Sample_cache.lift cache u_q);
     singular_values = sigma;
     samples;
     stats = Sample_cache.stats cache;

@@ -11,7 +11,10 @@ open Pmtbr_lti
 
 type result = {
   rom : Dss.t;  (** reduced model *)
-  basis : Mat.t;  (** projection basis V, [n x q], orthonormal columns *)
+  basis : Mat.t Lazy.t;
+      (** projection basis V, [n x q], orthonormal columns — lifted to
+          state space only when forced, which must happen before the
+          cache is extended ([Invalid_argument] otherwise) *)
   singular_values : float array;  (** all singular values of ZW, descending *)
   samples : int;  (** number of frequency points consumed *)
   stats : Sample_cache.stats;
@@ -29,22 +32,26 @@ val choose_order : sigma:float array -> ?order:int -> ?tol:float -> unit -> int
 val basis_of_cache :
   Sample_cache.t -> scale:float -> ?order:int -> ?tol:float -> ?workers:int -> unit ->
   Mat.t * float array
-(** The basis half of {!of_cache}: SVD of {!Sample_cache.svd_operand},
-    order choice ({!choose_order}, never below [1e-14] of [sigma_0]) and
-    the dominant left singular vectors lifted to state space
-    ({!Sample_cache.lift}).  Returns the [n x q] basis and all singular
-    values, descending.  For callers that project elsewhere, such as the
-    hierarchical recombination. *)
+(** The basis half of {!of_cache}: left singular vectors of
+    {!Sample_cache.svd_operand} ({!Pmtbr_la.Svd.left}), order choice
+    ({!choose_order}, never below [1e-14] of [sigma_0]) and the dominant
+    vectors lifted to state space ({!Sample_cache.lift}).  Returns the
+    [n x q] basis and all singular values, descending.  For callers that
+    project elsewhere, such as the hierarchical recombination. *)
 
 val of_cache :
   Dss.t -> Sample_cache.t -> scale:float -> ?order:int -> ?tol:float -> ?workers:int ->
   samples:int -> unit -> result
-(** The finish every sampled PMTBR run goes through: SVD of
-    {!Sample_cache.svd_operand} (the assembled [ZW] for a cache wider than
-    the state dimension, the small [R D] otherwise), the dominant left
-    singular vectors lifted to state space ({!Sample_cache.lift}), and a
-    congruence projection.  [scale] is the prefix rescaling applied at
-    assembly.  [workers] sizes the dense-kernel pool
+(** The finish every sampled PMTBR run goes through: the dominant left
+    singular vectors [U_q] of {!Sample_cache.svd_operand} (the assembled
+    [ZW] for a cache wider than the state dimension, the small [R D]
+    otherwise) and the congruence projection of {!Sample_cache.pencil}
+    onto them — for a tall cache the Galerkin model on [V = Q U_q] at
+    [O(c^2 q)], never touching the state dimension once the pencil is
+    built; [basis] lifts [V] only when forced.  [sys] must be
+    {!Sample_cache.system} of the cache (physically): anything else
+    raises [Invalid_argument].  [scale] is the prefix rescaling applied
+    at assembly.  [workers] sizes the dense-kernel pool
     ({!Pmtbr_la.Par_kernel}); results are bitwise-identical for any
     value. *)
 

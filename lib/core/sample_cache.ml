@@ -66,7 +66,8 @@ type t = {
   mutable raw : float array array; (* raw unweighted columns, each length n *)
   mutable q_cols : float array array; (* thin-QR orthonormal columns, a prefix of [raw]'s *)
   mutable r_cols : float array array; (* column j of R, length j + 1 *)
-  qr_lock : Mutex.t; (* the lazy QR build: caches are shared across store jobs *)
+  mutable pencil : (int * Dss.t) option; (* Galerkin pencil on span(Q), with its column count *)
+  lock : Mutex.t; (* the lazy QR and pencil builds: caches are shared across store jobs *)
   mutable solves : int;
   mutable batches : int;
   mutable factor_s : float;
@@ -110,7 +111,8 @@ let create ?workers ?ms ?(source = Controllability) sys =
     raw = [||];
     q_cols = [||];
     r_cols = [||];
-    qr_lock = Mutex.create ();
+    pencil = None;
+    lock = Mutex.create ();
     solves = 0;
     batches = 0;
     factor_s = 0.0;
@@ -118,6 +120,7 @@ let create ?workers ?ms ?(source = Controllability) sys =
     batch_wall = [];
   }
 
+let system t = t.sys
 let points t = Array.length t.entries
 let columns t = Array.length t.raw
 
@@ -177,24 +180,26 @@ let orthogonalise t (q : float array array) j =
   let qj = if rho > 0.0 then Array.map (fun x -> x /. rho) v else Array.make n 0.0 in
   (qj, rj)
 
-(* Extend the thin QR over every raw column it does not cover yet.  The
-   store shares sample caches across jobs (and subdomain caches across
-   networks), so two domains can ask at once: the build runs under the
-   cache's own lock. *)
-let ensure_qr t =
-  Mutex.protect t.qr_lock (fun () ->
-      let built = Array.length t.q_cols and c = columns t in
-      if built < c then begin
-        let q = Array.append t.q_cols (Array.make (c - built) [||]) in
-        let r = Array.append t.r_cols (Array.make (c - built) [||]) in
-        for j = built to c - 1 do
-          let qj, rj = orthogonalise t q j in
-          q.(j) <- qj;
-          r.(j) <- rj
-        done;
-        t.q_cols <- q;
-        t.r_cols <- r
-      end)
+(* Extend the thin QR over every raw column it does not cover yet; the
+   caller holds [t.lock]. *)
+let grow_qr t =
+  let built = Array.length t.q_cols and c = columns t in
+  if built < c then begin
+    let q = Array.append t.q_cols (Array.make (c - built) [||]) in
+    let r = Array.append t.r_cols (Array.make (c - built) [||]) in
+    for j = built to c - 1 do
+      let qj, rj = orthogonalise t q j in
+      q.(j) <- qj;
+      r.(j) <- rj
+    done;
+    t.q_cols <- q;
+    t.r_cols <- r
+  end
+
+(* The store shares sample caches across jobs (and subdomain caches
+   across networks), so two domains can ask at once: every lazy build
+   runs under the cache's own lock. *)
+let ensure_qr t = Mutex.protect t.lock (fun () -> grow_qr t)
 
 (* ------------------------------------------------------------------ *)
 (* Extension                                                           *)
@@ -353,3 +358,38 @@ let wide t = columns t > t.n
 let svd_operand t ~scale = if wide t then assemble t ~scale else small_factor t ~scale
 
 let lift t u = if wide t then u else apply_q t u
+
+(* The system in the coordinates of [svd_operand]'s left vectors.  For a
+   tall cache that is the Galerkin pencil on span(Q) — (Q^T E Q, Q^T A Q,
+   Q^T B, C Q) with the system's own B and C whatever the sample source —
+   so projecting it onto the leading singular vectors U_q gives the model
+   [Dss.project_congruence sys (Q U_q)] would, at O(c^2 q) instead of
+   O(n c q).  The products run on the [Par_kernel] GEMM (bitwise [Mat.mul]
+   for any worker count).  It is built once per column set and stamped
+   with the count it covers; a cache that has grown since rebuilds it
+   from scratch, never patches it, so it stays a pure function of the
+   columns held.  A wide cache's left vectors are state-space columns
+   already: its pencil is the system itself. *)
+let pencil t =
+  if wide t then t.sys
+  else
+    Mutex.protect t.lock (fun () ->
+        let c = columns t in
+        match t.pencil with
+        | Some (held, p) when held = c -> p
+        | Some _ | None ->
+            if c = 0 then invalid_arg "Sample_cache.pencil: empty cache";
+            grow_qr t;
+            let n = t.n and workers = t.workers in
+            let qt = Mat.create c n in
+            Array.iteri (fun j col -> Array.blit col 0 qt.Mat.data (j * n) n) t.q_cols;
+            let q = Mat.transpose qt in
+            let p =
+              Dss.of_dense
+                ~e:(Par_kernel.mul ?workers qt (Dss.apply_e t.sys q))
+                ~a:(Par_kernel.mul ?workers qt (Dss.apply_a t.sys q))
+                ~b:(Par_kernel.mul ?workers qt (Dss.b_matrix t.sys))
+                ~c:(Par_kernel.mul ?workers (Dss.c_matrix t.sys) q)
+            in
+            t.pencil <- Some (c, p);
+            p)

@@ -20,7 +20,9 @@
     {!svd_operand} picks the smaller of [ZW] and [R D] for the SVD that
     finishes or monitors a run, so a cache wider than the state dimension
     never builds the QR at all.  {!cross_q} compresses two-cache products
-    (the sampled cross-Gramian pencil) to the column dimension.
+    (the sampled cross-Gramian pencil) to the column dimension, and
+    {!pencil} holds a tall cache's system projected onto span(Q), so a
+    finish projects a [c x c] model instead of the [n]-state one.
 
     Everything held is a pure function of the point sequence consumed so
     far: extending in one batch or many, with any worker count, yields
@@ -69,6 +71,9 @@ val extend_rhs : t -> (Sampling.point * Mat.t) array -> unit
     right-hand side (the input-correlated random draws).  Raises
     [Invalid_argument] on a fixed-source cache or on a right-hand side
     without one row per state. *)
+
+val system : t -> Dss.t
+(** The system the cache samples (the one given to {!create}). *)
 
 val points : t -> int
 (** Number of sample points held. *)
@@ -121,7 +126,22 @@ val svd_operand : t -> scale:float -> Mat.t
     its singular values are those of [ZW]; only the smaller operand is
     ever formed.  Raises [Invalid_argument] on an empty cache. *)
 
+val wide : t -> bool
+(** Whether the cache holds more columns than states: {!svd_operand} is
+    then the assembled [ZW], and no QR or {!pencil} is ever built. *)
+
 val lift : t -> Mat.t -> Mat.t
 (** [lift t u] maps left singular vectors of {!svd_operand} to
     state-space columns: [u] itself for a wide cache, {!apply_q} for a
     tall one. *)
+
+val pencil : t -> Dss.t
+(** The system in the coordinates of {!svd_operand}'s left vectors, so
+    that [Dss.project_congruence (pencil t) u] is the Galerkin model on
+    [lift t u].  For a tall cache: the dense [c x c] pencil
+    [(Q^T E Q, Q^T A Q, Q^T B, C Q)] of {!system}'s own [B] and [C],
+    whatever the sample source — built on first use under the cache's
+    lock, once per column set (a grown cache rebuilds it whole, so it
+    stays a pure function of the columns held; bitwise-identical for any
+    worker count).  For a wide cache: {!system} itself.  Raises
+    [Invalid_argument] on an empty cache. *)

@@ -61,7 +61,7 @@ let reduce ?order ?tol sys ~(u : float -> float array) ~t1 ~dt ~snapshots =
         sqrt (dt *. (hi -. lo)))
   in
   let x = Mat.init n m (fun i j -> w.(j) *. Mat.get states i idx.(j)) in
-  let { Svd.u = uu; sigma; _ } = Svd.decompose x in
+  let uu, sigma = Svd.left x in
   let q = Pmtbr.choose_order ~sigma ?order ?tol () in
   let q =
     let smax = Float.max sigma.(0) 1e-300 in

@@ -164,4 +164,4 @@ val jacobi_rounds :
     sequential.  Stops when a full sweep applies no rotation (every pair
     orthogonal to [threshold] relative accuracy) or after [max_sweeps]
     sweeps.  The rotation arithmetic is exactly that of the serial cyclic
-    sweep in {!Svd}; only the pair order differs. *)
+    sweep of the test oracles' reference SVD; only the pair order differs. *)

@@ -8,26 +8,24 @@
    Jacobi rotation touches exactly two columns, so the column layout turns
    the inner loops into contiguous unsafe array walks.
 
-   Two rotation orders are implemented:
-
-   - the serial cyclic sweep ([decompose_cyclic] / [values_cyclic]), kept
-     as the reference implementation;
-
-   - the round-robin (tournament) schedule in [Par_kernel.jacobi_rounds],
-     whose rounds rotate disjoint column pairs and therefore parallelise
-     with bitwise worker-invariance.  [decompose] / [values] run on it.
-     The two orders apply the identical rotation arithmetic to the same
-     pairs, only in a different sequence, so their singular values agree
-     to the sweep threshold's relative accuracy (tests pin 1e-12).
+   The rotations run on the round-robin (tournament) schedule of
+   [Par_kernel.jacobi_rounds], whose rounds rotate disjoint column pairs
+   and therefore parallelise with bitwise worker-invariance.  The serial
+   cyclic sweep it replaced applies the identical rotation arithmetic to
+   the same pairs in another sequence; it lives with the test oracles
+   ([Pmtbr_oracle.Cyclic_svd]), which pin the two orders' singular values
+   within 1e-12 relative of each other.
 
    On very tall blocks — the PMTBR sample shape, n states x tens-to-
-   hundreds of columns — [decompose]/[values] first shrink the problem
-   with a blocked QR and run the rotations on the small triangular factor
-   (the xGESVJ-style QR preconditioning step): sweeps then cost O(c^3)
-   instead of O(n c^2), which is where most of the reduction-stage
-   speedup over the cyclic reference comes from.  The preconditioning
-   only engages when rows > 2 * cols; moderately tall blocks keep the
-   direct rotations and their full high relative accuracy.
+   hundreds of columns — the rotations run on the small triangular factor
+   of a blocked QR (the xGESVJ-style QR preconditioning step): sweeps then
+   cost O(c^3) instead of O(n c^2).  The preconditioning only engages when
+   rows > 2 * cols; moderately tall blocks keep the direct rotations and
+   their full high relative accuracy.
+
+   The working columns evolve the same whether or not the right-hand
+   rotations are accumulated beside them, so [decompose], [left] and
+   [values] agree bit for bit on everything they share.
 
    [decompose a] returns (u, sigma, v) with a = u * diag(sigma) * v^T,
    u : m×r, v : n×r orthonormal columns, sigma descending, r = min m n. *)
@@ -36,113 +34,8 @@ type t = { u : Mat.t; sigma : float array; v : Mat.t }
 
 let max_sweeps = 60
 
-(* One cyclic-Jacobi run over columns [w] (each length [m]), optionally
-   accumulating the right-hand rotations into [v] (each length [n]).
-   Rotations stop when every column pair is orthogonal to [threshold]
-   relative accuracy; Hestenes' method then has each singular value to
-   roughly that same *relative* accuracy, large and tiny alike. *)
-let jacobi_core ~threshold ~(w : float array array) ~(v : float array array option) m n =
-  let converged = ref false in
-  let sweeps = ref 0 in
-  while (not !converged) && !sweeps < max_sweeps do
-    incr sweeps;
-    converged := true;
-    for p = 0 to n - 2 do
-      for q = p + 1 to n - 1 do
-        let wp = w.(p) and wq = w.(q) in
-        (* alpha = w_p . w_p, beta = w_q . w_q, gamma = w_p . w_q *)
-        let alpha = ref 0.0 and beta = ref 0.0 and gamma = ref 0.0 in
-        for i = 0 to m - 1 do
-          let a = Array.unsafe_get wp i and b = Array.unsafe_get wq i in
-          alpha := !alpha +. (a *. a);
-          beta := !beta +. (b *. b);
-          gamma := !gamma +. (a *. b)
-        done;
-        let alpha = !alpha and beta = !beta and gamma = !gamma in
-        if Float.abs gamma > threshold *. sqrt (alpha *. beta) && gamma <> 0.0 then begin
-          converged := false;
-          let zeta = (beta -. alpha) /. (2.0 *. gamma) in
-          let t =
-            (* tan of the rotation angle, the root of smaller magnitude *)
-            let s = if zeta >= 0.0 then 1.0 else -1.0 in
-            s /. (Float.abs zeta +. sqrt (1.0 +. (zeta *. zeta)))
-          in
-          let c = 1.0 /. sqrt (1.0 +. (t *. t)) in
-          let s = c *. t in
-          for i = 0 to m - 1 do
-            let a = Array.unsafe_get wp i and b = Array.unsafe_get wq i in
-            Array.unsafe_set wp i ((c *. a) -. (s *. b));
-            Array.unsafe_set wq i ((s *. a) +. (c *. b))
-          done;
-          match v with
-          | None -> ()
-          | Some v ->
-              let vp = v.(p) and vq = v.(q) in
-              for i = 0 to n - 1 do
-                let a = Array.unsafe_get vp i and b = Array.unsafe_get vq i in
-                Array.unsafe_set vp i ((c *. a) -. (s *. b));
-                Array.unsafe_set vq i ((s *. a) +. (c *. b))
-              done
-        end
-      done
-    done
-  done
-
 let columns_of (a : Mat.t) = Array.init a.Mat.cols (fun j -> Mat.col a j)
 let identity_cols n = Array.init n (fun j -> Array.init n (fun i -> if i = j then 1.0 else 0.0))
-
-(* Descending order of the column norms. *)
-let sort_order (sigma : float array) =
-  let order = Array.init (Array.length sigma) (fun j -> j) in
-  Array.sort (fun i j -> compare sigma.(j) sigma.(i)) order;
-  order
-
-(* Sort the rotated columns by norm and assemble the factors: sigma are
-   the column norms of [w], U their normalisations, V the accumulated
-   rotations.  Shared by the cyclic and round-robin paths. *)
-let assemble ~(w : float array array) ~(v : float array array) m n =
-  let sigma = Array.map Vec.norm2 w in
-  let order = sort_order sigma in
-  let s_sorted = Array.map (fun j -> sigma.(j)) order in
-  let u = Mat.create m n in
-  let vs = Mat.create n n in
-  Array.iteri
-    (fun jnew jold ->
-      let s = sigma.(jold) in
-      let colw = w.(jold) in
-      let ucol = if s > 0.0 then Vec.scale (1.0 /. s) colw else colw in
-      Mat.set_col u jnew ucol;
-      Mat.set_col vs jnew v.(jold))
-    order;
-  { u; sigma = s_sorted; v = vs }
-
-(* Core routine for m >= n, serial cyclic order. *)
-let jacobi_tall (a : Mat.t) =
-  let m = a.Mat.rows and n = a.Mat.cols in
-  let w = columns_of a in
-  let v = identity_cols n in
-  jacobi_core ~threshold:1e-15 ~w ~v:(Some v) m n;
-  assemble ~w ~v m n
-
-let decompose_cyclic (a : Mat.t) =
-  if a.Mat.rows >= a.Mat.cols then jacobi_tall a
-  else begin
-    let { u; sigma; v } = jacobi_tall (Mat.transpose a) in
-    { u = v; sigma; v = u }
-  end
-
-let values_cyclic ?(threshold = 1e-15) (a : Mat.t) =
-  let a = if a.Mat.rows >= a.Mat.cols then a else Mat.transpose a in
-  let m = a.Mat.rows and n = a.Mat.cols in
-  let w = columns_of a in
-  jacobi_core ~threshold ~w ~v:None m n;
-  let sigma = Array.map Vec.norm2 w in
-  let order = sort_order sigma in
-  Array.map (fun j -> sigma.(j)) order
-
-(* ------------------------------------------------------------------ *)
-(* Round-robin path with tall-block QR preconditioning                 *)
-(* ------------------------------------------------------------------ *)
 
 (* QR preconditioning is backward stable at eps * sigma_max, which is
    plenty for order control but would cost the tiniest values their
@@ -150,50 +43,88 @@ let values_cyclic ?(threshold = 1e-15) (a : Mat.t) =
    sweeps dominate and the flop savings are real — take the shortcut. *)
 let preconditionable m n = n > 0 && m > 2 * n
 
-(* Core routine for m >= n, round-robin order. *)
-let jacobi_tall_par ?workers (a : Mat.t) =
+(* Rotate the columns of [a] (rows >= cols) to mutual orthogonality,
+   accumulating the right-hand rotations into [v] when given.  Returns
+   the rotated columns, their length, and the map carrying normalised
+   rotated columns back to [a]'s row space (the preconditioning QR's Q,
+   or nothing). *)
+let rotate ?workers ~threshold ?v (a : Mat.t) =
   let m = a.Mat.rows and n = a.Mat.cols in
   if preconditionable m n then begin
     let f = Par_kernel.qr_factor ?workers a in
     let w = columns_of (Par_kernel.qr_r f) in
-    let v = identity_cols n in
-    Par_kernel.jacobi_rounds ?workers ~v ~threshold:1e-15 ~max_sweeps ~rows:n w;
-    let small = assemble ~w ~v n n in
-    (* lift the n x n left factor back to state dimension: U = Q U_r *)
-    { small with u = Par_kernel.qr_apply_q ?workers f small.u }
+    Par_kernel.jacobi_rounds ?workers ?v ~threshold ~max_sweeps ~rows:n w;
+    (w, n, fun u -> Par_kernel.qr_apply_q ?workers f u)
   end
   else begin
     let w = columns_of a in
-    let v = identity_cols n in
-    Par_kernel.jacobi_rounds ?workers ~v ~threshold:1e-15 ~max_sweeps ~rows:m w;
-    assemble ~w ~v m n
+    Par_kernel.jacobi_rounds ?workers ?v ~threshold ~max_sweeps ~rows:m w;
+    (w, m, Fun.id)
   end
+
+(* The column norms of the rotated [w] in descending order, with the
+   permutation that sorts them. *)
+let sorted (w : float array array) =
+  let sigma = Array.map Vec.norm2 w in
+  let order = Array.init (Array.length sigma) (fun j -> j) in
+  Array.sort (fun i j -> compare sigma.(j) sigma.(i)) order;
+  (order, Array.map (fun j -> sigma.(j)) order)
+
+(* Left singular vectors: the rotated columns normalised, in [order]. *)
+let normalised ~(w : float array array) ~sigma order rows =
+  let u = Mat.create rows (Array.length w) in
+  Array.iteri
+    (fun jnew jold ->
+      let s = sigma.(jnew) and colw = w.(jold) in
+      Mat.set_col u jnew (if s > 0.0 then Vec.scale (1.0 /. s) colw else colw))
+    order;
+  u
+
+(* Right singular vectors: the accumulated rotations, in [order]. *)
+let gathered (v : float array array) order =
+  let n = Array.length v in
+  let vs = Mat.create n n in
+  Array.iteri (fun jnew jold -> Mat.set_col vs jnew v.(jold)) order;
+  vs
+
+(* Left vectors and values of a block with rows >= cols, and the
+   permutation that sorted them (which also orders any accumulated [v]). *)
+let tall ?workers ?v (a : Mat.t) =
+  let w, rows, lift = rotate ?workers ~threshold:1e-15 ?v a in
+  let order, sigma = sorted w in
+  (lift (normalised ~w ~sigma order rows), sigma, order)
 
 let decompose ?workers (a : Mat.t) =
-  if a.Mat.rows >= a.Mat.cols then jacobi_tall_par ?workers a
+  let wide = a.Mat.rows < a.Mat.cols in
+  let b = if wide then Mat.transpose a else a in
+  let v = identity_cols b.Mat.cols in
+  let u, sigma, order = tall ?workers ~v b in
+  let v = gathered v order in
+  if wide then { u = v; sigma; v = u } else { u; sigma; v }
+
+(* A wide block's left vectors are the accumulated rotations of its
+   transpose, so only that side is formed; a tall block never accumulates
+   rotations at all. *)
+let left ?workers (a : Mat.t) =
+  if a.Mat.rows >= a.Mat.cols then
+    let u, sigma, _ = tall ?workers a in
+    (u, sigma)
   else begin
-    let { u; sigma; v } = jacobi_tall_par ?workers (Mat.transpose a) in
-    { u = v; sigma; v = u }
+    let at = Mat.transpose a in
+    let v = identity_cols at.Mat.cols in
+    let w, _, _ = rotate ?workers ~threshold:1e-15 ~v at in
+    let order, sigma = sorted w in
+    (gathered v order, sigma)
   end
 
-(* Singular values only: same schedule on the same columns, but the
-   right-hand rotations are never accumulated and no U/V is assembled —
-   the working columns evolve identically, so the values match
-   [decompose]'s bit for bit at the default threshold.  A looser
-   [threshold] trades (relative) accuracy for fewer sweeps; adaptive
-   order-control monitors use that, final decompositions must not. *)
+(* Singular values only: the same rotations on the same columns, with no
+   U or V formed.  A looser [threshold] trades (relative) accuracy for
+   fewer sweeps; adaptive order-control monitors use that, final
+   decompositions must not. *)
 let values ?workers ?(threshold = 1e-15) (a : Mat.t) =
   let a = if a.Mat.rows >= a.Mat.cols then a else Mat.transpose a in
-  let m = a.Mat.rows and n = a.Mat.cols in
-  let w, rows =
-    if preconditionable m n then
-      (columns_of (Par_kernel.qr_r (Par_kernel.qr_factor ?workers a)), n)
-    else (columns_of a, m)
-  in
-  Par_kernel.jacobi_rounds ?workers ~threshold ~max_sweeps ~rows w;
-  let sigma = Array.map Vec.norm2 w in
-  let order = sort_order sigma in
-  Array.map (fun j -> sigma.(j)) order
+  let w, _, _ = rotate ?workers ~threshold a in
+  snd (sorted w)
 
 (* Numerical rank at relative tolerance [tol]. *)
 let rank ?(tol = 1e-12) ?workers a =
@@ -204,6 +135,3 @@ let rank ?(tol = 1e-12) ?workers a =
     Array.iter (fun si -> if si > tol *. s.(0) then incr r) s;
     !r
   end
-
-(* Leading [k] left singular vectors. *)
-let left_vectors t k = Mat.sub_cols t.u 0 k

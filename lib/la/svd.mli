@@ -6,15 +6,13 @@
     because PMTBR order control reads 10-15 decades of singular-value decay
     (paper Fig. 5).
 
-    [decompose] and [values] run the round-robin rotation schedule of
+    Every entry point runs the round-robin rotation schedule of
     {!Par_kernel.jacobi_rounds} — parallel across the disjoint column
     pairs of each round, bitwise-identical for any [workers] — and
-    shortcut clearly tall blocks (rows > 2 * cols) through a blocked QR,
-    rotating only the small triangular factor.  [decompose_cyclic] and
-    [values_cyclic] keep the original serial cyclic sweep as the
-    reference implementation; the two schedules agree on every singular
-    value to the sweep threshold's relative accuracy (tests pin
-    [1e-12 * sigma_max]). *)
+    shortcuts clearly tall blocks (rows > 2 * cols) through a blocked QR,
+    rotating only the small triangular factor.  The serial cyclic sweep
+    it replaced is kept with the test oracles as the reference the
+    singular values are pinned against ([1e-12 * sigma_max]). *)
 
 type t = {
   u : Mat.t;  (** left singular vectors, [m x min m n], orthonormal columns *)
@@ -27,6 +25,12 @@ val decompose : ?workers:int -> Mat.t -> t
     the kernel pool (default {!Par_kernel.default_workers}); the result is
     bitwise-identical for any value. *)
 
+val left : ?workers:int -> Mat.t -> Mat.t * float array
+(** [left a] is [(u, sigma)] of {!decompose}, bit for bit, without the
+    right singular vectors: a tall (or square) block accumulates no
+    right-hand rotations, and a wide one forms only the rotations of its
+    transpose, which are its left vectors. *)
+
 val values : ?workers:int -> ?threshold:float -> Mat.t -> float array
 (** Singular values only, descending.  Skips the U/V accumulation of
     [decompose] but runs the identical rotation sweeps, so at the default
@@ -35,19 +39,6 @@ val values : ?workers:int -> ?threshold:float -> Mat.t -> float array
     roughly that relative accuracy — meant for convergence monitors that
     only compare values between iterations, not for final answers. *)
 
-val decompose_cyclic : Mat.t -> t
-(** Serial reference: the fixed cyclic rotation order, no QR
-    preconditioning.  Same contract as {!decompose}; kept for tests and
-    benchmarks to pin the round-robin path against. *)
-
-val values_cyclic : ?threshold:float -> Mat.t -> float array
-(** Serial reference for {!values}; matches {!decompose_cyclic} bit for
-    bit at the default threshold. *)
-
 val rank : ?tol:float -> ?workers:int -> Mat.t -> int
 (** Number of singular values above [tol] (default [1e-12]) relative to the
     largest. *)
-
-val left_vectors : t -> int -> Mat.t
-(** [left_vectors t k] is the matrix of the [k] leading left singular
-    vectors. *)

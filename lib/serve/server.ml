@@ -49,6 +49,7 @@ let fields_of_counters (c : Store.counters) =
     ("network_hits", string_of_int c.Store.network_hits);
     ("misses", string_of_int c.Store.misses);
     ("parses", string_of_int c.Store.parses);
+    ("hash_hits", string_of_int c.Store.hash_hits);
     ("symbolic", string_of_int c.Store.symbolic);
     ("solves", string_of_int c.Store.solves);
     ("evictions", string_of_int c.Store.evictions);

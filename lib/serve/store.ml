@@ -2,7 +2,9 @@
    and the determinism argument; the load-bearing choices are:
 
    - The canonical address is the hash of the *re-rendered* parse, so two
-     texts that stamp the same network share every tier.
+     texts that stamp the same network share every tier.  A verbatim
+     repeat of a text skips the parse: the LRU memoises each text's hash,
+     keyed by the exact text.
 
    - The network tier's multi-shift handle is built with the canonical
      default template shift, never a job's first sample point: the handle
@@ -26,12 +28,18 @@ open Pmtbr_lti
    global symbolic analysis once per network), while hierarchical jobs
    never do — their factorizations live per subdomain, which is the whole
    point of serving networks beyond one global sparse LU. *)
-type network = { sys : Dss.t; ms : Dss.multi_shift Lazy.t; lock : Mutex.t }
+type network = {
+  sys : Dss.t;
+  nl : Pmtbr_circuit.Netlist.t; (* canonical: hier partitions and passive's inductor count *)
+  ms : Dss.multi_shift Lazy.t;
+  lock : Mutex.t;
+}
 
 type rom_entry = { r_rom : Dss.t; r_sigma : float array; r_digest : string }
 
 type entry =
   | Network of network
+  | Hash of string (* the canonical hash of one verbatim job text *)
   | Samples of Sample_cache.t
   | Rom of rom_entry
   | Part of Partition.t
@@ -52,6 +60,7 @@ type mutable_counters = {
   mutable c_network_hits : int;
   mutable c_misses : int;
   mutable c_parses : int;
+  mutable c_hash_hits : int;
   mutable c_symbolic : int;
   mutable c_solves : int;
   mutable c_evictions : int;
@@ -74,6 +83,7 @@ let create ?(max_cost = 256 * 1024 * 1024) ?(job_workers = 1) () =
       c_network_hits = 0;
       c_misses = 0;
       c_parses = 0;
+      c_hash_hits = 0;
       c_symbolic = 0;
       c_solves = 0;
       c_evictions = 0;
@@ -113,6 +123,7 @@ type counters = {
   network_hits : int;
   misses : int;
   parses : int;
+  hash_hits : int;
   symbolic : int;
   solves : int;
   evictions : int;
@@ -131,6 +142,7 @@ let counters t =
         network_hits = t.ctr.c_network_hits;
         misses = t.ctr.c_misses;
         parses = t.ctr.c_parses;
+        hash_hits = t.ctr.c_hash_hits;
         symbolic = t.ctr.c_symbolic;
         solves = t.ctr.c_solves;
         evictions = t.ctr.c_evictions;
@@ -144,6 +156,8 @@ let hier_stats t =
           :: acc)
         t.hier []
       |> List.sort compare)
+
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Content addressing                                                  *)
@@ -200,6 +214,10 @@ let scheme_descriptor ~meth ~band:(lo, hi) ~samples =
 
 let network_key hash = "net|" ^ hash
 
+(* The exact text, never a digest of it: two different texts can never
+   share a memo entry. *)
+let memo_key text = "raw|" ^ text
+
 let samples_key hash ~meth ~band ~samples =
   Printf.sprintf "smp|%s|%s" hash (scheme_descriptor ~meth ~band ~samples)
 
@@ -234,13 +252,26 @@ let hier_samples_key part ~meth ~band ~samples =
     (Digest.to_hex (Digest.string (Marshal.to_string part.Partition.rhs [])))
     (scheme_descriptor ~meth ~band ~samples)
 
-(* Approximate byte footprints driving the LRU budget. *)
-let network_cost ~canonical sys = String.length canonical + (64 * Dss.order sys) + 1024
+(* Approximate byte footprints driving the LRU budget — the daemon's only
+   memory bound. *)
+let network_cost nl sys =
+  (* a netlist element is a cons cell, its record and a boxed value *)
+  let r, c, l, k = Pmtbr_circuit.Netlist.stats nl in
+  (72 * (r + c + l + k)) + (64 * Dss.order sys) + 1024
 
+let memo_cost key = String.length key + 128
+
+(* What a samples entry can come to hold: its raw columns, and — for a
+   tall cache, once a finish reads them — the thin Q, the triangular R
+   and the c x c Galerkin pencil with its port maps.  A wide cache never
+   builds any of those. *)
 let samples_cost sys cache =
-  (* raw columns, plus the thin Q and small R once a finish reads them —
-     all [n x columns]-dominated *)
-  (24 * Dss.order sys * Sample_cache.columns cache) + 4096
+  let n = Dss.order sys and c = Sample_cache.columns cache in
+  let raw = 8 * n * c in
+  if Sample_cache.wide cache then raw + 4096
+  else
+    let ports = Dss.inputs sys + Dss.outputs sys in
+    (2 * raw) + (4 * c * (c + 1)) + (16 * c * c) + (8 * c * ports) + 4096
 
 let rom_cost (r : rom_entry) =
   let q = Dss.order r.r_rom in
@@ -261,8 +292,6 @@ let part_cost (pt : Partition.t) =
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let ( let* ) = Result.bind
-
 let find_network t key =
   match Lru.find t.lru key with Some (Network n) -> Some n | Some _ | None -> None
 
@@ -274,6 +303,32 @@ let find_rom t key =
 
 let find_part t key =
   match Lru.find t.lru key with Some (Part p) -> Some p | Some _ | None -> None
+
+(* A job text's canonical hash and canonical netlist.  A text seen
+   verbatim before whose network entry is still resident skips the
+   parse: its memoised hash leads to the network, which holds the
+   netlist.  Any other text is canonicalized as on first sight, and its
+   hash memoised once it parsed — parse errors never are. *)
+let address t text =
+  let mkey = memo_key text in
+  let memo =
+    with_lock t.lock (fun () ->
+        match Lru.find t.lru mkey with
+        | Some (Hash hash) ->
+            Option.map
+              (fun n ->
+                t.ctr.c_hash_hits <- t.ctr.c_hash_hits + 1;
+                (hash, n.nl))
+              (find_network t (network_key hash))
+        | Some _ | None -> None)
+  in
+  match memo with
+  | Some hit -> Ok hit
+  | None ->
+      let* nl, canonical = canonicalize text in
+      let hash = hash_of_canonical canonical in
+      with_lock t.lock (fun () -> Lru.add t.lru mkey ~cost:(memo_cost mkey) (Hash hash));
+      Ok (hash, nl)
 
 (* Export synthesis runs on demand from the cached ROM (deterministic, so
    a warm-tier export is byte-identical to a cold one) and is never part
@@ -298,7 +353,7 @@ let export_of_rom t ~export rom =
    pencil.  Part lookups run on the fan's domains, the calling one
    included, so each records into its own slot and takes only [t.lock]
    (the caller holds the network lock: outer, never taken inside). *)
-let reduce_hier t (job : Protocol.job) ~hash ~nl ~band ~spec ~budget ~net_tier =
+let reduce_hier t (job : Protocol.job) network ~hash ~band ~spec ~budget ~net_tier =
   try
     let pkey = part_key hash ~mode:(partition_descriptor ~spec ~max_part_states:budget) in
     let pt =
@@ -307,8 +362,8 @@ let reduce_hier t (job : Protocol.job) ~hash ~nl ~band ~spec ~budget ~net_tier =
       | None ->
           let pt =
             match spec with
-            | Protocol.Parts k -> Partition.split ~parts:k nl
-            | Protocol.Auto -> Partition.split_auto ~max_states:budget nl
+            | Protocol.Parts k -> Partition.split ~parts:k network.nl
+            | Protocol.Auto -> Partition.split_auto ~max_states:budget network.nl
           in
           with_lock t.lock (fun () -> Lru.add t.lru pkey ~cost:(part_cost pt) (Part pt));
           pt
@@ -358,11 +413,11 @@ let reduce_hier t (job : Protocol.job) ~hash ~nl ~band ~spec ~budget ~net_tier =
 (* The one-Gramian passive half: no samples tier — the ADI columns are
    method-specific and cheap next to the ROM; the network tier's shared
    multi-shift handle is still reused. *)
-let reduce_passive t (job : Protocol.job) network ~nl ~band ~net_tier =
+let reduce_passive t (job : Protocol.job) network ~band ~net_tier =
   match
     Tbr_passive.reduce ?order:job.Protocol.order ?tol:job.Protocol.tol
       ?stop:(Sampling.band_stop band)
-      ~inductors:(Pmtbr_circuit.Netlist.inductor_count nl)
+      ~inductors:(Pmtbr_circuit.Netlist.inductor_count network.nl)
       ~ms:(Lazy.force network.ms) ~workers:t.job_workers network.sys
   with
   | exception e -> Error (Printf.sprintf "passive reduction failed: %s" (Printexc.to_string e))
@@ -425,8 +480,7 @@ let reduce t (job : Protocol.job) =
           | Some it -> Printf.sprintf "|itol=%.17g" it
           | None -> "")
     in
-    let* nl, canonical = canonicalize job.Protocol.netlist in
-    let hash = hash_of_canonical canonical in
+    let* hash, nl = address t job.Protocol.netlist in
     let rkey =
       rom_key hash ~meth ~band ~tol:job.Protocol.tol ~order:job.Protocol.order ~samples
         ~hier:hier_desc
@@ -463,8 +517,8 @@ let reduce t (job : Protocol.job) =
                              with_lock t.lock (fun () -> t.ctr.c_symbolic <- t.ctr.c_symbolic + 1);
                              handle)
                         in
-                        let n = { sys; ms; lock = Mutex.create () } in
-                        Lru.add t.lru nkey ~cost:(network_cost ~canonical sys) (Network n);
+                        let n = { sys; nl; ms; lock = Mutex.create () } in
+                        Lru.add t.lru nkey ~cost:(network_cost nl sys) (Network n);
                         Ok (n, false)
                     | exception e ->
                         Error (Printf.sprintf "MNA stamping failed: %s" (Printexc.to_string e))))
@@ -479,8 +533,8 @@ let reduce t (job : Protocol.job) =
                   let net_tier = if net_was_warm then Network_hit else Miss in
                   let* rom, sigma, tier, solves =
                     match meth with
-                    | Protocol.Hier -> reduce_hier t job ~hash ~nl ~band ~spec ~budget ~net_tier
-                    | Protocol.Tbr_passive -> reduce_passive t job network ~nl ~band ~net_tier
+                    | Protocol.Hier -> reduce_hier t job network ~hash ~band ~spec ~budget ~net_tier
+                    | Protocol.Tbr_passive -> reduce_passive t job network ~band ~net_tier
                     | Protocol.Pmtbr | Protocol.Fs_pmtbr ->
                         reduce_flat t job network ~hash ~band ~net_tier
                   in

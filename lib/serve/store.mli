@@ -2,14 +2,17 @@
     repeat and incremental reduction queries cheap, in one size-bounded
     {!Lru}.
 
-    - {b Network tier} (keyed by netlist hash): the parsed netlist stamped
-      to a sparse {!Pmtbr_lti.Dss.t}, plus one prepared
+    - {b Network tier} (keyed by netlist hash): the canonical netlist and
+      its stamp, a sparse {!Pmtbr_lti.Dss.t}, plus one prepared
       [Dss.multi_shift] handle — the symbolic sparse-LU analysis is paid
-      once per network, ever.
+      once per network, ever.  Beside it, one memo entry per verbatim job
+      text (keyed by the exact text) holds the text's canonical hash: a
+      repeat of the text whose network is resident skips the parse.
     - {b Samples tier} (keyed by hash + sampling scheme): the
       {!Pmtbr_core.Sample_cache} of solved shift columns, so a repeat
       query with a {e tighter tolerance or different order} re-finishes
-      through [Pmtbr.of_cache] with zero new solves.
+      through [Pmtbr.of_cache] with zero new solves — a re-finish
+      projects the cache's [c x c] pencil, never the [n]-state model.
     - {b ROM tier} (keyed by hash + method + band + tol + order +
       samples + partition): the finished reduced model, returned outright
       on exact repeats.
@@ -42,10 +45,10 @@ open Pmtbr_lti
 type t
 
 val create : ?max_cost:int -> ?job_workers:int -> unit -> t
-(** [max_cost] is the LRU budget in approximate bytes across all three
-    tiers (default 256 MiB); [job_workers] sizes the per-job solver and
-    dense-kernel pools (default 1 — service concurrency comes from
-    scheduling jobs, results are bitwise-identical either way). *)
+(** [max_cost] is the LRU budget in approximate bytes across every tier
+    and the text memo (default 256 MiB); [job_workers] sizes the per-job
+    solver and dense-kernel pools (default 1 — service concurrency comes
+    from scheduling jobs, results are bitwise-identical either way). *)
 
 type tier = Rom_hit | Samples_hit | Network_hit | Miss
 
@@ -74,6 +77,9 @@ type counters = {
   network_hits : int;
   misses : int;
   parses : int;  (** network-tier builds (parse + MNA stamp) *)
+  hash_hits : int;
+      (** jobs whose verbatim text was addressed from the memo, with no
+          parse *)
   symbolic : int;  (** multi-shift handles prepared (symbolic analyses) *)
   solves : int;  (** shifted solves across the store lifetime *)
   evictions : int;
@@ -100,7 +106,8 @@ val hier_stats : t -> (string * hier_net) list
 val canonical_hash : string -> (string, string) result
 (** Content hash of a netlist text: parse, re-render canonically, digest —
     so formatting, comments and node names do not perturb the address.
-    [Error] carries the parse failure. *)
+    [Error] carries the parse failure.  Pure: the store's memo of
+    verbatim texts sits in front of it in {!reduce}, never inside. *)
 
 val rom_digest : Dss.t -> string
 (** Hex digest of a model's dense (E, A, B, C) — equal digests certify

@@ -18,7 +18,7 @@ type input_basis = {
    of the correlation matrix. *)
 let analyse (u : Mat.t) =
   let n = float_of_int u.Mat.cols in
-  let { Svd.u = vk; sigma; _ } = Svd.decompose u in
+  let vk, sigma = Svd.left u in
   { directions = vk; sigmas = Array.map (fun s -> s /. sqrt n) sigma }
 
 (* Keep directions with sigma above tol * sigma_max. *)

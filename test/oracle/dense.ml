@@ -13,7 +13,7 @@ type finish = { rom : Dss.t; basis : Mat.t; singular_values : float array }
    so there the two agree bit for bit; on tall ones it reaches the same
    subspace through the c x c factor. *)
 let pmtbr_finish sys ~(zw : Mat.t) ?order ?tol ?workers () =
-  let { Svd.u; sigma; _ } = Svd.decompose ?workers zw in
+  let u, sigma = Svd.left ?workers zw in
   let q = Pmtbr.choose_order ~sigma ?order ?tol () in
   (* never keep directions below numerical noise *)
   let q =

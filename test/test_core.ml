@@ -132,6 +132,23 @@ let test_pmtbr_order_cap_respected () =
   let r = Pmtbr.reduce_uniform ~order:5 sys ~w_max:rc_line_band ~count:20 in
   Alcotest.(check bool) "order <= 5" true (Dss.order r.Pmtbr.rom <= 5)
 
+(* The finish projects the cache's own pencil, so a system other than
+   the one the cache sampled — even an identical copy — is refused, and
+   so is a basis lifted from a cache that has grown since. *)
+let test_pmtbr_of_cache_refusals () =
+  let cache = Sample_cache.create ~workers:1 (rc_line_sys ()) in
+  Sample_cache.extend cache (Sampling.points (Sampling.Uniform { w_max = rc_line_band }) ~count:4);
+  Alcotest.check_raises "foreign system"
+    (Invalid_argument "Pmtbr.of_cache: sys is not the system the cache samples") (fun () ->
+      ignore (Pmtbr.of_cache (rc_line_sys ()) cache ~scale:1.0 ~order:3 ~samples:4 ()));
+  (* the lazily lifted basis reads the cache as it is when forced *)
+  let sys = Sample_cache.system cache in
+  let r = Pmtbr.of_cache sys cache ~scale:1.0 ~order:3 ~samples:4 () in
+  Sample_cache.extend cache (Sampling.points (Sampling.Uniform { w_max = rc_line_band }) ~count:2);
+  Alcotest.check_raises "basis forced after the cache grew"
+    (Invalid_argument "Pmtbr.result.basis: the cache has grown since the finish") (fun () ->
+      ignore (Lazy.force r.Pmtbr.basis))
+
 let test_pmtbr_singular_values_descending () =
   let sys = rc_line_sys () in
   let r = Pmtbr.reduce_uniform sys ~w_max:rc_line_band ~count:15 in
@@ -175,7 +192,7 @@ let test_pmtbr_subspace_converges () =
   let angle count =
     let pts = Sampling.points (Sampling.Log { w_min = 1e6; w_max = 1e12 }) ~count in
     let r = Pmtbr.reduce ~order:4 sys pts in
-    Subspace.max_angle exact4 r.Pmtbr.basis
+    Subspace.max_angle exact4 (Lazy.force r.Pmtbr.basis)
   in
   let a8 = angle 8 and a64 = angle 64 in
   if a64 > 0.05 then Alcotest.failf "subspace not converged: %g rad" a64;
@@ -406,8 +423,80 @@ let test_error_est_predicts_pmtbr_error () =
       end)
     [ 3; 5; 7 ]
 
+(* ------------------------------------------------------------------ *)
+(* Tall-cache finish in the cache's coordinates                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Caches holding fewer columns than states: an RC mesh, an RC line, the
+   spiral (RLC with coupled inductors: a non-symmetric A) and an 8-port
+   substrate.  Each with the band it is sampled over. *)
+let tall_cases =
+  lazy
+    [|
+      (Dss.of_netlist (Rc_mesh.generate ~rows:7 ~cols:7 ~ports:2 ()), 1e10);
+      (rc_line_sys (), rc_line_band);
+      (Dss.of_netlist (Spiral.generate ~segments:6 ()), Spiral.sample_band ~segments:6 ());
+      ( Dss.of_netlist (Substrate.generate ~ports:8 ~internal:100 ~seed:3 ()),
+        4.0 *. Substrate.corner_frequency () );
+    |]
+
+let tall_cache sys pts =
+  let cache = Sample_cache.create ~workers:1 sys in
+  Sample_cache.extend cache pts;
+  if Sample_cache.wide cache then Alcotest.fail "tall-cache case holds more columns than states";
+  cache
+
+let rom_bits rom =
+  List.map (fun (m : Mat.t) -> m.Mat.data)
+    [ Dss.e_dense rom; Dss.a_dense rom; Dss.b_matrix rom; Dss.c_matrix rom ]
+
+(* [Pmtbr.of_cache] projects the cache's c x c Galerkin pencil onto the
+   leading singular vectors U_q; projecting the full model onto the
+   lifted basis V = Q U_q is the same model up to roundoff.  Both round
+   at the scale of the matrices they project, so the entries are compared
+   against the full model's largest entry: on the spiral at orders 1-2
+   the ROM's E (capacitive, ~1e-14) is five decades below the inductive
+   entries span(Q) also carries, and the difference measured against the
+   ROM's own largest entry reaches ~1e-10 while it stays ~1e-15 of the
+   full model's.  The transfer function is what the model is for, and it
+   agrees to 1e-10 relative at four in-band points. *)
+let prop_pencil_finish_matches_lifted_projection =
+  QCheck2.Test.make ~name:"tall-cache finish == projection onto the lifted basis" ~count:16
+    QCheck2.Gen.(triple (int_range 0 3) (int_range 3 4) (int_range 2 10))
+    (fun (case, count, order) ->
+      let sys, w_max = (Lazy.force tall_cases).(case) in
+      let cache = tall_cache sys (Sampling.points (Sampling.Uniform { w_max }) ~count) in
+      let r = Pmtbr.of_cache sys cache ~scale:1.0 ~order ~workers:1 ~samples:count () in
+      let reference = Dss.project_congruence sys (Lazy.force r.Pmtbr.basis) in
+      let entries_close f =
+        Mat.max_abs (Mat.sub (f r.Pmtbr.rom) (f reference)) <= 1e-13 *. Mat.max_abs (f sys)
+      in
+      let om = Array.map (fun f -> f *. w_max) [| 0.1; 0.35; 0.6; 0.9 |] in
+      entries_close Dss.e_dense && entries_close Dss.a_dense && entries_close Dss.b_matrix
+      && entries_close Dss.c_matrix
+      && Freq.max_rel_error (Freq.sweep reference om) (Freq.sweep r.Pmtbr.rom om) <= 1e-10)
+
+(* The pencil is rebuilt whole whenever the cache has grown: finishing,
+   extending and finishing again gives the bits of a cache that took
+   every point in one batch. *)
+let prop_pencil_rebuilt_after_extend =
+  QCheck2.Test.make ~name:"finish, extend, finish == one-batch finish (bitwise)" ~count:12
+    QCheck2.Gen.(triple (int_range 0 3) (int_range 1 3) (int_range 2 10))
+    (fun (case, first, order) ->
+      let sys, w_max = (Lazy.force tall_cases).(case) in
+      let pts = Sampling.points (Sampling.Uniform { w_max }) ~count:4 in
+      let finish cache = Pmtbr.of_cache sys cache ~scale:1.0 ~order ~workers:1 ~samples:4 () in
+      let grown = tall_cache sys (Array.sub pts 0 first) in
+      ignore (finish grown);
+      Sample_cache.extend grown (Array.sub pts first (4 - first));
+      let a = finish grown and b = finish (tall_cache sys pts) in
+      a.Pmtbr.singular_values = b.Pmtbr.singular_values
+      && rom_bits a.Pmtbr.rom = rom_bits b.Pmtbr.rom)
+
 let props =
   [
+    prop_pencil_finish_matches_lifted_projection;
+    prop_pencil_rebuilt_after_extend;
     QCheck2.Test.make ~name:"PMTBR error shrinks with order" ~count:8
       QCheck2.Gen.(int_range 10 30)
       (fun sections ->
@@ -425,7 +514,7 @@ let props =
         let sys = Dss.of_netlist (Rc_mesh.generate ~rows:4 ~cols:4 ~ports:2 ()) in
         let count = 5 + (seed mod 8) in
         let r = Pmtbr.reduce_uniform ~order:6 sys ~w_max:1e10 ~count in
-        let v = r.Pmtbr.basis in
+        let v = Lazy.force r.Pmtbr.basis in
         let g = Mat.mul (Mat.transpose v) v in
         Mat.frobenius (Mat.sub g (Mat.identity v.Mat.cols)) < 1e-8);
   ]
@@ -454,6 +543,7 @@ let () =
         [
           Alcotest.test_case "rc line accuracy" `Quick test_pmtbr_accuracy_on_rc_line;
           Alcotest.test_case "order cap" `Quick test_pmtbr_order_cap_respected;
+          Alcotest.test_case "of_cache refusals" `Quick test_pmtbr_of_cache_refusals;
           Alcotest.test_case "singular values descending" `Quick test_pmtbr_singular_values_descending;
           Alcotest.test_case "tolerance controls order" `Quick test_pmtbr_tolerance_controls_order;
           Alcotest.test_case "hankel estimates converge" `Quick test_pmtbr_hankel_estimates_converge;

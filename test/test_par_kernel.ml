@@ -6,9 +6,10 @@
    float kernels, [Triplet]'s products and [Sample_cache.apply_q] with
    the generic functor and the closure loops they replaced, agreement
    of the round-robin Jacobi schedule with the serial cyclic reference
-   to 1e-12 relative accuracy, and end-to-end worker-invariance of the
-   adaptive reduction drivers now that [?workers] also sizes the
-   reduction-stage pool. *)
+   ([Pmtbr_oracle.Cyclic_svd]) to 1e-12 relative accuracy, [Svd.left]
+   against [Svd.decompose] bit for bit, and end-to-end
+   worker-invariance of the adaptive reductions now that [?workers]
+   also sizes the reduction-stage pool. *)
 
 open Pmtbr_la
 open Pmtbr_circuit
@@ -288,7 +289,7 @@ let test_qr_reconstruction () =
 let sigma_drift m n seed workers =
   let a = Mat.random ~seed m n in
   let s_par = Svd.values ~workers a in
-  let s_cyc = Svd.values_cyclic a in
+  let s_cyc = Pmtbr_oracle.Cyclic_svd.values a in
   if Array.length s_par <> Array.length s_cyc then infinity
   else begin
     let smax = Float.max s_cyc.(0) 1e-300 in
@@ -316,6 +317,28 @@ let prop_svd_worker_invariant =
       && bitwise_equal d1.Svd.v dw.Svd.v
       && Svd.values ~workers:1 a = Svd.values ~workers a)
 
+(* [Svd.left] skips the right singular vectors of [decompose] but not
+   one bit of its (u, sigma): tall, square, QR-preconditioned
+   (rows > 2 cols), wide and rank-deficient blocks. *)
+let prop_svd_left_matches_decompose =
+  QCheck2.Test.make ~name:"Svd.left == Svd.decompose's (u, sigma) (bitwise)" ~count:30
+    QCheck2.Gen.(quad (int_range 0 4) (int_range 1 16) (int_range 1 3) (int_range 0 999))
+    (fun (shape, k, workers, seed) ->
+      let a =
+        match shape with
+        | 0 -> Mat.random ~seed (k + 1 + (seed mod k)) k
+        | 1 -> Mat.random ~seed k k
+        | 2 -> Mat.random ~seed ((2 * k) + 1 + (seed mod 20)) k
+        | 3 -> Mat.random ~seed k (k + 1 + (seed mod 20))
+        | _ ->
+            let m = (2 * k) + 3 and n = k + 1 and r = max 1 (k / 2) in
+            let low = Mat.mul (Mat.random ~seed m r) (Mat.random ~seed:(seed + 1) r n) in
+            if seed land 1 = 0 then low else Mat.transpose low
+      in
+      let u, sigma = Svd.left ~workers a in
+      let d = Svd.decompose ~workers a in
+      bitwise_equal u d.Svd.u && sigma = d.Svd.sigma)
+
 let test_svd_preconditioned_reconstruction () =
   (* clearly tall: runs QR preconditioning + round-robin on the small R *)
   let a = Mat.random ~seed:23 90 18 in
@@ -341,7 +364,8 @@ let test_reduce_adaptive_worker_invariant () =
   Alcotest.(check bool)
     "singular values bitwise" true
     (r1.Pmtbr.singular_values = r4.Pmtbr.singular_values);
-  Alcotest.(check bool) "basis bitwise" true (bitwise_equal r1.Pmtbr.basis r4.Pmtbr.basis)
+  Alcotest.(check bool) "basis bitwise" true 
+    (bitwise_equal (Lazy.force r1.Pmtbr.basis) (Lazy.force r4.Pmtbr.basis))
 
 let test_cross_gramian_worker_invariant () =
   let sys = mesh_system ~rows:5 ~cols:5 ~ports:2 in
@@ -370,6 +394,7 @@ let props =
       prop_qr_factor_worker_invariant;
       prop_jacobi_sigma_matches_cyclic;
       prop_svd_worker_invariant;
+      prop_svd_left_matches_decompose;
     ]
 
 let () =

@@ -403,6 +403,48 @@ let test_reformatted_collides_to_one_rom () =
   Alcotest.(check string) "digest independent of submitted formatting" o1.Store.digest
     cold.Store.digest
 
+(* The store memoises each verbatim job text's canonical hash, keyed by
+   the exact text: a repeat skips the parse while the text's network is
+   resident, and no other text — reformatted, or one byte away — can
+   share the entry. *)
+let test_hash_memo () =
+  let store = Store.create () in
+  let hash_hits s = (Store.counters s).Store.hash_hits in
+  let text = mesh_netlist () in
+  let o1 = run_job store text in
+  Alcotest.(check int) "first sight parses" 0 (hash_hits store);
+  let retol = daemon_job ~tol:1e-6 store text in
+  Alcotest.(check int) "verbatim re-tol skips the parse" 1 (hash_hits store);
+  Alcotest.(check string) "re-tol tier" "samples-hit" (Store.tier_name retol.Store.tier);
+  Alcotest.(check string) "memoised hash" o1.Store.hash retol.Store.hash;
+  let noisy = "* a comment\n" ^ text in
+  let o2 = run_job store noisy in
+  Alcotest.(check int) "reformatted text misses the memo" 1 (hash_hits store);
+  Alcotest.(check string) "reformatted text is a rom hit" "rom-hit" (Store.tier_name o2.Store.tier);
+  Alcotest.(check string) "reformatted text, one rom" o1.Store.digest o2.Store.digest;
+  (* one byte away: "R2 1 2 100" becomes "R2 1 2 900" *)
+  let near =
+    let b = Bytes.of_string text in
+    let rec find i = if String.sub text i 10 = "R2 1 2 100" then i else find (i + 1) in
+    Bytes.set b (find 0 + 7) '9';
+    Bytes.to_string b
+  in
+  let o3 = run_job store near in
+  Alcotest.(check int) "near text misses the memo" 1 (hash_hits store);
+  Alcotest.(check string) "near text gets its own hash" (must (Store.canonical_hash near))
+    o3.Store.hash;
+  Alcotest.(check bool) "a different network" false (o3.Store.hash = o1.Store.hash);
+  Alcotest.(check string) "near text is a new network" "miss" (Store.tier_name o3.Store.tier);
+  Alcotest.(check int) "one parse per network" 2 (Store.counters store).Store.parses;
+  (* parse errors are never memoised *)
+  let fresh = Store.create () in
+  for _ = 1 to 2 do
+    match Store.reduce fresh (job_of "R1 1 0 banana\n.port 1\n") with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "unparseable netlist must be rejected"
+  done;
+  Alcotest.(check int) "garbage never hits the memo" 0 (hash_hits fresh)
+
 (* One job, one answer: every served method, run through the daemon's
    store and through its library entry point on the same canonical
    network, points, tolerance and order, returns a bitwise-identical ROM.
@@ -720,16 +762,16 @@ let pinned_jobs =
   [
     ( "pmtbr by tol",
       by_tol ~band:(0.0, 2e10) ~samples:10 mesh8,
-      "712eedf600949d108c093ad578b9d3fe" );
+      "2d93adcaaac3146b7a2d3923e8a122c7" );
     ( "pmtbr by order",
       (fun s -> run_job ~order:8 s mesh8),
-      "e7edb3af416a42a14485f75ce735df9a" );
+      "a4d97cd63b2110466f95df8f0e2870b3" );
     ( "pmtbr by order, 16x16 mesh",
       (fun s -> run_job ~order:30 ~samples:12 s (mesh_netlist ~n:16 ())),
-      "8d935010a809e1b1705ba6a5539a8e7b" );
+      "82354d6a5e637c67d3775a8f2c64ad61" );
     ( "fs-pmtbr",
       (fun s -> run_job ~meth:Protocol.Fs_pmtbr ~band:(1e8, 1e10) ~order:8 s mesh8),
-      "917024812d474139bc353f9933158285" );
+      "f2fa4c2061d5543ff5034bdc55f6b9b8" );
     ( "pmtbr export",
       (fun s -> run_job ~order:6 ~export:true s mesh5),
       "9eeab3bb00caea0560956123f951786f bd115147c6bedd6eae5440afa957a457" );
@@ -776,7 +818,8 @@ let test_eviction_forces_recompute () =
   Alcotest.(check string) "recompute is bitwise-identical" o1.Store.digest o2.Store.digest;
   let c = Store.counters store in
   Alcotest.(check bool) "evictions counted" true (c.Store.evictions > 0);
-  Alcotest.(check int) "two parses" 2 c.Store.parses
+  Alcotest.(check int) "two parses" 2 c.Store.parses;
+  Alcotest.(check int) "the memo went with its network" 0 c.Store.hash_hits
 
 let test_store_rejects_garbage () =
   let store = Store.create () in
@@ -1050,6 +1093,7 @@ let () =
         [
           Alcotest.test_case "hash stability" `Quick test_hash_stability;
           Alcotest.test_case "tiers and counters" `Quick test_store_tiers_and_counters;
+          Alcotest.test_case "hash memo" `Quick test_hash_memo;
           Alcotest.test_case "reformatted collides to one rom" `Quick
             test_reformatted_collides_to_one_rom;
           Alcotest.test_case "library equals daemon" `Quick test_library_equals_daemon;

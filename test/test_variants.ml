@@ -283,7 +283,7 @@ let prop_finish_pins_state_dimension =
       if q <> Dss.order dense.Dense.rom then
         QCheck2.Test.fail_reportf "order %d vs %d" q (Dss.order dense.Dense.rom);
       if merged.Pmtbr.stats.Sample_cache.columns > Dss.order sys then
-        bitwise_equal merged.Pmtbr.basis dense.Dense.basis
+        bitwise_equal (Lazy.force merged.Pmtbr.basis) dense.Dense.basis
       else begin
         let om = Vec.linspace (w_max /. 100.0) w_max 15 in
         let err = Freq.max_rel_error (Freq.sweep dense.Dense.rom om) (Freq.sweep merged.Pmtbr.rom om) in
