@@ -73,22 +73,42 @@ let projection_sides () =
       Util.row [ string_of_int q; Util.fmt_e e1; Util.fmt_e e2 ])
     [ 8; 16; 24; 32 ]
 
-(* Sparse orderings: fill-in and factor time on a substrate matrix. *)
+(* Sparse orderings: fill-in and time (ordering + factorisation) of one
+   shifted LU per ordering on a substrate, a square mesh and a long
+   strip.  "chosen" is the production rule (the lower symbolic fill of RCM
+   and nested dissection); the quadratic minimum-degree reference runs on
+   the substrate only. *)
 let orderings () =
-  Util.header "ABLATE D" "sparse LU ordering: fill-in and factor time (substrate 400)";
-  let m = Pmtbr_circuit.Mna.stamp (Substrate.generate ~ports:400 ~seed:7 ()) in
-  let pencil = Pmtbr_sparse.Shifted.pencil ~e:m.Pmtbr_circuit.Mna.e ~a:m.Pmtbr_circuit.Mna.a in
-  let s = { Complex.re = 0.0; im = Substrate.corner_frequency () } in
-  Util.row [ "ordering"; "nnz(L+U)"; "time_ms" ];
-  List.iter
-    (fun (name, ordering) ->
-      let f, dt = Util.time_it (fun () -> Pmtbr_sparse.Shifted.factorize ~ordering pencil s) in
-      Util.row [ name; string_of_int (Pmtbr_sparse.Sparse_lu.C.nnz f); Printf.sprintf "%.1f" (dt *. 1e3) ])
-    [
-      ("natural", Pmtbr_sparse.Ordering.Natural);
-      ("rcm", Pmtbr_sparse.Ordering.Rcm);
-      ("min_degree", Pmtbr_sparse.Ordering.Min_degree);
-    ]
+  let open Pmtbr_sparse in
+  Util.header "ABLATE D" "sparse LU ordering: fill-in and factor time";
+  Util.row [ "network"; "ordering"; "nnz(L+U)"; "time_ms" ];
+  let rows ?(reference = false) name nl s =
+    let m = Pmtbr_circuit.Mna.stamp nl in
+    let e = m.Pmtbr_circuit.Mna.e and a = m.Pmtbr_circuit.Mna.a in
+    let pencil = Shifted.pencil ~e ~a in
+    let min_degree () =
+      let c = Csc.complex_combination ~alpha:s e ~beta:Complex.one a in
+      Min_degree.scheme c.Csc.C.colptr c.Csc.C.rowind c.Csc.C.cols
+    in
+    List.iter
+      (fun (oname, ordering) ->
+        let f, dt = Util.time_it (fun () -> Shifted.factorize ~ordering:(ordering ()) pencil s) in
+        Util.row
+          [ name; oname; string_of_int (Sparse_lu.C.nnz f); Printf.sprintf "%.1f" (dt *. 1e3) ])
+      ((if reference then [ ("natural", fun () -> Ordering.Natural); ("min_degree", min_degree) ]
+        else [])
+      @ [
+          ("rcm", fun () -> Ordering.Rcm);
+          ("nested_dissection", fun () -> Ordering.Nested_dissection);
+          ("chosen", fun () -> Ordering.Lower_fill);
+        ])
+  in
+  rows ~reference:true "substrate-400"
+    (Substrate.generate ~ports:400 ~seed:7 ())
+    { Complex.re = 0.0; im = Substrate.corner_frequency () };
+  let s_mesh = { Complex.re = 0.0; im = 1e10 } in
+  rows "mesh-64x64" (Rc_mesh.generate ~rows:64 ~cols:64 ~ports:4 ()) s_mesh;
+  rows "strip-8x320" (Rc_mesh.generate ~rows:8 ~cols:320 ~ports:4 ()) s_mesh
 
 (* Input rank: accuracy of the input-correlated reduction as the retained
    number of input directions varies. *)

@@ -66,6 +66,26 @@ dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 6 --method tbr-pa
 dune exec bin/pmtbr_cli.exe -- info --spice "$EXPORT_NL"
 rm -f "$EXPORT_NL"
 
+echo "== ordering rule (--stats reports the fill rule's pick)"
+# a 2-D mesh factors in nested-dissection order, a line keeps RCM
+dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 32 --stats \
+    | grep -q '^ordering: *nested-dissection ' \
+    || { echo "rc-mesh --size 32 should order by nested dissection" >&2; exit 1; }
+dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-line --stats | grep -q '^ordering: *rcm ' \
+    || { echo "rc-line should order by RCM" >&2; exit 1; }
+
+echo "== floating island (non-zero exit, an error naming the nodes)"
+ISLAND=".ci_island_$$.sp"
+ISLAND_ERR=".ci_island_$$.err"
+printf 'R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n' > "$ISLAND"
+if dune exec bin/pmtbr_cli.exe -- reduce --spice "$ISLAND" 2> "$ISLAND_ERR"; then
+    echo "a floating island must not reduce" >&2; exit 1
+fi
+grep -q 'floating nodes (no element path to ground): 3 4' "$ISLAND_ERR" \
+    || { echo "floating-island error does not name nodes 3 4" >&2; exit 1; }
+if grep -q 'internal error' "$ISLAND_ERR"; then echo "floating island escaped as an internal error" >&2; exit 1; fi
+rm -f "$ISLAND" "$ISLAND_ERR"
+
 echo "== reduction-service daemon round trip (pmtbr serve / pmtbr batch)"
 SOCK=".ci_serve_$$.sock"
 SERVE_PID=""

@@ -364,7 +364,12 @@ let print_stats (st : Sample_cache.stats) =
   Printf.printf "columns held:      %d\n" st.Sample_cache.columns;
   Printf.printf "batches:           %d\n" st.Sample_cache.batches;
   Printf.printf "factor/solve time: %.4f s / %.4f s\n" st.Sample_cache.factor_s
-    st.Sample_cache.solve_s
+    st.Sample_cache.solve_s;
+  Option.iter
+    (fun (k : Pmtbr_sparse.Ordering.pick) ->
+      Printf.printf "ordering:          %s (nnz(L): rcm %d, nested dissection %d)\n"
+        (if k.nested then "nested-dissection" else "rcm") k.rcm_fill k.nd_fill)
+    st.Sample_cache.ordering
 
 (* In-band verification shared by reduce/adaptive: the full-model
    reference sweep is computed once per invocation (through the
@@ -602,15 +607,17 @@ let export_file_arg =
            method guarantees one.")
 
 (* usage errors (bad flag combinations, partition > states, server-side
-   failures) leave through Cmdliner's error channel instead of an
-   uncaught exception *)
+   failures) and unsolvable input (floating nodes) leave through
+   Cmdliner's error channel instead of an uncaught exception *)
 let run_reduce circuit spice size ports seed meth partition max_part_states interface_tol order
     tol samples band workers stats adaptive draws export =
   try
     Ok
       (run_reduce_inner circuit spice size ports seed meth partition max_part_states
          interface_tol order tol samples band workers stats adaptive draws export)
-  with Failure msg -> Error msg
+  with
+  | Failure msg -> Error msg
+  | Pmtbr_circuit.Mna.Floating _ as e -> Error (Printexc.to_string e)
 
 let reduce_cmd =
   let doc = "Reduce a circuit model and report the in-band error." in

@@ -24,8 +24,33 @@ type system = {
   inductors : int;
 }
 
+exception Floating of int list
+
+let () =
+  Printexc.register_printer (function
+    | Floating vs ->
+        let nodes = String.concat " " (List.map string_of_int vs) in
+        Some ("floating nodes (no element path to ground): " ^ nodes)
+    | _ -> None)
+
+(* Nodes with no element path to ground, by union-find over the element
+   endpoints (each root is its component's lowest node, so ground's is 0):
+   their rows of sE - A are singular at every s. *)
+let floating (nl : Netlist.t) nodes =
+  let root = Array.init (nodes + 1) Fun.id in
+  let rec find v = if root.(v) = v then v else begin root.(v) <- find root.(v); root.(v) end in
+  List.iter
+    (function
+      | Netlist.Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ } ->
+          let a = find n1 and b = find n2 in
+          root.(max a b) <- min a b
+      | Netlist.Mutual _ -> ())
+    (Netlist.elements nl);
+  List.filter (fun v -> find v <> 0) (List.init nodes (fun i -> i + 1))
+
 let stamp (nl : Netlist.t) =
   let nodes = Netlist.node_count nl in
+  (match floating nl nodes with [] -> () | vs -> raise (Floating vs));
   let nind = Netlist.inductor_count nl in
   let n = nodes + nind in
   let e = Triplet.create n n in

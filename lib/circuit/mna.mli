@@ -20,6 +20,12 @@ type system = {
   inductors : int;
 }
 
+exception Floating of int list
+(** Nodes (ascending) with no element path to ground: their block of
+    [sE - A] is singular at every shift.  Prints as
+    ["floating nodes (no element path to ground): 3 4"]. *)
+
 val stamp : Netlist.t -> system
 (** Stamp a netlist.  Ground (node 0) is eliminated; the port matrices are
-    built from the declared ports in order. *)
+    built from the declared ports in order.
+    @raise Floating if some node has no element path to ground. *)

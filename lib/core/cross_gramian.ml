@@ -98,6 +98,7 @@ let of_samples ?(order : int option) ?(tol = 1e-8) sys ~(zr : Mat.t) ~(zl : Mat.
       factor_s = 0.0;
       solve_s = 0.0;
       batch_wall_s = [||];
+      ordering = None;
     }
   in
   { rom = Dss.project_congruence sys basis; basis; eigenvalues = evs_sorted; samples; stats }

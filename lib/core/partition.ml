@@ -1,22 +1,19 @@
 (* Nested-dissection partitioner over the MNA state graph.
 
-   The netlist is stamped once; the state graph (union pattern of E and A,
-   symmetrized) is dissected recursively by vertex separators: BFS level
-   sets from a pseudo-peripheral vertex form wavefronts, and one whole
-   level — chosen to be thin and to balance the two sides — is removed as
-   a separator.  The two remaining sides cannot touch (BFS levels are only
-   adjacent to their neighbours), so recursing on each side yields a
-   partition *tree*: internal nodes carry separators, leaves are mutually
-   decoupled interiors.  The union of all separators is the global
-   interface set; the only nonzero blocks are per-part interiors,
-   part<->interface couplings, and the interface block.  Recursion is
-   driven either by a leaf-count target ([split ~parts]) or by a state
-   budget ([split_auto ~max_states]: recurse while a side exceeds the
-   budget, under a hard depth cap).  Each interior is re-expressed as a
-   standalone sub-netlist (interface nodes mapped to ground — exactly
-   reproduces the interior stamp, see [sub_netlist_of_part]) so the
-   subdomain is content-addressed by the same canonical-render hash the
-   store already uses for whole networks.
+   The netlist is stamped once and the union pattern of E and A is
+   dissected by [Ordering.dissect] — the one BFS level-set separator
+   routine, shared with the nested-dissection LU order — under a
+   leaf-count goal ([split ~parts]) or a state budget ([split_auto
+   ~max_states], under a depth cap).  Internal tree nodes carry
+   separators, leaves are mutually decoupled interiors; the union of all
+   separators is the global interface set, so the only nonzero blocks
+   are per-part interiors, part<->interface couplings, and the interface
+   block.  This module keeps the bookkeeping on top: each interior is
+   re-expressed as a standalone sub-netlist (interface nodes mapped to
+   ground — exactly reproduces the interior stamp, see
+   [sub_netlist_of_part]) so the subdomain is content-addressed by the
+   same canonical-render hash the store already uses for whole networks,
+   plus the coupling entries and per-part sampling right-hand sides.
 
    Everything here is a pure function of the netlist and the options:
    vertex orderings break ties by global index, and no step consults
@@ -24,6 +21,7 @@
    hierarchical reducer's bitwise worker-invariance contract. *)
 
 open Pmtbr_la
+open Pmtbr_sparse
 open Pmtbr_circuit
 
 type entry = int * int * float
@@ -116,189 +114,11 @@ let merged_entries n trip =
       match Hashtbl.find_opt tbl key with
       | Some acc -> Hashtbl.replace tbl key (acc +. v)
       | None -> Hashtbl.add tbl key v)
-    (Pmtbr_sparse.Triplet.entries trip);
+    (Triplet.entries trip);
   let out = Hashtbl.fold (fun key v acc -> ((key / n, key mod n, v) :: acc)) tbl [] in
   let arr = Array.of_list out in
   Array.sort (fun (i1, j1, _) (i2, j2, _) -> compare (i1, j1) (i2, j2)) arr;
   arr
-
-(* ------------------------------------------------------------------ *)
-(* State graph and recursive bisection                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* CSR adjacency of the symmetrized union pattern of E and A (off-diagonal
-   structural entries only).  Duplicate neighbours are harmless for BFS. *)
-let adjacency n (ee : entry array) (ae : entry array) =
-  let deg = Array.make n 0 in
-  let count (i, j, _) =
-    if i <> j then begin
-      deg.(i) <- deg.(i) + 1;
-      deg.(j) <- deg.(j) + 1
-    end
-  in
-  Array.iter count ee;
-  Array.iter count ae;
-  let ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    ptr.(i + 1) <- ptr.(i) + deg.(i)
-  done;
-  let adj = Array.make ptr.(n) 0 in
-  let fill = Array.make n 0 in
-  let put (i, j, _) =
-    if i <> j then begin
-      adj.(ptr.(i) + fill.(i)) <- j;
-      fill.(i) <- fill.(i) + 1;
-      adj.(ptr.(j) + fill.(j)) <- i;
-      fill.(j) <- fill.(j) + 1
-    end
-  in
-  Array.iter put ee;
-  Array.iter put ae;
-  (ptr, adj)
-
-(* BFS level numbers over the subset [states] (ascending global order),
-   restarting at the smallest-index unvisited vertex when a component is
-   exhausted — disconnected pieces land on successive levels, so the split
-   below still covers them deterministically. *)
-let bfs_levels (ptr, adj) states source =
-  let level = Hashtbl.create (Array.length states) in
-  let member = Hashtbl.create (Array.length states) in
-  Array.iter (fun v -> Hashtbl.replace member v ()) states;
-  let queue = Queue.create () in
-  let push v l = if not (Hashtbl.mem level v) then (Hashtbl.replace level v l; Queue.push v queue) in
-  push source 0;
-  let max_level = ref 0 in
-  let drain () =
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let l = Hashtbl.find level v in
-      if l > !max_level then max_level := l;
-      for k = ptr.(v) to ptr.(v + 1) - 1 do
-        let w = adj.(k) in
-        if Hashtbl.mem member w then push w (l + 1)
-      done
-    done
-  in
-  drain ();
-  (* restart on unvisited vertices (disconnected subset) *)
-  Array.iter
-    (fun v ->
-      if not (Hashtbl.mem level v) then begin
-        push v (!max_level + 1);
-        drain ()
-      end)
-    states;
-  level
-
-let farthest_vertex levels states =
-  let best = ref (-1) and best_level = ref (-1) in
-  Array.iter
-    (fun v ->
-      let l = Hashtbl.find levels v in
-      if l > !best_level then begin
-        best_level := l;
-        best := v
-      end)
-    states;
-  !best
-
-(* Recursion driver: a leaf-count target ([split ~parts]) or a per-part
-   state budget ([split_auto ~max_states]). *)
-type goal = Leaves of int | Budget of int
-
-(* Recursive nested dissection of [states] (ascending global order).
-   Each step removes one whole BFS level as a vertex separator: levels
-   are only adjacent to their neighbours, so deleting level [l] leaves
-   the below side (levels < l) and the above side (levels > l) with no
-   connecting entry — the invariant every later block-structure step
-   relies on.  The level is chosen by a balance heuristic: minimise
-   |separator|/n plus a penalty on the distance of the below-side
-   fraction from the target split (the target is k1/k when dividing a
-   leaf-count goal, 1/2 under a budget goal).  Ties break toward the
-   lowest level, and every ordering breaks ties by global index, so the
-   tree is a pure function of the graph and the goal.
-
-   Stops (making a leaf) when the goal is met, the subset has no
-   interior level to remove (fewer than three BFS levels), or [depth]
-   reaches [depth_cap] — the cap bounds the interface a pathological
-   graph can accumulate.  [mk_leaf] assigns dense part ids in
-   left-subtree order. *)
-let rec dissect graph states ~goal ~depth ~depth_cap ~mark_sep ~mk_leaf =
-  let n = Array.length states in
-  let want_split =
-    n > 1 && depth < depth_cap
-    && (match goal with Leaves k -> k > 1 | Budget b -> n > b)
-  in
-  if not want_split then mk_leaf states
-  else begin
-    let l0 = bfs_levels graph states states.(0) in
-    let src = farthest_vertex l0 states in
-    let levels = bfs_levels graph states src in
-    let max_level = Hashtbl.fold (fun _ l acc -> max l acc) levels 0 in
-    if max_level < 2 then mk_leaf states
-    else begin
-      (* bucket by level; iterating [states] backwards keeps each bucket
-         ascending by global index *)
-      let by_level = Array.make (max_level + 1) [] in
-      for i = n - 1 downto 0 do
-        let v = states.(i) in
-        let l = Hashtbl.find levels v in
-        by_level.(l) <- v :: by_level.(l)
-      done;
-      let sizes = Array.map List.length by_level in
-      let below = Array.make (max_level + 1) 0 in
-      for l = 1 to max_level do
-        below.(l) <- below.(l - 1) + sizes.(l - 1)
-      done;
-      let target =
-        match goal with
-        | Leaves k -> float_of_int (k / 2) /. float_of_int k
-        | Budget _ -> 0.5
-      in
-      let best = ref None in
-      for l = 1 to max_level - 1 do
-        let b = below.(l) and a = n - below.(l) - sizes.(l) in
-        if b > 0 && a > 0 then begin
-          let frac = float_of_int b /. float_of_int (b + a) in
-          let score =
-            (float_of_int sizes.(l) /. float_of_int n)
-            +. (0.5 *. Float.abs (frac -. target))
-          in
-          match !best with
-          | Some (s, _) when s <= score -> ()
-          | _ -> best := Some (score, l)
-        end
-      done;
-      match !best with
-      | None -> mk_leaf states
-      | Some (_, l) ->
-          let sep = Array.of_list by_level.(l) in
-          Array.iter mark_sep sep;
-          let side lo hi =
-            let out = ref [] in
-            for ll = hi downto lo do
-              out := by_level.(ll) @ !out
-            done;
-            let arr = Array.of_list !out in
-            Array.sort compare arr;
-            arr
-          in
-          let s1 = side 0 (l - 1) in
-          let s2 = side (l + 1) max_level in
-          let g1, g2 =
-            match goal with
-            | Leaves k -> (Leaves (k / 2), Leaves (k - (k / 2)))
-            | Budget b -> (Budget b, Budget b)
-          in
-          let left =
-            dissect graph s1 ~goal:g1 ~depth:(depth + 1) ~depth_cap ~mark_sep ~mk_leaf
-          in
-          let right =
-            dissect graph s2 ~goal:g2 ~depth:(depth + 1) ~depth_cap ~mark_sep ~mk_leaf
-          in
-          Node { sep; left; right }
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Sub-netlist extraction                                               *)
@@ -372,23 +192,29 @@ let split_goal ~goal ~depth_cap nl =
   if n = 0 then invalid_arg "Partition.split: empty netlist";
   let ee = merged_entries n m.Mna.e in
   let ae = merged_entries n m.Mna.a in
-  let graph = adjacency n ee ae in
-  let iface = Array.make n false in
-  let interiors_rev = ref [] in
-  let next_id = ref 0 in
-  let mk_leaf states =
-    let id = !next_id in
-    incr next_id;
-    interiors_rev := states :: !interiors_rev;
-    Leaf { part = id; size = Array.length states }
+  let iface = Array.make n false and interiors_rev = ref [] and parts = ref 0 in
+  (* part ids are dense in left-subtree order *)
+  let rec of_dissection = function
+    | Ordering.Leaf states ->
+        interiors_rev := states :: !interiors_rev;
+        incr parts;
+        Leaf { part = !parts - 1; size = Array.length states }
+    | Ordering.Node { sep; left; right } ->
+        Array.iter (fun v -> iface.(v) <- true) sep;
+        let left = of_dissection left in
+        Node { sep; left; right = of_dissection right }
   in
-  let tree =
-    dissect graph
-      (Array.init n (fun i -> i))
-      ~goal ~depth:0 ~depth_cap
-      ~mark_sep:(fun v -> iface.(v) <- true)
-      ~mk_leaf
-  in
+  (* the union pattern of E and A, row by row: read as CSC arrays it is the
+     transpose's pattern, which symmetrises to the same graph *)
+  let both = Array.append ee ae in
+  let ptr = Array.make (n + 1) 0 in
+  Array.iter (fun (i, _, _) -> ptr.(i + 1) <- ptr.(i + 1) + 1) both;
+  for i = 0 to n - 1 do
+    ptr.(i + 1) <- ptr.(i + 1) + ptr.(i)
+  done;
+  let cols = Array.make (Array.length both) 0 and next = Array.sub ptr 0 n in
+  Array.iter (fun (i, j, _) -> cols.(next.(i)) <- j; next.(i) <- next.(i) + 1) both;
+  let tree = of_dissection (Ordering.dissect ptr cols n ~goal ~depth_cap) in
   let interiors = Array.of_list (List.rev !interiors_rev) in
   let interface =
     Array.of_list (List.filter (fun v -> iface.(v)) (List.init n (fun i -> i)))
@@ -499,9 +325,9 @@ let default_max_states = 20_000
 
 let split ~parts:k nl =
   if k < 1 then invalid_arg "Partition.split: parts must be >= 1";
-  split_goal ~goal:(Leaves k) ~depth_cap:default_depth_cap nl
+  split_goal ~goal:(Ordering.Leaves k) ~depth_cap:default_depth_cap nl
 
 let split_auto ~max_states ?(depth_cap = default_depth_cap) nl =
   if max_states < 1 then invalid_arg "Partition.split_auto: max_states must be >= 1";
   if depth_cap < 0 then invalid_arg "Partition.split_auto: depth_cap must be >= 0";
-  split_goal ~goal:(Budget max_states) ~depth_cap nl
+  split_goal ~goal:(Ordering.Budget max_states) ~depth_cap nl

@@ -83,6 +83,7 @@ type stats = {
   factor_s : float;
   solve_s : float;
   batch_wall_s : float array;
+  ordering : Pmtbr_sparse.Ordering.pick option;
 }
 
 let create ?workers ?ms ?(source = Controllability) sys =
@@ -133,6 +134,7 @@ let stats (t : t) : stats =
     factor_s = t.factor_s;
     solve_s = t.solve_s;
     batch_wall_s = Array.of_list (List.rev t.batch_wall);
+    ordering = Option.bind t.ms Dss.multi_ordering;
   }
 
 let merge_stats (a : stats) (b : stats) : stats =
@@ -144,6 +146,7 @@ let merge_stats (a : stats) (b : stats) : stats =
     factor_s = a.factor_s +. b.factor_s;
     solve_s = a.solve_s +. b.solve_s;
     batch_wall_s = Array.append a.batch_wall_s b.batch_wall_s;
+    ordering = a.ordering;
   }
 
 (* ------------------------------------------------------------------ *)

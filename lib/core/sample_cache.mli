@@ -47,6 +47,8 @@ type stats = {
   factor_s : float;  (** summed factorisation seconds across batches *)
   solve_s : float;  (** summed solve + realify seconds across batches *)
   batch_wall_s : float array;  (** wall seconds of each [extend], in order *)
+  ordering : Pmtbr_sparse.Ordering.pick option;
+      (** the handle's ordering pick ([None] before a solve, or if dense) *)
 }
 
 val create : ?workers:int -> ?ms:Dss.multi_shift -> ?source:source -> Dss.t -> t
@@ -87,7 +89,8 @@ val stats : t -> stats
     no shift was ever re-solved. *)
 
 val merge_stats : stats -> stats -> stats
-(** Pointwise sum of two caches' counters (batch wall times concatenated)
+(** Pointwise sum of two caches' counters (batch wall times concatenated,
+    the first cache's ordering pick)
     — the combined record surfaced by two-sided variants (cross-Gramian).
     [solves = points] is preserved: each side counts its own points. *)
 

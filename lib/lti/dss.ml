@@ -125,6 +125,8 @@ let multi_shift ?(template = { Complex.re = 0.0; im = 1.0 }) sys =
   | Sparse { pencil; n; _ } -> Ms (Shifted.prepare pencil ~template, n)
   | Dense { e; a; _ } -> Md { e; a }
 
+let multi_ordering = function Ms (m, _) -> Shifted.ordering m | Md _ -> None
+
 (* [hermitian] asks for a factor prepared for [(sE - A)^H x = r] solves:
    sparse factors serve both sides (the LU of M solves M^H via conjugated
    transposed solves), while the dense LU must factor the conjugate

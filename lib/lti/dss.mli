@@ -77,6 +77,9 @@ val multi_shift : ?template:Complex.t -> t -> multi_shift
 (** Build the handle; [template] (default [j1]) picks the shift whose
     factorisation serves as the structural template. *)
 
+val multi_ordering : multi_shift -> Ordering.pick option
+(** The fill rule's pick and both fill counts; [None] for a dense system. *)
+
 val multi_factor : multi_shift -> hermitian:bool -> Complex.t -> shifted_factor
 (** Factor [(sE - A)] at one shift through the handle.  With
     [~hermitian:true] the factor is prepared for [(sE - A)^H x = r]

@@ -33,7 +33,7 @@ let make_stepper sys ~dt =
         if m.Csc.R.rows = n && m.Csc.R.cols = n then m
         else Csc.R.of_entries n n (Csc.R.to_entries m)
       in
-      let f = Sparse_lu.R.factorize ~ordering:Ordering.Rcm lhs_csc in
+      let f = Sparse_lu.R.factorize ~ordering:Ordering.Lower_fill lhs_csc in
       let advance x u0 u1 =
         let ex = Triplet.mv e x in
         let ax = Triplet.mv a x in

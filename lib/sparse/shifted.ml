@@ -13,7 +13,7 @@ let pencil ~e ~a =
 type factor = Sparse_lu.C.factor
 
 (* Factor (s E - A). *)
-let factorize ?(ordering = Ordering.Rcm) (p : pencil) (s : Complex.t) : factor =
+let factorize ?(ordering = Ordering.Lower_fill) (p : pencil) (s : Complex.t) : factor =
   let m = Csc.complex_combination ~alpha:s p.e ~beta:{ Complex.re = -1.0; im = 0.0 } p.a in
   (* pad to n x n in case trailing rows/cols carry no entries *)
   let m =
@@ -87,6 +87,7 @@ type multi = {
   e_coef : float array;
   a_coef : float array;
   q : int array; (* column elimination order, computed once *)
+  pick : Ordering.pick option; (* the default rule's choice and its evidence *)
   template : factor;
   tz : zfactor; (* unboxed view of the template, replayed per shift *)
 }
@@ -142,13 +143,19 @@ let matrix_at ~n ~colptr ~rowind ~e_coef ~a_coef (s : Complex.t) : Csc.C.t =
   in
   { Csc.C.rows = n; cols = n; colptr; rowind; values }
 
-let prepare ?(ordering = Ordering.Rcm) (p : pencil) ~(template : Complex.t) =
+let prepare ?(ordering = Ordering.Lower_fill) (p : pencil) ~(template : Complex.t) =
   let colptr, rowind, e_coef, a_coef = assemble_pattern p in
-  let q = Ordering.compute ordering colptr rowind p.n in
+  let q, pick =
+    match ordering with
+    | Ordering.Lower_fill -> Ordering.lower_fill colptr rowind p.n |> fun (q, k) -> (q, Some k)
+    | o -> (Ordering.compute o colptr rowind p.n, None)
+  in
   let m0 = matrix_at ~n:p.n ~colptr ~rowind ~e_coef ~a_coef template in
   let template = Sparse_lu.C.factorize ~ordering:(Ordering.Given q) m0 in
   let tz = zfactor_of_factor template in
-  { n = p.n; colptr; rowind; e_coef; a_coef; q; template; tz }
+  { n = p.n; colptr; rowind; e_coef; a_coef; q; pick; template; tz }
+
+let ordering m = m.pick
 
 (* Reused pivots are declared stale below this magnitude relative to their
    eliminated column; the shift then pays for a fresh pivoting

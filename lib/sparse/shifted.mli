@@ -14,7 +14,8 @@ type factor = Sparse_lu.C.factor
 
 val factorize : ?ordering:Ordering.scheme -> pencil -> Complex.t -> factor
 (** [factorize p s] factors [(sE - A)] with the given fill-reducing
-    ordering (default {!Ordering.Rcm}). *)
+    ordering (default {!Ordering.Lower_fill}, the rule of {!prepare}). *)
+
 
 type multi
 (** A multi-shift handle: the union nonzero pattern of [(sE - A)] with
@@ -24,9 +25,14 @@ type multi
 
 val prepare : ?ordering:Ordering.scheme -> pencil -> template:Complex.t -> multi
 (** [prepare p ~template] assembles the shared pattern, computes the
-    ordering (default {!Ordering.Rcm}), and factors [(template*E - A)] as
-    the structural template for all later shifts.
+    ordering (default {!Ordering.Lower_fill}, a pure function of the
+    pattern), and factors [(template*E - A)] as the structural template
+    for all later shifts.
     @raise Sparse_lu.C.Singular if the pencil is singular at [template]. *)
+
+val ordering : multi -> Ordering.pick option
+(** Which order the default rule picked, with both fill counts; [None]
+    when {!prepare} was given an explicit scheme. *)
 
 val refactor : multi -> Complex.t -> factor
 (** [refactor m s] factors [(sE - A)] by numeric-only refactorisation

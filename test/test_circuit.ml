@@ -87,6 +87,33 @@ let test_mutual_stamp () =
   let eigs = Eig_sym.eigenvalues lmat in
   if eigs.(1) <= 0.0 then Alcotest.fail "L matrix not PD"
 
+(* a component with no element path to ground is refused at stamp time,
+   naming its nodes: a resistive/capacitive island, a transformer
+   secondary coupled only magnetically, and a node only a port names *)
+let test_floating_nodes () =
+  let island =
+    "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n"
+  in
+  let floating nl =
+    match Mna.stamp nl with _ -> [] | exception Mna.Floating vs -> vs
+  in
+  let nl = Spice.netlist (Spice.parse_string island) in
+  Alcotest.(check (list int)) "island" [ 3; 4 ] (floating nl);
+  Alcotest.(check string) "message names the nodes"
+    "floating nodes (no element path to ground): 3 4" (Printexc.to_string (Mna.Floating [ 3; 4 ]));
+  let nl = Netlist.create () in
+  Netlist.add_r nl 1 0 1.0;
+  let l1 = Netlist.add_l nl 1 0 1e-9 in
+  let l2 = Netlist.add_l nl 2 3 1e-9 in
+  Netlist.add_mutual nl l1 l2 0.5;
+  ignore (Netlist.add_port nl 1);
+  Alcotest.(check (list int)) "magnetic-only secondary" [ 2; 3 ] (floating nl);
+  let nl = Netlist.create () in
+  Netlist.add_r nl 1 0 1.0;
+  ignore (Netlist.add_port nl 2);
+  Alcotest.(check (list int)) "port on a bare node" [ 2 ] (floating nl);
+  Alcotest.(check (list int)) "grounded mesh" [] (floating (Rc_mesh.generate ~rows:4 ~cols:4 ()))
+
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +324,7 @@ let () =
           Alcotest.test_case "rc symmetry" `Quick test_rc_symmetry;
           Alcotest.test_case "inductor stamp" `Quick test_inductor_stamp;
           Alcotest.test_case "mutual stamp" `Quick test_mutual_stamp;
+          Alcotest.test_case "floating nodes" `Quick test_floating_nodes;
         ] );
       ( "generators",
         [

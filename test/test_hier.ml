@@ -172,6 +172,48 @@ let test_tree_stable_and_ancestors () =
       check_cols p.Partition.a_gi false)
     pt1.Partition.parts
 
+(* Absolute pins of the dissection itself: the tree, the interface and
+   every part's local state order, for a leaf-count and three budget
+   goals on a strip and a square mesh.  The hier digests rest on these
+   trees, so the dissection routine may move or be rewritten but must
+   keep them bit for bit. *)
+let pinned_trees =
+  [
+    ( "strip 8x320",
+      mesh ~rows:8 ~cols:320 ~ports:4,
+      [
+        (`Parts 4, "594c9b27463318369b1f95d831bbf653");
+        (`Budget 20, "4470efeb7bac5dab0ecc4a0e45c5743c");
+        (`Budget 100, "80f995eaa19c028df130a40595b6a9db");
+        (`Budget 700, "594c9b27463318369b1f95d831bbf653");
+      ] );
+    ( "mesh 12x12",
+      mesh ~rows:12 ~cols:12 ~ports:4,
+      [
+        (`Parts 4, "62302246790faf4e0fb42f089185feff");
+        (`Budget 20, "a0d8b0ac3cba2157c9824d90ac2ab69c");
+        (`Budget 100, "06a8d393c00fbcfa95492be25b79102c");
+        (`Budget 700, "ae45d23f03ef83a55c247b11d0ea497b");
+      ] );
+  ]
+
+let test_pinned_trees () =
+  List.iter
+    (fun (name, nl, goals) ->
+      List.iter
+        (fun (goal, expected) ->
+          let pt, label =
+            match goal with
+            | `Parts k -> (Partition.split ~parts:k nl, Printf.sprintf "parts %d" k)
+            | `Budget b -> (Partition.split_auto ~max_states:b nl, Printf.sprintf "budget %d" b)
+          in
+          let states (p : Partition.part) = p.Partition.states in
+          let pinned = (pt.Partition.tree, pt.Partition.interface, Array.map states pt.Partition.parts) in
+          Alcotest.(check string) (name ^ ", " ^ label) expected
+            (Digest.to_hex (Digest.string (Marshal.to_string pinned []))))
+        goals)
+    pinned_trees
+
 (* ------------------------------------------------------------------ *)
 (* Flat-vs-hier agreement                                               *)
 (* ------------------------------------------------------------------ *)
@@ -429,6 +471,7 @@ let () =
           Alcotest.test_case "separator separates" `Quick test_separator_separates;
           Alcotest.test_case "tree stable, ancestors cover couplings" `Quick
             test_tree_stable_and_ancestors;
+          Alcotest.test_case "pinned trees" `Quick test_pinned_trees;
         ] );
       ( "compression",
         [

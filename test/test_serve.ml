@@ -834,6 +834,22 @@ let test_store_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "reversed band must be rejected"
 
+(* Nodes 3 and 4 have no element path to ground: every method gets the
+   one stamp-time error naming them, and the store keeps answering. *)
+let island = "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n"
+let island_error = "MNA stamping failed: floating nodes (no element path to ground): 3 4"
+let all_meths = [ Protocol.Pmtbr; Protocol.Fs_pmtbr; Protocol.Tbr_passive; Protocol.Hier ]
+
+let test_store_floating_island () =
+  let store = Store.create () in
+  List.iter
+    (fun meth ->
+      match Store.reduce store (job_of ~meth ~order:2 island) with
+      | Error e -> Alcotest.(check string) (Protocol.meth_name meth) island_error e
+      | Ok _ -> Alcotest.failf "%s: floating island must be rejected" (Protocol.meth_name meth))
+    all_meths;
+  ignore (run_job store (mesh_netlist ()))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1060,6 +1076,24 @@ let test_daemon_protocol_errors () =
                 (field (roundtrip fdc Protocol.Ping) "pong"))
           | Error e -> Alcotest.fail e))
 
+let test_daemon_floating_island () =
+  let socket = Printf.sprintf ".pmtbr_test_float.%d.sock" (Unix.getpid ()) in
+  let daemon = start_daemon ~socket ~workers:2 in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon ~socket daemon)
+    (fun () ->
+      Client.with_connection socket (fun c ->
+          List.iter
+            (fun meth ->
+              match Client.request c (Protocol.Reduce (job_of ~meth ~order:2 island)) with
+              | Ok { Protocol.status = Error e; _ } ->
+                  Alcotest.(check string) (Protocol.meth_name meth) island_error e
+              | Ok _ -> Alcotest.fail "floating island must produce an error response"
+              | Error e -> Alcotest.fail e)
+            all_meths;
+          Alcotest.(check string) "still serving" "1" (field (roundtrip c Protocol.Ping) "pong");
+          ignore (roundtrip c (Protocol.Reduce (job_of ~order:4 (mesh_netlist ()))))))
+
 let () =
   Alcotest.run "pmtbr_serve"
     [
@@ -1108,6 +1142,7 @@ let () =
           Alcotest.test_case "pinned rom digests" `Quick test_pinned_rom_digests;
           Alcotest.test_case "eviction forces recompute" `Quick test_eviction_forces_recompute;
           Alcotest.test_case "rejects garbage" `Quick test_store_rejects_garbage;
+          Alcotest.test_case "floating island" `Quick test_store_floating_island;
         ] );
       ( "daemon",
         [
@@ -1116,5 +1151,6 @@ let () =
           Alcotest.test_case "export job" `Quick test_daemon_export_job;
           Alcotest.test_case "hier stats field" `Quick test_daemon_hier_stats_field;
           Alcotest.test_case "protocol errors" `Quick test_daemon_protocol_errors;
+          Alcotest.test_case "floating island" `Quick test_daemon_floating_island;
         ] );
     ]

@@ -90,7 +90,7 @@ let test_orderings_are_permutations () =
   let m = Csc.of_triplet t in
   permutation_ok "natural" (Ordering.compute Ordering.Natural m.Csc.R.colptr m.Csc.R.rowind 30) 30;
   permutation_ok "rcm" (Ordering.compute Ordering.Rcm m.Csc.R.colptr m.Csc.R.rowind 30) 30;
-  permutation_ok "min_degree" (Ordering.compute Ordering.Min_degree m.Csc.R.colptr m.Csc.R.rowind 30) 30
+  permutation_ok "min_degree" (Pmtbr_oracle.Min_degree.order m.Csc.R.colptr m.Csc.R.rowind 30) 30
 
 let test_rcm_reduces_bandwidth () =
   (* a star graph has terrible natural bandwidth; RCM should not *increase*
@@ -131,7 +131,9 @@ let test_sparse_lu_natural () = sparse_solve_check (laplacian_like ~seed:11 50)
 let test_sparse_lu_rcm () = sparse_solve_check ~ordering:Ordering.Rcm (laplacian_like ~seed:13 50)
 
 let test_sparse_lu_min_degree () =
-  sparse_solve_check ~ordering:Ordering.Min_degree (laplacian_like ~seed:17 50)
+  let t = laplacian_like ~seed:17 50 in
+  let m = Csc.of_triplet t in
+  sparse_solve_check ~ordering:(Pmtbr_oracle.Min_degree.scheme m.Csc.R.colptr m.Csc.R.rowind 50) t
 
 let test_sparse_lu_vs_dense () =
   let t = laplacian_like ~seed:19 25 in
@@ -228,7 +230,8 @@ let prop_orderings_preserve_solution =
       let m = Csc.of_triplet t in
       let b = Array.init n (fun i -> sin (float_of_int (i * i))) in
       let solve o = Sparse_lu.R.solve_vec (Sparse_lu.R.factorize ~ordering:o m) b in
-      let x1 = solve Ordering.Natural and x2 = solve Ordering.Rcm and x3 = solve Ordering.Min_degree in
+      let x1 = solve Ordering.Natural and x2 = solve Ordering.Rcm in
+      let x3 = solve (Pmtbr_oracle.Min_degree.scheme m.Csc.R.colptr m.Csc.R.rowind n) in
       Vec.max_abs_diff x1 x2 < 1e-8 && Vec.max_abs_diff x1 x3 < 1e-8)
 
 (* property: a refactorisation against a template (same pattern, new
@@ -302,6 +305,192 @@ let prop_zreplay_matches_fresh =
       close (Shifted.zsolve_dense zf b) (Shifted.solve_dense fresh b)
       && close (Shifted.zsolve_hermitian_dense zf b) (Shifted.solve_hermitian_dense fresh b))
 
+(* ------------------------------------------------------------------ *)
+(* Nested dissection and the fill rule                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A random symmetric pattern on [n] vertices, as an undirected edge
+   list: a grid with holes, a random sparse graph, or disjoint pieces;
+   every kind leaves some vertices isolated. *)
+let random_pattern kind n seed =
+  let rng = Random.State.make [| seed |] in
+  let edges = ref [] in
+  let hole = Array.init n (fun _ -> Random.State.int rng 10 = 0) in
+  let add i j = if i <> j && not (hole.(i) || hole.(j)) then edges := (i, j) :: !edges in
+  (match kind with
+  | 0 ->
+      let cols = max 1 (int_of_float (sqrt (float_of_int n))) in
+      for v = 0 to n - 1 do
+        if (v + 1) mod cols <> 0 && v + 1 < n then add v (v + 1);
+        if v + cols < n then add v (v + cols)
+      done
+  | 1 ->
+      let v () = Random.State.int rng (max 1 n) in
+      for _ = 1 to 2 * n do
+        add (v ()) (v ())
+      done
+  | _ ->
+      (* paths of random length, each its own component *)
+      let v = ref 0 in
+      while !v < n do
+        let len = 1 + Random.State.int rng 12 in
+        for k = !v to min (n - 1) (!v + len - 1) - 1 do add k (k + 1) done;
+        v := !v + len
+      done);
+  !edges
+
+(* the pattern in CSC form, one triangle only: the orderings symmetrise *)
+let csc_of_edges n edges =
+  let t = Triplet.create n n in
+  List.iter (fun (i, j) -> Triplet.add t i j 1.0) edges;
+  let m = Csc.R.of_entries n n (Triplet.entries t) in
+  (m.Csc.R.colptr, m.Csc.R.rowind)
+
+(* brute-force symbolic elimination: eliminating a vertex joins its
+   remaining neighbours into a clique; nnz(L) counts every such edge
+   plus the diagonal *)
+let brute_fill n edges p =
+  let adj = Array.make_matrix n n false in
+  List.iter (fun (i, j) -> adj.(i).(j) <- true; adj.(j).(i) <- true) edges;
+  let gone = Array.make n false and count = ref n in
+  Array.iter
+    (fun v ->
+      gone.(v) <- true;
+      let nb = List.filter (fun u -> adj.(v).(u) && not gone.(u)) (List.init n Fun.id) in
+      count := !count + List.length nb;
+      List.iter (fun a -> List.iter (fun b -> if a <> b then adj.(a).(b) <- true) nb) nb)
+    p;
+  !count
+
+let prop_nested_dissection_and_rule =
+  QCheck2.Test.make ~name:"nested dissection, fill count and the fill rule" ~count:60
+    QCheck2.Gen.(tup3 (int_range 0 2) (int_range 0 300) (int_range 0 10_000))
+    (fun (kind, n, seed) ->
+      let edges = random_pattern kind n seed in
+      let colptr, rowind = csc_of_edges n edges in
+      let nd = Ordering.nested_dissection colptr rowind n in
+      permutation_ok "nested dissection" nd n;
+      let rcm = Ordering.rcm colptr rowind n in
+      let fill = Ordering.fill colptr rowind n in
+      if n <= 40 then
+        List.iter
+          (fun p ->
+            if fill p <> brute_fill n edges p then
+              QCheck2.Test.fail_reportf "fill %d <> brute force %d" (fill p) (brute_fill n edges p))
+          [ nd; rcm; Ordering.natural n ];
+      let chosen, pick = Ordering.lower_fill colptr rowind n in
+      let want_nd = fill nd < fill rcm in
+      if pick.Ordering.nested <> want_nd || chosen <> (if want_nd then nd else rcm)
+         || pick.Ordering.rcm_fill <> fill rcm || pick.Ordering.nd_fill <> fill nd
+      then QCheck2.Test.fail_report "the rule did not return the lower-fill order (ties to RCM)";
+      (* (sE - A) on the pattern: E = diag, A = -(Laplacian + leak) *)
+      n = 0
+      ||
+      let e = Triplet.create n n and a = Triplet.create n n in
+      for i = 0 to n - 1 do
+        Triplet.add e i i (1.0 +. float_of_int (i mod 3));
+        Triplet.add a i i (-0.5)
+      done;
+      List.iter
+        (fun (i, j) ->
+          List.iter
+            (fun (r, c, v) -> Triplet.add a r c v)
+            [ (i, i, -1.0); (j, j, -1.0); (i, j, 1.0); (j, i, 1.0) ])
+        edges;
+      let m = Shifted.prepare (Shifted.pencil ~e ~a) ~template:{ Complex.re = 0.0; im = 1.0 } in
+      let s = { Complex.re = 0.0; im = 2.5 } in
+      let b = Mat.random ~seed n 1 in
+      let x = (Shifted.zsolve_dense (Shifted.refactor_z m s) b).(0) in
+      let dm =
+        Cmat.axpby_real ~alpha:s (Triplet.to_dense e) ~beta:{ Complex.re = -1.0; im = 0.0 }
+          (Triplet.to_dense a)
+      in
+      let bc = Array.init n (fun i -> { Complex.re = Mat.get b i 0; im = 0.0 }) in
+      Cvec.max_abs (Cvec.sub (Cmat.mv dm x) bc) <= 1e-12 *. Cvec.max_abs bc)
+
+(* The chosen order changes only the elimination, never the answer:
+   sampled singular values and in-band transfer values under the fill
+   rule's pick agree with a forced-RCM handle on the same pencil. *)
+let samples_under ordering (sys : Pmtbr_lti.Dss.t) omegas =
+  match sys with
+  | Pmtbr_lti.Dss.Dense _ -> assert false
+  | Pmtbr_lti.Dss.Sparse { pencil; b; c; _ } ->
+      let m = Shifted.prepare ?ordering pencil ~template:{ Complex.re = 0.0; im = 1.0 } in
+      let solve w = Shifted.zsolve_dense (Shifted.refactor_z m { Complex.re = 0.0; im = w }) b in
+      let xs = Array.concat (List.map solve (Array.to_list omegas)) in
+      (* the realified sample matrix: [Re x; Im x] for every solved column *)
+      let z =
+        Mat.init b.Mat.rows (2 * Array.length xs) (fun i j ->
+            let x = xs.(j / 2).(i) in
+            if j mod 2 = 0 then x.Complex.re else x.Complex.im)
+      in
+      (Svd.values z, Array.map (Cmat.mv (Cmat.of_mat c)) xs, Shifted.ordering m)
+
+(* largest relative difference between two lists of transfer columns *)
+let max_rel_h h1 h2 =
+  Array.fold_left max 0.0
+    (Array.map2 (fun a b -> Cvec.max_abs (Cvec.sub a b) /. Cvec.max_abs b) h1 h2)
+
+let prop_nd_answers_match_rcm =
+  QCheck2.Test.make ~name:"fill-rule order answers == forced RCM" ~count:3
+    QCheck2.Gen.(pair (float_range 0.2 1.0) (int_range 0 1))
+    (fun (edge, which) ->
+      let rows = if which = 0 then 24 else 52 in
+      let nl = Pmtbr_circuit.Rc_mesh.generate ~rows ~cols:rows ~ports:4 () in
+      let sys = Pmtbr_lti.Dss.of_netlist nl in
+      let omegas = Array.init 8 (fun k -> edge *. 2e10 *. float_of_int (k + 1) /. 8.0) in
+      let sig_nd, h_nd, pick = samples_under None sys omegas in
+      let sig_rcm, h_rcm, _ = samples_under (Some Ordering.Rcm) sys omegas in
+      (match pick with
+      | Some p when p.Ordering.nested -> ()
+      | _ -> QCheck2.Test.fail_reportf "%dx%d mesh: the rule should pick nested dissection" rows rows);
+      let dsig =
+        Array.fold_left max 0.0 (Array.map2 (fun a b -> Float.abs (a -. b)) sig_nd sig_rcm)
+      in
+      if dsig > 1e-12 *. sig_rcm.(0) then
+        QCheck2.Test.fail_reportf "sigma drift %.3e" (dsig /. sig_rcm.(0));
+      let dh = max_rel_h h_nd h_rcm in
+      if dh > 1e-10 then QCheck2.Test.fail_reportf "H drift %.3e" dh;
+      true)
+
+(* RLC pencils with mutual inductance: nested dissection forced against
+   RCM, transfer values within 1e-9 *)
+let test_forced_nd_rlc () =
+  List.iter
+    (fun (name, nl, w) ->
+      let sys = Pmtbr_lti.Dss.of_netlist nl in
+      let omegas = Array.init 6 (fun k -> w *. float_of_int (k + 1) /. 6.0) in
+      let _, h_nd, _ = samples_under (Some Ordering.Nested_dissection) sys omegas in
+      let _, h_rcm, _ = samples_under (Some Ordering.Rcm) sys omegas in
+      let dh = max_rel_h h_nd h_rcm in
+      if dh > 1e-9 then Alcotest.failf "%s: forced-ND H drift %.3e" name dh)
+    [
+      ("spiral", Pmtbr_circuit.Spiral.generate (), Pmtbr_circuit.Spiral.sample_band ());
+      ("connector", Pmtbr_circuit.Connector.generate (), Pmtbr_circuit.Connector.band_of_interest);
+    ]
+
+(* the rule's pick through the production handle, per network class *)
+let test_rule_picks () =
+  let open Pmtbr_circuit in
+  List.iter
+    (fun (name, nl, want_nd) ->
+      let handle = Pmtbr_lti.Dss.multi_shift (Pmtbr_lti.Dss.of_netlist nl) in
+      match Pmtbr_lti.Dss.multi_ordering handle with
+      | None -> Alcotest.failf "%s: no pick recorded" name
+      | Some p -> Alcotest.(check bool) (name ^ " picks ND") want_nd p.Ordering.nested)
+    [
+      ("mesh 24x24", Rc_mesh.generate ~rows:24 ~cols:24 ~ports:4 (), true);
+      ("mesh 52x52", Rc_mesh.generate ~rows:52 ~cols:52 ~ports:4 (), true);
+      ("mesh 64x64", Rc_mesh.generate ~rows:64 ~cols:64 ~ports:4 (), true);
+      ("strip 8x320", Rc_mesh.generate ~rows:8 ~cols:320 ~ports:4 (), false);
+      ("strip 4x40", Rc_mesh.generate ~rows:4 ~cols:40 ~ports:2 (), false);
+      ("mesh 16x16", Rc_mesh.generate ~rows:16 ~cols:16 ~ports:4 (), false);
+      ("rc line", Rc_line.generate ~sections:600 (), false);
+      ("substrate 12-port", Substrate.generate ~ports:12 ~internal:20 ~seed:5 (), false);
+      ("substrate 8-port", Substrate.generate ~ports:8 ~internal:24 ~seed:24008 (), false);
+      ("substrate 20-port", Substrate.generate ~ports:20 ~internal:40 ~seed:40020 (), false);
+    ]
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -309,6 +498,8 @@ let props =
       prop_orderings_preserve_solution;
       prop_refactorize_matches_fresh;
       prop_zreplay_matches_fresh;
+      prop_nested_dissection_and_rule;
+      prop_nd_answers_match_rcm;
     ]
 
 let () =
@@ -326,6 +517,8 @@ let () =
         [
           Alcotest.test_case "permutations valid" `Quick test_orderings_are_permutations;
           Alcotest.test_case "rcm bandwidth on path" `Quick test_rcm_reduces_bandwidth;
+          Alcotest.test_case "fill rule picks per network" `Quick test_rule_picks;
+          Alcotest.test_case "forced nested dissection on RLC" `Quick test_forced_nd_rlc;
         ] );
       ( "lu",
         [
