@@ -29,8 +29,10 @@ bench-variants:
 
 # regenerate BENCH_dense.json (fails if the kernel-layer SVD drops below
 # 2x over the serial cyclic Jacobi on the 1089-state sample matrix, any
-# dense kernel loses bitwise worker-invariance, or the round-robin
-# singular values drift past 1e-12 relative of the cyclic reference)
+# dense kernel loses bitwise worker-invariance, the round-robin
+# singular values drift past 1e-12 relative of the cyclic reference, or
+# the symmetric eigensolver differs from, or is under 3x, the
+# element-wise kernel it replaced)
 bench-dense:
 	dune exec bench/dense_bench.exe
 

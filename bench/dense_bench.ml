@@ -14,6 +14,10 @@
    recorded alongside.  The GEMM baseline is the generic functor loop
    ([Pmtbr_oracle.Generic_mat.mul], every float boxed) against the
    row-panelled [Par_kernel.mul], which runs [Mat.mul]'s unboxed loop.
+   A symmetric-eigensolver row times [Eig_sym]'s flat-row Jacobi against
+   the element-wise kernel it replaced ([Pmtbr_oracle.Cyclic_eig]) on a
+   100 x 100 graded Gram, the shape LR-ADI's factor compression
+   decomposes at every flush.
 
    Invariants asserted on every pass (both modes):
 
@@ -23,12 +27,14 @@
      bitwise-identical to the generic baseline;
    - [Svd.values] is bitwise worker-invariant;
    - the round-robin singular values agree with the serial cyclic
-     reference to 1e-12 relative to sigma_max.
+     reference to 1e-12 relative to sigma_max;
+   - [Eig_sym.decompose] is bitwise the element-wise kernel, values and
+     vectors.
 
    Emits BENCH_dense.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/dense_bench.exe            # full run, 2x gate
+     dune exec bench/dense_bench.exe            # full run, 2x SVD and 3x eig gates
      dune exec bench/dense_bench.exe -- --smoke # CI: tiny matrix,
                                                 # invariants only *)
 
@@ -65,6 +71,34 @@ let sigma_drift (a : float array) (b : float array) =
     Array.iteri (fun i s -> worst := Float.max !worst (Float.abs (s -. b.(i)) /. smax)) a;
     !worst
   end
+
+(* The eigensolver row, on the Gram of a 60 x 100 factor: more columns
+   than states, as a substrate job's LR-ADI flush compresses. *)
+type eig_record = {
+  eig_n : int;
+  eig_cyclic_wall_s : float;
+  eig_flat_wall_s : float;
+  eig_speedup : float;
+}
+
+let eig_case ~n ~reps =
+  let g = Cyclic_eig.graded_gram ~seed:7 ~rows:60 n in
+  let (v_ref, u_ref), cyclic_wall = time_best ~reps (fun () -> Cyclic_eig.decompose g) in
+  let (v, u), flat_wall = time_best ~reps (fun () -> Eig_sym.decompose g) in
+  let bits a = Array.map Int64.bits_of_float a in
+  if bits v <> bits v_ref || bits u.Mat.data <> bits u_ref.Mat.data then
+    failwith (Printf.sprintf "eig-gram-%d: Eig_sym differs from the element-wise kernel" n);
+  let r =
+    {
+      eig_n = n;
+      eig_cyclic_wall_s = cyclic_wall;
+      eig_flat_wall_s = flat_wall;
+      eig_speedup = cyclic_wall /. flat_wall;
+    }
+  in
+  Printf.eprintf "[dense_bench] eig-gram-%d: bitwise OK | element-wise %.4f s, flat %.4f s: %.2fx\n%!"
+    n cyclic_wall flat_wall r.eig_speedup;
+  r
 
 type record = {
   name : string;
@@ -155,8 +189,14 @@ let bench_case ~name ~sys ~points ~workers ~reps =
     gemm_naive_wall gemm_kernel_wall;
   r
 
-let json_of_records records =
+let json_of_records records eig =
   Util.json_object @@ fun buf ->
+  Buffer.add_string buf (Printf.sprintf "  \"profile\": %S,\n" Build_profile.name);
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"eig\": { \"name\": \"eig-gram-%d\", \"n\": %d, \"cyclic_wall_s\": %.6f, \
+        \"flat_wall_s\": %.6f, \"speedup\": %.3f, \"bitwise\": true },\n"
+       eig.eig_n eig.eig_n eig.eig_cyclic_wall_s eig.eig_flat_wall_s eig.eig_speedup);
   Buffer.add_string buf "  \"cases\": [\n";
   List.iteri
     (fun i r ->
@@ -204,16 +244,24 @@ let () =
       [ bench_case ~name:"rc-mesh-33x33" ~sys ~points:pts ~workers:4 ~reps:3 ]
     end
   in
-  let json = json_of_records records in
+  let eig = eig_case ~n:100 ~reps:(if smoke then 1 else 3) in
+  let json = json_of_records records eig in
   Util.write_json ~smoke ~file:"BENCH_dense.json" json;
   if not smoke then begin
-    (* acceptance gate: the kernel-layer SVD must be >= 2x the serial
-       cyclic reference on the reduction-stage operand *)
+    (* acceptance gates: the kernel-layer SVD must be >= 2x the serial
+       cyclic reference on the reduction-stage operand, and the flat-row
+       eigensolver >= 3x the element-wise one it replaced *)
     let r = List.hd records in
     if r.svd_speedup < 2.0 then begin
       Printf.eprintf "[dense_bench] FAIL: %s SVD speedup %.2fx < 2x\n%!" r.name r.svd_speedup;
       exit 1
     end;
-    Printf.eprintf "[dense_bench] OK: %s SVD speedup %.2fx\n%!" r.name r.svd_speedup
+    if eig.eig_speedup < 3.0 then begin
+      Printf.eprintf "[dense_bench] FAIL: eig-gram-%d speedup %.2fx < 3x\n%!" eig.eig_n
+        eig.eig_speedup;
+      exit 1
+    end;
+    Printf.eprintf "[dense_bench] OK: %s SVD speedup %.2fx, eig speedup %.2fx\n%!" r.name
+      r.svd_speedup eig.eig_speedup
   end
   else Printf.eprintf "[dense_bench] smoke OK\n%!"

@@ -74,17 +74,38 @@ dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 32 --stats \
 dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-line --stats | grep -q '^ordering: *rcm ' \
     || { echo "rc-line should order by RCM" >&2; exit 1; }
 
-echo "== floating island (non-zero exit, an error naming the nodes)"
+echo "== unsolvable netlists (non-zero exit, an error naming the nodes)"
 ISLAND=".ci_island_$$.sp"
-ISLAND_ERR=".ci_island_$$.err"
+NOCAP=".ci_nocap_$$.sp"
+ERR=".ci_unsolvable_$$.err"
 printf 'R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n' > "$ISLAND"
-if dune exec bin/pmtbr_cli.exe -- reduce --spice "$ISLAND" 2> "$ISLAND_ERR"; then
-    echo "a floating island must not reduce" >&2; exit 1
-fi
-grep -q 'floating nodes (no element path to ground): 3 4' "$ISLAND_ERR" \
-    || { echo "floating-island error does not name nodes 3 4" >&2; exit 1; }
-if grep -q 'internal error' "$ISLAND_ERR"; then echo "floating island escaped as an internal error" >&2; exit 1; fi
-rm -f "$ISLAND" "$ISLAND_ERR"
+# node 2 has no capacitor: E is singular, which only the exact-TBR methods invert
+printf 'R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nR3 2 3 1k\nC3 3 0 1p\n.port 1\n' > "$NOCAP"
+# expect_refusal MESSAGE CLI-ARGS...: the run exits non-zero, prints
+# MESSAGE and no uncaught exception
+expect_refusal() {
+    want="$1"; shift
+    if dune exec bin/pmtbr_cli.exe -- "$@" > /dev/null 2> "$ERR"; then
+        echo "pmtbr $* must fail" >&2; exit 1
+    fi
+    grep -qF "$want" "$ERR" || { echo "pmtbr $*: error does not say: $want" >&2; cat "$ERR" >&2; exit 1; }
+    if grep -q 'internal error' "$ERR"; then echo "pmtbr $* escaped as an internal error" >&2; exit 1; fi
+}
+for sub in info hsv sweep adaptive reduce; do
+    expect_refusal 'floating nodes (no element path to ground): 3 4' "$sub" --spice "$ISLAND"
+done
+expect_refusal 'nodes with no capacitive path to ground (E is singular): 2' \
+    reduce --method tbr-passive --spice "$NOCAP"
+dune exec bin/pmtbr_cli.exe -- reduce --spice "$NOCAP" > /dev/null \
+    || { echo "pmtbr must reduce a network whose E is singular" >&2; exit 1; }
+rm -f "$ISLAND" "$NOCAP" "$ERR"
+
+echo "== unboxed dense accessors (allocation guards in an optimised build)"
+# the dev profile compiles with -opaque, so no call is inlined across
+# modules there and test_la skips the Mat.get guard; this release build
+# (the one perfbench uses) runs it
+dune build --root . --build-dir .bench_build --profile release test/test_la.exe
+OCAMLRUNPARAM=b .bench_build/default/test/test_la.exe test eig_sym
 
 echo "== reduction-service daemon round trip (pmtbr serve / pmtbr batch)"
 SOCK=".ci_serve_$$.sock"

@@ -157,11 +157,27 @@ let band_arg =
     & opt (some (conv (parse, print))) None
     & info [ "band" ] ~docv:"LO:HI" ~doc:"Frequency band in rad/s (default: circuit-specific).")
 
+(* Every subcommand body takes a final unit and runs under this guard:
+   usage errors (bad flag combinations, partition > states, server-side
+   failures) and unsolvable input (floating nodes; for the methods that
+   invert E, nodes with no capacitive path to ground) leave through
+   Cmdliner's error channel, a non-zero exit with the message, instead
+   of an uncaught exception. *)
+let guarded run =
+  Term.term_result'
+    (Term.map
+       (fun run ->
+         try Ok (run ()) with
+         | Failure msg -> Error msg
+         | (Pmtbr_circuit.Mna.Floating _ | Pmtbr_circuit.Mna.Uncapacitated _) as e ->
+             Error (Printexc.to_string e))
+       run)
+
 (* ------------------------------------------------------------------ *)
 (* info                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_info circuit spice size ports seed =
+let run_info circuit spice size ports seed () =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let r, c, l, k = Pmtbr_circuit.Netlist.stats nl in
@@ -177,13 +193,13 @@ let run_info circuit spice size ports seed =
 let info_cmd =
   let doc = "Print statistics of a circuit model (generated or SPICE)." in
   Cmd.v (Cmd.info "info" ~doc)
-    Term.(const run_info $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg)
+    (guarded Term.(const run_info $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg))
 
 (* ------------------------------------------------------------------ *)
 (* hsv                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_hsv circuit spice size ports seed samples band workers =
+let run_hsv circuit spice size ports seed samples band workers () =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
@@ -214,9 +230,10 @@ let run_hsv circuit spice size ports seed samples band workers =
 let hsv_cmd =
   let doc = "Estimate Hankel singular values by frequency sampling." in
   Cmd.v (Cmd.info "hsv" ~doc)
-    Term.(
-      const run_hsv $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg $ samples_arg
-      $ band_arg $ workers_arg)
+    (guarded
+       Term.(
+         const run_hsv $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg $ samples_arg
+         $ band_arg $ workers_arg))
 
 (* ------------------------------------------------------------------ *)
 (* reduce                                                              *)
@@ -399,8 +416,8 @@ let correlated_inputs sys ~seed ~w_hi =
    residual stop, as the daemon's band field does. *)
 let lyap_stop band = Option.bind band Sampling.band_stop
 
-let run_reduce_inner circuit spice size ports seed meth partition max_part_states interface_tol
-    order tol samples band workers stats adaptive draws export =
+let run_reduce circuit spice size ports seed meth partition max_part_states interface_tol order
+    tol samples band workers stats adaptive draws export () =
   let meth =
     match (meth, partition) with
     | M_pmtbr, Some _ -> M_hier
@@ -412,6 +429,8 @@ let run_reduce_inner circuit spice size ports seed meth partition max_part_state
     failwith "--interface-tol only applies to --method hier";
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
+  (* the exact-TBR methods invert E *)
+  if List.mem meth [ M_tbr; M_tbr_lr; M_tbr_passive ] then Pmtbr_circuit.Mna.check_capacitive nl;
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
   let pts = band_points ~band ~w_hi ~samples in
   let workers = workers_opt workers in
@@ -606,28 +625,15 @@ let export_file_arg =
            Needs a realizable (reciprocal, symmetric) reduced model — the tbr-passive \
            method guarantees one.")
 
-(* usage errors (bad flag combinations, partition > states, server-side
-   failures) and unsolvable input (floating nodes) leave through
-   Cmdliner's error channel instead of an uncaught exception *)
-let run_reduce circuit spice size ports seed meth partition max_part_states interface_tol order
-    tol samples band workers stats adaptive draws export =
-  try
-    Ok
-      (run_reduce_inner circuit spice size ports seed meth partition max_part_states
-         interface_tol order tol samples band workers stats adaptive draws export)
-  with
-  | Failure msg -> Error msg
-  | Pmtbr_circuit.Mna.Floating _ as e -> Error (Printexc.to_string e)
-
 let reduce_cmd =
   let doc = "Reduce a circuit model and report the in-band error." in
   Cmd.v (Cmd.info "reduce" ~doc)
-    Term.(
-      term_result'
-        (const run_reduce $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg
-        $ method_arg $ partition_arg $ max_part_states_arg $ interface_tol_arg $ order_arg
-        $ tol_arg $ samples_arg $ band_arg $ workers_arg $ stats_arg $ adaptive_arg $ draws_arg
-        $ export_file_arg))
+    (guarded
+       Term.(
+         const run_reduce $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg
+         $ method_arg $ partition_arg $ max_part_states_arg $ interface_tol_arg $ order_arg
+         $ tol_arg $ samples_arg $ band_arg $ workers_arg $ stats_arg $ adaptive_arg $ draws_arg
+         $ export_file_arg))
 
 (* ------------------------------------------------------------------ *)
 (* adaptive                                                            *)
@@ -645,7 +651,7 @@ let monitor_arg =
 let batch_arg =
   Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc:"Points consumed per batch.")
 
-let run_adaptive circuit spice size ports seed monitor order tol batch samples band workers =
+let run_adaptive circuit spice size ports seed monitor order tol batch samples band workers () =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
@@ -670,9 +676,10 @@ let adaptive_cmd =
     "Reduce with on-the-fly order control and report the incremental-sampling counters."
   in
   Cmd.v (Cmd.info "adaptive" ~doc)
-    Term.(
-      const run_adaptive $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg
-      $ monitor_arg $ order_arg $ tol_arg $ batch_arg $ samples_arg $ band_arg $ workers_arg)
+    (guarded
+       Term.(
+         const run_adaptive $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg
+         $ monitor_arg $ order_arg $ tol_arg $ batch_arg $ samples_arg $ band_arg $ workers_arg))
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -681,7 +688,7 @@ let adaptive_cmd =
 let npoints_arg =
   Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc:"Number of frequency points.")
 
-let run_sweep circuit spice size ports seed npoints band workers =
+let run_sweep circuit spice size ports seed npoints band workers () =
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
@@ -704,15 +711,16 @@ let run_sweep circuit spice size ports seed npoints band workers =
 let sweep_cmd =
   let doc = "Print the port-1 frequency response of a circuit model." in
   Cmd.v (Cmd.info "sweep" ~doc)
-    Term.(
-      const run_sweep $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg $ npoints_arg
-      $ band_arg $ workers_arg)
+    (guarded
+       Term.(
+         const run_sweep $ circuit_arg $ spice_arg $ size_arg $ ports_arg $ seed_arg $ npoints_arg
+         $ band_arg $ workers_arg))
 
 (* ------------------------------------------------------------------ *)
 (* export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run_export circuit size ports seed output =
+let run_export circuit size ports seed output () =
   match circuit with
   | None -> failwith "--circuit is required for export"
   | Some c -> (
@@ -730,7 +738,7 @@ let output_arg =
 let export_cmd =
   let doc = "Export a generated circuit as a SPICE-dialect netlist." in
   Cmd.v (Cmd.info "export" ~doc)
-    Term.(const run_export $ circuit_arg $ size_arg $ ports_arg $ seed_arg $ output_arg)
+    (guarded Term.(const run_export $ circuit_arg $ size_arg $ ports_arg $ seed_arg $ output_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve / batch                                                       *)
@@ -814,9 +822,8 @@ let roundtrip conn req =
   (match r.Sproto.status with Ok () -> () | Error msg -> failwith ("server error: " ^ msg));
   r
 
-let run_batch_inner socket ping server_stats shutdown circuit spice size ports seed meth
-    partition max_part_states interface_tol band tol order samples repeat assert_warm export_out
-    =
+let run_batch socket ping server_stats shutdown circuit spice size ports seed meth partition
+    max_part_states interface_tol band tol order samples repeat assert_warm export_out () =
   (* --partition with the default method implies hier, mirroring reduce *)
   let meth =
     match (meth, partition) with Sproto.Pmtbr, Some _ -> Sproto.Hier | m, _ -> m
@@ -916,22 +923,13 @@ let batch_cmd =
             "Ask the daemon to synthesize the reduced model back into a netlist and write \
              the response body to FILE (first repeat only).")
   in
-  let run_batch socket ping server_stats shutdown circuit spice size ports seed meth partition
-      max_part_states interface_tol band tol order samples repeat assert_warm export_out =
-    try
-      Ok
-        (run_batch_inner socket ping server_stats shutdown circuit spice size ports seed meth
-           partition max_part_states interface_tol band tol order samples repeat assert_warm
-           export_out)
-    with Failure msg -> Error msg
-  in
   Cmd.v (Cmd.info "batch" ~doc)
-    Term.(
-      term_result'
-        (const run_batch $ socket_arg $ ping $ stats $ shutdown $ circuit_arg $ spice_arg
-        $ size_arg $ ports_arg $ seed_arg $ serve_method_arg $ partition_arg
-        $ max_part_states_arg $ interface_tol_arg $ band_arg $ tol_arg $ order_arg $ samples_arg
-        $ repeat $ assert_warm $ export_out))
+    (guarded
+       Term.(
+         const run_batch $ socket_arg $ ping $ stats $ shutdown $ circuit_arg $ spice_arg
+         $ size_arg $ ports_arg $ seed_arg $ serve_method_arg $ partition_arg
+         $ max_part_states_arg $ interface_tol_arg $ band_arg $ tol_arg $ order_arg $ samples_arg
+         $ repeat $ assert_warm $ export_out))
 
 (* ------------------------------------------------------------------ *)
 

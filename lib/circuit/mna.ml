@@ -25,32 +25,51 @@ type system = {
 }
 
 exception Floating of int list
+exception Uncapacitated of int list
+
+(* "3 4", or the count and the first few nodes of a long list *)
+let node_list vs =
+  let ids vs = String.concat " " (List.map string_of_int vs) in
+  let shown = 8 in
+  match List.length vs with
+  | k when k <= shown -> ids vs
+  | k -> Printf.sprintf "%d nodes, first %s ..." k (ids (List.filteri (fun i _ -> i < shown) vs))
 
 let () =
   Printexc.register_printer (function
-    | Floating vs ->
-        let nodes = String.concat " " (List.map string_of_int vs) in
-        Some ("floating nodes (no element path to ground): " ^ nodes)
+    | Floating vs -> Some ("floating nodes (no element path to ground): " ^ node_list vs)
+    | Uncapacitated vs ->
+        Some ("nodes with no capacitive path to ground (E is singular): " ^ node_list vs)
     | _ -> None)
 
-(* Nodes with no element path to ground, by union-find over the element
-   endpoints (each root is its component's lowest node, so ground's is 0):
-   their rows of sE - A are singular at every s. *)
-let floating (nl : Netlist.t) nodes =
+(* Nodes with no path to ground through the elements [through] keeps, by
+   union-find over their endpoints (each root is its component's lowest
+   node, so ground's is 0). *)
+let unreached ~through (nl : Netlist.t) =
+  let nodes = Netlist.node_count nl in
   let root = Array.init (nodes + 1) Fun.id in
   let rec find v = if root.(v) = v then v else begin root.(v) <- find root.(v); root.(v) end in
   List.iter
     (function
-      | Netlist.Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ } ->
+      | (Netlist.Resistor { n1; n2; _ } | Capacitor { n1; n2; _ } | Inductor { n1; n2; _ }) as el
+        when through el ->
           let a = find n1 and b = find n2 in
           root.(max a b) <- min a b
-      | Netlist.Mutual _ -> ())
+      | _ -> ())
     (Netlist.elements nl);
   List.filter (fun v -> find v <> 0) (List.init nodes (fun i -> i + 1))
 
+(* E's node block is the capacitance Laplacian, singular exactly when
+   some node has no capacitive path to ground. *)
+let check_capacitive nl =
+  match unreached ~through:(function Netlist.Capacitor _ -> true | _ -> false) nl with
+  | [] -> ()
+  | vs -> raise (Uncapacitated vs)
+
 let stamp (nl : Netlist.t) =
+  (* a floating node's rows of sE - A are singular at every s *)
+  (match unreached ~through:(fun _ -> true) nl with [] -> () | vs -> raise (Floating vs));
   let nodes = Netlist.node_count nl in
-  (match floating nl nodes with [] -> () | vs -> raise (Floating vs));
   let nind = Netlist.inductor_count nl in
   let n = nodes + nind in
   let e = Triplet.create n n in

@@ -23,7 +23,17 @@ type system = {
 exception Floating of int list
 (** Nodes (ascending) with no element path to ground: their block of
     [sE - A] is singular at every shift.  Prints as
-    ["floating nodes (no element path to ground): 3 4"]. *)
+    ["floating nodes (no element path to ground): 3 4"], or past eight
+    nodes as their count and the first eight. *)
+
+exception Uncapacitated of int list
+(** Nodes (ascending) with no path to ground through capacitors, so [E] is
+    singular.  Prints like {!Floating}. *)
+
+val check_capacitive : Netlist.t -> unit
+(** What a method that inverts [E] (tbr-passive) needs; the sampled
+    methods only factor [sE - A].
+    @raise Uncapacitated if some node has no capacitive path to ground. *)
 
 val stamp : Netlist.t -> system
 (** Stamp a netlist.  Ground (node 0) is eliminated; the port matrices are

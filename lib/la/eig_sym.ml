@@ -7,16 +7,21 @@
 
 let max_sweeps = 60
 
-let decompose (a : Mat.t) =
-  assert (a.Mat.rows = a.Mat.cols);
-  let n = a.Mat.rows in
-  let w = Mat.symmetrize a in
-  let v = Mat.identity n in
+(* Cyclic Jacobi sweeps in place on the symmetrised matrix [w]'s data,
+   accumulating the rotations into the rows of [vt] (V transposed, so
+   both of its updates are contiguous) when given.  The formulas and the
+   update order (columns p, q of w; rows p, q; V) are those of the
+   element-wise kernel kept as [Pmtbr_oracle.Cyclic_eig], which the suite
+   pins bitwise; w drifts from exact symmetry, so the strided column pass
+   stays.  Every index is below n*n: unchecked access, and no float is
+   boxed. *)
+let sweep (w : Mat.t) (vt : float array option) =
+  let n = w.Mat.rows and d = w.Mat.data in
   let off () =
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        let x = Mat.get w i j in
+        let x = Array.unsafe_get d ((i * n) + j) in
         acc := !acc +. (x *. x)
       done
     done;
@@ -28,10 +33,12 @@ let decompose (a : Mat.t) =
   while off () > tol && !sweeps < max_sweeps do
     incr sweeps;
     for p = 0 to n - 2 do
+      let rp = p * n in
       for q = p + 1 to n - 1 do
-        let apq = Mat.get w p q in
+        let rq = q * n in
+        let apq = Array.unsafe_get d (rp + q) in
         if Float.abs apq > 1e-18 *. scale then begin
-          let app = Mat.get w p p and aqq = Mat.get w q q in
+          let app = Array.unsafe_get d (rp + p) and aqq = Array.unsafe_get d (rq + q) in
           let theta = (aqq -. app) /. (2.0 *. apq) in
           let t =
             let s = if theta >= 0.0 then 1.0 else -1.0 in
@@ -39,34 +46,51 @@ let decompose (a : Mat.t) =
           in
           let c = 1.0 /. sqrt (1.0 +. (t *. t)) in
           let s = c *. t in
-          (* Rotate rows/cols p and q of w. *)
           for k = 0 to n - 1 do
-            let wkp = Mat.get w k p and wkq = Mat.get w k q in
-            Mat.set w k p ((c *. wkp) -. (s *. wkq));
-            Mat.set w k q ((s *. wkp) +. (c *. wkq))
+            let kp = (k * n) + p and kq = (k * n) + q in
+            let wkp = Array.unsafe_get d kp and wkq = Array.unsafe_get d kq in
+            Array.unsafe_set d kp ((c *. wkp) -. (s *. wkq));
+            Array.unsafe_set d kq ((s *. wkp) +. (c *. wkq))
           done;
           for k = 0 to n - 1 do
-            let wpk = Mat.get w p k and wqk = Mat.get w q k in
-            Mat.set w p k ((c *. wpk) -. (s *. wqk));
-            Mat.set w q k ((s *. wpk) +. (c *. wqk))
+            let wpk = Array.unsafe_get d (rp + k) and wqk = Array.unsafe_get d (rq + k) in
+            Array.unsafe_set d (rp + k) ((c *. wpk) -. (s *. wqk));
+            Array.unsafe_set d (rq + k) ((s *. wpk) +. (c *. wqk))
           done;
-          for k = 0 to n - 1 do
-            let vkp = Mat.get v k p and vkq = Mat.get v k q in
-            Mat.set v k p ((c *. vkp) -. (s *. vkq));
-            Mat.set v k q ((s *. vkp) +. (c *. vkq))
-          done
+          match vt with
+          | None -> ()
+          | Some vt ->
+              for k = 0 to n - 1 do
+                let vpk = Array.unsafe_get vt (rp + k) and vqk = Array.unsafe_get vt (rq + k) in
+                Array.unsafe_set vt (rp + k) ((c *. vpk) -. (s *. vqk));
+                Array.unsafe_set vt (rq + k) ((s *. vpk) +. (c *. vqk))
+              done
         end
       done
     done
-  done;
-  let values = Array.init n (fun i -> Mat.get w i i) in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare values.(j) values.(i)) order;
-  let sorted = Array.map (fun i -> values.(i)) order in
-  let vs = Mat.init n n (fun i j -> Mat.get v i order.(j)) in
-  (sorted, vs)
+  done
 
-let eigenvalues a = fst (decompose a)
+(* The swept diagonal, descending, and its order: both entry points sort
+   indices alike, so ties (0.0 against -0.0 among them) fall alike. *)
+let sorted_diagonal w =
+  let values = Mat.diagonal w in
+  let order = Array.init (Array.length values) Fun.id in
+  Array.sort (fun i j -> compare values.(j) values.(i)) order;
+  (Array.map (fun i -> values.(i)) order, order)
+
+let decompose (a : Mat.t) =
+  assert (a.Mat.rows = a.Mat.cols);
+  let n = a.Mat.rows in
+  let w = Mat.symmetrize a in
+  let vt = (Mat.identity n).Mat.data in
+  sweep w (Some vt);
+  let sorted, order = sorted_diagonal w in
+  (sorted, Mat.init n n (fun i j -> vt.((order.(j) * n) + i)))
+
+let eigenvalues a =
+  let w = Mat.symmetrize a in
+  sweep w None;
+  fst (sorted_diagonal w)
 
 (* Factor of a symmetric PSD matrix: [x = l * l^T] with negative eigenvalues
    (numerical noise in Lyapunov solutions) clipped to zero.  Columns of [l]

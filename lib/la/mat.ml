@@ -17,10 +17,12 @@ include Gen_mat.Make (Scalar.Float)
    — which the suite checks against that instantiation.  Functor
    functions not shadowed here keep calling the functor's own accessors. *)
 
-let get m i j = m.data.((i * m.cols) + j)
-let set m i j v = m.data.((i * m.cols) + j) <- v
+(* Inlined, so a loop outside this module reads and writes unboxed
+   floats instead of boxing one per call. *)
+let[@inline] get m i j = m.data.((i * m.cols) + j)
+let[@inline] set m i j v = m.data.((i * m.cols) + j) <- v
 
-let update m i j f =
+let[@inline] update m i j f =
   let k = (i * m.cols) + j in
   m.data.(k) <- f m.data.(k)
 

@@ -114,6 +114,31 @@ let test_floating_nodes () =
   Alcotest.(check (list int)) "port on a bare node" [ 2 ] (floating nl);
   Alcotest.(check (list int)) "grounded mesh" [] (floating (Rc_mesh.generate ~rows:4 ~cols:4 ()))
 
+(* a node with no capacitive path to ground makes E singular: refused by
+   name before the exact-TBR methods invert E, long lists shortened to a
+   count and the first eight nodes *)
+let test_capacitor_free_nodes () =
+  let uncapacitated nl =
+    match Mna.check_capacitive nl with () -> [] | exception Mna.Uncapacitated vs -> vs
+  in
+  let parse text = Spice.netlist (Spice.parse_string text) in
+  let nl = parse "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nR3 2 3 1k\nC3 3 0 1p\n.port 1\n" in
+  Alcotest.(check (list int)) "resistor-only node" [ 2 ] (uncapacitated nl);
+  Alcotest.(check string) "message names the node"
+    "nodes with no capacitive path to ground (E is singular): 2"
+    (Printexc.to_string (Mna.Uncapacitated [ 2 ]));
+  let nl = parse "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n" in
+  Alcotest.(check (list int)) "capacitor island" [ 3; 4 ] (uncapacitated nl);
+  Alcotest.(check (list int)) "grounded mesh" [] (uncapacitated (Rc_mesh.generate ~rows:4 ~cols:4 ()));
+  let spiral = uncapacitated (Spiral.generate ~segments:16 ()) in
+  Alcotest.(check int) "spiral nodes without a capacitor path" 65 (List.length spiral);
+  Alcotest.(check string) "long lists give the count and the first eight"
+    "nodes with no capacitive path to ground (E is singular): 65 nodes, first 1 4 5 6 7 10 11 12 ..."
+    (Printexc.to_string (Mna.Uncapacitated spiral));
+  Alcotest.(check string) "floating lists shorten alike"
+    "floating nodes (no element path to ground): 9 nodes, first 1 2 3 4 5 6 7 8 ..."
+    (Printexc.to_string (Mna.Floating (List.init 9 succ)))
+
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +350,7 @@ let () =
           Alcotest.test_case "inductor stamp" `Quick test_inductor_stamp;
           Alcotest.test_case "mutual stamp" `Quick test_mutual_stamp;
           Alcotest.test_case "floating nodes" `Quick test_floating_nodes;
+          Alcotest.test_case "capacitor-free nodes" `Quick test_capacitor_free_nodes;
         ] );
       ( "generators",
         [

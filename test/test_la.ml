@@ -259,6 +259,45 @@ let test_eig_sym_reconstruction () =
   check_small ~tol:1e-10 "V orth"
     (Mat.frobenius (Mat.sub (Mat.mul (Mat.transpose v) v) (Mat.identity 10)))
 
+(* Words allocated on the minor heap by [f], net of the measurement's own
+   boxed readings. *)
+let minor_words f =
+  let idle0 = Gc.minor_words () in
+  let idle1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  let w1 = Gc.minor_words () in
+  (r, w1 -. w0 -. (idle1 -. idle0))
+
+(* [Mat.get] is inlined, so a read from another module is an unboxed
+   load.  Dune's dev profile compiles with -opaque, which turns all
+   cross-module inlining off: there each read is a call returning a boxed
+   float, and only an optimised build can meet this guard (bin/ci.sh runs
+   it in the release profile). *)
+let test_get_unboxed () =
+  if Pmtbr_oracle.Build_profile.name = "dev" then Alcotest.skip ();
+  let m = Mat.random ~seed:101 100 100 in
+  let sink = [| 0.0 |] in
+  let (), words =
+    minor_words (fun () ->
+        let acc = ref 0.0 in
+        for i = 0 to 99 do
+          for j = 0 to 99 do
+            acc := !acc +. Mat.get m i j
+          done
+        done;
+        sink.(0) <- !acc)
+  in
+  Alcotest.(check bool) "reads summed" true (Float.is_finite sink.(0));
+  if words > 0.0 then Alcotest.failf "10,000 Mat.get reads allocated %.0f words" words
+
+let test_eig_sym_allocation () =
+  let n = 100 in
+  let g = Pmtbr_oracle.Cyclic_eig.graded_gram ~seed:103 ~rows:80 n in
+  let _, words = minor_words (fun () -> Eig_sym.decompose g) in
+  if words > float_of_int (20 * n * n) then
+    Alcotest.failf "decompose of a %dx%d Gram allocated %.0f words (> 20 n^2)" n n words
+
 let test_psd_factor () =
   let b = Mat.random ~seed:89 8 3 in
   let x = Mat.mul b (Mat.transpose b) in
@@ -523,6 +562,38 @@ let prop_eig_sym_trace =
       done;
       Float.abs (Array.fold_left ( +. ) 0.0 values -. !trace) < 1e-8)
 
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* The flat-row kernel against the [Mat.get]/[Mat.set] sweeps it
+   replaced, on the three shapes the library feeds it: symmetric noise,
+   graded PSD Grams (Zᵀ Z with rank below n half the time) and
+   near-diagonal matrices with tied diagonal entries. *)
+let prop_eig_sym_bitwise =
+  QCheck2.Test.make ~name:"eig_sym == cyclic oracle (bitwise)" ~count:60
+    QCheck2.Gen.(
+      triple (int_range 0 2)
+        (frequency [ (1, int_range 0 2); (4, int_range 3 120) ])
+        (int_range 0 10_000))
+    (fun (kind, n, seed) ->
+      let a =
+        match kind with
+        | 0 -> Mat.symmetrize (Mat.random ~seed n n)
+        | 1 -> Pmtbr_oracle.Cyclic_eig.graded_gram ~seed ~rows:(1 + (seed mod ((2 * n) + 1))) n
+        | _ ->
+            let noise = Mat.symmetrize (Mat.random ~seed n n) in
+            Mat.init n n (fun i j ->
+                if i = j then float_of_int (i mod 3) else 1e-10 *. Mat.get noise i j)
+      in
+      let values, vectors = Eig_sym.decompose a in
+      let values', vectors' = Pmtbr_oracle.Cyclic_eig.decompose a in
+      bits_equal values values'
+      && vectors.Mat.rows = vectors'.Mat.rows
+      && vectors.Mat.cols = vectors'.Mat.cols
+      && bits_equal vectors.Mat.data vectors'.Mat.data
+      && bits_equal (Eig_sym.eigenvalues a) values)
+
 let prop_lyap_residual =
   QCheck2.Test.make ~name:"lyapunov residual small on stable A" ~count:25
     QCheck2.Gen.(pair (int_range 2 8) (int_range 0 10_000))
@@ -548,7 +619,7 @@ let prop_schur_eigs_match_trace =
 
 let props = List.map QCheck_alcotest.to_alcotest
   [ prop_lu_solves; prop_qr_orthogonal; prop_svd_reconstructs;
-    prop_svd_spectral_norm_bound; prop_eig_sym_trace; prop_lyap_residual;
+    prop_svd_spectral_norm_bound; prop_eig_sym_trace; prop_eig_sym_bitwise; prop_lyap_residual;
     prop_schur_eigs_match_trace ]
 
 let () =
@@ -601,6 +672,8 @@ let () =
           Alcotest.test_case "known 2x2" `Quick test_eig_sym_known;
           Alcotest.test_case "reconstruction" `Quick test_eig_sym_reconstruction;
           Alcotest.test_case "psd factor" `Quick test_psd_factor;
+          Alcotest.test_case "get allocates nothing" `Quick test_get_unboxed;
+          Alcotest.test_case "decompose allocation" `Quick test_eig_sym_allocation;
         ] );
       ( "chol",
         [

@@ -850,6 +850,24 @@ let test_store_floating_island () =
     all_meths;
   ignore (run_job store (mesh_netlist ()))
 
+(* Node 2 has no capacitor: E is singular, so tbr-passive (which inverts
+   it) is refused naming the node, while pmtbr (which only factors
+   sE - A) reduces the same network, and the store keeps answering. *)
+let capacitor_free = "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nR3 2 3 1k\nC3 3 0 1p\n.port 1\n"
+
+let capacitor_free_error =
+  "passive reduction failed: nodes with no capacitive path to ground (E is singular): 2"
+
+let test_store_capacitor_free () =
+  let store = Store.create () in
+  (match Store.reduce store (job_of ~meth:Protocol.Tbr_passive ~order:2 capacitor_free) with
+  | Error e -> Alcotest.(check string) "tbr-passive" capacitor_free_error e
+  | Ok _ -> Alcotest.fail "tbr-passive must refuse a singular E");
+  (match Store.reduce store (job_of ~order:2 capacitor_free) with
+  | Ok r -> Alcotest.(check int) "pmtbr order" 2 r.Store.order
+  | Error e -> Alcotest.failf "pmtbr must reduce the same network: %s" e);
+  ignore (run_job store (mesh_netlist ()))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1094,6 +1112,24 @@ let test_daemon_floating_island () =
           Alcotest.(check string) "still serving" "1" (field (roundtrip c Protocol.Ping) "pong");
           ignore (roundtrip c (Protocol.Reduce (job_of ~order:4 (mesh_netlist ()))))))
 
+let test_daemon_capacitor_free () =
+  let socket = Printf.sprintf ".pmtbr_test_nocap.%d.sock" (Unix.getpid ()) in
+  let daemon = start_daemon ~socket ~workers:2 in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon ~socket daemon)
+    (fun () ->
+      Client.with_connection socket (fun c ->
+          (match
+             Client.request c
+               (Protocol.Reduce (job_of ~meth:Protocol.Tbr_passive ~order:2 capacitor_free))
+           with
+          | Ok { Protocol.status = Error e; _ } ->
+              Alcotest.(check string) "tbr-passive" capacitor_free_error e
+          | Ok _ -> Alcotest.fail "a singular E must produce an error response"
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) "still serving" "1" (field (roundtrip c Protocol.Ping) "pong");
+          ignore (roundtrip c (Protocol.Reduce (job_of ~order:2 capacitor_free)))))
+
 let () =
   Alcotest.run "pmtbr_serve"
     [
@@ -1143,6 +1179,7 @@ let () =
           Alcotest.test_case "eviction forces recompute" `Quick test_eviction_forces_recompute;
           Alcotest.test_case "rejects garbage" `Quick test_store_rejects_garbage;
           Alcotest.test_case "floating island" `Quick test_store_floating_island;
+          Alcotest.test_case "capacitor-free node" `Quick test_store_capacitor_free;
         ] );
       ( "daemon",
         [
@@ -1152,5 +1189,6 @@ let () =
           Alcotest.test_case "hier stats field" `Quick test_daemon_hier_stats_field;
           Alcotest.test_case "protocol errors" `Quick test_daemon_protocol_errors;
           Alcotest.test_case "floating island" `Quick test_daemon_floating_island;
+          Alcotest.test_case "capacitor-free node" `Quick test_daemon_capacitor_free;
         ] );
     ]
