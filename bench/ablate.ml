@@ -87,14 +87,14 @@ let orderings () =
     let e = m.Pmtbr_circuit.Mna.e and a = m.Pmtbr_circuit.Mna.a in
     let pencil = Shifted.pencil ~e ~a in
     let min_degree () =
-      let c = Csc.complex_combination ~alpha:s e ~beta:Complex.one a in
-      Min_degree.scheme c.Csc.C.colptr c.Csc.C.rowind c.Csc.C.cols
+      let c = Csc.of_triplet (Triplet.axpby 1.0 e 1.0 a) in
+      Min_degree.scheme c.Csc.colptr c.Csc.rowind c.Csc.cols
     in
     List.iter
       (fun (oname, ordering) ->
         let f, dt = Util.time_it (fun () -> Shifted.factorize ~ordering:(ordering ()) pencil s) in
         Util.row
-          [ name; oname; string_of_int (Sparse_lu.C.nnz f); Printf.sprintf "%.1f" (dt *. 1e3) ])
+          [ name; oname; string_of_int (Shifted.nnz f); Printf.sprintf "%.1f" (dt *. 1e3) ])
       ((if reference then [ ("natural", fun () -> Ordering.Natural); ("min_degree", min_degree) ]
         else [])
       @ [

@@ -16,7 +16,7 @@
    Emits BENCH_adaptive.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/adaptive_bench.exe            # full run, 3x gate
+     dune exec --profile release bench/adaptive_bench.exe  # full run, 3x gate
      dune exec bench/adaptive_bench.exe -- --smoke # CI: tiny point set,
                                                    # invariants only *)
 

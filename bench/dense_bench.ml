@@ -34,7 +34,7 @@
    Emits BENCH_dense.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/dense_bench.exe            # full run, 2x SVD and 3x eig gates
+     dune exec --profile release bench/dense_bench.exe  # full run, 2x SVD and 3x eig gates
      dune exec bench/dense_bench.exe -- --smoke # CI: tiny matrix,
                                                 # invariants only *)
 
@@ -191,7 +191,6 @@ let bench_case ~name ~sys ~points ~workers ~reps =
 
 let json_of_records records eig =
   Util.json_object @@ fun buf ->
-  Buffer.add_string buf (Printf.sprintf "  \"profile\": %S,\n" Build_profile.name);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"eig\": { \"name\": \"eig-gram-%d\", \"n\": %d, \"cyclic_wall_s\": %.6f, \

@@ -17,7 +17,7 @@
    Emits BENCH_export.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/export_bench.exe            # full run, all gates
+     dune exec --profile release bench/export_bench.exe  # full run, all gates
      dune exec bench/export_bench.exe -- --smoke # CI: small operands,
                                                  # invariants only *)
 

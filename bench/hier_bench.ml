@@ -26,7 +26,7 @@
 
    Run from the repo root:
 
-     dune exec bench/hier_bench.exe                   # full
+     dune exec --profile release bench/hier_bench.exe  # full
      dune exec bench/hier_bench.exe -- --smoke        # CI: small cases
      dune exec bench/hier_bench.exe -- --workers 4 --assert-multicore *)
 

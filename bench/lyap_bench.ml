@@ -27,7 +27,7 @@
    Emits BENCH_lyap.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/lyap_bench.exe            # full run, 5x gate at 1089
+     dune exec --profile release bench/lyap_bench.exe  # full run, 5x gate at 1089
      dune exec bench/lyap_bench.exe -- --smoke # CI: small mesh,
                                                # invariants only *)
 

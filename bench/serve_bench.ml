@@ -29,7 +29,7 @@
    Emits BENCH_serve.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/serve_bench.exe            # full run, 10x warm gate
+     dune exec --profile release bench/serve_bench.exe  # full run, 10x warm gate
      dune exec bench/serve_bench.exe -- --smoke # CI: tiny mesh,
                                                 # invariants + 3x gate *)
 

@@ -14,7 +14,7 @@
    to the baseline, plus a bitwise-determinism check of parallel against
    serial assembly.  Run from the repo root:
 
-     dune exec bench/shift_bench.exe
+     dune exec --profile release bench/shift_bench.exe
 
    Flags: --smoke (tiny substrates, no timing gate), --workers N (bench
    1 and N workers instead of the 1/2/4/8 curve), --assert-multicore

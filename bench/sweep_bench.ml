@@ -4,15 +4,16 @@
    gates the evaluation/verification stage, which is the serve path on
    the ROADMAP's north star.  Two headline comparisons:
 
-   - full model (sparse tier): the pre-PR per-point path (a fresh
+   - full model (sparse tier): the pre-engine per-point path (a fresh
      pattern assembly + symbolic analysis + numeric LU at every grid
-     point, serially — [Freq.sweep_naive]) vs the engine (one prepared
-     pencil, numeric replay per point, points fanned across domains) on
-     a 1089-state RC mesh over a 200-point grid;
+     point, serially — [Pmtbr_oracle.Naive_sweep.sweep]) vs the engine
+     (one prepared pencil, numeric replay per point, points fanned across
+     domains) on a 1089-state RC mesh over a 200-point grid;
 
    - reduced model (dense tier): the per-point dense complex LU (O(q^3),
-     [Freq.sweep_naive]) vs the one-time Hessenberg-triangular reduction
-     + O(q^2) per-point elimination, on a PMTBR ROM of the same mesh.
+     [Pmtbr_oracle.Naive_sweep.sweep]) vs the one-time
+     Hessenberg-triangular reduction + O(q^2) per-point elimination, on a
+     PMTBR ROM of the same mesh.
 
    Invariants asserted on every pass (both modes):
 
@@ -28,7 +29,7 @@
    Emits BENCH_sweep.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
-     dune exec bench/sweep_bench.exe            # full run, 3x gate
+     dune exec --profile release bench/sweep_bench.exe  # full run, 3x gate
      dune exec bench/sweep_bench.exe -- --smoke # CI: tiny mesh,
                                                 # invariants only *)
 
@@ -86,7 +87,7 @@ let invariant_checks ~name ~sys ~plan ~omegas ~tol =
     failwith (name ^ ": sweep differs between workers=1 and workers=4");
   if not (sweeps_bitwise_equal serial (Array.map (Sweep_engine.eval_jw plan) omegas)) then
     failwith (name ^ ": sweep differs from the serial eval map");
-  let drift = sweep_rel_diff (Freq.sweep_naive sys omegas) serial in
+  let drift = sweep_rel_diff (Pmtbr_oracle.Naive_sweep.sweep sys omegas) serial in
   if drift > tol then
     failwith (Printf.sprintf "%s: engine drift %.3e > %.0e vs the naive path" name drift tol);
   Printf.eprintf "[sweep_bench] %s: determinism OK (drift vs naive %.2e)\n%!" name drift;
@@ -100,7 +101,7 @@ let bench_case ~name ~sys ~omegas ~workers ~reps ~tol =
     | Sweep_engine.Replay -> "replay"
     | Sweep_engine.Hessenberg -> "Hessenberg");
   let drift = invariant_checks ~name ~sys ~plan ~omegas ~tol in
-  let _, naive_wall = time_best ~reps (fun () -> Freq.sweep_naive sys omegas) in
+  let _, naive_wall = time_best ~reps (fun () -> Pmtbr_oracle.Naive_sweep.sweep sys omegas) in
   let _, serial_wall = time_best ~reps (fun () -> Sweep_engine.sweep ~workers:1 plan omegas) in
   let (_, st), engine_wall =
     time_best ~reps (fun () -> Sweep_engine.sweep ~workers plan omegas)

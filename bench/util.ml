@@ -1,13 +1,16 @@
 (* Output helpers shared by the figure-regeneration benches and the
    BENCH_*.json emitters. *)
 
-(* Every bench opens its JSON object with the host's core count, so the
-   speedup numbers downstream can be read against the hardware they were
-   measured on; [body] fills in the bench-specific fields (no trailing
-   comma needed before the closing brace). *)
+(* Every bench opens its JSON object with the host's core count and the
+   dune profile it was built in (dev compiles with -opaque, so nothing is
+   inlined across modules there and kernel ratios differ), so the numbers
+   downstream can be read against what measured them; [body] fills in the
+   bench-specific fields (no trailing comma needed before the closing
+   brace). *)
 let json_object body =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
+  Buffer.add_string buf (Printf.sprintf "  \"profile\": %S,\n" Pmtbr_oracle.Build_profile.name);
   Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ()));

@@ -98,7 +98,22 @@ expect_refusal 'nodes with no capacitive path to ground (E is singular): 2' \
     reduce --method tbr-passive --spice "$NOCAP"
 dune exec bin/pmtbr_cli.exe -- reduce --spice "$NOCAP" > /dev/null \
     || { echo "pmtbr must reduce a network whose E is singular" >&2; exit 1; }
-rm -f "$ISLAND" "$NOCAP" "$ERR"
+# nodes 1 and 2 reach ground through capacitors alone: A is singular, so
+# the exact-TBR methods refuse it, hsv skips its exact column, pmtbr reduces
+NODC=".ci_nodc_$$.sp"
+NODC_MSG='nodes with no resistive or inductive path to ground (A is singular): 1 2'
+printf 'C1 1 0 1p\nR1 1 2 1k\nC2 2 0 1p\n.port 1\n' > "$NODC"
+for meth in tbr tbr-lr tbr-passive; do
+    expect_refusal "$NODC_MSG" reduce --method "$meth" --spice "$NODC"
+done
+dune exec bin/pmtbr_cli.exe -- hsv --spice "$NODC" > "$ERR" 2>&1 \
+    || { echo "hsv must print its estimates without a DC path" >&2; cat "$ERR" >&2; exit 1; }
+grep -qF "(exact skipped: $NODC_MSG)" "$ERR" \
+    || { echo "hsv must name the nodes without a DC path" >&2; cat "$ERR" >&2; exit 1; }
+if grep -q 'internal error' "$ERR"; then echo "hsv escaped as an internal error" >&2; exit 1; fi
+dune exec bin/pmtbr_cli.exe -- reduce --spice "$NODC" > /dev/null \
+    || { echo "pmtbr must reduce a network whose A is singular" >&2; exit 1; }
+rm -f "$ISLAND" "$NOCAP" "$NODC" "$ERR"
 
 echo "== unboxed dense accessors (allocation guards in an optimised build)"
 # the dev profile compiles with -opaque, so no call is inlined across

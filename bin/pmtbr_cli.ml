@@ -159,17 +159,18 @@ let band_arg =
 
 (* Every subcommand body takes a final unit and runs under this guard:
    usage errors (bad flag combinations, partition > states, server-side
-   failures) and unsolvable input (floating nodes; for the methods that
-   invert E, nodes with no capacitive path to ground) leave through
-   Cmdliner's error channel, a non-zero exit with the message, instead
-   of an uncaught exception. *)
+   failures) and unsolvable input (floating nodes; for the exact-TBR
+   methods, nodes with no capacitive path to ground or with no resistive
+   or inductive one) leave through Cmdliner's error channel, a non-zero
+   exit with the message, instead of an uncaught exception. *)
 let guarded run =
   Term.term_result'
     (Term.map
        (fun run ->
          try Ok (run ()) with
          | Failure msg -> Error msg
-         | (Pmtbr_circuit.Mna.Floating _ | Pmtbr_circuit.Mna.Uncapacitated _) as e ->
+         | ( Pmtbr_circuit.Mna.Floating _ | Pmtbr_circuit.Mna.Uncapacitated _
+           | Pmtbr_circuit.Mna.No_dc_path _ ) as e ->
              Error (Printexc.to_string e))
        run)
 
@@ -206,25 +207,29 @@ let run_hsv circuit spice size ports seed samples band workers () =
   let pts = band_points ~band ~w_hi ~samples in
   (* the estimate-vs-exact comparison is meaningful in the symmetrised
      coordinates (paper Section III); fall back to the raw descriptor system
-     for non-RC networks, where only the estimate is printed *)
+     for non-RC networks, where only the estimate is printed, and skip the
+     exact values when a node has no DC path (no Gramian exists) *)
   let sym = try Some (Dss.symmetrize_rc sys) with Dss.Not_rc_like -> None in
   let est = Pmtbr.hankel_estimates ?workers:(workers_opt workers) (Option.value sym ~default:sys) pts in
   let exact =
-    Option.map
-      (fun ssym ->
-        let a, b, c = Dss.to_standard ssym in
-        Tbr.hankel_singular_values ~a ~b ~c ())
-      sym
+    match sym with
+    | None -> Error "not an RC network"
+    | Some ssym -> (
+        match Pmtbr_circuit.Mna.check_dc_path nl with
+        | () ->
+            let a, b, c = Dss.to_standard ssym in
+            Ok (Tbr.hankel_singular_values ~a ~b ~c ())
+        | exception (Pmtbr_circuit.Mna.No_dc_path _ as e) -> Error (Printexc.to_string e))
   in
   (match exact with
-  | Some _ -> print_endline "index\testimate\texact"
-  | None -> print_endline "index\testimate\t(exact skipped: not an RC network)");
+  | Ok _ -> print_endline "index\testimate\texact"
+  | Error why -> Printf.printf "index\testimate\t(exact skipped: %s)\n" why);
   Array.iteri
     (fun i e ->
       if i < 30 then
         match exact with
-        | Some ex when i < Array.length ex -> Printf.printf "%d\t%.4e\t%.4e\n" i e ex.(i)
-        | Some _ | None -> Printf.printf "%d\t%.4e\n" i e)
+        | Ok ex when i < Array.length ex -> Printf.printf "%d\t%.4e\t%.4e\n" i e ex.(i)
+        | Ok _ | Error _ -> Printf.printf "%d\t%.4e\n" i e)
     est
 
 let hsv_cmd =
@@ -429,8 +434,11 @@ let run_reduce circuit spice size ports seed meth partition max_part_states inte
     failwith "--interface-tol only applies to --method hier";
   let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
-  (* the exact-TBR methods invert E *)
-  if List.mem meth [ M_tbr; M_tbr_lr; M_tbr_passive ] then Pmtbr_circuit.Mna.check_capacitive nl;
+  (* the exact-TBR methods invert E and need A nonsingular *)
+  if List.mem meth [ M_tbr; M_tbr_lr; M_tbr_passive ] then begin
+    Pmtbr_circuit.Mna.check_capacitive nl;
+    Pmtbr_circuit.Mna.check_dc_path nl
+  end;
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
   let pts = band_points ~band ~w_hi ~samples in
   let workers = workers_opt workers in

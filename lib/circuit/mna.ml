@@ -26,6 +26,7 @@ type system = {
 
 exception Floating of int list
 exception Uncapacitated of int list
+exception No_dc_path of int list
 
 (* "3 4", or the count and the first few nodes of a long list *)
 let node_list vs =
@@ -40,6 +41,8 @@ let () =
     | Floating vs -> Some ("floating nodes (no element path to ground): " ^ node_list vs)
     | Uncapacitated vs ->
         Some ("nodes with no capacitive path to ground (E is singular): " ^ node_list vs)
+    | No_dc_path vs ->
+        Some ("nodes with no resistive or inductive path to ground (A is singular): " ^ node_list vs)
     | _ -> None)
 
 (* Nodes with no path to ground through the elements [through] keeps, by
@@ -65,6 +68,16 @@ let check_capacitive nl =
   match unreached ~through:(function Netlist.Capacitor _ -> true | _ -> false) nl with
   | [] -> ()
   | vs -> raise (Uncapacitated vs)
+
+(* A is the conductance Laplacian bordered by the inductor incidence,
+   singular whenever some node reaches ground through capacitors alone
+   (no DC path). *)
+let check_dc_path nl =
+  match
+    unreached ~through:(function Netlist.Resistor _ | Inductor _ -> true | _ -> false) nl
+  with
+  | [] -> ()
+  | vs -> raise (No_dc_path vs)
 
 let stamp (nl : Netlist.t) =
   (* a floating node's rows of sE - A are singular at every s *)

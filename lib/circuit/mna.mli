@@ -35,6 +35,18 @@ val check_capacitive : Netlist.t -> unit
     methods only factor [sE - A].
     @raise Uncapacitated if some node has no capacitive path to ground. *)
 
+exception No_dc_path of int list
+(** Nodes (ascending) with no path to ground through resistors or
+    inductors, so [A] is singular.  Prints like {!Floating}. *)
+
+val check_dc_path : Netlist.t -> unit
+(** What the exact-TBR methods need besides {!check_capacitive}: a node
+    that reaches ground through capacitors alone puts a pole of the
+    pencil at [s = 0], where their Gramians do not exist; the sampled
+    methods only factor [sE - A] at their sample points.
+    @raise No_dc_path if some node has no resistive or inductive path to
+    ground. *)
+
 val stamp : Netlist.t -> system
 (** Stamp a netlist.  Ground (node 0) is eliminated; the port matrices are
     built from the declared ports in order.

@@ -35,7 +35,7 @@ val run : ?workers:int -> ?ms:Dss.multi_shift -> Dss.t -> task array -> float ar
     the shared symbolic analysis; [ms] supplies a pre-built handle
     instead, so incremental callers ({!Sample_cache}) share one symbolic
     analysis across every batch of an adaptive run.  An exception raised
-    by any task (e.g. [Sparse_lu.C.Singular]) is re-raised here,
+    by any task (e.g. [Sparse_lu.Singular]) is re-raised here,
     deterministically the one with the lowest task index. *)
 
 val is_effectively_real : Complex.t -> bool

@@ -58,53 +58,17 @@ let apply_a sys (v : Mat.t) =
   | Sparse { a; _ } -> Triplet.mul_dense a v
   | Dense { a; _ } -> Mat.mul a v
 
-(* A reusable factorisation of (sE - A).  Fz is the unboxed complex factor
-   produced by the multi-shift replay — the production path of the
-   sampling engine. *)
-type shifted_factor =
-  | Fs of Shifted.factor * int
-  | Fz of Shifted.zfactor * int
-  | Fd of Cmat.lu * int
+(* A reusable factorisation of (sE - A): the unboxed sparse LU of the
+   one-shot path and of the multi-shift replay alike, or a dense complex
+   LU for reduced models. *)
+type shifted_factor = Fz of Shifted.factor * int | Fd of Cmat.lu * int
 
 let factor_shifted sys (s : Complex.t) =
   match sys with
-  | Sparse { pencil; n; _ } -> Fs (Shifted.factorize pencil s, n)
+  | Sparse { pencil; n; _ } -> Fz (Shifted.factorize pencil s, n)
   | Dense { e; a; _ } ->
       let m = Cmat.axpby_real ~alpha:s e ~beta:{ Complex.re = -1.0; im = 0.0 } a in
       Fd (Cmat.lu m, a.Mat.rows)
-
-(* Solve (sE - A) X = R for a dense real right-hand side; result is complex,
-   one column per column of R. *)
-let solve_factored f (r : Mat.t) : Complex.t array array =
-  match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.solve_dense fact r
-  | Fz (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.zsolve_dense fact r
-  | Fd (lu, n) ->
-      assert (r.Mat.rows = n);
-      Array.init r.Mat.cols (fun j ->
-          let rhs = Array.init n (fun i -> { Complex.re = Mat.get r i j; im = 0.0 }) in
-          Cmat.lu_solve_vec lu rhs)
-
-(* Solve (sE - A)^H X = R. *)
-let solve_factored_hermitian f (r : Mat.t) : Complex.t array array =
-  match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.solve_hermitian_dense fact r
-  | Fz (fact, n) ->
-      assert (r.Mat.rows = n);
-      Shifted.zsolve_hermitian_dense fact r
-  | Fd (lu, n) ->
-      (* (sE-A)^H x = r  <=>  (sE-A)^T conj(x) = conj(r); r real here.  We
-         lack a transposed dense LU solve, so refactor the conjugate
-         transpose: cheap at reduced-model sizes. *)
-      ignore lu;
-      ignore n;
-      invalid_arg "solve_factored_hermitian: use solve_hermitian on the system"
 
 (* ------------------------------------------------------------------ *)
 (* Multi-shift solver: symbolic work shared across all sample shifts    *)
@@ -133,20 +97,19 @@ let multi_ordering = function Ms (m, _) -> Shifted.ordering m | Md _ -> None
    transpose itself. *)
 let multi_factor ms ~hermitian (s : Complex.t) =
   match ms with
-  | Ms (m, n) -> Fz (Shifted.refactor_z m s, n)
+  | Ms (m, n) -> Fz (Shifted.refactor m s, n)
   | Md { e; a } ->
       let m = Cmat.axpby_real ~alpha:s e ~beta:{ Complex.re = -1.0; im = 0.0 } a in
       let m = if hermitian then Cmat.conj_transpose m else m in
       Fd (Cmat.lu m, a.Mat.rows)
 
+(* The one solve dispatcher: a sparse factor serves both sides, a dense
+   one was factored for the side it solves. *)
 let multi_solve_factored f ~hermitian (r : Mat.t) : Complex.t array array =
   match f with
-  | Fs (fact, n) ->
-      assert (r.Mat.rows = n);
-      if hermitian then Shifted.solve_hermitian_dense fact r else Shifted.solve_dense fact r
   | Fz (fact, n) ->
       assert (r.Mat.rows = n);
-      if hermitian then Shifted.zsolve_hermitian_dense fact r else Shifted.zsolve_dense fact r
+      if hermitian then Shifted.solve_hermitian_dense fact r else Shifted.solve_dense fact r
   | Fd (lu, n) ->
       (* a hermitian factor already holds the LU of (sE - A)^H *)
       assert (r.Mat.rows = n);
@@ -154,22 +117,14 @@ let multi_solve_factored f ~hermitian (r : Mat.t) : Complex.t array array =
           let rhs = Array.init n (fun i -> { Complex.re = Mat.get r i j; im = 0.0 }) in
           Cmat.lu_solve_vec lu rhs)
 
+(* Solve (sE - A) X = R for a dense real right-hand side; result is complex,
+   one column per column of R. *)
+let solve_factored f r = multi_solve_factored f ~hermitian:false r
+
 (* One-shot solves. *)
 let shifted_solve sys s = solve_factored (factor_shifted sys s) (b_matrix sys)
 
 let shifted_solve_rhs sys s r = solve_factored (factor_shifted sys s) r
-
-(* Solve (sE - A)^H X = R directly from the system. *)
-let shifted_solve_hermitian sys s (r : Mat.t) =
-  match sys with
-  | Sparse _ -> solve_factored_hermitian (factor_shifted sys s) r
-  | Dense { e; a; _ } ->
-      let m = Cmat.axpby_real ~alpha:s e ~beta:{ Complex.re = -1.0; im = 0.0 } a in
-      let mh = Cmat.conj_transpose m in
-      let lu = Cmat.lu mh in
-      Array.init r.Mat.cols (fun j ->
-          let rhs = Array.init r.Mat.rows (fun i -> { Complex.re = Mat.get r i j; im = 0.0 }) in
-          Cmat.lu_solve_vec lu rhs)
 
 (* Convert to standard form (A' = E^{-1} A etc.); requires invertible E.
    Only used by the exact-TBR baseline. *)

@@ -57,14 +57,16 @@ val apply_a : t -> Mat.t -> Mat.t
 (** [apply_a sys v] is [A * v]. *)
 
 type shifted_factor
-(** A reusable factorisation of [(sE - A)] at one shift: sparse LU for
-    sparse systems, dense LU for dense ones. *)
+(** A reusable factorisation of [(sE - A)] at one shift: the unboxed
+    sparse LU of {!Pmtbr_sparse.Shifted} for sparse systems (it serves
+    both solve sides), dense LU for dense ones. *)
 
 val factor_shifted : t -> Complex.t -> shifted_factor
 
 val solve_factored : shifted_factor -> Mat.t -> Complex.t array array
 (** [solve_factored f r] solves [(sE - A) X = R] for a dense real
-    right-hand side; one complex column per column of [R]. *)
+    right-hand side; one complex column per column of [R].  It is
+    {!multi_solve_factored} with [~hermitian:false]. *)
 
 type multi_shift
 (** A reusable multi-shift solver handle.  For sparse systems the pattern
@@ -86,17 +88,15 @@ val multi_factor : multi_shift -> hermitian:bool -> Complex.t -> shifted_factor
     solves. *)
 
 val multi_solve_factored : shifted_factor -> hermitian:bool -> Mat.t -> Complex.t array array
-(** Solve with a factor from {!multi_factor}, on the same side it was
-    prepared for. *)
+(** The one solve dispatcher: [(sE - A) X = R], or [(sE - A)^H X = R]
+    with [~hermitian:true].  A sparse factor serves both sides; a dense
+    one solves the side {!multi_factor} prepared it for. *)
 
 val shifted_solve : t -> Complex.t -> Complex.t array array
 (** One-shot [(sE - A)^{-1} B]. *)
 
 val shifted_solve_rhs : t -> Complex.t -> Mat.t -> Complex.t array array
 (** One-shot [(sE - A)^{-1} R] for an arbitrary right-hand side. *)
-
-val shifted_solve_hermitian : t -> Complex.t -> Mat.t -> Complex.t array array
-(** One-shot [(sE - A)^{-H} R], for observability-side samples. *)
 
 val to_standard : t -> Mat.t * Mat.t * Mat.t
 (** [(E^{-1}A, E^{-1}B, C)]; requires invertible E.  Only used by the

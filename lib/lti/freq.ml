@@ -1,11 +1,11 @@
 (* Frequency responses and response-error metrics.
 
-   [eval] is the naive per-point reference: fresh factorisation, boxed
-   complex inner loop.  [sweep] routes grids through {!Sweep_engine} —
-   one prepared plan (symbolic analysis or Hessenberg reduction done
-   once), points fanned across a domain pool — and the error metrics are
-   folds over a streaming accumulator, so verification never needs the
-   full response array in memory. *)
+   [eval] is the one-shot per-point evaluation: a fresh factorisation of
+   (sE - A), then C times the solved columns.  [sweep] routes grids
+   through {!Sweep_engine} — one prepared plan (symbolic analysis or
+   Hessenberg reduction done once), points fanned across a domain pool —
+   and the error metrics are folds over a streaming accumulator, so
+   verification never needs the full response array in memory. *)
 
 open Pmtbr_la
 
@@ -22,11 +22,6 @@ let eval sys (s : Complex.t) =
       !acc)
 
 let eval_jw sys (omega : float) = eval sys { Complex.re = 0.0; im = omega }
-
-(* The pre-engine sweep: a fresh factorisation at every point.  Kept as
-   the accuracy reference the engine is property-tested (and benched)
-   against. *)
-let sweep_naive sys (omegas : float array) = Array.map (eval_jw sys) omegas
 
 (* Responses over a frequency grid (rad/s), through the two-tier engine.
    The template shift is the first grid point, so the plan is a pure

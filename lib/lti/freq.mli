@@ -1,7 +1,7 @@
 (** Frequency responses and response-error metrics.
 
-    [eval] is the naive per-point reference (fresh factorisation, boxed
-    complex fold); [sweep] and the streaming comparison helpers route
+    [eval] is the one-shot per-point evaluation (a fresh factorisation
+    of [(sE - A)]); [sweep] and the streaming comparison helpers route
     through {!Sweep_engine}, so grids cost one symbolic analysis (or one
     Hessenberg reduction) plus a cheap per-point replay, fanned across a
     domain pool. *)
@@ -20,10 +20,6 @@ val sweep : ?workers:int -> Dss.t -> float array -> Cmat.t array
     {!Sweep_engine} (plan prepared against the first grid point).  The
     result is a pure function of [(sys, omegas)] — bitwise-identical for
     every worker count. *)
-
-val sweep_naive : Dss.t -> float array -> Cmat.t array
-(** The pre-engine path: [Array.map (eval_jw sys)].  Kept as the
-    accuracy reference for the engine's property tests and benches. *)
 
 val entry_series : Cmat.t array -> int -> int -> Complex.t array
 (** Entry (i, j) of each response in a sweep. *)

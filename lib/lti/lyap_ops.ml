@@ -24,7 +24,7 @@ type counters = {
 (* Shifted solves through one multi-shift handle.
 
    Factor cache key: the shift s of (sE - A), plus the hermitian flag only
-   where the factor itself depends on it.  Sparse zfactors are
+   where the factor itself depends on it.  Sparse factors are
    side-agnostic (the hermitian dispatch happens at solve time), so both
    sides share one factor per shift; the dense fallback bakes the
    conjugate-transpose into the LU, so dense keys carry the flag.
@@ -89,16 +89,16 @@ let e_solvers sys =
   | Dss.Sparse { e; n; _ } ->
       let fact =
         lazy
-          (try Sparse_lu.R.factorize (Csc.of_triplet e)
-           with Sparse_lu.R.Singular _ -> invalid_arg "Lyap_ops: singular E")
+          (try Sparse_lu.factorize (Csc.of_triplet e)
+           with Sparse_lu.Singular _ -> invalid_arg "Lyap_ops: singular E")
       in
       let with_cols solve1 (r : Mat.t) =
         mat_of_cols n
           (Array.init r.Mat.cols (fun j ->
                solve1 (Lazy.force fact) (Mat.col r j)))
       in
-      ( with_cols Sparse_lu.R.solve_vec,
-        with_cols Sparse_lu.R.solve_transposed_vec )
+      ( with_cols Sparse_lu.solve_vec,
+        with_cols Sparse_lu.solve_transposed_vec )
 
 (* The two Lr_lyap operator views of one descriptor system.
 

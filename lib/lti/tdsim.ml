@@ -30,10 +30,10 @@ let make_stepper sys ~dt =
       (* pad to n x n *)
       let lhs_csc =
         let m = Csc.of_triplet lhs in
-        if m.Csc.R.rows = n && m.Csc.R.cols = n then m
-        else Csc.R.of_entries n n (Csc.R.to_entries m)
+        if m.Csc.rows = n && m.Csc.cols = n then m
+        else Csc.of_entries n n (Csc.to_entries m)
       in
-      let f = Sparse_lu.R.factorize ~ordering:Ordering.Lower_fill lhs_csc in
+      let f = Sparse_lu.factorize ~ordering:Ordering.Lower_fill lhs_csc in
       let advance x u0 u1 =
         let ex = Triplet.mv e x in
         let ax = Triplet.mv a x in
@@ -45,7 +45,7 @@ let make_stepper sys ~dt =
         for i = 0 to n - 1 do
           rhs.(i) <- rhs.(i) +. bu.(i)
         done;
-        Sparse_lu.R.solve_vec f rhs
+        Sparse_lu.solve_vec f rhs
       in
       { n; advance }
   | Dss.Dense { e; a; _ } ->

@@ -412,11 +412,13 @@ let reduce_hier t (job : Protocol.job) network ~hash ~band ~spec ~budget ~net_ti
 
 (* The one-Gramian passive half: no samples tier — the ADI columns are
    method-specific and cheap next to the ROM; the network tier's shared
-   multi-shift handle is still reused.  The Gramian inverts E, so a node
-   with no capacitive path to ground is refused by name first. *)
+   multi-shift handle is still reused.  The Gramian inverts E and needs A
+   nonsingular, so a node with no capacitive path to ground, or none
+   through resistors and inductors, is refused by name first. *)
 let reduce_passive t (job : Protocol.job) network ~band ~net_tier =
   match
     Pmtbr_circuit.Mna.check_capacitive network.nl;
+    Pmtbr_circuit.Mna.check_dc_path network.nl;
     Tbr_passive.reduce ?order:job.Protocol.order ?tol:job.Protocol.tol
       ?stop:(Sampling.band_stop band)
       ~inductors:(Pmtbr_circuit.Netlist.inductor_count network.nl)

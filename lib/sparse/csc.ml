@@ -1,168 +1,88 @@
-(* Compressed-sparse-column matrices over an arbitrary scalar, assembled
-   from coordinate entries (duplicates summed, zeros dropped). *)
+(* Compressed-sparse-column real matrices, assembled from coordinate
+   entries (duplicates summed). *)
 
 open Pmtbr_la
 
-module type S = sig
-  type elt
+type t = {
+  rows : int;
+  cols : int;
+  colptr : int array; (* length cols+1 *)
+  rowind : int array; (* length nnz, ascending within each column *)
+  values : float array;
+}
 
-  type t = {
-    rows : int;
-    cols : int;
-    colptr : int array; (* length cols+1 *)
-    rowind : int array; (* length nnz, ascending within each column *)
-    values : elt array;
-  }
+let of_entries rows cols entries =
+  let arr = Array.of_list entries in
+  Array.iter (fun (i, j, _) -> assert (i >= 0 && i < rows && j >= 0 && j < cols)) arr;
+  Array.sort (fun (i1, j1, _) (i2, j2, _) -> if j1 <> j2 then compare j1 j2 else compare i1 i2) arr;
+  (* merge duplicates *)
+  let merged = ref [] in
+  Array.iter
+    (fun (i, j, v) ->
+      match !merged with
+      | (i', j', v') :: rest when i = i' && j = j' -> merged := (i, j, v +. v') :: rest
+      | _ -> merged := (i, j, v) :: !merged)
+    arr;
+  let merged = Array.of_list (List.rev !merged) in
+  let n = Array.length merged in
+  let colptr = Array.make (cols + 1) 0 in
+  Array.iter (fun (_, j, _) -> colptr.(j + 1) <- colptr.(j + 1) + 1) merged;
+  for j = 0 to cols - 1 do
+    colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
+  done;
+  let rowind = Array.make n 0 and values = Array.make n 0.0 in
+  Array.iteri
+    (fun k (i, _, v) ->
+      rowind.(k) <- i;
+      values.(k) <- v)
+    merged;
+  { rows; cols; colptr; rowind; values }
 
-  val of_entries : int -> int -> (int * int * elt) list -> t
-  val nnz : t -> int
-  val get : t -> int -> int -> elt
-  val mv : t -> elt array -> elt array
-  val mv_transposed : t -> elt array -> elt array
-  val transpose : t -> t
-  val iter_col : t -> int -> (int -> elt -> unit) -> unit
-  val to_entries : t -> (int * int * elt) list
-  val map : (elt -> elt) -> t -> t
-  val scale : elt -> t -> t
-  val add : t -> t -> t
-end
-
-module Make (K : Scalar.S) : S with type elt = K.t = struct
-  type elt = K.t
-
-  type t = {
-    rows : int;
-    cols : int;
-    colptr : int array;
-    rowind : int array;
-    values : elt array;
-  }
-
-  let of_entries rows cols entries =
-    let arr = Array.of_list entries in
-    Array.iter (fun (i, j, _) -> assert (i >= 0 && i < rows && j >= 0 && j < cols)) arr;
-    Array.sort (fun (i1, j1, _) (i2, j2, _) -> if j1 <> j2 then compare j1 j2 else compare i1 i2) arr;
-    (* merge duplicates *)
-    let merged = ref [] and count = ref 0 in
-    Array.iter
-      (fun (i, j, v) ->
-        match !merged with
-        | (i', j', v') :: rest when i = i' && j = j' -> merged := (i, j, K.add v v') :: rest
-        | _ ->
-            merged := (i, j, v) :: !merged;
-            incr count)
-      arr;
-    let merged = Array.of_list (List.rev !merged) in
-    let n = Array.length merged in
-    let colptr = Array.make (cols + 1) 0 in
-    Array.iter (fun (_, j, _) -> colptr.(j + 1) <- colptr.(j + 1) + 1) merged;
-    for j = 0 to cols - 1 do
-      colptr.(j + 1) <- colptr.(j + 1) + colptr.(j)
-    done;
-    let rowind = Array.make n 0 and values = Array.make n K.zero in
-    Array.iteri
-      (fun k (i, _, v) ->
-        rowind.(k) <- i;
-        values.(k) <- v)
-      merged;
-    { rows; cols; colptr; rowind; values }
-
-  let nnz t = Array.length t.rowind
-
-  let get t i j =
-    let lo = ref t.colptr.(j) and hi = ref (t.colptr.(j + 1) - 1) in
-    let res = ref K.zero in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.rowind.(mid) = i then begin
-        res := t.values.(mid);
-        lo := !hi + 1
-      end
-      else if t.rowind.(mid) < i then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !res
-
-  let mv t x =
-    assert (Array.length x = t.cols);
-    let y = Array.make t.rows K.zero in
-    for j = 0 to t.cols - 1 do
-      let xj = x.(j) in
-      if not (K.is_zero xj) then
-        for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-          let i = t.rowind.(k) in
-          y.(i) <- K.add y.(i) (K.mul t.values.(k) xj)
-        done
-    done;
-    y
-
-  let mv_transposed t x =
-    assert (Array.length x = t.rows);
-    let y = Array.make t.cols K.zero in
-    for j = 0 to t.cols - 1 do
-      let acc = ref K.zero in
-      for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-        acc := K.add !acc (K.mul t.values.(k) x.(t.rowind.(k)))
-      done;
-      y.(j) <- !acc
-    done;
-    y
-
-  let to_entries t =
-    let acc = ref [] in
-    for j = t.cols - 1 downto 0 do
-      for k = t.colptr.(j + 1) - 1 downto t.colptr.(j) do
-        acc := (t.rowind.(k), j, t.values.(k)) :: !acc
-      done
-    done;
-    !acc
-
-  let transpose t =
-    of_entries t.cols t.rows (List.map (fun (i, j, v) -> (j, i, v)) (to_entries t))
-
-  let iter_col t j f =
-    for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
-      f t.rowind.(k) t.values.(k)
-    done
-
-  let map f t = { t with values = Array.map f t.values }
-  let scale s t = map (K.mul s) t
-
-  let add a b =
-    assert (a.rows = b.rows && a.cols = b.cols);
-    of_entries a.rows a.cols (to_entries a @ to_entries b)
-end
-
-module R = Make (Scalar.Float)
-module C = Make (Scalar.Cx)
-
-(* Real CSC from a triplet accumulator. *)
 let of_triplet (t : Triplet.t) =
   let rows, cols = Triplet.dims t in
-  R.of_entries rows cols (Triplet.entries t)
+  of_entries rows cols (Triplet.entries t)
 
-(* Complex CSC [alpha*a + beta*b] from two real triplet accumulators with the
-   same dimensions: the (sE - A) assembly. *)
-let complex_combination ~(alpha : Complex.t) (a : Triplet.t) ~(beta : Complex.t) (b : Triplet.t) =
-  let rows_a, cols_a = Triplet.dims a and rows_b, cols_b = Triplet.dims b in
-  let rows = max rows_a rows_b and cols = max cols_a cols_b in
-  let entries =
-    List.rev_append
-      (List.rev_map (fun (i, j, v) -> (i, j, Scalar.Cx.scale v alpha)) (Triplet.entries a))
-      (List.map (fun (i, j, v) -> (i, j, Scalar.Cx.scale v beta)) (Triplet.entries b))
-  in
-  C.of_entries rows cols entries
+let nnz t = Array.length t.rowind
 
-let to_dense (m : R.t) =
-  let d = Mat.create m.R.rows m.R.cols in
-  for j = 0 to m.R.cols - 1 do
-    R.iter_col m j (fun i v -> Mat.update d i j (fun x -> x +. v))
+let mv t x =
+  assert (Array.length x = t.cols);
+  let y = Array.make t.rows 0.0 in
+  for j = 0 to t.cols - 1 do
+    let xj = x.(j) in
+    if xj <> 0.0 then
+      for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+        let i = t.rowind.(k) in
+        y.(i) <- y.(i) +. (t.values.(k) *. xj)
+      done
   done;
-  d
+  y
 
-let to_dense_complex (m : C.t) =
-  let d = Cmat.create m.C.rows m.C.cols in
-  for j = 0 to m.C.cols - 1 do
-    C.iter_col m j (fun i v -> Cmat.update d i j (fun x -> Complex.add x v))
+let mv_transposed t x =
+  assert (Array.length x = t.rows);
+  let y = Array.make t.cols 0.0 in
+  for j = 0 to t.cols - 1 do
+    let acc = ref 0.0 in
+    for k = t.colptr.(j) to t.colptr.(j + 1) - 1 do
+      acc := !acc +. (t.values.(k) *. x.(t.rowind.(k)))
+    done;
+    y.(j) <- !acc
+  done;
+  y
+
+let to_entries t =
+  let acc = ref [] in
+  for j = t.cols - 1 downto 0 do
+    for k = t.colptr.(j + 1) - 1 downto t.colptr.(j) do
+      acc := (t.rowind.(k), j, t.values.(k)) :: !acc
+    done
+  done;
+  !acc
+
+let to_dense (m : t) =
+  let d = Mat.create m.rows m.cols in
+  for j = 0 to m.cols - 1 do
+    for k = m.colptr.(j) to m.colptr.(j + 1) - 1 do
+      Mat.update d m.rowind.(k) j (fun x -> x +. m.values.(k))
+    done
   done;
   d

@@ -1,47 +1,26 @@
-(** Compressed-sparse-column matrices over an arbitrary scalar, assembled
-    from coordinate entries (duplicates summed). *)
+(** Compressed-sparse-column real matrices, assembled from coordinate
+    entries (duplicates summed). *)
 
 open Pmtbr_la
 
-module type S = sig
-  type elt
+type t = {
+  rows : int;
+  cols : int;
+  colptr : int array;  (** length cols+1 *)
+  rowind : int array;  (** length nnz, ascending within each column *)
+  values : float array;
+}
 
-  type t = {
-    rows : int;
-    cols : int;
-    colptr : int array;  (** length cols+1 *)
-    rowind : int array;  (** length nnz, ascending within each column *)
-    values : elt array;
-  }
+val of_entries : int -> int -> (int * int * float) list -> t
+(** Assemble from coordinates; duplicate positions are summed. *)
 
-  val of_entries : int -> int -> (int * int * elt) list -> t
-  (** Assemble from coordinates; duplicate positions are summed. *)
+val of_triplet : Triplet.t -> t
+(** CSC from a triplet accumulator. *)
 
-  val nnz : t -> int
-  val get : t -> int -> int -> elt
-  (** Binary search within the column; zero when absent. *)
+val to_entries : t -> (int * int * float) list
+(** The stored entries, column by column. *)
 
-  val mv : t -> elt array -> elt array
-  val mv_transposed : t -> elt array -> elt array
-  val transpose : t -> t
-  val iter_col : t -> int -> (int -> elt -> unit) -> unit
-  val to_entries : t -> (int * int * elt) list
-  val map : (elt -> elt) -> t -> t
-  val scale : elt -> t -> t
-  val add : t -> t -> t
-end
-
-module Make (K : Scalar.S) : S with type elt = K.t
-
-module R : S with type elt = float and type t = Make(Scalar.Float).t
-module C : S with type elt = Complex.t and type t = Make(Scalar.Cx).t
-
-val of_triplet : Triplet.t -> R.t
-(** Real CSC from a triplet accumulator. *)
-
-val complex_combination : alpha:Complex.t -> Triplet.t -> beta:Complex.t -> Triplet.t -> C.t
-(** Complex CSC [alpha*a + beta*b] from two real triplet accumulators: the
-    [(sE - A)] assembly. *)
-
-val to_dense : R.t -> Mat.t
-val to_dense_complex : C.t -> Cmat.t
+val nnz : t -> int
+val mv : t -> float array -> float array
+val mv_transposed : t -> float array -> float array
+val to_dense : t -> Mat.t

@@ -10,36 +10,17 @@ let pencil ~e ~a =
   assert (re <= n && ce <= n && ra <= n && ca <= n);
   { e; a; n }
 
-type factor = Sparse_lu.C.factor
-
-(* Factor (s E - A). *)
-let factorize ?(ordering = Ordering.Lower_fill) (p : pencil) (s : Complex.t) : factor =
-  let m = Csc.complex_combination ~alpha:s p.e ~beta:{ Complex.re = -1.0; im = 0.0 } p.a in
-  (* pad to n x n in case trailing rows/cols carry no entries *)
-  let m =
-    if m.Csc.C.rows = p.n && m.Csc.C.cols = p.n then m
-    else Csc.C.of_entries p.n p.n (Csc.C.to_entries m)
-  in
-  Sparse_lu.C.factorize ~ordering m
-
-(* ------------------------------------------------------------------ *)
-(* Multi-shift handle: symbolic work shared across all shifts           *)
-(* ------------------------------------------------------------------ *)
-
-(* The nonzero pattern of (sE - A) is the same for every s, so a sweep over
-   many shifts should pay for the pattern assembly (triplet sort + merge),
-   the fill-reducing ordering and the elimination analysis exactly once.
-   [multi] stores the union pattern with separate E and A coefficient
-   planes — the numeric matrix at shift s is just values[k] = s*e[k] - a[k]
-   — plus a template factorisation whose structure every other shift reuses
-   through [Sparse_lu.C.refactorize]. *)
-(* Unboxed complex factor.  A [Complex.t array] is an array of pointers to
-   two-float records, so a replay loop over one pays an allocation per
-   multiply and a cache miss per load; storing the values as parallel
-   re/im float arrays (which OCaml unboxes) makes the per-shift numeric
-   refactorisation allocation-free.  Structure arrays are shared with the
-   template factor. *)
-type zfactor = {
+(* A complex sparse LU P (sE - A) Q = L U with the values held in
+   parallel re/im float arrays.  A [Complex.t array] is an array of
+   pointers to two-float records, so a loop over one pays an allocation
+   per multiply and a cache miss per load; OCaml unboxes float arrays, so
+   on this layout the factorisation, the per-shift replay and the solves
+   run allocation-free.  L is unit-lower (diagonal implicit) and U is its
+   strict upper part plus the pivots [zd_*], both in pivot coordinates;
+   [zpinv] maps original rows to pivot positions, [zq] lists the
+   original column eliminated at each step, and U columns are stored in
+   ascending pivot order. *)
+type factor = {
   zn : int;
   zl_colptr : int array;
   zl_rowind : int array;
@@ -55,31 +36,161 @@ type zfactor = {
   zq : int array;
 }
 
-let split_complex (a : Complex.t array) =
-  ( Array.map (fun z -> z.Complex.re) a,
-    Array.map (fun z -> z.Complex.im) a )
+let nnz f = f.zl_colptr.(f.zn) + f.zu_colptr.(f.zn) + f.zn
 
-let zfactor_of_factor (f : factor) : zfactor =
-  let r = Sparse_lu.C.raw f in
-  let l_re, l_im = split_complex r.Sparse_lu.C.raw_l_values in
-  let u_re, u_im = split_complex r.Sparse_lu.C.raw_u_values in
-  let d_re, d_im = split_complex r.Sparse_lu.C.raw_u_diag in
+(* One pivoting Gilbert-Peierls factorisation of (sE - A) in the column
+   order [q], read straight off the union pattern's coefficient planes
+   (the value at shift s is s*e - a) into the unboxed factor.  It
+   performs the scalar-generic LU at Complex.t operation for operation:
+   the same reach (Sparse_lu.reach), the same scatter, update order and
+   zero skip, the pivot of largest modulus (Float.hypot is Complex.norm)
+   with ties to the earliest reached row, Smith's division (Complex.div)
+   and U columns sorted ascending — so pivots, structure and values are
+   the boxed factor's bit for bit.  L and U grow in arenas; nothing is
+   allocated per column. *)
+let factor_at ~n ~colptr ~rowind ~e_coef ~a_coef ~q (s : Complex.t) : factor =
+  let sre = s.Complex.re and sim = s.Complex.im in
+  let pinv = Array.make n (-1) and prow = Array.make n 0 in
+  let cap = max 16 (Array.length rowind) in
+  let l_colptr = Array.make (n + 1) 0 and u_colptr = Array.make (n + 1) 0 in
+  let l_rowind = ref (Array.make cap 0) in
+  let l_re = ref (Array.make cap 0.0) and l_im = ref (Array.make cap 0.0) in
+  let u_rowind = ref (Array.make cap 0) in
+  let u_re = ref (Array.make cap 0.0) and u_im = ref (Array.make cap 0.0) in
+  let d_re = Array.make n 0.0 and d_im = Array.make n 0.0 in
+  let xre = Array.make n 0.0 and xim = Array.make n 0.0 in
+  let mark = Array.make n (-1) in
+  let topo = Array.make n 0 and stack = Array.make n 0 and child_pos = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let jcol = q.(k) in
+    let nz =
+      Sparse_lu.reach ~colptr ~rowind jcol ~l_colptr ~l_rowind:!l_rowind ~pinv ~mark ~stamp:k
+        ~topo ~stack ~child_pos
+    in
+    (* scatter the shifted column s*e - a *)
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      xre.(i) <- 0.0;
+      xim.(i) <- 0.0
+    done;
+    for p = colptr.(jcol) to colptr.(jcol + 1) - 1 do
+      let i = rowind.(p) in
+      xre.(i) <- (sre *. e_coef.(p)) -. a_coef.(p);
+      xim.(i) <- sim *. e_coef.(p)
+    done;
+    (* sparse triangular solve in topological order (topo holds it
+       reversed, so walk backwards) *)
+    let lr = !l_rowind and lre = !l_re and lim = !l_im in
+    for t = nz - 1 downto 0 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 then begin
+        let xire = xre.(i) and xiim = xim.(i) in
+        if xire <> 0.0 || xiim <> 0.0 then
+          for p = l_colptr.(piv) to l_colptr.(piv + 1) - 1 do
+            let r = lr.(p) in
+            let vre = lre.(p) and vim = lim.(p) in
+            xre.(r) <- xre.(r) -. ((vre *. xire) -. (vim *. xiim));
+            xim.(r) <- xim.(r) -. ((vre *. xiim) +. (vim *. xire))
+          done
+      end
+    done;
+    (* partial pivoting among non-pivotal rows *)
+    let pivrow = ref (-1) and pivmag = ref 0.0 in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      if pinv.(i) < 0 then begin
+        let m = Float.hypot xre.(i) xim.(i) in
+        if m > !pivmag then begin
+          pivmag := m;
+          pivrow := i
+        end
+      end
+    done;
+    if !pivrow < 0 || !pivmag = 0.0 then raise (Sparse_lu.Singular k);
+    let pre = xre.(!pivrow) and pim = xim.(!pivrow) in
+    pinv.(!pivrow) <- k;
+    prow.(k) <- !pivrow;
+    d_re.(k) <- pre;
+    d_im.(k) <- pim;
+    (* distribute entries into U (pivotal rows) and L (the rest, divided
+       by the pivot) *)
+    let l0 = l_colptr.(k) and u0 = u_colptr.(k) in
+    l_rowind := Sparse_lu.grow_int !l_rowind (l0 + nz);
+    l_re := Sparse_lu.grow_float !l_re (l0 + nz);
+    l_im := Sparse_lu.grow_float !l_im (l0 + nz);
+    u_rowind := Sparse_lu.grow_int !u_rowind (u0 + nz);
+    u_re := Sparse_lu.grow_float !u_re (u0 + nz);
+    u_im := Sparse_lu.grow_float !u_im (u0 + nz);
+    let lr = !l_rowind and lre = !l_re and lim = !l_im in
+    let ur = !u_rowind and ure = !u_re and uim = !u_im in
+    let lp = ref l0 and up = ref u0 in
+    let smith = Float.abs pre >= Float.abs pim in
+    let r = if smith then pim /. pre else pre /. pim in
+    let d = if smith then pre +. (r *. pim) else pim +. (r *. pre) in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 && piv < k then begin
+        ur.(!up) <- piv;
+        incr up
+      end
+      else if i <> !pivrow then begin
+        let nre = xre.(i) and nim = xim.(i) in
+        lr.(!lp) <- i;
+        if smith then begin
+          lre.(!lp) <- (nre +. (r *. nim)) /. d;
+          lim.(!lp) <- (nim -. (r *. nre)) /. d
+        end
+        else begin
+          lre.(!lp) <- ((r *. nre) +. nim) /. d;
+          lim.(!lp) <- ((r *. nim) -. nre) /. d
+        end;
+        incr lp
+      end
+    done;
+    Sparse_lu.sort_range ur u0 !up;
+    for p = u0 to !up - 1 do
+      let i = prow.(ur.(p)) in
+      ure.(p) <- xre.(i);
+      uim.(p) <- xim.(i)
+    done;
+    l_colptr.(k + 1) <- !lp;
+    u_colptr.(k + 1) <- !up
+  done;
+  (* renumber L's rows into pivot coordinates *)
+  let nl = l_colptr.(n) and nu = u_colptr.(n) in
+  let l_rowind = Array.sub !l_rowind 0 nl in
+  for p = 0 to nl - 1 do
+    l_rowind.(p) <- pinv.(l_rowind.(p))
+  done;
   {
-    zn = r.Sparse_lu.C.raw_n;
-    zl_colptr = r.Sparse_lu.C.raw_l_colptr;
-    zl_rowind = r.Sparse_lu.C.raw_l_rowind;
-    zl_re = l_re;
-    zl_im = l_im;
-    zu_colptr = r.Sparse_lu.C.raw_u_colptr;
-    zu_rowind = r.Sparse_lu.C.raw_u_rowind;
-    zu_re = u_re;
-    zu_im = u_im;
+    zn = n;
+    zl_colptr = l_colptr;
+    zl_rowind = l_rowind;
+    zl_re = Array.sub !l_re 0 nl;
+    zl_im = Array.sub !l_im 0 nl;
+    zu_colptr = u_colptr;
+    zu_rowind = Array.sub !u_rowind 0 nu;
+    zu_re = Array.sub !u_re 0 nu;
+    zu_im = Array.sub !u_im 0 nu;
     zd_re = d_re;
     zd_im = d_im;
-    zpinv = r.Sparse_lu.C.raw_pinv;
-    zq = r.Sparse_lu.C.raw_q;
+    zpinv = pinv;
+    zq = q;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Multi-shift handle: symbolic work shared across all shifts           *)
+(* ------------------------------------------------------------------ *)
+
+(* The nonzero pattern of (sE - A) is the same for every s, so a sweep over
+   many shifts should pay for the pattern assembly (triplet sort + merge),
+   the fill-reducing ordering and the elimination analysis exactly once.
+   [multi] stores the union pattern with separate E and A coefficient
+   planes — the numeric matrix at shift s is just values[k] = s*e[k] - a[k]
+   — plus a template factorisation whose pivots and structure every other
+   shift replays (its values are never read). *)
 type multi = {
   n : int;
   colptr : int array;
@@ -89,7 +200,6 @@ type multi = {
   q : int array; (* column elimination order, computed once *)
   pick : Ordering.pick option; (* the default rule's choice and its evidence *)
   template : factor;
-  tz : zfactor; (* unboxed view of the template, replayed per shift *)
 }
 
 (* Union pattern of E and A as parallel coefficient arrays (duplicates
@@ -105,15 +215,13 @@ let assemble_pattern (p : pencil) =
   Array.sort
     (fun (i1, j1, _, _) (i2, j2, _, _) -> if j1 <> j2 then compare j1 j2 else compare i1 i2)
     arr;
-  let merged = ref [] and count = ref 0 in
+  let merged = ref [] in
   Array.iter
     (fun (i, j, ev, av) ->
       match !merged with
       | (i', j', ev', av') :: rest when i = i' && j = j' ->
           merged := (i, j, ev +. ev', av +. av') :: rest
-      | _ ->
-          merged := (i, j, ev, av) :: !merged;
-          incr count)
+      | _ -> merged := (i, j, ev, av) :: !merged)
     arr;
   let merged = Array.of_list (List.rev !merged) in
   let nnz = Array.length merged in
@@ -132,16 +240,11 @@ let assemble_pattern (p : pencil) =
     merged;
   (colptr, rowind, e_coef, a_coef)
 
-(* The numeric matrix at one shift, on the shared pattern: O(nnz), no
-   sorting, no allocation beyond the values array. *)
-let matrix_at ~n ~colptr ~rowind ~e_coef ~a_coef (s : Complex.t) : Csc.C.t =
-  let nnz = Array.length rowind in
-  let values =
-    Array.init nnz (fun k ->
-        let e = e_coef.(k) and a = a_coef.(k) in
-        { Complex.re = (s.Complex.re *. e) -. a; im = s.Complex.im *. e })
-  in
-  { Csc.C.rows = n; cols = n; colptr; rowind; values }
+(* Factor (sE - A) once: plane assembly, ordering, the flat kernel. *)
+let factorize ?(ordering = Ordering.Lower_fill) (p : pencil) (s : Complex.t) : factor =
+  let colptr, rowind, e_coef, a_coef = assemble_pattern p in
+  let q = Ordering.compute ordering colptr rowind p.n in
+  factor_at ~n:p.n ~colptr ~rowind ~e_coef ~a_coef ~q s
 
 let prepare ?(ordering = Ordering.Lower_fill) (p : pencil) ~(template : Complex.t) =
   let colptr, rowind, e_coef, a_coef = assemble_pattern p in
@@ -150,10 +253,8 @@ let prepare ?(ordering = Ordering.Lower_fill) (p : pencil) ~(template : Complex.
     | Ordering.Lower_fill -> Ordering.lower_fill colptr rowind p.n |> fun (q, k) -> (q, Some k)
     | o -> (Ordering.compute o colptr rowind p.n, None)
   in
-  let m0 = matrix_at ~n:p.n ~colptr ~rowind ~e_coef ~a_coef template in
-  let template = Sparse_lu.C.factorize ~ordering:(Ordering.Given q) m0 in
-  let tz = zfactor_of_factor template in
-  { n = p.n; colptr; rowind; e_coef; a_coef; q; pick; template; tz }
+  let template = factor_at ~n:p.n ~colptr ~rowind ~e_coef ~a_coef ~q template in
+  { n = p.n; colptr; rowind; e_coef; a_coef; q; pick; template }
 
 let ordering m = m.pick
 
@@ -162,29 +263,25 @@ let ordering m = m.pick
    factorisation instead of losing accuracy silently. *)
 let refactor_pivot_tol = 1e-10
 
-let refactor (m : multi) (s : Complex.t) : factor =
-  let a =
-    matrix_at ~n:m.n ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef s
-  in
-  try Sparse_lu.C.refactorize ~pivot_tol:refactor_pivot_tol m.template a
-  with Sparse_lu.C.Singular _ ->
-    (* fresh pivot search at this shift; still raises Singular if (sE - A)
-       is genuinely singular *)
-    Sparse_lu.C.factorize ~ordering:(Ordering.Given m.q) a
-
 (* ------------------------------------------------------------------ *)
 (* Unboxed per-shift replay and solves                                   *)
 (* ------------------------------------------------------------------ *)
 
 exception Stale_pivot
 
-(* Numeric-only replay of the template elimination at shift s, entirely on
-   float arrays: the per-shift values s*e - a are scattered straight from
-   the coefficient planes (the complex CSC matrix is never materialised)
-   and the Gilbert-Peierls update loop runs without boxing a single
-   complex.  Division is Smith's algorithm, matching Complex.div. *)
-let zreplay (m : multi) (s : Complex.t) : zfactor =
-  let t = m.tz in
+(* Numeric-only replay of the template elimination at shift s: same column
+   ordering, same pivot sequence, same L/U pattern, new values.  The
+   per-shift values s*e - a are scattered straight from the coefficient
+   planes and the update loop runs on float arrays.  For pivot column k
+   the template's U rows (ascending) list exactly the pivotal columns
+   j < k whose L columns update column k, and its L rows give the fill
+   pattern of the update target; replaying those updates in ascending j
+   order is a valid left-looking schedule.  Pivots are reused, not
+   re-chosen, so a pivot that fails the [refactor_pivot_tol]-relative
+   test against its eliminated column (exact zeros always fail) raises
+   [Stale_pivot].  Division is Smith's algorithm, matching Complex.div. *)
+let replay (m : multi) (s : Complex.t) : factor =
+  let t = m.template in
   let n = t.zn in
   let sre = s.Complex.re and sim = s.Complex.im in
   let l_re = Array.make (Array.length t.zl_re) 0.0 in
@@ -216,7 +313,7 @@ let zreplay (m : multi) (s : Complex.t) : zfactor =
     for p = m.colptr.(jcol) to m.colptr.(jcol + 1) - 1 do
       let i = t.zpinv.(m.rowind.(p)) in
       if mark.(i) <> k then
-        invalid_arg "Shifted.zreplay: matrix pattern differs from the template";
+        invalid_arg "Shifted.replay: matrix pattern differs from the template";
       xre.(i) <- (sre *. m.e_coef.(p)) -. m.a_coef.(p);
       xim.(i) <- sim *. m.e_coef.(p)
     done;
@@ -270,21 +367,16 @@ let zreplay (m : multi) (s : Complex.t) : zfactor =
   done;
   { t with zl_re = l_re; zl_im = l_im; zu_re = u_re; zu_im = u_im; zd_re = d_re; zd_im = d_im }
 
-let refactor_z (m : multi) (s : Complex.t) : zfactor =
-  try zreplay m s
+let refactor (m : multi) (s : Complex.t) : factor =
+  try replay m s
   with Stale_pivot ->
-    (* fresh pivot search at this shift, then back to the unboxed form;
-       still raises Sparse_lu.C.Singular if (sE - A) is genuinely
-       singular *)
-    let a =
-      matrix_at ~n:m.n ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef s
-    in
-    zfactor_of_factor (Sparse_lu.C.factorize ~ordering:(Ordering.Given m.q) a)
+    (* fresh pivot search at this shift; still raises Sparse_lu.Singular
+       if (sE - A) is genuinely singular *)
+    factor_at ~n:m.n ~colptr:m.colptr ~rowind:m.rowind ~e_coef:m.e_coef ~a_coef:m.a_coef ~q:m.q s
 
 (* Forward/backward substitution on the unboxed factor for one real
    right-hand-side column, into the caller's float workspaces. *)
-let zsolve_col (f : zfactor) (b : Pmtbr_la.Mat.t) jcol (wre : float array) (wim : float array)
-    =
+let solve_col (f : factor) (b : Pmtbr_la.Mat.t) jcol (wre : float array) (wim : float array) =
   let n = f.zn in
   (* w = P b *)
   for i = 0 to n - 1 do
@@ -329,11 +421,11 @@ let zsolve_col (f : zfactor) (b : Pmtbr_la.Mat.t) jcol (wre : float array) (wim 
       done
   done
 
-let zsolve_dense (f : zfactor) (b : Pmtbr_la.Mat.t) : Complex.t array array =
+let solve_dense (f : factor) (b : Pmtbr_la.Mat.t) : Complex.t array array =
   let n = f.zn in
   let wre = Array.make n 0.0 and wim = Array.make n 0.0 in
   Array.init b.Pmtbr_la.Mat.cols (fun jcol ->
-      zsolve_col f b jcol wre wim;
+      solve_col f b jcol wre wim;
       (* x = Q w: undo the column permutation while boxing the output *)
       let x = Array.make n Complex.zero in
       for k = 0 to n - 1 do
@@ -343,8 +435,8 @@ let zsolve_dense (f : zfactor) (b : Pmtbr_la.Mat.t) : Complex.t array array =
 
 (* (sE - A)^H x = b for real b: conj ((sE - A)^T conj x) = b, so run the
    transposed solve on the (real) rhs and conjugate the result. *)
-let zsolve_hermitian_col (f : zfactor) (b : Pmtbr_la.Mat.t) jcol (wre : float array)
-    (wim : float array) =
+let hermitian_col (f : factor) (b : Pmtbr_la.Mat.t) jcol (wre : float array) (wim : float array)
+    =
   let n = f.zn in
   (* w = Q^T b *)
   for k = 0 to n - 1 do
@@ -388,11 +480,11 @@ let zsolve_hermitian_col (f : zfactor) (b : Pmtbr_la.Mat.t) jcol (wre : float ar
     wim.(k) <- !accim
   done
 
-let zsolve_hermitian_dense (f : zfactor) (b : Pmtbr_la.Mat.t) : Complex.t array array =
+let solve_hermitian_dense (f : factor) (b : Pmtbr_la.Mat.t) : Complex.t array array =
   let n = f.zn in
   let wre = Array.make n 0.0 and wim = Array.make n 0.0 in
   Array.init b.Pmtbr_la.Mat.cols (fun jcol ->
-      zsolve_hermitian_col f b jcol wre wim;
+      hermitian_col f b jcol wre wim;
       (* x_i = conj w_{pinv i}: undo the row permutation of the transposed
          system and apply the outer conjugation in one pass *)
       let x = Array.make n Complex.zero in
@@ -400,21 +492,3 @@ let zsolve_hermitian_dense (f : zfactor) (b : Pmtbr_la.Mat.t) : Complex.t array 
         x.(i) <- { Complex.re = wre.(f.zpinv.(i)); im = -.wim.(f.zpinv.(i)) }
       done;
       x)
-
-(* Solve (sE - A) X = B for a dense real B; returns the complex columns. *)
-let solve_dense (f : factor) (b : Pmtbr_la.Mat.t) =
-  let n = b.Pmtbr_la.Mat.rows in
-  Array.init b.Pmtbr_la.Mat.cols (fun j ->
-      let rhs = Array.init n (fun i -> { Complex.re = Pmtbr_la.Mat.get b i j; im = 0.0 }) in
-      Sparse_lu.C.solve_vec f rhs)
-
-(* Solve (sE - A)^H X = B, used for the observability samples of the
-   cross-Gramian method: (sE - A)^H = conj(s) E^T - A^T for real E, A. *)
-let solve_hermitian_dense (f : factor) (b : Pmtbr_la.Mat.t) =
-  let n = b.Pmtbr_la.Mat.rows in
-  Array.init b.Pmtbr_la.Mat.cols (fun j ->
-      let rhs = Array.init n (fun i -> { Complex.re = Pmtbr_la.Mat.get b i j; im = 0.0 }) in
-      (* (sE-A)^H x = b  <=>  conj((sE-A)^T conj(x)) = b *)
-      let rhs_conj = Array.map Complex.conj rhs in
-      let y = Sparse_lu.C.solve_transposed_vec f rhs_conj in
-      Array.map Complex.conj y)

@@ -1,411 +1,291 @@
-(* Left-looking sparse LU with partial pivoting (Gilbert-Peierls), generic
-   over the scalar.  This is the workhorse behind every (sE - A) solve in
-   PMTBR, so both a real and a complex instance are exposed.
+(* Left-looking sparse LU with partial pivoting (Gilbert-Peierls) on real
+   matrices.  For each column, the nonzero pattern of the triangular solve
+   L x = a_k is found by depth-first search on the graph of the
+   already-computed columns of L ([reach], shared with the complex kernel
+   of Shifted), giving a topological order in which the numeric
+   elimination is performed in time proportional to flops.
 
-   For each column, the nonzero pattern of the triangular solve L x = a_k is
-   found by depth-first search on the graph of the already-computed columns
-   of L, giving a topological order in which the numeric elimination is
-   performed in time proportional to flops. *)
+   L and U are stored CSparse-style while they grow: one column-pointer
+   array each plus row-index and value arenas doubled on demand, L's rows
+   in original coordinates until the end. *)
 
-open Pmtbr_la
+exception Singular of int
 
-module type S = sig
-  type elt
+type factor = {
+  n : int;
+  (* L in pivot coordinates, unit diagonal implicit *)
+  l_colptr : int array;
+  l_rowind : int array;
+  l_values : float array;
+  (* strictly-upper part of U, plus the diagonal separately *)
+  u_colptr : int array;
+  u_rowind : int array;
+  u_values : float array;
+  u_diag : float array;
+  pinv : int array; (* original row -> pivot position *)
+  q : int array; (* pivot column k came from original column q.(k) *)
+}
 
-  module M : Csc.S with type elt = elt
-
-  exception Singular of int
-
-  type factor
-
-  val factorize : ?ordering:Ordering.scheme -> M.t -> factor
-  val refactorize : ?pivot_tol:float -> factor -> M.t -> factor
-  val col_ordering : factor -> int array
-
-  type raw = {
-    raw_n : int;
-    raw_l_colptr : int array;
-    raw_l_rowind : int array;
-    raw_l_values : elt array;
-    raw_u_colptr : int array;
-    raw_u_rowind : int array;
-    raw_u_values : elt array;
-    raw_u_diag : elt array;
-    raw_pinv : int array;
-    raw_q : int array;
-  }
-
-  val raw : factor -> raw
-  val nnz : factor -> int
-  val solve_vec : factor -> elt array -> elt array
-  val solve_transposed_vec : factor -> elt array -> elt array
-  val solve_dense : factor -> M.t -> elt array array
-end
-
-module Make (K : Scalar.S) = struct
-  type elt = K.t
-
-  module M = Csc.Make (K)
-
-  exception Singular of int
-
-  type factor = {
-    n : int;
-    (* L in pivot coordinates, unit diagonal implicit *)
-    l_colptr : int array;
-    l_rowind : int array;
-    l_values : K.t array;
-    (* strictly-upper part of U, plus the diagonal separately *)
-    u_colptr : int array;
-    u_rowind : int array;
-    u_values : K.t array;
-    u_diag : K.t array;
-    pinv : int array; (* original row -> pivot position *)
-    q : int array; (* pivot column k came from original column q.(k) *)
-  }
-
-  type buf = { mutable data : (int * K.t) array; mutable len : int }
-
-  let buf_create () = { data = Array.make 16 (0, K.zero); len = 0 }
-
-  let buf_push b v =
-    if b.len = Array.length b.data then begin
-      let bigger = Array.make (2 * b.len) (0, K.zero) in
-      Array.blit b.data 0 bigger 0 b.len;
-      b.data <- bigger
-    end;
-    b.data.(b.len) <- v;
-    b.len <- b.len + 1
-
-  (* DFS from [start] over the column graph of L (node i has children = the
-     row indices of L's column pinv.(i), when i is already pivotal).  Pushes
-     nodes onto [topo] in reverse topological order. *)
-  let dfs ~start ~pinv ~l_cols ~(mark : int array) ~stamp ~(topo : int array) ~topo_len
-      ~(stack : int array) ~(child_pos : int array) =
-    let sp = ref 0 in
-    stack.(0) <- start;
-    mark.(start) <- stamp;
-    child_pos.(start) <- 0;
-    let tl = ref topo_len in
-    while !sp >= 0 do
-      let u = stack.(!sp) in
-      let children : buf option = if pinv.(u) >= 0 then Some l_cols.(pinv.(u)) else None in
-      let advanced = ref false in
-      (match children with
-      | None -> ()
-      | Some b ->
-          let k = ref child_pos.(u) in
-          let n = b.len in
-          let found = ref (-1) in
-          while !found < 0 && !k < n do
-            let r, _ = b.data.(!k) in
-            incr k;
+(* One left-looking step's symbolic half: DFS from every row of
+   A(:, jcol) over the column graph of L (node i has children = the row
+   indices of L's column pinv.(i), when i is already pivotal), pushing
+   nodes onto [topo] in reverse topological order. *)
+let reach ~colptr ~rowind jcol ~(l_colptr : int array) ~(l_rowind : int array)
+    ~(pinv : int array) ~(mark : int array) ~stamp ~(topo : int array) ~(stack : int array)
+    ~(child_pos : int array) =
+  let tl = ref 0 in
+  for p = colptr.(jcol) to colptr.(jcol + 1) - 1 do
+    let start = rowind.(p) in
+    if mark.(start) <> stamp then begin
+      let sp = ref 0 in
+      stack.(0) <- start;
+      mark.(start) <- stamp;
+      if pinv.(start) >= 0 then child_pos.(start) <- l_colptr.(pinv.(start));
+      while !sp >= 0 do
+        let u = stack.(!sp) in
+        let piv = pinv.(u) in
+        let found = ref (-1) in
+        if piv >= 0 then begin
+          let c = ref child_pos.(u) and stop = l_colptr.(piv + 1) in
+          while !found < 0 && !c < stop do
+            let r = l_rowind.(!c) in
+            incr c;
             if mark.(r) <> stamp then found := r
           done;
-          child_pos.(u) <- !k;
-          if !found >= 0 then begin
-            advanced := true;
-            incr sp;
-            stack.(!sp) <- !found;
-            mark.(!found) <- stamp;
-            child_pos.(!found) <- 0
-          end);
-      if not !advanced then begin
-        (* all children visited: emit u *)
-        topo.(!tl) <- u;
-        incr tl;
-        decr sp
+          child_pos.(u) <- !c
+        end;
+        if !found >= 0 then begin
+          let r = !found in
+          incr sp;
+          stack.(!sp) <- r;
+          mark.(r) <- stamp;
+          if pinv.(r) >= 0 then child_pos.(r) <- l_colptr.(pinv.(r))
+        end
+        else begin
+          (* all children visited: emit u *)
+          topo.(!tl) <- u;
+          incr tl;
+          decr sp
+        end
+      done
+    end
+  done;
+  !tl
+
+(* In-place heapsort of a.(lo .. hi - 1).  U columns are stored in
+   ascending pivot order: replayed in storage order (Shifted's per-shift
+   replay), the updates then form a valid left-looking schedule. *)
+let rec sift (a : int array) lo root size =
+  let child = (2 * root) + 1 in
+  if child < size then begin
+    let child =
+      if child + 1 < size && a.(lo + child + 1) > a.(lo + child) then child + 1 else child
+    in
+    if a.(lo + child) > a.(lo + root) then begin
+      let t = a.(lo + root) in
+      a.(lo + root) <- a.(lo + child);
+      a.(lo + child) <- t;
+      sift a lo child size
+    end
+  end
+
+let sort_range (a : int array) lo hi =
+  let size = hi - lo in
+  for root = (size / 2) - 1 downto 0 do
+    sift a lo root size
+  done;
+  for last = size - 1 downto 1 do
+    let t = a.(lo) in
+    a.(lo) <- a.(lo + last);
+    a.(lo + last) <- t;
+    sift a lo 0 last
+  done
+
+let grow_int (a : int array) need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let grow_float (a : float array) need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0.0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let factorize ?(ordering = Ordering.Natural) (a : Csc.t) =
+  assert (a.Csc.rows = a.Csc.cols);
+  let n = a.Csc.rows in
+  let colptr = a.Csc.colptr and rowind = a.Csc.rowind and values = a.Csc.values in
+  let q = Ordering.compute ordering colptr rowind n in
+  let pinv = Array.make n (-1) and prow = Array.make n 0 in
+  let cap = max 16 (Array.length rowind) in
+  let l_colptr = Array.make (n + 1) 0 and u_colptr = Array.make (n + 1) 0 in
+  let l_rowind = ref (Array.make cap 0) and l_values = ref (Array.make cap 0.0) in
+  let u_rowind = ref (Array.make cap 0) and u_values = ref (Array.make cap 0.0) in
+  let u_diag = Array.make n 0.0 in
+  let x = Array.make n 0.0 in
+  let mark = Array.make n (-1) in
+  let topo = Array.make n 0 and stack = Array.make n 0 and child_pos = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let jcol = q.(k) in
+    let nz =
+      reach ~colptr ~rowind jcol ~l_colptr ~l_rowind:!l_rowind ~pinv ~mark ~stamp:k ~topo ~stack
+        ~child_pos
+    in
+    (* scatter the numeric column *)
+    for t = 0 to nz - 1 do
+      x.(topo.(t)) <- 0.0
+    done;
+    for p = colptr.(jcol) to colptr.(jcol + 1) - 1 do
+      x.(rowind.(p)) <- values.(p)
+    done;
+    (* numeric sparse triangular solve, in topological order (topo holds
+       reverse-topological, so walk backwards) *)
+    let lr = !l_rowind and lv = !l_values in
+    for t = nz - 1 downto 0 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 then begin
+        let xi = x.(i) in
+        if xi <> 0.0 then
+          for p = l_colptr.(piv) to l_colptr.(piv + 1) - 1 do
+            let r = lr.(p) in
+            x.(r) <- x.(r) -. (lv.(p) *. xi)
+          done
       end
     done;
-    !tl
-
-  let factorize ?(ordering = Ordering.Natural) (a : M.t) =
-    assert (a.M.rows = a.M.cols);
-    let n = a.M.rows in
-    let q = Ordering.compute ordering a.M.colptr a.M.rowind n in
-    let pinv = Array.make n (-1) in
-    let l_cols = Array.init n (fun _ -> buf_create ()) in
-    let u_cols = Array.init n (fun _ -> buf_create ()) in
-    let u_diag = Array.make n K.zero in
-    let x = Array.make n K.zero in
-    let mark = Array.make n (-1) in
-    let topo = Array.make n 0 in
-    let stack = Array.make n 0 in
-    let child_pos = Array.make n 0 in
-    for k = 0 to n - 1 do
-      let jcol = q.(k) in
-      (* symbolic: union of reaches of the rows of A(:, jcol) *)
-      let topo_len = ref 0 in
-      for p = a.M.colptr.(jcol) to a.M.colptr.(jcol + 1) - 1 do
-        let i = a.M.rowind.(p) in
-        if mark.(i) <> k then topo_len := dfs ~start:i ~pinv ~l_cols ~mark ~stamp:k ~topo ~topo_len:!topo_len ~stack ~child_pos
-      done;
-      let nz = !topo_len in
-      (* scatter the numeric column *)
-      for t = 0 to nz - 1 do
-        x.(topo.(t)) <- K.zero
-      done;
-      for p = a.M.colptr.(jcol) to a.M.colptr.(jcol + 1) - 1 do
-        x.(a.M.rowind.(p)) <- a.M.values.(p)
-      done;
-      (* numeric sparse triangular solve, in topological order (topo holds
-         reverse-topological, so walk backwards) *)
-      for t = nz - 1 downto 0 do
-        let i = topo.(t) in
-        let piv = pinv.(i) in
-        if piv >= 0 then begin
-          let xi = x.(i) in
-          if not (K.is_zero xi) then begin
-            let b = l_cols.(piv) in
-            for c = 0 to b.len - 1 do
-              let r, lv = b.data.(c) in
-              x.(r) <- K.sub x.(r) (K.mul lv xi)
-            done
-          end
+    (* partial pivoting among non-pivotal rows *)
+    let pivrow = ref (-1) and pivmag = ref 0.0 in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      if pinv.(i) < 0 then begin
+        let m = Float.abs x.(i) in
+        if m > !pivmag then begin
+          pivmag := m;
+          pivrow := i
         end
-      done;
-      (* partial pivoting among non-pivotal rows *)
-      let pivrow = ref (-1) and pivmag = ref 0.0 in
-      for t = 0 to nz - 1 do
-        let i = topo.(t) in
-        if pinv.(i) < 0 then begin
-          let m = K.abs x.(i) in
-          if m > !pivmag then begin
-            pivmag := m;
-            pivrow := i
-          end
-        end
-      done;
-      if !pivrow < 0 || !pivmag = 0.0 then raise (Singular k);
-      let pivot = x.(!pivrow) in
-      pinv.(!pivrow) <- k;
-      u_diag.(k) <- pivot;
-      (* distribute entries into U (pivotal rows) and L (non-pivotal) *)
-      for t = 0 to nz - 1 do
-        let i = topo.(t) in
-        let piv = pinv.(i) in
-        if piv >= 0 && piv < k then buf_push u_cols.(k) (piv, x.(i))
-        else if i <> !pivrow then buf_push l_cols.(k) (i, K.div x.(i) pivot)
-      done
+      end
     done;
-    (* finalise: renumber L's rows into pivot coordinates *)
-    let count_l = Array.fold_left (fun acc b -> acc + b.len) 0 l_cols in
-    let count_u = Array.fold_left (fun acc b -> acc + b.len) 0 u_cols in
-    let l_colptr = Array.make (n + 1) 0 in
-    let u_colptr = Array.make (n + 1) 0 in
-    let l_rowind = Array.make (max 1 count_l) 0 in
-    let l_values = Array.make (max 1 count_l) K.zero in
-    let u_rowind = Array.make (max 1 count_u) 0 in
-    let u_values = Array.make (max 1 count_u) K.zero in
-    let lp = ref 0 and up = ref 0 in
-    for k = 0 to n - 1 do
-      l_colptr.(k) <- !lp;
-      let b = l_cols.(k) in
-      for c = 0 to b.len - 1 do
-        let i, v = b.data.(c) in
-        l_rowind.(!lp) <- pinv.(i);
-        l_values.(!lp) <- v;
+    if !pivrow < 0 || !pivmag = 0.0 then raise (Singular k);
+    let pivot = x.(!pivrow) in
+    pinv.(!pivrow) <- k;
+    prow.(k) <- !pivrow;
+    u_diag.(k) <- pivot;
+    (* distribute entries into U (pivotal rows) and L (non-pivotal) *)
+    let l0 = l_colptr.(k) and u0 = u_colptr.(k) in
+    l_rowind := grow_int !l_rowind (l0 + nz);
+    l_values := grow_float !l_values (l0 + nz);
+    u_rowind := grow_int !u_rowind (u0 + nz);
+    u_values := grow_float !u_values (u0 + nz);
+    let lr = !l_rowind and lv = !l_values and ur = !u_rowind and uv = !u_values in
+    let lp = ref l0 and up = ref u0 in
+    for t = 0 to nz - 1 do
+      let i = topo.(t) in
+      let piv = pinv.(i) in
+      if piv >= 0 && piv < k then begin
+        ur.(!up) <- piv;
+        incr up
+      end
+      else if i <> !pivrow then begin
+        lr.(!lp) <- i;
+        lv.(!lp) <- x.(i) /. pivot;
         incr lp
-      done;
-      u_colptr.(k) <- !up;
-      let b = u_cols.(k) in
-      (* ascending pivot order within each U column: refactorisation replays
-         the eliminations of column k in exactly this storage order, which is
-         only a valid (left-looking) schedule when the contributing pivots
-         come in increasing order *)
-      let col = Array.sub b.data 0 b.len in
-      Array.sort (fun (i1, _) (i2, _) -> compare i1 i2) col;
-      Array.iter
-        (fun (i, v) ->
-          u_rowind.(!up) <- i;
-          u_values.(!up) <- v;
-          incr up)
-        col
+      end
     done;
-    l_colptr.(n) <- !lp;
-    u_colptr.(n) <- !up;
-    { n; l_colptr; l_rowind; l_values; u_colptr; u_rowind; u_values; u_diag; pinv; q }
-
-  let nnz f = Array.length f.l_rowind + Array.length f.u_rowind + f.n
-  let col_ordering f = Array.copy f.q
-
-  type raw = {
-    raw_n : int;
-    raw_l_colptr : int array;
-    raw_l_rowind : int array;
-    raw_l_values : elt array;
-    raw_u_colptr : int array;
-    raw_u_rowind : int array;
-    raw_u_values : elt array;
-    raw_u_diag : elt array;
-    raw_pinv : int array;
-    raw_q : int array;
+    sort_range ur u0 !up;
+    for p = u0 to !up - 1 do
+      uv.(p) <- x.(prow.(ur.(p)))
+    done;
+    l_colptr.(k + 1) <- !lp;
+    u_colptr.(k + 1) <- !up
+  done;
+  (* renumber L's rows into pivot coordinates *)
+  let l_rowind = Array.sub !l_rowind 0 l_colptr.(n) in
+  for p = 0 to Array.length l_rowind - 1 do
+    l_rowind.(p) <- pinv.(l_rowind.(p))
+  done;
+  {
+    n;
+    l_colptr;
+    l_rowind;
+    l_values = Array.sub !l_values 0 l_colptr.(n);
+    u_colptr;
+    u_rowind = Array.sub !u_rowind 0 u_colptr.(n);
+    u_values = Array.sub !u_values 0 u_colptr.(n);
+    u_diag;
+    pinv;
+    q;
   }
 
-  (* Read-only structural view for specialised kernels (the arrays are
-     shared with the factor, not copied — do not mutate them). *)
-  let raw f =
-    {
-      raw_n = f.n;
-      raw_l_colptr = f.l_colptr;
-      raw_l_rowind = f.l_rowind;
-      raw_l_values = f.l_values;
-      raw_u_colptr = f.u_colptr;
-      raw_u_rowind = f.u_rowind;
-      raw_u_values = f.u_values;
-      raw_u_diag = f.u_diag;
-      raw_pinv = f.pinv;
-      raw_q = f.q;
-    }
-
-  (* Numeric-only refactorisation: replay the elimination of [tpl] — same
-     column ordering, same pivot sequence, same L/U nonzero pattern — on a
-     matrix with the identical sparsity structure but new values.  This is
-     the per-shift cost of a multi-shift sweep once a template factorisation
-     of one (s0 E - A) has paid for the symbolic analysis.
-
-     Correctness: for pivot column k, the template's U rows (stored in
-     ascending pivot order) list exactly the pivotal columns j < k whose L
-     columns update column k, and the template's L rows give the fill
-     pattern of the update target; replaying those updates in ascending j
-     order is a valid left-looking schedule.  Entries of [a] outside the
-     template pattern would be silently mislocated, so membership is checked
-     as each column is scattered.
-
-     Pivots are reused, not re-chosen, so a value change can drive a reused
-     pivot towards zero: [Singular k] is raised when |u_kk| fails the
-     [pivot_tol]-relative test against the largest entry of the eliminated
-     column (exact zeros always fail), and callers fall back to a fresh
-     pivoting factorisation. *)
-  let refactorize ?(pivot_tol = 0.0) (tpl : factor) (a : M.t) =
-    let n = tpl.n in
-    if a.M.rows <> n || a.M.cols <> n then invalid_arg "Sparse_lu.refactorize: dimension mismatch";
-    let l_values = Array.make (Array.length tpl.l_values) K.zero in
-    let u_values = Array.make (Array.length tpl.u_values) K.zero in
-    let u_diag = Array.make n K.zero in
-    let x = Array.make n K.zero in
-    let mark = Array.make n (-1) in
-    for k = 0 to n - 1 do
-      let jcol = tpl.q.(k) in
-      (* clear (and mark) the pattern of pivot column k, then scatter
-         A(:, jcol) into pivot coordinates *)
-      for p = tpl.u_colptr.(k) to tpl.u_colptr.(k + 1) - 1 do
-        x.(tpl.u_rowind.(p)) <- K.zero;
-        mark.(tpl.u_rowind.(p)) <- k
-      done;
-      x.(k) <- K.zero;
-      mark.(k) <- k;
-      for p = tpl.l_colptr.(k) to tpl.l_colptr.(k + 1) - 1 do
-        x.(tpl.l_rowind.(p)) <- K.zero;
-        mark.(tpl.l_rowind.(p)) <- k
-      done;
-      for p = a.M.colptr.(jcol) to a.M.colptr.(jcol + 1) - 1 do
-        let i = tpl.pinv.(a.M.rowind.(p)) in
-        if mark.(i) <> k then
-          invalid_arg "Sparse_lu.refactorize: matrix pattern differs from the template";
-        x.(i) <- a.M.values.(p)
-      done;
-      (* eliminate with the already-computed columns, ascending pivot order *)
-      for p = tpl.u_colptr.(k) to tpl.u_colptr.(k + 1) - 1 do
-        let j = tpl.u_rowind.(p) in
-        let xj = x.(j) in
-        u_values.(p) <- xj;
-        if not (K.is_zero xj) then
-          for lp = tpl.l_colptr.(j) to tpl.l_colptr.(j + 1) - 1 do
-            let r = tpl.l_rowind.(lp) in
-            x.(r) <- K.sub x.(r) (K.mul l_values.(lp) xj)
-          done
-      done;
-      let pivot = x.(k) in
-      let colmax = ref (K.abs pivot) in
-      for p = tpl.l_colptr.(k) to tpl.l_colptr.(k + 1) - 1 do
-        colmax := Float.max !colmax (K.abs x.(tpl.l_rowind.(p)))
-      done;
-      if K.abs pivot <= pivot_tol *. !colmax || K.is_zero pivot then raise (Singular k);
-      u_diag.(k) <- pivot;
-      for p = tpl.l_colptr.(k) to tpl.l_colptr.(k + 1) - 1 do
-        l_values.(p) <- K.div x.(tpl.l_rowind.(p)) pivot
-      done
-    done;
-    (* structure arrays are immutable from here on: share them with the
-       template instead of copying *)
-    { tpl with l_values; u_values; u_diag }
-
-  let solve_vec f b =
-    let n = f.n in
-    assert (Array.length b = n);
-    (* y = P b *)
-    let y = Array.make n K.zero in
-    for i = 0 to n - 1 do
-      y.(f.pinv.(i)) <- b.(i)
-    done;
-    (* forward: L y' = y, column-oriented, unit diagonal *)
-    for k = 0 to n - 1 do
-      let yk = y.(k) in
-      if not (K.is_zero yk) then
-        for p = f.l_colptr.(k) to f.l_colptr.(k + 1) - 1 do
-          let r = f.l_rowind.(p) in
-          y.(r) <- K.sub y.(r) (K.mul f.l_values.(p) yk)
-        done
-    done;
-    (* backward: U z = y', column-oriented *)
-    for k = n - 1 downto 0 do
-      y.(k) <- K.div y.(k) f.u_diag.(k);
-      let yk = y.(k) in
-      if not (K.is_zero yk) then
-        for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
-          let r = f.u_rowind.(p) in
-          y.(r) <- K.sub y.(r) (K.mul f.u_values.(p) yk)
-        done
-    done;
-    (* undo the column permutation *)
-    let x = Array.make n K.zero in
-    for k = 0 to n - 1 do
-      x.(f.q.(k)) <- y.(k)
-    done;
-    x
-
-  (* Solve A^T x = b using the same factorisation: (LU)^T x' = ... *)
-  let solve_transposed_vec f b =
-    let n = f.n in
-    assert (Array.length b = n);
-    (* A = P^T L U Q^T  =>  A^T = Q U^T L^T P.  Solve U^T w = Q^T b, then
-       L^T z = w, then x = P^T z. *)
-    let w = Array.make n K.zero in
-    for k = 0 to n - 1 do
-      w.(k) <- b.(f.q.(k))
-    done;
-    (* U^T w' = w: row-oriented over U's columns ascending *)
-    for k = 0 to n - 1 do
-      let acc = ref w.(k) in
-      for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
-        let r = f.u_rowind.(p) in
-        acc := K.sub !acc (K.mul f.u_values.(p) w.(r))
-      done;
-      w.(k) <- K.div !acc f.u_diag.(k)
-    done;
-    (* L^T z = w: descending, unit diagonal *)
-    for k = n - 1 downto 0 do
-      let acc = ref w.(k) in
+let solve_vec f b =
+  let n = f.n in
+  assert (Array.length b = n);
+  (* y = P b *)
+  let y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    y.(f.pinv.(i)) <- b.(i)
+  done;
+  (* forward: L y' = y, column-oriented, unit diagonal *)
+  for k = 0 to n - 1 do
+    let yk = y.(k) in
+    if yk <> 0.0 then
       for p = f.l_colptr.(k) to f.l_colptr.(k + 1) - 1 do
         let r = f.l_rowind.(p) in
-        acc := K.sub !acc (K.mul f.l_values.(p) w.(r))
-      done;
-      w.(k) <- !acc
-    done;
-    let x = Array.make n K.zero in
-    for i = 0 to n - 1 do
-      x.(i) <- w.(f.pinv.(i))
-    done;
-    x
+        y.(r) <- y.(r) -. (f.l_values.(p) *. yk)
+      done
+  done;
+  (* backward: U z = y', column-oriented *)
+  for k = n - 1 downto 0 do
+    y.(k) <- y.(k) /. f.u_diag.(k);
+    let yk = y.(k) in
+    if yk <> 0.0 then
+      for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
+        let r = f.u_rowind.(p) in
+        y.(r) <- y.(r) -. (f.u_values.(p) *. yk)
+      done
+  done;
+  (* undo the column permutation *)
+  let x = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    x.(f.q.(k)) <- y.(k)
+  done;
+  x
 
-  let solve_dense f (b : M.t) =
-    (* solve for each column of a CSC right-hand side, returning columns *)
-    Array.init b.M.cols (fun j ->
-        let col = Array.make f.n K.zero in
-        M.iter_col b j (fun i v -> col.(i) <- v);
-        solve_vec f col)
-end
-
-module R = Make (Scalar.Float)
-module C = Make (Scalar.Cx)
+(* Solve A^T x = b using the same factorisation. *)
+let solve_transposed_vec f b =
+  let n = f.n in
+  assert (Array.length b = n);
+  (* A = P^T L U Q^T  =>  A^T = Q U^T L^T P.  Solve U^T w = Q^T b, then
+     L^T z = w, then x = P^T z. *)
+  let w = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    w.(k) <- b.(f.q.(k))
+  done;
+  (* U^T w' = w: row-oriented over U's columns ascending *)
+  for k = 0 to n - 1 do
+    let acc = ref w.(k) in
+    for p = f.u_colptr.(k) to f.u_colptr.(k + 1) - 1 do
+      let r = f.u_rowind.(p) in
+      acc := !acc -. (f.u_values.(p) *. w.(r))
+    done;
+    w.(k) <- !acc /. f.u_diag.(k)
+  done;
+  (* L^T z = w: descending, unit diagonal *)
+  for k = n - 1 downto 0 do
+    let acc = ref w.(k) in
+    for p = f.l_colptr.(k) to f.l_colptr.(k + 1) - 1 do
+      let r = f.l_rowind.(p) in
+      acc := !acc -. (f.l_values.(p) *. w.(r))
+    done;
+    w.(k) <- !acc
+  done;
+  let x = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    x.(i) <- w.(f.pinv.(i))
+  done;
+  x

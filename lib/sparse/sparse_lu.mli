@@ -1,82 +1,59 @@
-(** Left-looking sparse LU with partial pivoting (Gilbert-Peierls), generic
-    over the scalar — the workhorse behind every [(sE - A)] solve in PMTBR.
-    The nonzero pattern of each column's triangular solve is found by
-    depth-first search on the graph of the computed L columns, so the
-    numeric work is proportional to the arithmetic performed. *)
+(** Left-looking sparse LU with partial pivoting (Gilbert-Peierls) on real
+    matrices, and the depth-first reach it shares with the complex
+    kernel of {!Shifted}.  The nonzero pattern of each column's
+    triangular solve is found by depth-first search on the graph of the
+    computed L columns, so the numeric work is proportional to the
+    arithmetic performed. *)
 
-open Pmtbr_la
+exception Singular of int
+(** Raised with the failing column when no nonzero pivot exists — by
+    this module and by every complex factorisation in {!Shifted}. *)
 
-module type S = sig
-  type elt
+type factor
+(** A computed factorisation [P A Q = L U]. *)
 
-  module M : Csc.S with type elt = elt
+val factorize : ?ordering:Ordering.scheme -> Csc.t -> factor
+(** Factor a square CSC matrix with the given column pre-ordering
+    (default {!Ordering.Natural}) and partial row pivoting. *)
 
-  exception Singular of int
-  (** Raised with the failing column when no nonzero pivot exists. *)
+val solve_vec : factor -> float array -> float array
+(** Solve [A x = b]. *)
 
-  type factor
-  (** A computed factorisation [P A Q = L U]. *)
+val solve_transposed_vec : factor -> float array -> float array
+(** Solve [A^T x = b] with the same factorisation. *)
 
-  val factorize : ?ordering:Ordering.scheme -> M.t -> factor
-  (** Factor a square CSC matrix with the given column pre-ordering
-      (default {!Ordering.Natural}) and partial row pivoting. *)
+val reach :
+  colptr:int array ->
+  rowind:int array ->
+  int ->
+  l_colptr:int array ->
+  l_rowind:int array ->
+  pinv:int array ->
+  mark:int array ->
+  stamp:int ->
+  topo:int array ->
+  stack:int array ->
+  child_pos:int array ->
+  int
+(** [reach ~colptr ~rowind jcol ~l_colptr ~l_rowind ~pinv ...] is the
+    symbolic half of one left-looking step: the rows reachable from the
+    nonzeros of column [jcol] of the matrix [(colptr, rowind)] through
+    the graph of the L columns computed so far (L column [k] holds
+    original row indices in [l_rowind.(l_colptr.(k) .. l_colptr.(k+1) - 1)];
+    [pinv] maps each original row to its pivot step, or [-1]).  The rows
+    are written to [topo.(0 .. count - 1)] in reverse topological order
+    and [count] is returned; every reached row is marked with [stamp].
+    [stack] and [child_pos] are length-[n] workspaces.  Allocates
+    nothing. *)
 
-  val refactorize : ?pivot_tol:float -> factor -> M.t -> factor
-  (** [refactorize tpl a] replays the elimination of the template factor on
-      a matrix with the {e same sparsity pattern} but new values: same
-      column ordering, same pivot sequence, same L/U structure, numeric
-      work only.  This is the per-shift fast path of a multi-shift sweep —
-      the symbolic analysis (ordering, reachability, fill) is paid once by
-      the template.
+val sort_range : int array -> int -> int -> unit
+(** [sort_range a lo hi] sorts [a.(lo .. hi - 1)] ascending in place
+    (heapsort, no allocation): how both kernels store each U column in
+    ascending pivot order. *)
 
-      Reused pivots are not re-chosen, so [Singular k] is raised when a
-      reused pivot magnitude drops to [pivot_tol] (default [0.]) relative
-      to the largest entry of its eliminated column (exact zeros always
-      raise); callers should then fall back to {!factorize}.
-      @raise Invalid_argument when the pattern of [a] differs from the
-      template's. *)
+val grow_int : int array -> int -> int array
+(** [grow_int a need] is [a] when it holds [need] elements, else a copy
+    of [a] at least doubled: the arenas L and U grow in. *)
 
-  val col_ordering : factor -> int array
-  (** The column elimination order used by the factor (a copy). *)
-
-  type raw = {
-    raw_n : int;
-    raw_l_colptr : int array;
-    raw_l_rowind : int array;
-    raw_l_values : elt array;
-    raw_u_colptr : int array;
-    raw_u_rowind : int array;
-    raw_u_values : elt array;
-    raw_u_diag : elt array;
-    raw_pinv : int array;
-    raw_q : int array;
-  }
-  (** The factor laid bare: [P A Q = L U] with L unit-lower (diagonal
-      implicit) and U split into its strict upper part plus [raw_u_diag],
-      both in pivot coordinates; [raw_pinv] maps original rows to pivot
-      positions and [raw_q] lists the original column eliminated at each
-      step.  U columns are stored in ascending pivot order. *)
-
-  val raw : factor -> raw
-  (** Read-only structural view sharing the factor's arrays (no copies) —
-      the entry point for specialised kernels such as the unboxed complex
-      refactorisation in {!Shifted}.  Mutating the arrays corrupts the
-      factor. *)
-
-  val nnz : factor -> int
-  (** Nonzeros in L + U (including the unit diagonal), a fill measure. *)
-
-  val solve_vec : factor -> elt array -> elt array
-  (** Solve [A x = b]. *)
-
-  val solve_transposed_vec : factor -> elt array -> elt array
-  (** Solve [A^T x = b] with the same factorisation. *)
-
-  val solve_dense : factor -> M.t -> elt array array
-  (** Solve for each column of a sparse right-hand side. *)
-end
-
-module Make (K : Scalar.S) : S with type elt = K.t
-
-module R : S with type elt = float and module M = Csc.R
-module C : S with type elt = Complex.t and module M = Csc.C
+val grow_float : float array -> int -> float array
+(** {!grow_int} for value arenas. *)

@@ -139,6 +139,21 @@ let test_capacitor_free_nodes () =
     "floating nodes (no element path to ground): 9 nodes, first 1 2 3 4 5 6 7 8 ..."
     (Printexc.to_string (Mna.Floating (List.init 9 succ)))
 
+(* a node that reaches ground through capacitors alone has no DC path:
+   A is singular and the exact-TBR methods refuse it by name *)
+let test_no_dc_path_nodes () =
+  let no_dc nl = match Mna.check_dc_path nl with () -> [] | exception Mna.No_dc_path vs -> vs in
+  let parse text = Spice.netlist (Spice.parse_string text) in
+  Alcotest.(check (list int)) "capacitively grounded pair" [ 1; 2 ]
+    (no_dc (parse "C1 1 0 1p\nR1 1 2 1k\nC2 2 0 1p\n.port 1\n"));
+  Alcotest.(check string) "message names the nodes"
+    "nodes with no resistive or inductive path to ground (A is singular): 1 2"
+    (Printexc.to_string (Mna.No_dc_path [ 1; 2 ]));
+  Alcotest.(check (list int)) "an inductor is a DC path" []
+    (no_dc (parse "C1 1 0 1p\nL1 1 0 1n\nR1 1 2 1k\nC2 2 0 1p\n.port 1\n"));
+  Alcotest.(check (list int)) "grounded mesh" [] (no_dc (Rc_mesh.generate ~rows:4 ~cols:4 ()));
+  Alcotest.(check (list int)) "spiral" [] (no_dc (Spiral.generate ~segments:16 ()))
+
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -351,6 +366,7 @@ let () =
           Alcotest.test_case "mutual stamp" `Quick test_mutual_stamp;
           Alcotest.test_case "floating nodes" `Quick test_floating_nodes;
           Alcotest.test_case "capacitor-free nodes" `Quick test_capacitor_free_nodes;
+          Alcotest.test_case "no DC path nodes" `Quick test_no_dc_path_nodes;
         ] );
       ( "generators",
         [

@@ -868,6 +868,26 @@ let test_store_capacitor_free () =
   | Error e -> Alcotest.failf "pmtbr must reduce the same network: %s" e);
   ignore (run_job store (mesh_netlist ()))
 
+(* Nodes 1 and 2 reach ground through capacitors alone: A is singular, so
+   tbr-passive (whose Gramian needs a pole-free s = 0) is refused naming
+   them, while pmtbr reduces the same network, and the store keeps
+   answering. *)
+let no_dc_path = "C1 1 0 1p\nR1 1 2 1k\nC2 2 0 1p\n.port 1\n"
+
+let no_dc_path_error =
+  "passive reduction failed: nodes with no resistive or inductive path to ground (A is \
+   singular): 1 2"
+
+let test_store_no_dc_path () =
+  let store = Store.create () in
+  (match Store.reduce store (job_of ~meth:Protocol.Tbr_passive ~order:1 no_dc_path) with
+  | Error e -> Alcotest.(check string) "tbr-passive" no_dc_path_error e
+  | Ok _ -> Alcotest.fail "tbr-passive must refuse a singular A");
+  (match Store.reduce store (job_of ~order:1 no_dc_path) with
+  | Ok r -> Alcotest.(check int) "pmtbr order" 1 r.Store.order
+  | Error e -> Alcotest.failf "pmtbr must reduce the same network: %s" e);
+  ignore (run_job store (mesh_netlist ()))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1130,6 +1150,22 @@ let test_daemon_capacitor_free () =
           Alcotest.(check string) "still serving" "1" (field (roundtrip c Protocol.Ping) "pong");
           ignore (roundtrip c (Protocol.Reduce (job_of ~order:2 capacitor_free)))))
 
+let test_daemon_no_dc_path () =
+  let socket = Printf.sprintf ".pmtbr_test_nodc.%d.sock" (Unix.getpid ()) in
+  let daemon = start_daemon ~socket ~workers:2 in
+  Fun.protect
+    ~finally:(fun () -> stop_daemon ~socket daemon)
+    (fun () ->
+      Client.with_connection socket (fun c ->
+          (match
+             Client.request c (Protocol.Reduce (job_of ~meth:Protocol.Tbr_passive ~order:1 no_dc_path))
+           with
+          | Ok { Protocol.status = Error e; _ } -> Alcotest.(check string) "tbr-passive" no_dc_path_error e
+          | Ok _ -> Alcotest.fail "a singular A must produce an error response"
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) "still serving" "1" (field (roundtrip c Protocol.Ping) "pong");
+          ignore (roundtrip c (Protocol.Reduce (job_of ~order:1 no_dc_path)))))
+
 let () =
   Alcotest.run "pmtbr_serve"
     [
@@ -1180,6 +1216,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_store_rejects_garbage;
           Alcotest.test_case "floating island" `Quick test_store_floating_island;
           Alcotest.test_case "capacitor-free node" `Quick test_store_capacitor_free;
+          Alcotest.test_case "no DC path" `Quick test_store_no_dc_path;
         ] );
       ( "daemon",
         [
@@ -1190,5 +1227,6 @@ let () =
           Alcotest.test_case "protocol errors" `Quick test_daemon_protocol_errors;
           Alcotest.test_case "floating island" `Quick test_daemon_floating_island;
           Alcotest.test_case "capacitor-free node" `Quick test_daemon_capacitor_free;
+          Alcotest.test_case "no DC path" `Quick test_daemon_no_dc_path;
         ] );
     ]

@@ -64,7 +64,7 @@ let prop_engine_matches_legacy =
 
 (* A singular shift inside the sweep: E = A = I makes (sE - A) = (s-1) I,
    singular exactly at s = 1.  The template (first point) is fine, a later
-   task fails; the engine must re-raise Sparse_lu.C.Singular cleanly from
+   task fails; the engine must re-raise Sparse_lu.Singular cleanly from
    any worker count instead of deadlocking or returning garbage. *)
 let singular_system n =
   let e = Triplet.create n n and a = Triplet.create n n in
@@ -93,13 +93,13 @@ let test_singular_propagates_serial () =
   let sys = singular_system 12 in
   match Zmat.build ~workers:1 sys singular_points with
   | _ -> Alcotest.fail "expected Singular"
-  | exception Sparse_lu.C.Singular _ -> ()
+  | exception Sparse_lu.Singular _ -> ()
 
 let test_singular_propagates_parallel () =
   let sys = singular_system 12 in
   match Zmat.build ~workers:3 sys singular_points with
   | _ -> Alcotest.fail "expected Singular"
-  | exception Sparse_lu.C.Singular _ -> ()
+  | exception Sparse_lu.Singular _ -> ()
 
 let test_stats_sane () =
   let sys = mesh_system ~rows:4 ~cols:4 ~ports:2 in

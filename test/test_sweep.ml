@@ -99,7 +99,7 @@ let prop_engine_matches_naive =
     (fun (rows, cols, npts) ->
       let sys = mesh_system ~rows ~cols ~ports:2 in
       let om = grid ~w_max:1e10 ~npts in
-      sweep_rel_diff (Freq.sweep_naive sys om) (Freq.sweep sys om) < 1e-9)
+      sweep_rel_diff (Pmtbr_oracle.Naive_sweep.sweep sys om) (Freq.sweep sys om) < 1e-9)
 
 (* Hessenberg tier vs the dense-LU reference, on random well-conditioned
    descriptor pencils.  The reduction is orthogonal and the per-point
@@ -114,7 +114,7 @@ let prop_hessenberg_matches_dense =
       let b = Mat.random ~seed:(seed + 1) n 2 and c = Mat.random ~seed:(seed + 2) 1 n in
       let sys = Dss.of_dense ~e ~a ~b ~c in
       let om = grid ~w_max:10.0 ~npts in
-      sweep_rel_diff (Freq.sweep_naive sys om) (Freq.sweep sys om) <= 1e-12)
+      sweep_rel_diff (Pmtbr_oracle.Naive_sweep.sweep sys om) (Freq.sweep sys om) <= 1e-12)
 
 (* End-to-end on a real reduced model: PMTBR ROM of an RC line, swept by
    both paths. *)
@@ -123,7 +123,7 @@ let test_hessenberg_on_pmtbr_rom () =
   let pts = Sampling.points (Sampling.Uniform { w_max = 3e9 }) ~count:16 in
   let rom = (Pmtbr.reduce ~order:8 sys pts).Pmtbr.rom in
   let om = grid ~w_max:3e9 ~npts:50 in
-  let d = sweep_rel_diff (Freq.sweep_naive rom om) (Freq.sweep rom om) in
+  let d = sweep_rel_diff (Pmtbr_oracle.Naive_sweep.sweep rom om) (Freq.sweep rom om) in
   if d > 1e-12 then Alcotest.failf "ROM Hessenberg drift %.3e > 1e-12" d;
   match Sweep_engine.tier (Sweep_engine.prepare rom) with
   | Sweep_engine.Hessenberg -> ()
@@ -139,7 +139,7 @@ let test_hessenberg_singular_e () =
   let b = Mat.random ~seed:6 n 1 and c = Mat.random ~seed:7 1 n in
   let sys = Dss.of_dense ~e ~a ~b ~c in
   let om = grid ~w_max:5.0 ~npts:20 in
-  let d = sweep_rel_diff (Freq.sweep_naive sys om) (Freq.sweep sys om) in
+  let d = sweep_rel_diff (Pmtbr_oracle.Naive_sweep.sweep sys om) (Freq.sweep sys om) in
   if d > 1e-12 then Alcotest.failf "singular-E Hessenberg drift %.3e > 1e-12" d
 
 (* ------------------------------------------------------------------ *)
