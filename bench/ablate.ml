@@ -169,7 +169,7 @@ let one_pass_vs_two_step () =
   List.iter
     (fun q ->
       let pm =
-        Freq_selective.reduce ~order:q sys ~bands:[ Freq_selective.band ~lo:0.0 ~hi:w8 ] ~count:40
+        Pmtbr.reduce ~order:q sys (Sampling.points (Sampling.Bands [ (0.0, w8) ]) ~count:40)
       in
       let e_pm = Freq.stream_max_rel_error (Freq.compare_sweep pm.Pmtbr.rom om ~ref_:href) in
       let ts = Two_step.reduce sys ~s0:(w8 /. 20.0) ~intermediate:(3 * q) ~order:q () in

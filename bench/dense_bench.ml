@@ -134,7 +134,7 @@ let invariant_checks ~name ~(zw : Mat.t) ~workers =
       if not (bitwise_equal (Par_kernel.gram ~workers:w zw) small) then
         failwith (Printf.sprintf "%s: Par_kernel.gram differs from Mat.gram at workers=%d" name w);
       let q, r = Qr.thin ~workers:w zw in
-      let q_ref, r_ref = Qr.thin_reference zw in
+      let q_ref, r_ref = Pmtbr_oracle.Unblocked_qr.thin zw in
       if not (bitwise_equal q q_ref && bitwise_equal r r_ref) then
         failwith (Printf.sprintf "%s: blocked QR differs from reference at workers=%d" name w))
     [ 1; workers ];
@@ -157,7 +157,7 @@ let bench_case ~name ~sys ~points ~workers ~reps =
   let cyclic, svd_cyclic_wall = time_best ~reps (fun () -> Cyclic_svd.decompose zw) in
   let kernel, svd_kernel_wall = time_best ~reps (fun () -> Svd.decompose ~workers zw) in
   ignore (sigma_drift cyclic.Svd.sigma kernel.Svd.sigma);
-  let _, qr_reference_wall = time_best ~reps (fun () -> Qr.thin_reference zw) in
+  let _, qr_reference_wall = time_best ~reps (fun () -> Pmtbr_oracle.Unblocked_qr.thin zw) in
   let _, qr_blocked_wall = time_best ~reps (fun () -> Qr.thin ~workers zw) in
   let zwt = Mat.transpose zw in
   let gzwt = Generic_mat.of_mat zwt and gzw = Generic_mat.of_mat zw in

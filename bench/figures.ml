@@ -197,9 +197,7 @@ let fig11 () =
   Util.note "connector model with %d states; PMTBR sampled on 0-8 GHz only" (Dss.order sys);
   let tbr = Tbr.reduce_dss ~order:30 sys in
   let pm =
-    Freq_selective.reduce ~order:18 sys
-      ~bands:[ Freq_selective.band ~lo:0.0 ~hi:w8 ]
-      ~count:40
+    Pmtbr.reduce ~order:18 sys (Sampling.points (Sampling.Bands [ (0.0, w8) ]) ~count:40)
   in
   let om = Array.init 60 (fun i -> w20 *. float_of_int (i + 1) /. 60.0) in
   let h_ref = Freq.sweep sys om in

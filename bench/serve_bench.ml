@@ -34,6 +34,7 @@
                                                 # invariants + 3x gate *)
 
 module Protocol = Pmtbr_serve.Protocol
+module Method = Pmtbr_core.Method
 module Server = Pmtbr_serve.Server
 module Client = Pmtbr_serve.Client
 
@@ -116,9 +117,8 @@ type record = {
 let run_scenario ~mesh_n ~samples ~warm_jobs =
   let nl = Pmtbr_circuit.Rc_mesh.generate ~rows:mesh_n ~cols:mesh_n ~ports:2 () in
   let netlist = Pmtbr_circuit.Spice.to_string nl in
-  let job = { Protocol.meth = Protocol.Pmtbr; band = (0.0, 2e10); tol = None;
-              order = Some 12; samples; partition = None; max_part_states = None;
-              interface_tol = None; export = false; netlist } in
+  let options = { (Method.defaults ~band:(0.0, 2e10)) with Method.order = Some 12; samples } in
+  let job = { Protocol.meth = Method.pmtbr; options; export = false; netlist } in
   let socket = Printf.sprintf ".serve_bench.%d.sock" (Unix.getpid ()) in
   let daemon = start_daemon ~socket ~workers:2 in
   let finally () = stop_daemon daemon in
@@ -149,12 +149,15 @@ let run_scenario ~mesh_n ~samples ~warm_jobs =
             (cold_wall /. p50);
           (* --- incremental: new band on the same network --- *)
           let band_wall, band_r =
-            timed_job conn { job with Protocol.band = (1e8, 1e10) }
+            timed_job conn
+              { job with Protocol.options = { options with Method.band = (1e8, 1e10) } }
           in
           if field band_r "tier" <> "network-hit" then
             failwith "new-band job must land on the network tier";
           (* --- incremental: tighter tol on the cached sample set --- *)
-          let retol_job = { job with Protocol.order = None; tol = Some 1e-10 } in
+          let retol_job =
+            { job with Protocol.options = { options with Method.order = None; tol = Some 1e-10 } }
+          in
           let retol_wall, retol_r = timed_job conn retol_job in
           if field retol_r "tier" <> "samples-hit" then
             failwith "re-tol job must land on the samples tier";

@@ -113,6 +113,21 @@ grep -qF "(exact skipped: $NODC_MSG)" "$ERR" \
 if grep -q 'internal error' "$ERR"; then echo "hsv escaped as an internal error" >&2; exit 1; fi
 dune exec bin/pmtbr_cli.exe -- reduce --spice "$NODC" > /dev/null \
     || { echo "pmtbr must reduce a network whose A is singular" >&2; exit 1; }
+
+echo "== job options (one validator: refused by name, never an internal error)"
+expect_refusal 'samples must be in [1, 100000] (got 0)' reduce --circuit rc-mesh --size 4 --samples 0
+expect_refusal 'order must be >= 1 (got 0)' reduce --circuit rc-mesh --size 4 --order 0
+expect_refusal 'tol must be finite and > 0 (got nan)' reduce --circuit rc-mesh --size 4 --tol=nan
+expect_refusal 'draws' reduce --circuit rc-mesh --size 4 --draws 0
+expect_refusal 'batch must be >= 1 (got 0)' adaptive --circuit rc-mesh --size 4 --batch 0
+expect_refusal 'order 100 needs 50 multipoint points' \
+    reduce --circuit rc-mesh --size 4 --method multipoint --order 100
+expect_refusal 'tol does not apply to method prima' \
+    reduce --circuit rc-mesh --size 4 --method prima --tol 1e-3
+# order and tol together: the smaller of the order and what tol alone picks
+dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 6 --method tbr-passive \
+    --order 5 --tol 1e-6 > /dev/null \
+    || { echo "tbr-passive must take --order with --tol" >&2; exit 1; }
 rm -f "$ISLAND" "$NOCAP" "$NODC" "$ERR"
 
 echo "== unboxed dense accessors (allocation guards in an optimised build)"
@@ -170,6 +185,16 @@ dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6
 [ -s "$DAEMON_NL" ] || { echo "daemon export body missing or empty" >&2; exit 1; }
 dune exec bin/pmtbr_cli.exe -- info --spice "$DAEMON_NL"
 rm -f "$DAEMON_NL"
+# the daemon serves pmtbr, fs-pmtbr, tbr-passive and hier: any other
+# method is refused by name
+CLI_ONLY_ERR=".ci_cli_only_$$.err"
+if dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
+    --method tbr --band 0:2e10 --order 8 > /dev/null 2> "$CLI_ONLY_ERR"; then
+    echo "the daemon must refuse --method tbr" >&2; exit 1
+fi
+grep -qF 'method tbr is CLI-only' "$CLI_ONLY_ERR" \
+    || { echo "batch --method tbr must name tbr as CLI-only" >&2; cat "$CLI_ONLY_ERR" >&2; exit 1; }
+rm -f "$CLI_ONLY_ERR"
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --server-stats
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --shutdown
 wait "$SERVE_PID"

@@ -103,11 +103,6 @@ let band_of ~circuit ~band ~fallback =
   | None, Some c -> default_band c
   | None, None -> fallback
 
-(* The sample points of a run: --band under the convention the daemon
-   shares ([Sampling.of_band]), or uniform on [0, w_hi] without one. *)
-let band_points ~band ~w_hi ~samples =
-  Sampling.points (Sampling.of_band (Option.value band ~default:(0.0, w_hi))) ~count:samples
-
 let size_arg =
   Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc:"Circuit size parameter.")
 
@@ -147,7 +142,7 @@ let workers_opt w =
    instead of a garbage sampling grid. *)
 let band_arg =
   let parse s =
-    match Sproto.parse_band s with
+    match Method.parse_band s with
     | Ok band -> Ok band
     | Error msg -> Error (`Msg msg)
   in
@@ -158,21 +153,34 @@ let band_arg =
     & info [ "band" ] ~docv:"LO:HI" ~doc:"Frequency band in rad/s (default: circuit-specific).")
 
 (* Every subcommand body takes a final unit and runs under this guard:
-   usage errors (bad flag combinations, partition > states, server-side
-   failures) and unsolvable input (floating nodes; for the exact-TBR
-   methods, nodes with no capacitive path to ground or with no resistive
-   or inductive one) leave through Cmdliner's error channel, a non-zero
-   exit with the message, instead of an uncaught exception. *)
+   usage errors (options [Method.validate] refuses, server-side failures)
+   and unsolvable input (a partition beyond the state count; floating
+   nodes; for the exact-TBR methods, nodes with no capacitive path to
+   ground or with no resistive or inductive one) leave through Cmdliner's
+   error channel, a non-zero exit with the message, instead of an
+   uncaught exception. *)
 let guarded run =
   Term.term_result'
     (Term.map
        (fun run ->
          try Ok (run ()) with
          | Failure msg -> Error msg
-         | ( Pmtbr_circuit.Mna.Floating _ | Pmtbr_circuit.Mna.Uncapacitated _
+         | ( Method.Refused _ | Pmtbr_circuit.Mna.Floating _ | Pmtbr_circuit.Mna.Uncapacitated _
            | Pmtbr_circuit.Mna.No_dc_path _ ) as e ->
              Error (Printexc.to_string e))
        run)
+
+(* The job options as [Method.validate] accepts them, or the usage error
+   naming the option it refused. *)
+let validated meth options =
+  match Method.validate meth options with Ok o -> o | Error msg -> failwith msg
+
+(* A pmtbr job on --band (default [0, the circuit's band]), checked as
+   reduce checks it: what hsv and adaptive sample. *)
+let pmtbr_options ~circuit ~band ~samples f =
+  let w_hi = band_of ~circuit ~band ~fallback:1e10 in
+  validated Method.pmtbr
+    (f { (Method.defaults ~band:(Option.value band ~default:(0.0, w_hi))) with samples })
 
 (* ------------------------------------------------------------------ *)
 (* info                                                                *)
@@ -201,10 +209,9 @@ let info_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_hsv circuit spice size ports seed samples band workers () =
-  let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
+  let pts = Method.points Method.pmtbr (pmtbr_options ~circuit ~band ~samples Fun.id) in
+  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
-  let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts = band_points ~band ~w_hi ~samples in
   (* the estimate-vs-exact comparison is meaningful in the symmetrised
      coordinates (paper Section III); fall back to the raw descriptor system
      for non-RC networks, where only the estimate is printed, and skip the
@@ -244,69 +251,39 @@ let hsv_cmd =
 (* reduce                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type meth =
-  | M_pmtbr
-  | M_fs
-  | M_prima
-  | M_tbr
-  | M_tbr_lr
-  | M_multipoint
-  | M_cross
-  | M_correlated
-  | M_two_step
-  | M_pod
-  | M_tbr_passive
-  | M_hier
-
-let method_names =
-  [
-    ("pmtbr", M_pmtbr);
-    ("hier", M_hier);
-    ("fs-pmtbr", M_fs);
-    ("prima", M_prima);
-    ("tbr", M_tbr);
-    ("tbr-lr", M_tbr_lr);
-    ("tbr-passive", M_tbr_passive);
-    ("multipoint", M_multipoint);
-    ("cross-gramian", M_cross);
-    ("correlated", M_correlated);
-    ("two-step", M_two_step);
-    ("pod", M_pod);
-  ]
-
 let method_arg =
-  let doc =
-    Printf.sprintf "Reduction method (%s)." (String.concat ", " (List.map fst method_names))
-  in
-  Arg.(value & opt (enum method_names) M_pmtbr & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+  let parse name = Result.map_error (fun msg -> `Msg msg) (Method.find name) in
+  let print ppf (m : Method.t) = Format.pp_print_string ppf m.Method.name in
+  Arg.(
+    value
+    & opt (some (conv (parse, print))) None
+    & info [ "m"; "method" ] ~docv:"METHOD"
+        ~doc:(Printf.sprintf "Reduction method (%s; default pmtbr)." Method.names))
+
+(* The method a run asked for: --partition without --method means hier. *)
+let resolve_method meth partition =
+  match (meth, partition) with
+  | Some m, _ -> m
+  | None, Some _ -> Method.hier
+  | None, None -> Method.pmtbr
 
 let order_arg =
   Arg.(value & opt (some int) None & info [ "order" ] ~docv:"Q" ~doc:"Target reduced order.")
 
 (* "auto" or an explicit subdomain count, as the daemon's partition
-   field.  K < 2 is rejected right here, at parse time, with a Cmdliner
-   usage error; K > the state count is checked once the circuit is built
-   (same clean error channel through [Term.term_result']). *)
+   field; [Method.validate] checks the count. *)
 let partition_conv =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
-    | "auto" -> Ok Sproto.Auto
+    | "auto" -> Ok Method.Auto
     | t -> (
         match int_of_string_opt t with
-        | Some k when k >= 2 -> Ok (Sproto.Parts k)
-        | Some k ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "partition count must be >= 2 (got %d); a 1-part hierarchy is the flat \
-                     path — use 'auto' to size parts from the state budget"
-                    k))
-        | None ->
-            Error (`Msg (Printf.sprintf "expected a subdomain count >= 2 or 'auto' (got %S)" s)))
+        | Some k -> Ok (Method.Parts k)
+        | None -> Error (`Msg (Printf.sprintf "expected a subdomain count or 'auto' (got %S)" s)))
   in
   let print ppf = function
-    | Sproto.Auto -> Format.pp_print_string ppf "auto"
-    | Sproto.Parts k -> Format.pp_print_int ppf k
+    | Method.Auto -> Format.pp_print_string ppf "auto"
+    | Method.Parts k -> Format.pp_print_int ppf k
   in
   Arg.conv (parse, print)
 
@@ -318,20 +295,23 @@ let partition_arg =
         ~doc:
           (Printf.sprintf
              "Subdomain goal for the hierarchical method (default %d when --method hier): an \
-              explicit count >= 2, or $(b,auto) to dissect recursively until every part fits \
-              --max-part-states.  Giving --partition with the default method switches it to \
-              hier; combining it with any other method is an error."
+              explicit count in [2, 4096] and at most the state count, or $(b,auto) to \
+              dissect recursively until every part fits --max-part-states.  Giving \
+              --partition without --method selects hier; combining it with any other method \
+              is an error."
              Partition.default_parts))
 
 let max_part_states_arg =
   Arg.(
     value
-    & opt int Partition.default_max_states
+    & opt (some int) None
     & info [ "max-part-states" ] ~docv:"N"
         ~doc:
-          "Per-part state budget for --partition auto: nested dissection recurses while a \
-           part exceeds N states, so N is also the largest sparse factorization any \
-           subdomain pays.")
+          (Printf.sprintf
+             "Per-part state budget for --partition auto (default %d): nested dissection \
+              recurses while a part exceeds N states, so N is also the largest sparse \
+              factorization any subdomain pays."
+             Partition.default_max_states))
 
 let interface_tol_arg =
   Arg.(
@@ -348,7 +328,11 @@ let tol_arg =
   Arg.(
     value
     & opt (some float) None
-    & info [ "tol" ] ~docv:"TOL" ~doc:"Singular-value tail tolerance for order control.")
+    & info [ "tol" ] ~docv:"TOL"
+        ~doc:
+          "Order control by the singular-value tail relative to the largest value: keep the \
+           smallest order whose tail sum is at most TOL times sigma_0 (with --order, the \
+           smaller of the two).  The same rule for every method that reads it.")
 
 let stats_arg =
   Arg.(
@@ -360,7 +344,7 @@ let stats_arg =
            flag.  The sample-cache methods (pmtbr, fs-pmtbr, multipoint, cross-gramian, \
            correlated) print shift solves, columns held, batches and timings; tbr-lr and \
            tbr-passive print their Lyapunov-solver counters; hier prints its partition, \
-           per-subdomain orders and solves, and stage walls.")
+           per-subdomain orders and solves, and stage walls; the others keep none.")
 
 let adaptive_arg =
   Arg.(
@@ -374,13 +358,13 @@ let adaptive_arg =
 let draws_arg =
   Arg.(
     value
-    & opt int 40
+    & opt (some int) None
     & info [ "draws" ] ~docv:"D"
         ~doc:
-          "Random input-direction draws for the correlated method (the cap when \
-           --adaptive).")
+          "Random input-direction draws for the correlated method (default 40; the cap \
+           when --adaptive).")
 
-let print_stats (st : Sample_cache.stats) =
+let print_cache_stats (st : Sample_cache.stats) =
   Printf.printf "shift solves:      %d (each shift solved once)\n" st.Sample_cache.solves;
   Printf.printf "points sampled:    %d\n" st.Sample_cache.points;
   Printf.printf "columns held:      %d\n" st.Sample_cache.columns;
@@ -393,6 +377,53 @@ let print_stats (st : Sample_cache.stats) =
         (if k.nested then "nested-dissection" else "rcm") k.rcm_fill k.nd_fill)
     st.Sample_cache.ordering
 
+let print_lyap ~symbolic ~refactorizations ~shifts ~solves ~col_solves =
+  Printf.printf "symbolic analyses: %d\n" symbolic;
+  Printf.printf "refactorizations:  %d (ADI shifts: %d)\n" refactorizations (Array.length shifts);
+  Printf.printf "shifted solves:    %d (%d RHS columns)\n" solves col_solves
+
+let print_stats name = function
+  | Method.Cache st -> print_cache_stats st
+  | Method.Hier (pt, partition_wall, hst) ->
+      Printf.printf "partitions:        %d (tree depth %d; interface states %d -> %d)\n"
+        hst.Hier_reduce.parts hst.Hier_reduce.depth hst.Hier_reduce.interface
+        hst.Hier_reduce.interface_kept;
+      Array.iteri
+        (fun l (cuts, sep) ->
+          Printf.printf "  level %-2d         %d cut%s, %d separator state%s\n" l cuts
+            (if cuts = 1 then "" else "s")
+            sep
+            (if sep = 1 then "" else "s"))
+        (Partition.level_cuts pt);
+      Printf.printf "subdomain orders:  %s\n"
+        (String.concat " " (Array.to_list (Array.map string_of_int hst.Hier_reduce.sub_orders)));
+      Printf.printf "shifted solves:    %d (per subdomain; no global factorization)\n"
+        hst.Hier_reduce.solves;
+      Printf.printf
+        "stage walls:       partition %.4f s, sample+project %.4f s, recombine %.4f s, \
+         compress %.4f s\n"
+        partition_wall hst.Hier_reduce.pool.Par_kernel.wall_s hst.Hier_reduce.recombine_wall_s
+        hst.Hier_reduce.compress_wall_s;
+      Printf.printf "subdomain wall:    %s s\n"
+        (String.concat " "
+           (Array.to_list (Array.map (Printf.sprintf "%.4f") hst.Hier_reduce.sub_wall_s)))
+  | Method.Low_rank st ->
+      print_lyap ~symbolic:st.Tbr_lr.symbolic ~refactorizations:st.Tbr_lr.refactorizations
+        ~shifts:st.Tbr_lr.shifts ~solves:st.Tbr_lr.solves ~col_solves:st.Tbr_lr.col_solves;
+      Printf.printf "gramian columns:   %d ctrl / %d obs (converged: %b / %b)\n"
+        st.Tbr_lr.ctrl.Lr_lyap.columns st.Tbr_lr.obs.Lr_lyap.columns
+        st.Tbr_lr.ctrl.Lr_lyap.converged st.Tbr_lr.obs.Lr_lyap.converged;
+      Printf.printf "wall time:         %.4f s\n" st.Tbr_lr.wall_s
+  | Method.Passive st ->
+      print_lyap ~symbolic:st.Tbr_passive.symbolic
+        ~refactorizations:st.Tbr_passive.refactorizations ~shifts:st.Tbr_passive.shifts
+        ~solves:st.Tbr_passive.solves ~col_solves:st.Tbr_passive.col_solves;
+      Printf.printf "gramian columns:   %d (converged: %b; one Gramian)\n"
+        st.Tbr_passive.gramian.Lr_lyap.columns st.Tbr_passive.gramian.Lr_lyap.converged;
+      Printf.printf "wall time:         %.4f s\n" st.Tbr_passive.wall_s
+  | Method.No_counters ->
+      Printf.printf "counters:          none (%s keeps no solver counters)\n" name
+
 (* In-band verification shared by reduce/adaptive: the full-model
    reference sweep is computed once per invocation (through the
    two-tier sweep engine) and every reported metric streams the reduced
@@ -404,198 +435,29 @@ let report_in_band ?workers sys rom ~w_hi =
   Printf.printf "worst in-band relative error: %.3e\n" (Freq.stream_max_rel_error st);
   Printf.printf "in-band rms error:            %.3e\n" (Freq.stream_rms_error st)
 
-(* Synthesized correlated input class for --method correlated: square waves
-   derived from one clock (dithered timing, fixed per-port amplitudes), the
-   Section VI-C experiment's input model, with the clock period tied to the
-   sampling band. *)
-let correlated_inputs sys ~seed ~w_hi =
-  let period = 2.0 *. Float.pi *. 10.0 /. w_hi in
-  let bank =
-    Pmtbr_signal.Waveform.dithered_square_bank ~rng:(Pmtbr_signal.Rng.create seed)
-      ~ports:(Dss.inputs sys) ~period ~dither:0.1
-  in
-  let waves = Array.map (fun w t -> 1e-3 *. w t) bank in
-  Pmtbr_signal.Waveform.sample_matrix waves ~t0:0.0 ~t1:(4.0 *. period) ~samples:400
-
-(* --band with lo > 0 switches the Lyapunov solvers to the band-limited
-   residual stop, as the daemon's band field does. *)
-let lyap_stop band = Option.bind band Sampling.band_stop
-
+(* Every method runs through its [Method] entry; the options are checked
+   first, before the circuit is built.  Without --band the band is
+   [0, the circuit's default]. *)
 let run_reduce circuit spice size ports seed meth partition max_part_states interface_tol order
     tol samples band workers stats adaptive draws export () =
-  let meth =
-    match (meth, partition) with
-    | M_pmtbr, Some _ -> M_hier
-    | M_hier, _ -> M_hier
-    | m, Some _ when m <> M_hier -> failwith "--partition only applies to --method hier"
-    | m, _ -> m
+  let meth = resolve_method meth partition in
+  let w_hi = band_of ~circuit ~band ~fallback:1e10 in
+  let options =
+    validated meth
+      { Method.band = Option.value band ~default:(0.0, w_hi); order; tol; samples; partition;
+        max_part_states; interface_tol; adaptive; draws; seed }
   in
-  if interface_tol <> None && meth <> M_hier then
-    failwith "--interface-tol only applies to --method hier";
-  let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
-  let sys = Dss.of_netlist nl in
-  (* the exact-TBR methods invert E and need A nonsingular *)
-  if List.mem meth [ M_tbr; M_tbr_lr; M_tbr_passive ] then begin
-    Pmtbr_circuit.Mna.check_capacitive nl;
-    Pmtbr_circuit.Mna.check_dc_path nl
-  end;
-  let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts = band_points ~band ~w_hi ~samples in
+  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
   let workers = workers_opt workers in
-  let no_adaptive name = failwith (name ^ " has no adaptive cache pipeline (drop --adaptive)") in
-  let no_stats name = failwith (name ^ " does not run through the sample cache (drop --stats)") in
-  (* each arm yields the reduced model, the sample count actually consumed
-     (adaptive runs), and the cache counters (when the method runs through
-     the pipeline); --stats only decides whether they are printed *)
-  let consumed offered samples = if adaptive then Some (samples, offered) else None in
-  let of_pmtbr (r : Pmtbr.result) =
-    (r.Pmtbr.rom, consumed (Array.length pts) r.Pmtbr.samples, Some r.Pmtbr.stats)
-  in
-  let rom, used, st =
-    match meth with
-    | M_pmtbr when adaptive -> of_pmtbr (Pmtbr.reduce_adaptive ?order ?tol ?workers sys pts)
-    | M_pmtbr -> of_pmtbr (Pmtbr.reduce ?order ?tol ?workers sys pts)
-    | M_hier ->
-        if adaptive then no_adaptive "hier";
-        let t0 = Unix.gettimeofday () in
-        let pt =
-          match Option.value partition ~default:(Sproto.Parts Partition.default_parts) with
-          | Sproto.Parts k ->
-              if k > Dss.order sys then
-                failwith
-                  (Printf.sprintf
-                     "--partition %d exceeds the circuit's %d states (at most one subdomain \
-                      per state)"
-                     k (Dss.order sys));
-              Partition.split ~parts:k nl
-          | Sproto.Auto -> Partition.split_auto ~max_states:max_part_states nl
-        in
-        let partition_wall = Unix.gettimeofday () -. t0 in
-        let rom, hst =
-          Hier_reduce.reduce_partitioned ?order ?tol ?interface_tol ?workers pt pts
-        in
-        if stats then begin
-          Printf.printf "partitions:        %d (tree depth %d; interface states %d -> %d)\n"
-            hst.Hier_reduce.parts hst.Hier_reduce.depth hst.Hier_reduce.interface
-            hst.Hier_reduce.interface_kept;
-          Array.iteri
-            (fun l (cuts, sep) ->
-              Printf.printf "  level %-2d         %d cut%s, %d separator state%s\n" l cuts
-                (if cuts = 1 then "" else "s")
-                sep
-                (if sep = 1 then "" else "s"))
-            (Partition.level_cuts pt);
-          Printf.printf "subdomain orders:  %s\n"
-            (String.concat " "
-               (Array.to_list (Array.map string_of_int hst.Hier_reduce.sub_orders)));
-          Printf.printf "shifted solves:    %d (per subdomain; no global factorization)\n"
-            hst.Hier_reduce.solves;
-          Printf.printf
-            "stage walls:       partition %.4f s, sample+project %.4f s, recombine %.4f s, \
-             compress %.4f s\n"
-            partition_wall hst.Hier_reduce.pool.Par_kernel.wall_s hst.Hier_reduce.recombine_wall_s
-            hst.Hier_reduce.compress_wall_s;
-          Printf.printf "subdomain wall:    %s s\n"
-            (String.concat " "
-               (Array.to_list (Array.map (Printf.sprintf "%.4f") hst.Hier_reduce.sub_wall_s)))
-        end;
-        (rom, None, None)
-    | M_fs ->
-        let lo, hi = match band with Some b -> b | None -> (0.0, w_hi) in
-        let bands = [ Freq_selective.band ~lo ~hi ] in
-        of_pmtbr
-          (if adaptive then
-             Freq_selective.reduce_adaptive ?order ?tol ?workers sys ~bands ~count:samples
-           else Freq_selective.reduce ?order ?tol ?workers sys ~bands ~count:samples)
-    | M_multipoint ->
-        if adaptive then no_adaptive "multipoint";
-        let r =
-          Multipoint.reduce ?workers sys (Sampling.spread_order pts)
-            ~count:(max 1 (Option.value order ~default:10 / 2))
-        in
-        (r.Multipoint.rom, None, Some r.Multipoint.stats)
-    | M_cross ->
-        let r =
-          if adaptive then Cross_gramian.reduce_adaptive ?order ?workers sys pts
-          else Cross_gramian.reduce ?order ?workers sys pts
-        in
-        ( r.Cross_gramian.rom,
-          consumed (Array.length pts) r.Cross_gramian.samples,
-          Some r.Cross_gramian.stats )
-    | M_correlated ->
-        let inputs = correlated_inputs sys ~seed ~w_hi in
-        let r =
-          if adaptive then
-            Input_correlated.reduce_adaptive ?order ?tol ~seed ?workers sys ~inputs ~points:pts
-              ~max_draws:draws
-          else
-            Input_correlated.reduce ?order ?tol ~seed ?workers sys ~inputs ~points:pts ~draws
-        in
-        (r.Input_correlated.rom, consumed draws r.Input_correlated.samples,
-         Some r.Input_correlated.stats)
-    | M_prima ->
-        if adaptive then no_adaptive "prima";
-        if stats then no_stats "prima";
-        ((Prima.reduce_to_order sys ~s0:(w_hi /. 20.0) ~order:(Option.value order ~default:10))
-           .Prima.rom, None, None)
-    | M_tbr ->
-        if adaptive then no_adaptive "tbr";
-        if stats then no_stats "tbr";
-        ((Tbr.reduce_dss ?order ?tol sys).Tbr.rom, None, None)
-    | M_tbr_lr ->
-        if adaptive then no_adaptive "tbr-lr";
-        let r = Tbr_lr.reduce ?order ?tol ?stop:(lyap_stop band) ?workers sys in
-        let st = r.Tbr_lr.stats in
-        if stats then begin
-          Printf.printf "symbolic analyses: %d\n" st.Tbr_lr.symbolic;
-          Printf.printf "refactorizations:  %d (ADI shifts: %d)\n" st.Tbr_lr.refactorizations
-            (Array.length st.Tbr_lr.shifts);
-          Printf.printf "shifted solves:    %d (%d RHS columns)\n" st.Tbr_lr.solves
-            st.Tbr_lr.col_solves;
-          Printf.printf "gramian columns:   %d ctrl / %d obs (converged: %b / %b)\n"
-            st.Tbr_lr.ctrl.Lr_lyap.columns st.Tbr_lr.obs.Lr_lyap.columns
-            st.Tbr_lr.ctrl.Lr_lyap.converged st.Tbr_lr.obs.Lr_lyap.converged;
-          Printf.printf "wall time:         %.4f s\n" st.Tbr_lr.wall_s
-        end;
-        (r.Tbr_lr.rom, None, None)
-    | M_tbr_passive ->
-        if adaptive then no_adaptive "tbr-passive";
-        let inductors = Pmtbr_circuit.Netlist.inductor_count nl in
-        let r = Tbr_passive.reduce ?order ?tol ?stop:(lyap_stop band) ~inductors ?workers sys in
-        let st = r.Tbr_passive.stats in
-        if stats then begin
-          Printf.printf "symbolic analyses: %d\n" st.Tbr_passive.symbolic;
-          Printf.printf "refactorizations:  %d (ADI shifts: %d)\n"
-            st.Tbr_passive.refactorizations
-            (Array.length st.Tbr_passive.shifts);
-          Printf.printf "shifted solves:    %d (%d RHS columns; one Gramian)\n"
-            st.Tbr_passive.solves st.Tbr_passive.col_solves;
-          Printf.printf "gramian columns:   %d (converged: %b)\n"
-            st.Tbr_passive.gramian.Lr_lyap.columns st.Tbr_passive.gramian.Lr_lyap.converged;
-          Printf.printf "wall time:         %.4f s\n" st.Tbr_passive.wall_s
-        end;
-        (r.Tbr_passive.rom, None, None)
-    | M_two_step ->
-        if adaptive then no_adaptive "two-step";
-        if stats then no_stats "two-step";
-        let q = Option.value order ~default:10 in
-        ((Two_step.reduce sys ~s0:(w_hi /. 20.0) ~intermediate:(3 * q) ~order:q ()).Two_step.rom,
-         None, None)
-    | M_pod ->
-        if adaptive then no_adaptive "pod";
-        if stats then no_stats "pod";
-        let rise = 10.0 /. w_hi in
-        let u t =
-          Array.init (Dss.inputs sys) (fun _ -> Float.min 1e-3 (Float.max 0.0 (1e-3 *. t /. rise)))
-        in
-        ((Time_sampled.reduce ?order ?tol sys ~u ~t1:(200.0 *. rise) ~dt:rise ~snapshots:150)
-           .Time_sampled.rom, None, None)
-  in
+  let src = Method.source ~workers nl in
+  let sys = src.Method.sys in
+  let r = meth.Method.run src options in
+  let rom = r.Method.rom in
   Printf.printf "reduced: %d -> %d states\n" (Dss.order sys) (Dss.order rom);
   Option.iter
     (fun (n, offered) -> Printf.printf "samples consumed:  %d of %d offered\n" n offered)
-    used;
-  if stats then Option.iter print_stats st;
+    r.Method.consumed;
+  if stats then print_stats meth.Method.name r.Method.stats;
   report_in_band ?workers sys rom ~w_hi;
   (* --export FILE: realize the ROM as a netlist, write it, and verify the
      roundtrip — the file re-parsed, stamped and swept must reproduce the
@@ -660,10 +522,13 @@ let batch_arg =
   Arg.(value & opt int 8 & info [ "batch" ] ~docv:"B" ~doc:"Points consumed per batch.")
 
 let run_adaptive circuit spice size ports seed monitor order tol batch samples band workers () =
-  let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
+  let o =
+    pmtbr_options ~circuit ~band ~samples (fun o -> { o with order; tol; adaptive = true })
+  in
+  if batch < 1 then failwith (Printf.sprintf "batch must be >= 1 (got %d)" batch);
+  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
-  let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
-  let pts = band_points ~band ~w_hi ~samples in
+  let pts = Method.points Method.pmtbr o and w_hi = snd o.Method.band in
   let workers = workers_opt workers in
   let result =
     match monitor with
@@ -673,7 +538,7 @@ let run_adaptive circuit spice size ports seed monitor order tol batch samples b
   let st = result.Pmtbr.stats in
   Printf.printf "reduced: %d -> %d states\n" (Dss.order sys) (Dss.order result.Pmtbr.rom);
   Printf.printf "samples consumed:  %d of %d offered\n" result.Pmtbr.samples (Array.length pts);
-  print_stats st;
+  print_cache_stats st;
   Array.iteri
     (fun i w -> Printf.printf "batch %-2d wall:     %.4f s\n" (i + 1) w)
     st.Sample_cache.batch_wall_s;
@@ -804,13 +669,6 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve $ socket_arg $ serve_workers $ job_workers $ max_cost)
 
-let serve_method_arg =
-  let doc =
-    Printf.sprintf "Reduction method served by the daemon (%s)."
-      (String.concat ", " (List.map fst Sproto.meth_names))
-  in
-  Arg.(value & opt (enum Sproto.meth_names) Sproto.Pmtbr & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
-
 let read_text_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -830,15 +688,11 @@ let roundtrip conn req =
   (match r.Sproto.status with Ok () -> () | Error msg -> failwith ("server error: " ^ msg));
   r
 
+(* A job is checked here as [reduce] checks it, then by the daemon; the
+   daemon refuses a method it does not serve by name. *)
 let run_batch socket ping server_stats shutdown circuit spice size ports seed meth partition
     max_part_states interface_tol band tol order samples repeat assert_warm export_out () =
-  (* --partition with the default method implies hier, mirroring reduce *)
-  let meth =
-    match (meth, partition) with Sproto.Pmtbr, Some _ -> Sproto.Hier | m, _ -> m
-  in
-  (* the budget only rides along when auto dissection asked for it — the
-     protocol rejects max-part-states on a fixed-count job *)
-  let max_part_states = if partition = Some Sproto.Auto then Some max_part_states else None in
+  let meth = resolve_method meth partition in
   Sclient.with_connection socket (fun conn ->
       if ping then print_fields (roundtrip conn Sproto.Ping)
       else if server_stats then print_fields (roundtrip conn Sproto.Stats)
@@ -853,14 +707,15 @@ let run_batch socket ping server_stats shutdown circuit spice size ports seed me
         in
         let band =
           match band with
-          | Some b -> require_ok "bad band" (Sproto.validate_band b)
+          | Some b -> b
           | None -> failwith "--band LO:HI is required for batch jobs"
         in
-        let job =
-          Sproto.Reduce
-            { Sproto.meth; band; tol; order; samples; partition; max_part_states;
-              interface_tol; export = export_out <> None; netlist }
+        let options =
+          validated meth
+            { (Method.defaults ~band) with
+              order; tol; samples; partition; max_part_states; interface_tol }
         in
+        let job = Sproto.Reduce { Sproto.meth; options; export = export_out <> None; netlist } in
         let repeat = max 1 repeat in
         let walls = Array.make repeat 0.0 in
         let digest = ref "" in
@@ -935,7 +790,7 @@ let batch_cmd =
     (guarded
        Term.(
          const run_batch $ socket_arg $ ping $ stats $ shutdown $ circuit_arg $ spice_arg
-         $ size_arg $ ports_arg $ seed_arg $ serve_method_arg $ partition_arg
+         $ size_arg $ ports_arg $ seed_arg $ method_arg $ partition_arg
          $ max_part_states_arg $ interface_tol_arg $ band_arg $ tol_arg $ order_arg $ samples_arg
          $ repeat $ assert_warm $ export_out))
 

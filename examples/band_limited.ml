@@ -19,9 +19,8 @@ let () =
   Printf.printf "connector model: %d states; band of interest: DC - %.0f GHz\n"
     (Dss.order sys) (ghz w_band);
 
-  (* Frequency-selective PMTBR: all samples inside the band. *)
-  let bands = [ Freq_selective.band ~lo:0.0 ~hi:w_band ] in
-  let pm = Freq_selective.reduce ~order:18 sys ~bands ~count:40 in
+  (* Frequency-selective PMTBR (Algorithm 2): all samples inside the band. *)
+  let pm = Pmtbr.reduce ~order:18 sys (Sampling.points (Sampling.Bands [ (0.0, w_band) ]) ~count:40) in
   Printf.printf "band-limited PMTBR model: %d states\n" (Dss.order pm.Pmtbr.rom);
 
   (* Exact TBR at substantially higher order, for comparison. *)

@@ -20,9 +20,7 @@ let () =
 
   (* band-limited reduction to a compact model *)
   let r =
-    Freq_selective.reduce ~order:14 sys
-      ~bands:[ Freq_selective.band ~lo:0.0 ~hi:w_band ]
-      ~count:36
+    Pmtbr.reduce ~order:14 sys (Sampling.points (Sampling.Bands [ (0.0, w_band) ]) ~count:36)
   in
   Printf.printf "reduced %d -> %d states\n" (Dss.order sys) (Dss.order r.Pmtbr.rom);
 

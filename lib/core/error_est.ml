@@ -2,12 +2,6 @@
    singular values of ZW estimate the error of the order-q reduced model the
    way truncated Hankel singular values bound the TBR error. *)
 
-(* TBR-style estimate for truncation at order q: 2 * sum of the tail. *)
-let tail_bound (sigma : float array) q =
-  let acc = ref 0.0 in
-  Array.iteri (fun i s -> if i >= q then acc := !acc +. s) sigma;
-  2.0 *. !acc
-
 (* Estimates for all orders 0..n: one reverse cumulative sum instead of a
    tail re-summation per order (O(n) instead of O(n^2)). *)
 let curve (sigma : float array) =

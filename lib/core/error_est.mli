@@ -2,14 +2,9 @@
     singular values of [ZW] estimate the error of the order-q reduced model
     the way truncated Hankel singular values bound the TBR error. *)
 
-val tail_bound : float array -> int -> float
-(** [tail_bound sigma q] is the TBR-style estimate [2 * sum_{i >= q}
-    sigma_i]. *)
-
 val curve : float array -> float array
-(** Estimates for every order [0 .. n], computed as one reverse cumulative
-    sum (O(n)); [curve sigma].(q) equals [tail_bound sigma q] up to
-    summation-order roundoff. *)
+(** TBR-style estimates [2 * sum_{i >= q} sigma_i] for every order
+    [0 .. n], computed as one reverse cumulative sum (O(n)). *)
 
 val normalized_curve : float array -> float array
 (** {!curve} normalised by [2 * sigma_0] (the "normalised error estimate"

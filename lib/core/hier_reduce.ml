@@ -261,7 +261,7 @@ let recombine ?(workers = 1) (pt : Partition.t) (bases : Mat.t array) =
    [interface_count pt] rows/columns.  Sample the interface rows of
    X(s) = (sE - A)^{-1} B at the quadrature points (same sqrt-weight
    realification as the flat sampler), SVD, pick the rank with
-   [Pmtbr.choose_order ~tol], and congruence-project the trailing block
+   [Tbr.choose_order ~tol], and congruence-project the trailing block
    through W = dominant left vectors: T = blkdiag(I, W).  Couplings are
    contracted through W (exact on the interior side, never sketched);
    rank = interface means the model is returned unchanged — the exact
@@ -290,7 +290,7 @@ let compress_interface ?(workers = 1) ~tol (pt : Partition.t) (rom : Dss.t) poin
         done)
       points;
     let u, sigma = Svd.left ~workers cols in
-    let rank = min m (Pmtbr.choose_order ~sigma ~tol ()) in
+    let rank = min m (Tbr.choose_order ~sigma ~tol ()) in
     if rank >= m then (rom, m)
     else begin
       let w = Mat.sub_cols u 0 rank in

@@ -86,7 +86,7 @@ val basis_of_part :
     {!Sample_cache.svd_operand} rule decides which SVD runs), without a
     projection: {!project_part} projects the part with it.
     [order]/[tol] bound each subdomain's kept columns (same semantics as
-    {!Pmtbr.choose_order}).  The part and [samples] are not read; they
+    {!Pmtbr_lti.Tbr.choose_order}).  The part and [samples] are not read; they
     keep the call shape of the other per-part stages. *)
 
 val reduce_part : ?order:int -> ?tol:float -> Partition.part -> Sampling.point array -> sub
@@ -116,7 +116,7 @@ val compress_interface :
     exact-interface model: sample the interface rows of
     X(s) = (sE - A)^{-1} B at the quadrature points (sqrt-weight
     realified, like the flat sampler), SVD, keep the
-    {!Pmtbr.choose_order}[ ~tol] dominant left vectors W, and project by
+    {!Pmtbr_lti.Tbr.choose_order}[ ~tol] dominant left vectors W, and project by
     the congruence blkdiag(I, W).  Couplings contract through W — the
     interior side stays exact and nothing is sketched.  Full rank (or an
     empty interface / point set) returns the model unchanged — the exact

@@ -20,47 +20,13 @@ type result = {
   stats : Sample_cache.stats; (* counters of the cache the run finished from *)
 }
 
-(* Truncation order from singular values: keep sigma_i while the *tail sum*
-   exceeds [tol] relative to sigma_0 (the TBR-like small-tail criterion of
-   Section V-B).  An explicit [order] wins outright (clamped to the number
-   of values); only when the caller passes [tol] as well does the tail
-   criterion cap it — a *default* tolerance must never shrink a model the
-   caller sized explicitly. *)
-let choose_order ~(sigma : float array) ?order ?tol () =
-  let n = Array.length sigma in
-  if n = 0 then 0
-  else begin
-    (* smallest q with sum_{i>=q} sigma_i <= tol * sigma_0 *)
-    let from_tol tol =
-      let smax = Float.max sigma.(0) 1e-300 in
-      let tail = Array.make (n + 1) 0.0 in
-      for i = n - 1 downto 0 do
-        tail.(i) <- tail.(i + 1) +. sigma.(i)
-      done;
-      let rec search q =
-        if q >= n then n else if tail.(q) <= tol *. smax then q else search (q + 1)
-      in
-      max 1 (search 0)
-    in
-    match (order, tol) with
-    | Some q, None -> max 1 (min q n)
-    | Some q, Some tol -> max 1 (min q (from_tol tol))
-    | None, _ -> from_tol (Option.value tol ~default:1e-10)
-  end
-
 (* Algorithm 1 steps 3-4 in the coordinates of the cache's SVD operand —
    the assembled ZW when it is wide, the small factor R D otherwise (see
    [Sample_cache.svd_operand]): its dominant left singular vectors, and
    all singular values.  The right singular vectors are never formed. *)
 let leading cache ~scale ?order ?tol ?workers () =
   let u, sigma = Svd.left ?workers (Sample_cache.svd_operand cache ~scale) in
-  let q = choose_order ~sigma ?order ?tol () in
-  (* never keep directions below numerical noise *)
-  let q =
-    let smax = Float.max sigma.(0) 1e-300 in
-    let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
-    cap q
-  in
+  let q = Tbr.truncation_order ~floor:1e-14 ~sigma ?order ?tol () in
   (Mat.sub_cols u 0 q, sigma)
 
 (* The basis half of a finish, lifted to state space: for callers that
@@ -151,7 +117,7 @@ let monitor_values ?workers cache ~monitor ~scale =
    not points: a complex point contributes two per input (it stands for
    its conjugate pair too), a real point one. *)
 let settled ?order ?tol ~converge_tol ~columns ~prev sigma =
-  let q = choose_order ~sigma ?order ?tol () in
+  let q = Tbr.choose_order ~sigma ?order ?tol () in
   let leading_converged =
     match prev with
     | None -> false

@@ -22,19 +22,12 @@ type result = {
           certifies that no shift was solved twice *)
 }
 
-val choose_order : sigma:float array -> ?order:int -> ?tol:float -> unit -> int
-(** Truncation order from singular values: the smallest [q] whose tail sum
-    [sum_{i >= q} sigma_i] is at most [tol * sigma_0] (default [1e-10]).
-    An explicit [order] wins outright (clamped to the number of values);
-    only when [tol] is {e also} given does the tail criterion cap it — the
-    default tolerance never shrinks an explicitly requested order. *)
-
 val basis_of_cache :
   Sample_cache.t -> scale:float -> ?order:int -> ?tol:float -> ?workers:int -> unit ->
   Mat.t * float array
 (** The basis half of {!of_cache}: left singular vectors of
     {!Sample_cache.svd_operand} ({!Pmtbr_la.Svd.left}), order choice
-    ({!choose_order}, never below [1e-14] of [sigma_0]) and the dominant
+    ({!Pmtbr_lti.Tbr.truncation_order} with floor [1e-14]) and the dominant
     vectors lifted to state space ({!Sample_cache.lift}).  Returns the
     [n x q] basis and all singular values, descending.  For callers that
     project elsewhere, such as the hierarchical recombination. *)
@@ -83,7 +76,7 @@ val settled :
   float array -> bool
 (** The stopping rule of every adaptive loop over a sample cache, given
     this batch's monitor values: the leading values (up to the
-    {!choose_order} order) have converged to [converge_tol] relative
+    {!Pmtbr_lti.Tbr.choose_order} order) have converged to [converge_tol] relative
     change against [prev], the tail is below [tol] (default [1e-10];
     skipped for an explicit [order] without [tol]), and the cache holds at
     least twice the model order in [columns] (Section V-B). *)

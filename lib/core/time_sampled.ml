@@ -62,11 +62,6 @@ let reduce ?order ?tol sys ~(u : float -> float array) ~t1 ~dt ~snapshots =
   in
   let x = Mat.init n m (fun i j -> w.(j) *. Mat.get states i idx.(j)) in
   let uu, sigma = Svd.left x in
-  let q = Pmtbr.choose_order ~sigma ?order ?tol () in
-  let q =
-    let smax = Float.max sigma.(0) 1e-300 in
-    let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
-    cap q
-  in
+  let q = Tbr.truncation_order ~floor:1e-14 ~sigma ?order ?tol () in
   let basis = Mat.sub_cols uu 0 q in
   { rom = Dss.project_congruence sys basis; basis; singular_values = sigma; snapshots = m }

@@ -12,4 +12,4 @@ type result = {
 val reduce : Pmtbr_lti.Dss.t -> s0:float -> intermediate:int -> ?order:int -> ?tol:float ->
   unit -> result
 (** Run PRIMA to [intermediate] states at expansion point [s0], then
-    balanced truncation with the given [order] or Glover [tol]. *)
+    balanced truncation at [order] and [tol] (see {!Pmtbr_lti.Tbr.reduce}). *)

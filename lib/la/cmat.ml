@@ -15,11 +15,3 @@ let axpby_real ~(alpha : Complex.t) (a : Mat.t) ~(beta : Complex.t) (b : Mat.t) 
       Complex.add
         (Scalar.Cx.scale (Mat.get a i j) alpha)
         (Scalar.Cx.scale (Mat.get b i j) beta))
-
-(* Interleave real and imaginary parts of each column: the real matrix
-   [Re z_1, Im z_1, Re z_2, ...].  Spans the same real subspace as
-   [z_1, z_1^*, ...]; used to realify PMTBR sample matrices. *)
-let realify_columns (m : t) =
-  Mat.init m.rows (2 * m.cols) (fun i j ->
-      let z = get m i (j / 2) in
-      if j mod 2 = 0 then z.Complex.re else z.Complex.im)

@@ -15,9 +15,3 @@ val axpby_real : alpha:Complex.t -> Mat.t -> beta:Complex.t -> Mat.t -> t
 (** [axpby_real ~alpha a ~beta b] is the complex matrix [alpha*a + beta*b]
     for real [a], [b] of equal shape: the shifted-pencil assembly used when
     forming [(sE - A)] densely. *)
-
-val realify_columns : t -> Mat.t
-(** Interleave real and imaginary parts of each column:
-    [[Re z1, Im z1, Re z2, ...]].  Over the reals this spans the same space
-    as the columns together with their conjugates; used to realify PMTBR
-    sample matrices. *)

@@ -78,9 +78,6 @@ let solve_with fact (q : Mat.t) =
 
 let solve (a : Mat.t) (q : Mat.t) = solve_with (factor a) q
 
-(* Controllability-style Gramian: A X + X A^T + B B^T = 0. *)
-let gramian_with fact (b : Mat.t) = solve_with fact (Mat.mul b (Mat.transpose b))
-
 (* Cross-Gramian Sylvester equation A X + X A + Q = 0 (Q = B C).  For
    symmetric A this coincides with the Lyapunov recurrence in the eigenbasis
    (A = A^T), except that the solution need not be symmetric. *)

@@ -30,9 +30,6 @@ val solve_with : factor -> Mat.t -> Mat.t
 val solve : Mat.t -> Mat.t -> Mat.t
 (** [solve a q] is [solve_with (factor a) q]. *)
 
-val gramian_with : factor -> Mat.t -> Mat.t
-(** [gramian_with f b] solves [A X + X A^T + B B^T = 0]. *)
-
 val solve_cross_with : factor -> Mat.t -> Mat.t
 (** [solve_cross_with f q] solves the cross-Gramian Sylvester equation
     [A X + X A + Q = 0] (paper Section V-D); the solution is generally not

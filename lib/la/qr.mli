@@ -3,8 +3,8 @@
     [thin], [orth] and the packed-factor operations run on the
     panel-blocked kernels of {!Par_kernel} and accept a [?workers] pool
     size; results are bitwise-identical for any worker count, and
-    bitwise-identical to the classic unblocked serial sweep (retained as
-    {!thin_reference}). *)
+    bitwise-identical to the classic unblocked serial sweep (the test
+    oracle [Unblocked_qr]). *)
 
 type pivoted = {
   q : Mat.t;  (** thin orthonormal factor, [m x min m n] *)
@@ -24,10 +24,6 @@ val thin : ?workers:int -> Mat.t -> Mat.t * Mat.t
 (** [thin a] for [a] of shape [m x n] with [m >= n] returns [(q, r)] with
     [a = q * r], [q] of shape [m x n] with orthonormal columns and [r]
     upper triangular. *)
-
-val thin_reference : Mat.t -> Mat.t * Mat.t
-(** The unblocked serial sweep: same contract as {!thin}, kept as the
-    bitwise reference the blocked path is property-tested against. *)
 
 val factorize : ?workers:int -> Mat.t -> packed
 (** Panel-blocked Householder factorisation of a matrix of any shape. *)

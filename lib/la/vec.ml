@@ -15,8 +15,6 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 x
-
 let add x y = Array.mapi (fun i xi -> xi +. y.(i)) x
 let sub x y = Array.mapi (fun i xi -> xi -. y.(i)) x
 let scale a x = Array.map (fun v -> a *. v) x

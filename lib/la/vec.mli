@@ -18,9 +18,6 @@ val dot : float array -> float array -> float
 val norm2 : float array -> float
 (** Euclidean norm. *)
 
-val norm_inf : float array -> float
-(** Largest absolute entry. *)
-
 val add : float array -> float array -> float array
 (** Elementwise sum. *)
 

@@ -32,9 +32,6 @@ let sweep ?workers sys (omegas : float array) =
     let plan = Sweep_engine.prepare ~template:{ Complex.re = 0.0; im = omegas.(0) } sys in
     fst (Sweep_engine.sweep ?workers plan omegas)
 
-(* Entry (i, j) of each response in a sweep. *)
-let entry_series responses i j = Array.map (fun h -> Cmat.get h i j) responses
-
 (* ------------------------------------------------------------------ *)
 (* Streaming error metrics                                             *)
 (* ------------------------------------------------------------------ *)

@@ -21,9 +21,6 @@ val sweep : ?workers:int -> Dss.t -> float array -> Cmat.t array
     result is a pure function of [(sys, omegas)] — bitwise-identical for
     every worker count. *)
 
-val entry_series : Cmat.t array -> int -> int -> Complex.t array
-(** Entry (i, j) of each response in a sweep. *)
-
 (** {1 Streaming error metrics}
 
     One {!error_stream} accumulates every metric below over a sequence of

@@ -19,8 +19,3 @@ let observability ~(a : Mat.t) ~(c : Mat.t) () =
 (* Cross Gramian A X + X A + B C = 0 (square systems). *)
 let cross ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) () = Lyap.solve_cross a (Mat.mul b c)
 
-(* Controllability Gramians for several input matrices with one
-   factorisation of A (Fig. 3's sweep over port counts). *)
-let controllability_family ~(a : Mat.t) (bs : Mat.t list) =
-  let fact = Lyap.factor a in
-  List.map (fun b -> Lyap.solve_with fact (Mat.mul b (Mat.transpose b))) bs

@@ -12,6 +12,3 @@ val observability : a:Mat.t -> c:Mat.t -> unit -> Mat.t
 val cross : a:Mat.t -> b:Mat.t -> c:Mat.t -> unit -> Mat.t
 (** Cross Gramian: solve [A X + X A + B C = 0] (square systems). *)
 
-val controllability_family : a:Mat.t -> Mat.t list -> Mat.t list
-(** Controllability Gramians for several input matrices with a single
-    factorisation of [A] (the paper's Fig. 3 sweep). *)

@@ -18,11 +18,47 @@ let error_bound hsv order =
   Array.iteri (fun i s -> if i >= order then acc := !acc +. s) hsv;
   2.0 *. !acc
 
-(* Smallest order whose Glover bound is below [tol]. *)
-let order_for_tolerance hsv tol =
-  let n = Array.length hsv in
-  let rec search q = if q >= n then n else if error_bound hsv q <= tol then q else search (q + 1) in
-  search 0
+(* The one order rule of every method that truncates by singular values
+   (Section V-B): keep sigma_i while the *tail sum* exceeds [tol]
+   relative to sigma_0, so [tol] means the same on every network scale.
+   An explicit [order] wins outright (clamped to the number of values);
+   only when the caller passes [tol] as well does the tail criterion cap
+   it — a *default* tolerance must never shrink a model the caller sized
+   explicitly. *)
+let choose_order ~(sigma : float array) ?order ?tol () =
+  let n = Array.length sigma in
+  if n = 0 then 0
+  else begin
+    (* smallest q with sum_{i>=q} sigma_i <= tol * sigma_0 *)
+    let from_tol tol =
+      let smax = Float.max sigma.(0) 1e-300 in
+      let tail = Array.make (n + 1) 0.0 in
+      for i = n - 1 downto 0 do
+        tail.(i) <- tail.(i + 1) +. sigma.(i)
+      done;
+      let rec search q =
+        if q >= n then n else if tail.(q) <= tol *. smax then q else search (q + 1)
+      in
+      max 1 (search 0)
+    in
+    match (order, tol) with
+    | Some q, None -> max 1 (min q n)
+    | Some q, Some tol -> max 1 (min q (from_tol tol))
+    | None, _ -> from_tol (Option.value tol ~default:1e-10)
+  end
+
+(* [choose_order], then never keep a value at or below [floor] * sigma_0:
+   those directions are numerical noise (a square-root truncation would
+   divide by them).  At least one value is kept. *)
+let truncation_order ~floor ~sigma ?order ?tol () =
+  let q = choose_order ~sigma ?order ?tol () in
+  if Array.length sigma = 0 then 1
+  else
+    let smax = Float.max sigma.(0) 1e-300 in
+    let rec cap k =
+      if k <= 1 then 1 else if sigma.(k - 1) > floor *. smax then k else cap (k - 1)
+    in
+    cap q
 
 let hankel_singular_values ?k ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) () =
   let x = Gramian.controllability ?k ~a ~b () in
@@ -31,45 +67,16 @@ let hankel_singular_values ?k ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) () =
   let m = Eig_sym.psd_factor y in
   Svd.values (Mat.mul (Mat.transpose m) l)
 
-(* Hankel singular values for several B matrices, factoring A and the
-   observability Gramian once (Fig. 3). *)
-let hsv_family ~(a : Mat.t) ~(c_of_b : Mat.t -> Mat.t) (bs : Mat.t list) =
-  let fact = Lyap.factor a in
-  let fact_t = Lyap.factor (Mat.transpose a) in
-  List.map
-    (fun b ->
-      let c = c_of_b b in
-      let x = Lyap.solve_with fact (Mat.mul b (Mat.transpose b)) in
-      let y = Lyap.solve_with fact_t (Mat.mul (Mat.transpose c) c) in
-      let l = Eig_sym.psd_factor x in
-      let m = Eig_sym.psd_factor y in
-      Svd.values (Mat.mul (Mat.transpose m) l))
-    bs
-
-(* Balanced truncation of a standard-form model.  Exactly one of [order] or
-   [tol] chooses the reduced size.  [k] is the optional input correlation
-   matrix for input-correlated TBR. *)
+(* Balanced truncation of a standard-form model; [order] and [tol] choose
+   the reduced size through [choose_order].  [k] is the optional input
+   correlation matrix for input-correlated TBR. *)
 let reduce ?order ?tol ?k ~(a : Mat.t) ~(b : Mat.t) ~(c : Mat.t) () =
   let x = Gramian.controllability ?k ~a ~b () in
   let y = Gramian.observability ~a ~c () in
   let l = Eig_sym.psd_factor x in
   let m = Eig_sym.psd_factor y in
   let { Svd.u; sigma; v } = Svd.decompose (Mat.mul (Mat.transpose m) l) in
-  let max_rank =
-    (* numerically meaningful part of the spectrum *)
-    let smax = if Array.length sigma = 0 then 0.0 else sigma.(0) in
-    let r = ref 0 in
-    Array.iter (fun s -> if s > 1e-13 *. smax && s > 0.0 then incr r) sigma;
-    !r
-  in
-  let q =
-    match (order, tol) with
-    | Some q, None -> min q max_rank
-    | None, Some t -> min (order_for_tolerance sigma t) max_rank
-    | None, None -> max_rank
-    | Some _, Some _ -> invalid_arg "Tbr.reduce: give either ~order or ~tol"
-  in
-  let q = max q 1 in
+  let q = truncation_order ~floor:1e-13 ~sigma ?order ?tol () in
   (* T_r = L V_q S_q^{-1/2}, T_l = M U_q S_q^{-1/2} *)
   let scale_cols mat cols =
     Mat.init mat.Mat.rows q (fun i j -> Mat.get mat i j *. cols.(j))

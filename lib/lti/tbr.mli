@@ -16,23 +16,28 @@ val error_bound : float array -> int -> float
 (** [error_bound hsv q] is Glover's bound [2 * sum_{i >= q} hsv_i] on the
     H-infinity error of the order-[q] truncation. *)
 
-val order_for_tolerance : float array -> float -> int
-(** Smallest order whose Glover bound is at most the tolerance. *)
+val choose_order : sigma:float array -> ?order:int -> ?tol:float -> unit -> int
+(** The truncation order of every method that truncates by singular
+    values: the smallest [q] whose tail sum [sum_{i >= q} sigma_i] is at
+    most [tol * sigma_0] (default [1e-10]), so [tol] is relative and the
+    same on every network scale.  An explicit [order] wins outright
+    (clamped to the number of values); only when [tol] is {e also} given
+    does the tail criterion cap it — the default tolerance never shrinks
+    an explicitly requested order. *)
+
+val truncation_order :
+  floor:float -> sigma:float array -> ?order:int -> ?tol:float -> unit -> int
+(** {!choose_order}, never keeping a value at or below [floor * sigma_0]
+    (numerical noise), and at least 1. *)
 
 val hankel_singular_values : ?k:Mat.t -> a:Mat.t -> b:Mat.t -> c:Mat.t -> unit -> float array
 (** Hankel singular values of a standard-form system; [k] is the optional
     input correlation matrix. *)
 
-val hsv_family : a:Mat.t -> c_of_b:(Mat.t -> Mat.t) -> Mat.t list -> float array list
-(** Hankel singular values for several input matrices, factoring [A] (and
-    [A^T]) once; [c_of_b] derives each output map from the input map
-    (e.g. [Mat.transpose] for impedance-driven networks). *)
-
 val reduce : ?order:int -> ?tol:float -> ?k:Mat.t -> a:Mat.t -> b:Mat.t -> c:Mat.t -> unit -> t
-(** Balanced truncation of a standard-form model.  Give exactly one of
-    [order] (target size) or [tol] (Glover-bound tolerance); with neither,
-    the model is truncated only at numerical rank.  [k] selects
-    input-correlated TBR. *)
+(** Balanced truncation of a standard-form model at
+    {!truncation_order} (values at or below [1e-13 sigma_0] are never
+    kept).  [k] selects input-correlated TBR. *)
 
 val reduce_dss : ?order:int -> ?tol:float -> ?k:Mat.t -> Dss.t -> t
 (** Balanced truncation of a descriptor system with invertible E (converted

@@ -27,18 +27,6 @@ let controllability_factor ?shifts ?num_shifts ?(tol = 1e-10) ?max_steps ?stop s
   let ctrl, _ = Lyap_ops.ops_of_dss solve sys in
   Lr_lyap.lr_adi ?shifts ?num_shifts ~tol ?max_steps ?stop ctrl (Dss.b_matrix sys)
 
-let observability_factor ?shifts ?num_shifts ?(tol = 1e-10) ?max_steps ?stop sys =
-  let solve, _ = Lyap_ops.shared_solver sys in
-  let ctrl, obs = Lyap_ops.ops_of_dss solve sys in
-  (* the selection the paired run would use, then conjugated *)
-  let shifts =
-    match shifts with
-    | Some s -> s
-    | None -> Lr_lyap.penzl_shifts ?num:num_shifts ctrl (Dss.b_matrix sys)
-  in
-  Lr_lyap.lr_adi ~shifts:(Array.map Complex.conj shifts) ~tol ?max_steps ?stop obs
-    (Mat.transpose (Dss.c_matrix sys))
-
 (* Both Gramian factors through one shared handle; the core of every public
    entry point. *)
 let gramian_factors ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps ?stop sys =
@@ -71,21 +59,7 @@ let reduce ?order ?tol ?shifts ?num_shifts ?adi_tol ?max_steps ?stop ?workers sy
   if zc.Mat.cols = 0 || zo.Mat.cols = 0 then
     invalid_arg "Tbr_lr.reduce: empty Gramian factor";
   let { Svd.u; sigma; v } = Svd.decompose ?workers (hankel_core ?workers sys zc zo) in
-  (* order selection mirrors Tbr.reduce *)
-  let max_rank =
-    let smax = if Array.length sigma = 0 then 0.0 else sigma.(0) in
-    let r = ref 0 in
-    Array.iter (fun s -> if s > 1e-13 *. smax && s > 0.0 then incr r) sigma;
-    !r
-  in
-  let q =
-    match (order, tol) with
-    | Some q, None -> min q max_rank
-    | None, Some t -> min (Tbr.order_for_tolerance sigma t) max_rank
-    | None, None -> max_rank
-    | Some _, Some _ -> invalid_arg "Tbr_lr.reduce: give either ~order or ~tol"
-  in
-  let q = max q 1 in
+  let q = Tbr.truncation_order ~floor:1e-13 ~sigma ?order ?tol () in
   (* T_r = Zc V_q S_q^{-1/2}, T_l = Zo U_q S_q^{-1/2}: the square-root
      projection, with the Gramian factors standing in for the dense
      Cholesky-like factors of Tbr.reduce. *)

@@ -57,17 +57,6 @@ val controllability_factor :
     the solver's relative residual tolerance; [stop] switches to the
     band-limited criterion. *)
 
-val observability_factor :
-  ?shifts:Complex.t array ->
-  ?num_shifts:int ->
-  ?tol:float ->
-  ?max_steps:int ->
-  ?stop:Lr_lyap.stop ->
-  Dss.t ->
-  Mat.t * Lr_lyap.stats
-(** Low-rank factor [Zo] of the observability Gramian
-    [A^T Y E + E^T Y A + C^T C = 0]. *)
-
 val hankel_singular_values :
   ?shifts:Complex.t array ->
   ?num_shifts:int ->
@@ -92,10 +81,10 @@ val reduce :
   ?workers:int ->
   Dss.t ->
   t
-(** Square-root balanced truncation from the low-rank factors.  Order
-    selection mirrors {!Tbr.reduce}: give one of [order] (target size) or
-    [tol] (Glover-bound tolerance on the approximate Hankel values); with
-    neither the model is truncated at numerical rank.  [adi_tol] is the
-    Gramian solver tolerance (default [1e-10]).
-    @raise Invalid_argument if both [order] and [tol] are given, or if a
-    Gramian factor comes back empty (unstable/empty system). *)
+(** Square-root balanced truncation from the low-rank factors.  [order]
+    and [tol] (the tail relative to the largest approximate Hankel value)
+    choose the order through {!Tbr.truncation_order}, as in
+    {!Tbr.reduce}.  [adi_tol] is the Gramian solver tolerance (default
+    [1e-10]).
+    @raise Invalid_argument if a Gramian factor comes back empty
+    (unstable/empty system). *)

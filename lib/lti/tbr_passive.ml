@@ -137,21 +137,7 @@ let reduce ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
     (fun i j -> compare (Float.abs values.(j)) (Float.abs values.(i)))
     idx;
   let hsv = Array.map (fun i -> Float.abs values.(i)) idx in
-  let max_rank =
-    let smax = if Array.length hsv = 0 then 0.0 else hsv.(0) in
-    let r = ref 0 in
-    Array.iter (fun s -> if s > 1e-13 *. smax && s > 0.0 then incr r) hsv;
-    !r
-  in
-  let q =
-    match (order, tol) with
-    | Some q, None -> min q max_rank
-    | None, Some t -> min (Tbr.order_for_tolerance hsv t) max_rank
-    | None, None -> max_rank
-    | Some _, Some _ ->
-        invalid_arg "Tbr_passive.reduce: give either ~order or ~tol"
-  in
-  let q = max q 1 in
+  let q = Tbr.truncation_order ~floor:1e-13 ~sigma:hsv ?order ?tol () in
   (* t_r = Zc V_q |L_q|^{-1/2}, t_l = (J Zc) V_q S_q |L_q|^{-1/2} *)
   let vq = Mat.init vectors.Mat.rows q (fun i j -> Mat.get vectors i idx.(j)) in
   let scale_cols mat cols =

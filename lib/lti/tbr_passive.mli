@@ -55,8 +55,8 @@ val reduce :
 (** One-Gramian balanced truncation.  [inductors] (default [0]) is the
     number of trailing inductor-current states (the
     {!Pmtbr_circuit.Netlist.inductor_count} of the stamped netlist);
-    [0] is the RC case.  Order selection mirrors {!Tbr_lr.reduce}:
-    one of [order] or [tol], neither truncates at numerical rank.
+    [0] is the RC case.  [order] and [tol] (the relative tail) choose
+    the order through {!Tbr.truncation_order}, as in {!Tbr.reduce}.
     [?ms] reuses an already prepared multi-shift handle (the serve layer
     keeps one per cached network).
     @raise Invalid_argument if [C <> B]{^ T} (the system is not

@@ -27,12 +27,8 @@ let make_stepper sys ~dt =
   match sys with
   | Dss.Sparse { e; a; n; _ } ->
       let lhs = Triplet.axpby 1.0 e (-.h2) a in
-      (* pad to n x n *)
-      let lhs_csc =
-        let m = Csc.of_triplet lhs in
-        if m.Csc.rows = n && m.Csc.cols = n then m
-        else Csc.of_entries n n (Csc.to_entries m)
-      in
+      (* padded to n x n *)
+      let lhs_csc = Csc.of_entries n n (Triplet.entries lhs) in
       let f = Sparse_lu.factorize ~ordering:Ordering.Lower_fill lhs_csc in
       let advance x u0 u1 =
         let ex = Triplet.mv e x in

@@ -49,26 +49,6 @@ let read_frame ?(max_bytes = default_max_frame) ic =
           with End_of_file -> Error (Malformed "stream ended inside payload")))
 
 (* ------------------------------------------------------------------ *)
-(* Band validation (shared with the CLI --band converter)              *)
-(* ------------------------------------------------------------------ *)
-
-let validate_band (lo, hi) =
-  if not (Float.is_finite lo && Float.is_finite hi) then
-    Error (Printf.sprintf "band endpoints must be finite (got %g:%g)" lo hi)
-  else if lo < 0.0 then Error (Printf.sprintf "band low edge must be >= 0 (got %g)" lo)
-  else if not (lo < hi) then
-    Error (Printf.sprintf "band must satisfy LO < HI (got %g:%g)" lo hi)
-  else Ok (lo, hi)
-
-let parse_band s =
-  match String.split_on_char ':' s with
-  | [ lo; hi ] -> (
-      match (float_of_string_opt (String.trim lo), float_of_string_opt (String.trim hi)) with
-      | Some lo, Some hi -> validate_band (lo, hi)
-      | _ -> Error (Printf.sprintf "expected LO:HI in rad/s (got %S)" s))
-  | _ -> Error (Printf.sprintf "expected LO:HI in rad/s (got %S)" s)
-
-(* ------------------------------------------------------------------ *)
 (* Payload structure: header lines, blank line, body                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -123,29 +103,14 @@ let render lines body =
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type meth = Pmtbr | Fs_pmtbr | Tbr_passive | Hier
-
-let meth_names =
-  [ ("pmtbr", Pmtbr); ("fs-pmtbr", Fs_pmtbr); ("tbr-passive", Tbr_passive); ("hier", Hier) ]
-
-let meth_name m = fst (List.find (fun (_, m') -> m' = m) meth_names)
-
-type partition_spec = Parts of int | Auto
+module Method = Pmtbr_core.Method
 
 type job = {
-  meth : meth;
-  band : float * float;
-  tol : float option;
-  order : int option;
-  samples : int;
-  partition : partition_spec option;
-  max_part_states : int option;
-  interface_tol : float option;
+  meth : Method.t;
+  options : Method.options;
   export : bool;
   netlist : string;
 }
-
-let default_samples = 30
 
 type request = Reduce of job | Ping | Stats | Shutdown
 
@@ -153,137 +118,80 @@ let encode_request = function
   | Ping -> render [ ("job", "ping") ] ""
   | Stats -> render [ ("job", "stats") ] ""
   | Shutdown -> render [ ("job", "shutdown") ] ""
-  | Reduce j ->
-      let lo, hi = j.band in
-      let lines =
-        [ ("job", "reduce"); ("method", meth_name j.meth);
-          ("band", Printf.sprintf "%.17g:%.17g" lo hi) ]
-        @ (match j.tol with Some t -> [ ("tol", Printf.sprintf "%.17g" t) ] | None -> [])
-        @ (match j.order with Some q -> [ ("order", string_of_int q) ] | None -> [])
-        @ [ ("samples", string_of_int j.samples) ]
-        @ (match j.partition with
-          | Some (Parts k) -> [ ("partition", string_of_int k) ]
-          | Some Auto -> [ ("partition", "auto") ]
-          | None -> [])
-        @ (match j.max_part_states with
-          | Some b -> [ ("max-part-states", string_of_int b) ]
-          | None -> [])
-        @ (match j.interface_tol with
-          | Some t -> [ ("interface-tol", Printf.sprintf "%.17g" t) ]
-          | None -> [])
-        @ (if j.export then [ ("export", "1") ] else [])
-      in
-      render lines j.netlist
+  | Reduce { meth; options = o; export; netlist } ->
+      let lo, hi = o.Method.band in
+      let opt key show = function Some v -> [ (key, show v) ] | None -> [] in
+      let float = Printf.sprintf "%.17g" in
+      render
+        ([ ("job", "reduce"); ("method", meth.Method.name);
+           ("band", Printf.sprintf "%.17g:%.17g" lo hi) ]
+        @ opt "tol" float o.Method.tol
+        @ opt "order" string_of_int o.Method.order
+        @ [ ("samples", string_of_int o.Method.samples) ]
+        @ opt "partition"
+            (function Method.Parts k -> string_of_int k | Method.Auto -> "auto")
+            o.Method.partition
+        @ opt "max-part-states" string_of_int o.Method.max_part_states
+        @ opt "interface-tol" float o.Method.interface_tol
+        @ if export then [ ("export", "1") ] else [])
+        netlist
 
+let fields =
+  [ "job"; "method"; "band"; "tol"; "order"; "samples"; "partition"; "max-part-states";
+    "interface-tol"; "export" ]
+
+(* Each header is parsed to its type here; every range and combination
+   check is [Method.validate]'s, the one the CLI runs too. *)
 let parse_reduce kvs body =
-  let lookup k = List.assoc_opt k kvs in
   let ( let* ) = Result.bind in
+  let field key parse =
+    match List.assoc_opt key kvs with
+    | None -> Ok None
+    | Some s -> (
+        match parse s with
+        | Some v -> Ok (Some v)
+        | None -> Error (Printf.sprintf "unparsable %s %S" key s))
+  in
   let* meth =
-    match lookup "method" with
-    | None -> Ok Pmtbr
-    | Some name -> (
-        match List.assoc_opt name meth_names with
-        | Some m -> Ok m
-        | None ->
-            Error
-              (Printf.sprintf "unknown method %S (expected %s)" name
-                 (String.concat ", " (List.map fst meth_names))))
+    match List.assoc_opt "method" kvs with None -> Ok Method.pmtbr | Some name -> Method.find name
+  in
+  let* () = Method.check_served meth in
+  let* () =
+    match List.find_opt (fun (k, _) -> not (List.mem k fields)) kvs with
+    | Some (k, _) ->
+        Error
+          (Printf.sprintf "unknown field %S (a reduce job takes %s)" k (String.concat ", " fields))
+    | None -> Ok ()
   in
   let* band =
-    match lookup "band" with
+    match List.assoc_opt "band" kvs with
     | None -> Error "reduce job is missing the band field"
-    | Some s -> parse_band s
+    | Some s -> Method.parse_band s
   in
-  let* tol =
-    match lookup "tol" with
-    | None -> Ok None
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when Float.is_finite t && t > 0.0 -> Ok (Some t)
-        | Some t -> Error (Printf.sprintf "tol must be finite and > 0 (got %g)" t)
-        | None -> Error (Printf.sprintf "unparsable tol %S" s))
-  in
-  let* order =
-    match lookup "order" with
-    | None -> Ok None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some q when q >= 1 -> Ok (Some q)
-        | Some q -> Error (Printf.sprintf "order must be >= 1 (got %d)" q)
-        | None -> Error (Printf.sprintf "unparsable order %S" s))
-  in
-  let* samples =
-    match lookup "samples" with
-    | None -> Ok default_samples
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 && n <= 100_000 -> Ok n
-        | Some n -> Error (Printf.sprintf "samples must be in [1, 100000] (got %d)" n)
-        | None -> Error (Printf.sprintf "unparsable samples %S" s))
-  in
+  let* tol = field "tol" float_of_string_opt in
+  let* order = field "order" int_of_string_opt in
+  let* samples = field "samples" int_of_string_opt in
   let* partition =
-    match lookup "partition" with
-    | None -> Ok None
-    | Some "auto" -> Ok (Some Auto)
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some k when k >= 1 && k <= 4096 -> Ok (Some (Parts k))
-        | Some k -> Error (Printf.sprintf "partition must be in [1, 4096] or auto (got %d)" k)
-        | None -> Error (Printf.sprintf "unparsable partition %S (expected a count or auto)" s))
+    field "partition" (function
+      | "auto" -> Some Method.Auto
+      | s -> Option.map (fun k -> Method.Parts k) (int_of_string_opt s))
   in
-  let* max_part_states =
-    match lookup "max-part-states" with
-    | None -> Ok None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some b when b >= 1 && b <= 100_000_000 ->
-            if partition = Some Auto then Ok (Some b)
-            else Error "max-part-states requires partition auto"
-        | Some b -> Error (Printf.sprintf "max-part-states must be in [1, 1e8] (got %d)" b)
-        | None -> Error (Printf.sprintf "unparsable max-part-states %S" s))
-  in
-  let* interface_tol =
-    match lookup "interface-tol" with
-    | None -> Ok None
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some t when Float.is_finite t && t > 0.0 -> Ok (Some t)
-        | Some t -> Error (Printf.sprintf "interface-tol must be finite and > 0 (got %g)" t)
-        | None -> Error (Printf.sprintf "unparsable interface-tol %S" s))
-  in
+  let* max_part_states = field "max-part-states" int_of_string_opt in
+  let* interface_tol = field "interface-tol" float_of_string_opt in
   let* export =
-    match lookup "export" with
-    | None -> Ok false
+    match List.assoc_opt "export" kvs with
+    | None | Some ("0" | "false") -> Ok false
     | Some ("1" | "true") -> Ok true
-    | Some ("0" | "false") -> Ok false
     | Some s -> Error (Printf.sprintf "export must be 0 or 1 (got %S)" s)
   in
-  let* () =
-    match (meth, partition) with
-    | Hier, _ | _, None -> Ok ()
-    | _, Some _ -> Error "partition only applies to method hier"
-  in
-  let* () =
-    match (meth, interface_tol) with
-    | Hier, _ | _, None -> Ok ()
-    | _, Some _ -> Error "interface-tol only applies to method hier"
+  let d = Method.defaults ~band in
+  let* options =
+    Method.validate meth
+      { d with tol; order; partition; max_part_states; interface_tol;
+               samples = Option.value samples ~default:d.Method.samples }
   in
   if String.trim body = "" then Error "reduce job is missing the netlist body"
-  else
-    Ok
-      (Reduce
-         {
-           meth;
-           band;
-           tol;
-           order;
-           samples;
-           partition;
-           max_part_states;
-           interface_tol;
-           export;
-           netlist = body;
-         })
+  else Ok (Reduce { meth; options; export; netlist = body })
 
 let parse_request payload =
   let headers, body = split_payload payload in

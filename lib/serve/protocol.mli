@@ -32,52 +32,14 @@ val write_frame : out_channel -> string -> unit
 val read_frame : ?max_bytes:int -> in_channel -> (string, frame_error) result
 (** Read one frame; never reads past it. *)
 
-(** {1 Band validation}
-
-    Shared by the CLI [--band] converter and the serve protocol: both
-    reject reversed, negative, zero-width and non-finite bands at the edge
-    instead of failing deep inside [Sampling.Bands]. *)
-
-val validate_band : float * float -> (float * float, string) result
-(** Require finite [0 <= lo < hi]. *)
-
-val parse_band : string -> (float * float, string) result
-(** Parse ["LO:HI"] (rad/s) and validate. *)
-
 (** {1 Requests} *)
 
-type meth = Pmtbr | Fs_pmtbr | Tbr_passive | Hier
-
-val meth_names : (string * meth) list
-val meth_name : meth -> string
-
-type partition_spec =
-  | Parts of int  (** fixed leaf-count dissection goal *)
-  | Auto  (** recurse to the per-part state budget ([max_part_states]) *)
-
 type job = {
-  meth : meth;
-  band : float * float;  (** validated: finite [0 <= lo < hi] *)
-  tol : float option;  (** singular-value tail tolerance, finite [> 0] *)
-  order : int option;  (** explicit reduced order, [>= 1] *)
-  samples : int;  (** frequency points, [>= 1] (default {!default_samples}) *)
-  partition : partition_spec option;
-      (** dissection goal for [Hier]: a subdomain count in [1, 4096]
-          (wire value: the integer) or [Auto] (wire value: ["auto"]);
-          rejected on other methods *)
-  max_part_states : int option;
-      (** per-part state budget driving [Auto] recursion, in [1, 1e8]
-          (wire key: [max-part-states]); rejected without
-          [partition auto] *)
-  interface_tol : float option;
-      (** second-pass interface-compression tolerance, finite [> 0]
-          (wire key: [interface-tol]); [Hier] only — absent means the
-          interface is kept exact *)
+  meth : Pmtbr_core.Method.t;  (** a method the daemon serves *)
+  options : Pmtbr_core.Method.options;  (** as {!Pmtbr_core.Method.validate} accepted them *)
   export : bool;  (** synthesize the ROM back to a netlist in the response body *)
   netlist : string;  (** inline SPICE-dialect netlist text *)
 }
-
-val default_samples : int
 
 type request =
   | Reduce of job
@@ -86,10 +48,15 @@ type request =
   | Shutdown
 
 val encode_request : request -> string
+(** A reduce job's header keys are the options' names: [method], [band]
+    (["LO:HI"] rad/s), [tol], [order], [samples], [partition] (a count or
+    [auto]), [max-part-states], [interface-tol] and [export] ([0]/[1]). *)
+
 val parse_request : string -> (request, string) result
-(** Parsing validates every field (unknown job kind or method, bad band,
-    non-positive tolerance/order/samples, missing netlist) and returns a
-    human-readable error for the error response. *)
+(** Parsing types every header, refuses by name a method the daemon does
+    not serve and a header it does not know, and checks the options through
+    {!Pmtbr_core.Method.validate}; an error is a human-readable message for
+    the error response. *)
 
 (** {1 Responses} *)
 

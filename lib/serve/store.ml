@@ -197,20 +197,17 @@ let rom_digest rom =
 (* Keys, points and costs                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The sampling scheme is what the solved columns depend on; pmtbr and
-   hier follow the shared band convention ([Sampling.of_band]), while
-   fs-pmtbr and tbr-passive always draw Gauss points in the band — so an
-   in-band pmtbr and fs-pmtbr request share the samples tier. *)
-let scheme_of ~meth ~band =
-  match (meth : Protocol.meth) with
-  | Pmtbr | Hier -> Sampling.of_band band
-  | Fs_pmtbr | Tbr_passive -> Sampling.Bands [ band ]
-
-let scheme_descriptor ~meth ~band:(lo, hi) ~samples =
+(* The solved columns depend on the method's sampling scheme, the band
+   and the count; pmtbr and hier follow the shared band convention
+   ([Sampling.of_band]), fs-pmtbr and tbr-passive Gauss points in the
+   band — so an in-band pmtbr and fs-pmtbr request share the samples
+   tier. *)
+let scheme_descriptor (m : Method.t) (o : Method.options) =
+  let lo, hi = o.Method.band in
   let kind =
-    match scheme_of ~meth ~band:(lo, hi) with Sampling.Uniform _ -> "uniform" | _ -> "bands"
+    match m.Method.scheme o.Method.band with Sampling.Uniform _ -> "uniform" | _ -> "bands"
   in
-  Printf.sprintf "%s|%.17g:%.17g|%d" kind lo hi samples
+  Printf.sprintf "%s|%.17g:%.17g|%d" kind lo hi o.Method.samples
 
 let network_key hash = "net|" ^ hash
 
@@ -218,23 +215,34 @@ let network_key hash = "net|" ^ hash
    share a memo entry. *)
 let memo_key text = "raw|" ^ text
 
-let samples_key hash ~meth ~band ~samples =
-  Printf.sprintf "smp|%s|%s" hash (scheme_descriptor ~meth ~band ~samples)
+let samples_key hash m o = Printf.sprintf "smp|%s|%s" hash (scheme_descriptor m o)
 
 (* The dissection goal, as a key fragment: fixed leaf count or the
    budget-driven recursive mode.  Everything the partition tree is a
    function of (beyond the network hash) must appear here. *)
-let partition_descriptor ~spec ~max_part_states =
-  match (spec : Protocol.partition_spec) with
-  | Protocol.Parts k -> Printf.sprintf "k=%d" k
-  | Protocol.Auto -> Printf.sprintf "auto|budget=%d" max_part_states
+let partition_descriptor spec ~max_part_states =
+  match spec with
+  | Method.Parts k -> Printf.sprintf "k=%d" k
+  | Method.Auto -> Printf.sprintf "auto|budget=%d" max_part_states
 
-let rom_key hash ~meth ~band ~tol ~order ~samples ~hier =
-  Printf.sprintf "rom|%s|%s|%s|tol=%s|order=%s%s" hash (Protocol.meth_name meth)
-    (scheme_descriptor ~meth ~band ~samples)
-    (match tol with Some t -> Printf.sprintf "%.17g" t | None -> "default")
-    (match order with Some q -> string_of_int q | None -> "auto")
-    (match hier with Some d -> "|" ^ d | None -> "")
+(* The ROM key carries the method, its points, tol and order; a
+   hierarchical one also the dissection goal (and budget when auto) and
+   the interface-compression tolerance. *)
+let rom_key hash (m : Method.t) (o : Method.options) =
+  let hier =
+    if not (List.mem Method.Partition m.Method.reads) then ""
+    else
+      let spec = Option.value o.Method.partition ~default:(Method.Parts Partition.default_parts) in
+      "|"
+      ^ partition_descriptor spec
+          ~max_part_states:
+            (Option.value o.Method.max_part_states ~default:Partition.default_max_states)
+      ^ match o.Method.interface_tol with Some it -> Printf.sprintf "|itol=%.17g" it | None -> ""
+  in
+  Printf.sprintf "rom|%s|%s|%s|tol=%s|order=%s%s" hash m.Method.name (scheme_descriptor m o)
+    (match o.Method.tol with Some t -> Printf.sprintf "%.17g" t | None -> "default")
+    (match o.Method.order with Some q -> string_of_int q | None -> "auto")
+    hier
 
 let part_key hash ~mode = Printf.sprintf "part|%s|%s" hash mode
 
@@ -247,10 +255,10 @@ let sub_hash (part : Partition.part) =
   let ir = Pmtbr_circuit.Spice_ir.of_netlist part.Partition.sub_netlist in
   Digest.to_hex (Digest.string (Pmtbr_circuit.Spice_ir.render (Pmtbr_circuit.Spice_ir.canonical ir)))
 
-let hier_samples_key part ~meth ~band ~samples =
+let hier_samples_key part m o =
   Printf.sprintf "hsmp|%s|%s|%s" (sub_hash part)
     (Digest.to_hex (Digest.string (Marshal.to_string part.Partition.rhs [])))
-    (scheme_descriptor ~meth ~band ~samples)
+    (scheme_descriptor m o)
 
 (* Approximate byte footprints driving the LRU budget — the daemon's only
    memory bound. *)
@@ -345,225 +353,186 @@ let export_of_rom t ~export rom =
     | exception Pmtbr_circuit.Synth.Unrealizable msg ->
         Error ("export failed: ROM is not realizable: " ^ msg)
 
-(* The hierarchical half: partition tier (keyed by the dissection mode),
-   then [Hier_reduce]'s one driver, fed each leaf's columns from its
-   per-subdomain samples tier — never the global samples tier, never the
-   global multi-shift.  The partition tree is shared across interface
-   tolerances: compression happens after recombination, on the assembled
-   pencil.  Part lookups run on the fan's domains, the calling one
-   included, so each records into its own slot and takes only [t.lock]
-   (the caller holds the network lock: outer, never taken inside). *)
-let reduce_hier t (job : Protocol.job) network ~hash ~band ~spec ~budget ~net_tier =
-  try
-    let pkey = part_key hash ~mode:(partition_descriptor ~spec ~max_part_states:budget) in
+(* The store's tiers as the method's source.  Flat columns come from the
+   samples tier (solved once, extended with the whole point set in one
+   batch, on the network's shared multi-shift handle); a hierarchical
+   job's partition from the partition tier and each leaf's columns from
+   its own samples tier — never the global multi-shift.  Part lookups run
+   on the fan's domains, the calling one included, so each records into
+   its own slot and takes only [t.lock] (the caller holds the network
+   lock: outer, never taken inside).  Returns the source and a reader of
+   what the job found: its tier, the solves its columns cost, and the
+   per-slot hits and misses. *)
+let tiered_source t network ~hash (m : Method.t) (o : Method.options) ~net_tier =
+  let solves = Atomic.make 0 in
+  let slots = ref ([||], [||]) in
+  let cached key ~slot ~sys sample =
+    match with_lock t.lock (fun () -> find_samples t key) with
+    | Some cache ->
+        (fst !slots).(slot) <- 1;
+        cache
+    | None ->
+        (snd !slots).(slot) <- 1;
+        let cache = sample () in
+        let n = (Sample_cache.stats cache).Sample_cache.solves in
+        ignore (Atomic.fetch_and_add solves n);
+        with_lock t.lock (fun () ->
+            t.ctr.c_solves <- t.ctr.c_solves + n;
+            Lru.add t.lru key ~cost:(samples_cost sys cache) (Samples cache));
+        cache
+  in
+  let columns pts =
+    slots := ([| 0 |], [| 0 |]);
+    cached (samples_key hash m o) ~slot:0 ~sys:network.sys (fun () ->
+        let cache =
+          Sample_cache.create ~workers:t.job_workers ~ms:(Lazy.force network.ms) network.sys
+        in
+        Sample_cache.extend cache pts;
+        cache)
+  in
+  let split spec ~max_part_states =
+    let pkey = part_key hash ~mode:(partition_descriptor spec ~max_part_states) in
     let pt =
       match with_lock t.lock (fun () -> find_part t pkey) with
       | Some pt -> pt
       | None ->
           let pt =
             match spec with
-            | Protocol.Parts k -> Partition.split ~parts:k network.nl
-            | Protocol.Auto -> Partition.split_auto ~max_states:budget network.nl
+            | Method.Parts k -> Partition.split ~parts:k network.nl
+            | Method.Auto -> Partition.split_auto ~max_states:max_part_states network.nl
           in
           with_lock t.lock (fun () -> Lru.add t.lru pkey ~cost:(part_cost pt) (Part pt));
           pt
     in
-    let meth = job.Protocol.meth and samples = job.Protocol.samples in
-    let pts = Sampling.points (scheme_of ~meth ~band) ~count:samples in
     let k = Partition.part_count pt in
-    let hits = Array.make k 0 and misses = Array.make k 0 and solves = Array.make k 0 in
-    let columns i (part : Partition.part) =
-      let hkey = hier_samples_key part ~meth ~band ~samples in
-      match with_lock t.lock (fun () -> find_samples t hkey) with
-      | Some cache ->
-          hits.(i) <- 1;
-          cache
-      | None ->
-          misses.(i) <- 1;
-          let cache = Hier_reduce.sample_part part pts in
-          solves.(i) <- (Sample_cache.stats cache).Sample_cache.solves;
-          with_lock t.lock (fun () ->
-              t.ctr.c_solves <- t.ctr.c_solves + solves.(i);
-              Lru.add t.lru hkey ~cost:(samples_cost part.Partition.sys cache) (Samples cache));
-          cache
-    in
-    let rom, subs, _ =
-      Hier_reduce.reduce_with_columns ?order:job.Protocol.order ?tol:job.Protocol.tol
-        ?interface_tol:job.Protocol.interface_tol ~workers:t.job_workers ~columns pt pts
-    in
-    with_lock t.lock (fun () ->
-        let hn =
-          match Hashtbl.find_opt t.hier hash with
-          | Some hn when hn.partitions = k -> hn
-          | _ ->
-              let hn = { partitions = k; sub_hits = Array.make k 0; sub_misses = Array.make k 0 } in
-              Hashtbl.replace t.hier hash hn;
-              hn
-        in
-        Array.iteri (fun i h -> hn.sub_hits.(i) <- hn.sub_hits.(i) + h) hits;
-        Array.iteri (fun i m -> hn.sub_misses.(i) <- hn.sub_misses.(i) + m) misses);
-    (* samples-warm when at least one part was sampled and none missed *)
-    let tier = if Array.mem 1 hits && not (Array.mem 1 misses) then Samples_hit else net_tier in
-    let sigma =
-      Array.concat (Array.to_list (Array.map (fun s -> s.Hier_reduce.singular_values) subs))
-    in
-    Ok (rom, sigma, tier, Array.fold_left ( + ) 0 solves)
-  with e -> Error (Printf.sprintf "hierarchical reduction failed: %s" (Printexc.to_string e))
-
-(* The one-Gramian passive half: no samples tier — the ADI columns are
-   method-specific and cheap next to the ROM; the network tier's shared
-   multi-shift handle is still reused.  The Gramian inverts E and needs A
-   nonsingular, so a node with no capacitive path to ground, or none
-   through resistors and inductors, is refused by name first. *)
-let reduce_passive t (job : Protocol.job) network ~band ~net_tier =
-  match
-    Pmtbr_circuit.Mna.check_capacitive network.nl;
-    Pmtbr_circuit.Mna.check_dc_path network.nl;
-    Tbr_passive.reduce ?order:job.Protocol.order ?tol:job.Protocol.tol
-      ?stop:(Sampling.band_stop band)
-      ~inductors:(Pmtbr_circuit.Netlist.inductor_count network.nl)
-      ~ms:(Lazy.force network.ms) ~workers:t.job_workers network.sys
-  with
-  | exception e -> Error (Printf.sprintf "passive reduction failed: %s" (Printexc.to_string e))
-  | red ->
-      let solves = red.Tbr_passive.stats.Tbr_passive.solves in
-      with_lock t.lock (fun () -> t.ctr.c_solves <- t.ctr.c_solves + solves);
-      Ok (red.Tbr_passive.rom, red.Tbr_passive.hsv, net_tier, solves)
-
-(* The flat half: the samples tier (solved once, extended with the whole
-   point set in one batch), then [Pmtbr.of_cache]. *)
-let reduce_flat t (job : Protocol.job) network ~hash ~band ~net_tier =
-  let meth = job.Protocol.meth and samples = job.Protocol.samples in
-  let skey = samples_key hash ~meth ~band ~samples in
-  let* cache, tier, solves =
-    match with_lock t.lock (fun () -> find_samples t skey) with
-    | Some cache -> Ok (cache, Samples_hit, 0)
-    | None -> (
-        match
-          let cache =
-            Sample_cache.create ~workers:t.job_workers ~ms:(Lazy.force network.ms) network.sys
-          in
-          Sample_cache.extend cache (Sampling.points (scheme_of ~meth ~band) ~count:samples);
-          cache
-        with
-        | exception e ->
-            Error (Printf.sprintf "shifted solves failed: %s" (Printexc.to_string e))
-        | cache ->
-            let solves = (Sample_cache.stats cache).Sample_cache.solves in
-            with_lock t.lock (fun () ->
-                t.ctr.c_solves <- t.ctr.c_solves + solves;
-                Lru.add t.lru skey ~cost:(samples_cost network.sys cache) (Samples cache));
-            Ok (cache, net_tier, solves))
+    slots := (Array.make k 0, Array.make k 0);
+    pt
   in
-  match
-    Pmtbr.of_cache network.sys cache ~scale:1.0 ?order:job.Protocol.order ?tol:job.Protocol.tol
-      ~workers:t.job_workers ~samples ()
-  with
-  | exception e -> Error (Printf.sprintf "reduction failed: %s" (Printexc.to_string e))
-  | r -> Ok (r.Pmtbr.rom, r.Pmtbr.singular_values, tier, solves)
+  let part_columns i part pts =
+    cached (hier_samples_key part m o) ~slot:i ~sys:part.Partition.sys (fun () ->
+        Hier_reduce.sample_part part pts)
+  in
+  let found () =
+    let hits, misses = !slots in
+    (* samples-warm when at least one cache was looked up and none missed *)
+    ( (if Array.mem 1 hits && not (Array.mem 1 misses) then Samples_hit else net_tier),
+      Atomic.get solves,
+      (hits, misses) )
+  in
+  ( { Method.netlist = network.nl; sys = network.sys; ms = network.ms;
+      workers = Some t.job_workers; columns; split; part_columns },
+    found )
+
+(* Per-network hierarchical counters: the last partition's part count
+   and, per slot, how often its columns were warm. *)
+let record_hier t hash (hits, misses) =
+  let k = Array.length hits in
+  with_lock t.lock (fun () ->
+      let hn =
+        match Hashtbl.find_opt t.hier hash with
+        | Some hn when hn.partitions = k -> hn
+        | _ ->
+            let hn = { partitions = k; sub_hits = Array.make k 0; sub_misses = Array.make k 0 } in
+            Hashtbl.replace t.hier hash hn;
+            hn
+      in
+      Array.iteri (fun i h -> hn.sub_hits.(i) <- hn.sub_hits.(i) + h) hits;
+      Array.iteri (fun i m -> hn.sub_misses.(i) <- hn.sub_misses.(i) + m) misses)
+
+let run_method t network ~hash (m : Method.t) o ~net_tier =
+  let src, found = tiered_source t network ~hash m o ~net_tier in
+  match m.Method.run src o with
+  | exception e ->
+      Error (Printf.sprintf "%s reduction failed: %s" m.Method.name (Printexc.to_string e))
+  | r ->
+      let tier, solves, slots = found () in
+      (* a method with its own solver handle (tbr-passive's ADI) reports
+         its solves itself *)
+      let own =
+        match r.Method.stats with
+        | Method.Passive st -> st.Tbr_passive.solves
+        | Method.Cache _ | Method.Hier _ | Method.Low_rank _ | Method.No_counters -> 0
+      in
+      with_lock t.lock (fun () -> t.ctr.c_solves <- t.ctr.c_solves + own);
+      (match r.Method.stats with Method.Hier _ -> record_hier t hash slots | _ -> ());
+      Ok (r.Method.rom, r.Method.singular_values, tier, solves + own)
 
 let reduce t (job : Protocol.job) =
   let t0 = Unix.gettimeofday () in
-  let* band = Protocol.validate_band job.Protocol.band in
-  let meth = job.Protocol.meth and samples = job.Protocol.samples in
-  if samples < 1 then Error (Printf.sprintf "samples must be >= 1 (got %d)" samples)
-  else
-    let spec =
-      Option.value job.Protocol.partition ~default:(Protocol.Parts Partition.default_parts)
-    in
-    let budget = Option.value job.Protocol.max_part_states ~default:Partition.default_max_states in
-    (* the ROM key carries the full hierarchical mode: dissection goal
-       (and budget when auto) plus the interface-compression tolerance *)
-    let hier_desc =
-      if meth <> Protocol.Hier then None
-      else
-        Some
-          (partition_descriptor ~spec ~max_part_states:budget
-          ^
-          match job.Protocol.interface_tol with
-          | Some it -> Printf.sprintf "|itol=%.17g" it
-          | None -> "")
-    in
-    let* hash, nl = address t job.Protocol.netlist in
-    let rkey =
-      rom_key hash ~meth ~band ~tol:job.Protocol.tol ~order:job.Protocol.order ~samples
-        ~hier:hier_desc
-    in
-    let nkey = network_key hash in
-    let* network, tier, solves, r =
-      (* fast path: exact repeat on a warm network *)
-      match
-        with_lock t.lock (fun () ->
-            t.ctr.c_jobs <- t.ctr.c_jobs + 1;
-            let n = find_network t nkey in
-            match (n, find_rom t rkey) with Some n, Some r -> Some (n, r) | _ -> None)
-      with
-      | Some (n, r) -> Ok (n, Rom_hit, 0, r)
-      | None ->
-          (* find-or-build the network entry.  The build (MNA stamp +
-             symbolic analysis) runs under the store lock: it is quick next
-             to the solves, and holding the lock makes the build unique. *)
-          let* network, net_was_warm =
-            with_lock t.lock (fun () ->
-                match find_network t nkey with
-                | Some n -> Ok (n, true)
-                | None -> (
-                    match Dss.of_netlist nl with
-                    | sys ->
-                        t.ctr.c_parses <- t.ctr.c_parses + 1;
-                        (* the global symbolic analysis is deferred until a
-                           flat method forces it; the counter bump happens
-                           at force time, under [t.lock] only (we are never
-                           forced while holding it) *)
-                        let ms =
-                          lazy
-                            (let handle = Dss.multi_shift sys in
-                             with_lock t.lock (fun () -> t.ctr.c_symbolic <- t.ctr.c_symbolic + 1);
-                             handle)
-                        in
-                        let n = { sys; nl; ms; lock = Mutex.create () } in
-                        Lru.add t.lru nkey ~cost:(network_cost nl sys) (Network n);
-                        Ok (n, false)
-                    | exception e ->
-                        Error (Printf.sprintf "MNA stamping failed: %s" (Printexc.to_string e))))
-          in
-          (* all sample-cache work for one network is serialised *)
-          with_lock network.lock (fun () ->
-              (* a racing job may have finished the same ROM while we
-                 waited; answer from it so the hit counters stay honest *)
-              match with_lock t.lock (fun () -> find_rom t rkey) with
-              | Some r -> Ok (network, Rom_hit, 0, r)
-              | None ->
-                  let net_tier = if net_was_warm then Network_hit else Miss in
-                  let* rom, sigma, tier, solves =
-                    match meth with
-                    | Protocol.Hier -> reduce_hier t job network ~hash ~band ~spec ~budget ~net_tier
-                    | Protocol.Tbr_passive -> reduce_passive t job network ~band ~net_tier
-                    | Protocol.Pmtbr | Protocol.Fs_pmtbr ->
-                        reduce_flat t job network ~hash ~band ~net_tier
-                  in
-                  let r = { r_rom = rom; r_sigma = sigma; r_digest = rom_digest rom } in
-                  with_lock t.lock (fun () -> Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
-                  Ok (network, tier, solves, r))
-    in
-    (* every job that got a ROM, hit or built, is answered here *)
-    with_lock t.lock (fun () ->
-        match tier with
-        | Rom_hit -> t.ctr.c_rom_hits <- t.ctr.c_rom_hits + 1
-        | Samples_hit -> t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1
-        | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
-        | Miss -> t.ctr.c_misses <- t.ctr.c_misses + 1);
-    let* netlist = export_of_rom t ~export:job.Protocol.export r.r_rom in
-    Ok
-      {
-        rom = r.r_rom;
-        states = Dss.order network.sys;
-        order = Dss.order r.r_rom;
-        singular_values = r.r_sigma;
-        tier;
-        hash;
-        digest = r.r_digest;
-        job_solves = solves;
-        wall_s = Unix.gettimeofday () -. t0;
-        netlist;
-      }
+  let m = job.Protocol.meth in
+  let* () = Method.check_served m in
+  let* o = Method.validate m job.Protocol.options in
+  let* hash, nl = address t job.Protocol.netlist in
+  let rkey = rom_key hash m o in
+  let nkey = network_key hash in
+  let* network, tier, solves, r =
+    (* fast path: exact repeat on a warm network *)
+    match
+      with_lock t.lock (fun () ->
+          t.ctr.c_jobs <- t.ctr.c_jobs + 1;
+          let n = find_network t nkey in
+          match (n, find_rom t rkey) with Some n, Some r -> Some (n, r) | _ -> None)
+    with
+    | Some (n, r) -> Ok (n, Rom_hit, 0, r)
+    | None ->
+        (* find-or-build the network entry.  The build (MNA stamp +
+           symbolic analysis) runs under the store lock: it is quick next
+           to the solves, and holding the lock makes the build unique. *)
+        let* network, net_was_warm =
+          with_lock t.lock (fun () ->
+              match find_network t nkey with
+              | Some n -> Ok (n, true)
+              | None -> (
+                  match Dss.of_netlist nl with
+                  | sys ->
+                      t.ctr.c_parses <- t.ctr.c_parses + 1;
+                      (* the global symbolic analysis is deferred until a
+                         flat method forces it; the counter bump happens
+                         at force time, under [t.lock] only (we are never
+                         forced while holding it) *)
+                      let ms =
+                        lazy
+                          (let handle = Dss.multi_shift sys in
+                           with_lock t.lock (fun () -> t.ctr.c_symbolic <- t.ctr.c_symbolic + 1);
+                           handle)
+                      in
+                      let n = { sys; nl; ms; lock = Mutex.create () } in
+                      Lru.add t.lru nkey ~cost:(network_cost nl sys) (Network n);
+                      Ok (n, false)
+                  | exception e ->
+                      Error (Printf.sprintf "MNA stamping failed: %s" (Printexc.to_string e))))
+        in
+        (* all sample-cache work for one network is serialised *)
+        with_lock network.lock (fun () ->
+            (* a racing job may have finished the same ROM while we
+               waited; answer from it so the hit counters stay honest *)
+            match with_lock t.lock (fun () -> find_rom t rkey) with
+            | Some r -> Ok (network, Rom_hit, 0, r)
+            | None ->
+                let net_tier = if net_was_warm then Network_hit else Miss in
+                let* rom, sigma, tier, solves = run_method t network ~hash m o ~net_tier in
+                let r = { r_rom = rom; r_sigma = sigma; r_digest = rom_digest rom } in
+                with_lock t.lock (fun () -> Lru.add t.lru rkey ~cost:(rom_cost r) (Rom r));
+                Ok (network, tier, solves, r))
+  in
+  (* every job that got a ROM, hit or built, is answered here *)
+  with_lock t.lock (fun () ->
+      match tier with
+      | Rom_hit -> t.ctr.c_rom_hits <- t.ctr.c_rom_hits + 1
+      | Samples_hit -> t.ctr.c_samples_hits <- t.ctr.c_samples_hits + 1
+      | Network_hit -> t.ctr.c_network_hits <- t.ctr.c_network_hits + 1
+      | Miss -> t.ctr.c_misses <- t.ctr.c_misses + 1);
+  let* netlist = export_of_rom t ~export:job.Protocol.export r.r_rom in
+  Ok
+    {
+      rom = r.r_rom;
+      states = Dss.order network.sys;
+      order = Dss.order r.r_rom;
+      singular_values = r.r_sigma;
+      tier;
+      hash;
+      digest = r.r_digest;
+      job_solves = solves;
+      wall_s = Unix.gettimeofday () -. t0;
+      netlist;
+    }

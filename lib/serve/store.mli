@@ -17,7 +17,7 @@
       samples + partition): the finished reduced model, returned outright
       on exact repeats.
 
-    Hierarchical jobs ([meth = Hier]) add two more tiers: a {b partition
+    Hierarchical jobs (method [hier]) add two more tiers: a {b partition
     tier} (hash + part count: the {!Pmtbr_core.Partition.t}) and
     {b per-subdomain sample tiers} keyed by the subdomain's canonical
     sub-netlist hash + its sampling right-hand side + the point scheme —
@@ -115,34 +115,25 @@ val rom_digest : Dss.t -> string
 
 val reduce : t -> Protocol.job -> (outcome, string) result
 (** Run (or answer from cache) one reduction job, as {!Protocol} parsed
-    it: the tier layer around the library's reducers.  The band must
-    satisfy {!Protocol.validate_band} and [samples] must be positive;
-    violations, netlist parse errors, port-less netlists and singular
-    pencils come back as [Error].
+    it: the tier layer around the method's
+    {!Pmtbr_core.Method.t.run}.  The job is checked again through
+    {!Pmtbr_core.Method.validate}, and a method the daemon does not serve
+    is refused by name; violations, netlist parse errors, port-less
+    netlists, singular pencils and a run's failure (["<method> reduction
+    failed: ..."]) come back as [Error].
 
-    [meth = Pmtbr | Fs_pmtbr] finishes through [Pmtbr.of_cache] on the
-    samples tier.
-
-    [meth = Tbr_passive] runs the one-Gramian passivity-preserving
-    truncation through the network tier's shared multi-shift handle (no
-    samples tier — the ADI columns are method-specific); a band with
-    [lo > 0] switches the Gramian solver to the band-limited residual
-    criterion ({!Pmtbr_core.Sampling.band_stop}).  [meth = Hier] dissects
-    per [partition] ([Parts k], default
-    {!Pmtbr_core.Partition.default_parts}, or [Auto] recursing to
-    [max_part_states] states per part, default
-    {!Pmtbr_core.Partition.default_max_states}; ignored by other methods)
-    and runs {!Pmtbr_core.Hier_reduce.reduce_with_columns}, the driver
-    behind [reduce_partitioned], feeding it each leaf's columns from the
-    per-subdomain sample tiers (sampling and caching them on a miss); its
-    tier is [Samples_hit] when at least one subdomain was sampled and
-    every sampled one was warm, and its singular values are the parts'
-    concatenated in partition order.
-    The partition tier is keyed by the dissection mode, and the
-    per-subdomain sample tiers by each leaf's canonical sub-netlist hash
-    — re-partitioning that leaves a subtree's leaves unchanged re-finds
-    their columns warm.  [interface_tol] compresses the assembled
-    interface block through the second-pass PMTBR (the partition and
-    sample tiers are shared across tolerances; only the ROM key carries
-    it).  [export] synthesizes the ROM back into a canonical netlist
-    ({!outcome.netlist}) — an error if the ROM is not RC-realizable. *)
+    The run's source is the store's tiers.  Flat columns (pmtbr,
+    fs-pmtbr) come from the samples tier, solved on the network tier's
+    shared multi-shift handle, which tbr-passive's Gramian solves reuse
+    too (tbr-passive has no samples tier — its ADI columns are
+    method-specific).  A hier job's partition comes from the partition
+    tier, keyed by the dissection mode, and each leaf's columns from a
+    per-subdomain samples tier keyed by the leaf's canonical sub-netlist
+    hash — re-partitioning that leaves a subtree's leaves unchanged
+    re-finds their columns warm; its singular values are the parts'
+    concatenated in partition order.  A job's tier is [Samples_hit] when
+    it looked up at least one samples entry and none missed.
+    [interface_tol] only enters the ROM key: the partition and sample
+    tiers are shared across tolerances.  [export] synthesizes the ROM
+    back into a canonical netlist ({!outcome.netlist}) — an error if the
+    ROM is not RC-realizable. *)

@@ -1,8 +1,6 @@
 (** Compressed-sparse-column real matrices, assembled from coordinate
     entries (duplicates summed). *)
 
-open Pmtbr_la
-
 type t = {
   rows : int;
   cols : int;
@@ -16,11 +14,3 @@ val of_entries : int -> int -> (int * int * float) list -> t
 
 val of_triplet : Triplet.t -> t
 (** CSC from a triplet accumulator. *)
-
-val to_entries : t -> (int * int * float) list
-(** The stored entries, column by column. *)
-
-val nnz : t -> int
-val mv : t -> float array -> float array
-val mv_transposed : t -> float array -> float array
-val to_dense : t -> Mat.t

@@ -14,13 +14,8 @@ type finish = { rom : Dss.t; basis : Mat.t; singular_values : float array }
    subspace through the c x c factor. *)
 let pmtbr_finish sys ~(zw : Mat.t) ?order ?tol ?workers () =
   let u, sigma = Svd.left ?workers zw in
-  let q = Pmtbr.choose_order ~sigma ?order ?tol () in
   (* never keep directions below numerical noise *)
-  let q =
-    let smax = Float.max sigma.(0) 1e-300 in
-    let rec cap k = if k <= 1 then 1 else if sigma.(k - 1) > 1e-14 *. smax then k else cap (k - 1) in
-    cap q
-  in
+  let q = Tbr.truncation_order ~floor:1e-14 ~sigma ?order ?tol () in
   let basis = Mat.sub_cols u 0 q in
   { rom = Dss.project_congruence sys basis; basis; singular_values = sigma }
 

@@ -167,12 +167,12 @@ let test_adaptive_solves_once_on_early_stop () =
 let test_explicit_order_wins () =
   (* a tail that the default tol = 1e-10 criterion would chop at 1 *)
   let sigma = [| 1.0; 1e-12; 1e-13; 1e-14; 1e-15 |] in
-  Alcotest.(check int) "explicit order uncapped" 3 (Pmtbr.choose_order ~sigma ~order:3 ());
+  Alcotest.(check int) "explicit order uncapped" 3 (Pmtbr_lti.Tbr.choose_order ~sigma ~order:3 ());
   Alcotest.(check int) "explicit tol still caps" 1
-    (Pmtbr.choose_order ~sigma ~order:3 ~tol:1e-10 ());
+    (Pmtbr_lti.Tbr.choose_order ~sigma ~order:3 ~tol:1e-10 ());
   Alcotest.(check int) "order clamped to value count" 5
-    (Pmtbr.choose_order ~sigma ~order:9 ());
-  Alcotest.(check int) "tol alone unchanged" 1 (Pmtbr.choose_order ~sigma ())
+    (Pmtbr_lti.Tbr.choose_order ~sigma ~order:9 ());
+  Alcotest.(check int) "tol alone unchanged" 1 (Pmtbr_lti.Tbr.choose_order ~sigma ())
 
 let test_reduce_explicit_order_wins () =
   (* end-to-end: reduce ~order must not be silently shrunk by the default

@@ -228,8 +228,7 @@ let test_pmtbr_matches_tbr_subspace_quality () =
 let test_freq_selective_in_band_accuracy () =
   let sys = Dss.of_netlist (Peec.generate ~cells:12 ()) in
   let w_hi = Peec.sample_band () /. 3.0 in
-  let bands = [ Freq_selective.band ~lo:0.0 ~hi:w_hi ] in
-  let r = Freq_selective.reduce ~order:24 sys ~bands ~count:40 in
+  let r = Pmtbr.reduce ~order:24 sys (Sampling.points (Sampling.Bands [ (0.0, w_hi) ]) ~count:40) in
   let om_in = Vec.linspace (w_hi /. 50.0) w_hi 40 in
   let err_in = Freq.max_rel_error (Freq.sweep sys om_in) (Freq.sweep r.Pmtbr.rom om_in) in
   if err_in > 1e-3 then Alcotest.failf "in-band error too large: %g" err_in
@@ -242,7 +241,7 @@ let test_freq_selective_prefers_band () =
   let om_in = Vec.linspace (w_hi /. 50.0) w_hi 30 in
   let href = Freq.sweep sys om_in in
   let banded =
-    Freq_selective.reduce ~order:10 sys ~bands:[ Freq_selective.band ~lo:0.0 ~hi:w_hi ] ~count:30
+    Pmtbr.reduce ~order:10 sys (Sampling.points (Sampling.Bands [ (0.0, w_hi) ]) ~count:30)
   in
   let wide = Pmtbr.reduce_uniform ~order:10 sys ~w_max:(4.0 *. w_hi) ~count:30 in
   let err_banded = Freq.max_rel_error href (Freq.sweep banded.Pmtbr.rom om_in) in
@@ -493,8 +492,88 @@ let prop_pencil_rebuilt_after_extend =
       a.Pmtbr.singular_values = b.Pmtbr.singular_values
       && rom_bits a.Pmtbr.rom = rom_bits b.Pmtbr.rom)
 
+(* ------------------------------------------------------------------ *)
+(* The method table                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A small RC mesh and an RLC connector (mutual inductors) whose every
+   node reaches ground capacitively and resistively, so every method of
+   the table, exact TBR included, reduces both. *)
+let method_networks =
+  [
+    (Rc_mesh.generate ~rows:4 ~cols:4 ~ports:2 (), 2e10);
+    (Connector.generate ~pins:2 (), Connector.band_of_interest);
+  ]
+
+let bits rom = Marshal.to_string Dss.(e_dense rom, a_dense rom, b_matrix rom, c_matrix rom) []
+
+(* One job, one answer: every entry of [Method.all] (and its adaptive
+   run, where it reads [adaptive]) gives a bitwise-identical ROM on one
+   worker and on two, on both networks and on full-axis and in-band
+   sampling. *)
+let prop_methods_worker_invariant =
+  QCheck2.Test.make ~name:"every method: workers 1 == workers 2 (bitwise)" ~count:3
+    QCheck2.Gen.(pair (int_range 3 6) bool)
+    (fun (order, in_band) ->
+      List.for_all
+        (fun (nl, w) ->
+          let band = ((if in_band then w /. 100.0 else 0.0), w) in
+          List.for_all
+            (fun (m : Method.t) ->
+              List.for_all
+                (fun adaptive ->
+                  let o =
+                    match
+                      Method.validate m
+                        { (Method.defaults ~band) with order = Some order; samples = 10; adaptive }
+                    with
+                    | Ok o -> o
+                    | Error e -> Alcotest.failf "%s: %s" m.Method.name e
+                  in
+                  let rom workers = (m.Method.run (Method.source ~workers nl) o).Method.rom in
+                  bits (rom (Some 1)) = bits (rom (Some 2))
+                  || Alcotest.failf "%s (adaptive %b) differs across workers" m.Method.name adaptive)
+                (false :: (if List.mem Method.Adaptive m.Method.reads then [ true ] else [])))
+            Method.all)
+        method_networks)
+
+(* [tol] is the singular-value tail relative to sigma_0 for the exact-TBR
+   family too: scaling a mesh's impedance by 1e-3 or 1e3 keeps its poles
+   and its relative Hankel spectrum, so tbr-passive keeps one order at
+   all three scales (Glover's absolute bound kept 11, 16 and 20). *)
+let test_tbr_tol_scale_free () =
+  let tbr_passive = Result.get_ok (Method.find "tbr-passive") in
+  let order scale =
+    let nl =
+      Rc_mesh.generate ~rows:6 ~cols:6 ~ports:2 ~r:(100.0 *. scale) ~c:(1e-13 /. scale)
+        ~r_leak:(1e4 *. scale) ()
+    in
+    let o = { (Method.defaults ~band:(0.0, 2e10)) with tol = Some 1e-6 } in
+    Dss.order (tbr_passive.Method.run (Method.source ~workers:(Some 1) nl) o).Method.rom
+  in
+  let q = order 1.0 in
+  Alcotest.(check (list int)) "one order at every scale" [ q; q; q ] [ order 1e-3; q; order 1e3 ]
+
+(* order and tol together: the smaller of the order and what tol alone
+   picks, for each exact-TBR method. *)
+let test_tbr_order_capped_by_tol () =
+  let nl = Rc_mesh.generate ~rows:6 ~cols:6 ~ports:2 () in
+  List.iter
+    (fun name ->
+      let m = Result.get_ok (Method.find name) in
+      let order ?order ?tol () =
+        let o = { (Method.defaults ~band:(0.0, 2e10)) with order; tol } in
+        Dss.order (m.Method.run (Method.source ~workers:(Some 1) nl) o).Method.rom
+      in
+      let by_tol = order ~tol:1e-6 () and by_small_tol = order ~tol:1e-2 () in
+      Alcotest.(check int) (name ^ ": order 5, tol 1e-6") (min 5 by_tol) (order ~order:5 ~tol:1e-6 ());
+      Alcotest.(check int) (name ^ ": order 5, tol 1e-2") (min 5 by_small_tol)
+        (order ~order:5 ~tol:1e-2 ()))
+    [ "tbr"; "tbr-lr"; "tbr-passive" ]
+
 let props =
   [
+    prop_methods_worker_invariant;
     prop_pencil_finish_matches_lifted_projection;
     prop_pencil_rebuilt_after_extend;
     QCheck2.Test.make ~name:"PMTBR error shrinks with order" ~count:8
@@ -574,6 +653,11 @@ let () =
           Alcotest.test_case "prima matches at s0" `Quick test_prima_matches_at_expansion_point;
           Alcotest.test_case "prima block structure" `Quick test_prima_block_structure;
           Alcotest.test_case "prima converges" `Quick test_prima_convergence_with_moments;
+        ] );
+      ( "method",
+        [
+          Alcotest.test_case "tbr tol is scale-free" `Quick test_tbr_tol_scale_free;
+          Alcotest.test_case "tbr order capped by tol" `Quick test_tbr_order_capped_by_tol;
         ] );
       ( "error_est",
         [

@@ -150,12 +150,17 @@ let test_tbr_error_bound_holds () =
         Alcotest.failf "Glover bound violated at q=%d: err %g > bound %g" q err bound)
     [ 2; 4; 6 ]
 
+(* [tol] is the tail relative to sigma_0: the tail past order 4 picks at
+   most order 4, and the same [tol] picks the same order when the input
+   map, and with it every Hankel singular value, is scaled by 1e3. *)
 let test_tbr_tol_vs_order () =
   let a, b, c = random_stable_sys ~seed:19 10 1 in
   let hsv = Tbr.hankel_singular_values ~a ~b ~c () in
-  let tol = Tbr.error_bound hsv 4 in
-  let q = Tbr.order_for_tolerance hsv tol in
-  Alcotest.(check bool) "order_for_tolerance <= 4" true (q <= 4)
+  let tol = 1.01 *. Tbr.error_bound hsv 4 /. (2.0 *. hsv.(0)) in
+  let q = (Tbr.reduce ~tol ~a ~b ~c ()).Tbr.order in
+  Alcotest.(check bool) "tol picks order <= 4" true (q <= 4);
+  Alcotest.(check int) "same order at 1e3 the scale" q
+    (Tbr.reduce ~tol ~a ~b:(Mat.scale 1e3 b) ~c ()).Tbr.order
 
 let test_tbr_balances () =
   (* the reduced model of a balanced truncation is itself balanced:

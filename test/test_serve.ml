@@ -7,6 +7,19 @@
 
 open Pmtbr_circuit
 open Pmtbr_serve
+module Method = Pmtbr_core.Method
+
+let meth name = Result.get_ok (Method.find name)
+
+(* A job with the test suite's defaults: a flat pmtbr job over [0, 2e10]
+   at 10 samples. *)
+let job_of ?(meth = Method.pmtbr) ?(band = (0.0, 2e10)) ?tol ?order ?(samples = 10) ?partition
+    ?max_part_states ?interface_tol ?(export = false) netlist =
+  let options =
+    { (Method.defaults ~band) with
+      Method.tol; order; samples; partition; max_part_states; interface_tol }
+  in
+  { Protocol.meth; options; export; netlist }
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -105,26 +118,13 @@ let test_frame_oversized () =
 
 let test_request_roundtrip () =
   let job =
-    {
-      Protocol.meth = Protocol.Fs_pmtbr;
-      band = (1e8, 2e10);
-      tol = Some 1e-9;
-      order = Some 12;
-      samples = 17;
-      partition = None;
-      max_part_states = None;
-      interface_tol = None;
-      export = false;
-      netlist = "R1 1 0 1k\nC1 1 0 1p\n.port 1\n.end\n";
-    }
+    job_of ~meth:(meth "fs-pmtbr") ~band:(1e8, 2e10) ~tol:1e-9 ~order:12 ~samples:17
+      "R1 1 0 1k\nC1 1 0 1p\n.port 1\n.end\n"
   in
   (match Protocol.parse_request (Protocol.encode_request (Protocol.Reduce job)) with
   | Ok (Protocol.Reduce j) ->
-      Alcotest.(check bool) "meth" true (j.Protocol.meth = Protocol.Fs_pmtbr);
-      Alcotest.(check (pair (float 0.0) (float 0.0))) "band" (1e8, 2e10) j.Protocol.band;
-      Alcotest.(check (option (float 0.0))) "tol" (Some 1e-9) j.Protocol.tol;
-      Alcotest.(check (option int)) "order" (Some 12) j.Protocol.order;
-      Alcotest.(check int) "samples" 17 j.Protocol.samples;
+      Alcotest.(check string) "meth" "fs-pmtbr" j.Protocol.meth.Method.name;
+      Alcotest.(check bool) "options" true (j.Protocol.options = job.Protocol.options);
       Alcotest.(check bool) "export default off" false j.Protocol.export;
       Alcotest.(check string) "netlist" job.Protocol.netlist j.Protocol.netlist
   | Ok _ -> Alcotest.fail "wrong request kind"
@@ -133,11 +133,10 @@ let test_request_roundtrip () =
   (match
      Protocol.parse_request
        (Protocol.encode_request
-          (Protocol.Reduce
-             { job with Protocol.meth = Protocol.Tbr_passive; export = true }))
+          (Protocol.Reduce { job with Protocol.meth = meth "tbr-passive"; export = true }))
    with
   | Ok (Protocol.Reduce j) ->
-      Alcotest.(check bool) "tbr-passive meth" true (j.Protocol.meth = Protocol.Tbr_passive);
+      Alcotest.(check string) "tbr-passive meth" "tbr-passive" j.Protocol.meth.Method.name;
       Alcotest.(check bool) "export on" true j.Protocol.export
   | Ok _ -> Alcotest.fail "wrong request kind"
   | Error e -> Alcotest.fail ("export roundtrip: " ^ e));
@@ -148,109 +147,153 @@ let test_request_roundtrip () =
       | Error e -> Alcotest.fail e)
     [ Protocol.Ping; Protocol.Stats; Protocol.Shutdown ]
 
+let roundtrip_options job =
+  match Protocol.parse_request (Protocol.encode_request (Protocol.Reduce job)) with
+  | Ok (Protocol.Reduce j) ->
+      Alcotest.(check string) "hier meth" "hier" j.Protocol.meth.Method.name;
+      j.Protocol.options
+  | Ok _ -> Alcotest.fail "wrong request kind"
+  | Error e -> Alcotest.fail ("hier roundtrip: " ^ e)
+
 let test_partition_roundtrip_and_validation () =
   let job =
-    {
-      Protocol.meth = Protocol.Hier;
-      band = (0.0, 2e10);
-      tol = None;
-      order = Some 8;
-      samples = 10;
-      partition = Some (Protocol.Parts 3);
-      max_part_states = None;
-      interface_tol = None;
-      export = false;
-      netlist = "R1 1 0 1k\nC1 1 0 1p\n.port 1\n.end\n";
-    }
+    job_of ~meth:Method.hier ~order:8 ~partition:(Method.Parts 3) "R1 1 0 1k\nC1 1 0 1p\n.port 1\n"
   in
-  (match Protocol.parse_request (Protocol.encode_request (Protocol.Reduce job)) with
-  | Ok (Protocol.Reduce j) ->
-      Alcotest.(check bool) "hier meth" true (j.Protocol.meth = Protocol.Hier);
-      Alcotest.(check (option int)) "partition" (Some 3)
-        (match j.Protocol.partition with Some (Protocol.Parts k) -> Some k | _ -> None)
-  | Ok _ -> Alcotest.fail "wrong request kind"
-  | Error e -> Alcotest.fail ("hier roundtrip: " ^ e));
+  Alcotest.(check bool) "partition" true
+    ((roundtrip_options job).Method.partition = Some (Method.Parts 3));
   (* hier without an explicit partition count is valid (store default) *)
-  (match
-     Protocol.parse_request (Protocol.encode_request (Protocol.Reduce { job with partition = None }))
-   with
-  | Ok (Protocol.Reduce j) ->
-      Alcotest.(check bool) "default partition" true (j.Protocol.partition = None)
-  | Ok _ -> Alcotest.fail "wrong request kind"
-  | Error e -> Alcotest.fail ("hier default roundtrip: " ^ e));
-  let reject payload what =
-    match Protocol.parse_request payload with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail (what ^ " must be rejected")
-  in
-  reject "job reduce\nmethod hier\nband 1:2\npartition 0\n\nR1 1 0 1\n.port 1\n" "zero partition";
-  reject "job reduce\nmethod hier\nband 1:2\npartition 5000\n\nR1 1 0 1\n.port 1\n"
-    "partition beyond cap";
-  reject "job reduce\nmethod hier\nband 1:2\npartition two\n\nR1 1 0 1\n.port 1\n"
-    "non-integer partition";
-  reject "job reduce\nmethod pmtbr\nband 1:2\npartition 2\n\nR1 1 0 1\n.port 1\n"
-    "partition on a flat method"
+  let default = { job with Protocol.options = { job.Protocol.options with Method.partition = None } } in
+  Alcotest.(check bool) "default partition" true ((roundtrip_options default).Method.partition = None)
 
 (* the nested-dissection job fields: partition auto, max-part-states and
-   interface-tol survive the wire, and every invalid combination is
-   rejected at parse time *)
+   interface-tol survive the wire *)
 let test_auto_fields_roundtrip_and_validation () =
-  let job =
-    {
-      Protocol.meth = Protocol.Hier;
-      band = (0.0, 2e10);
-      tol = None;
-      order = Some 8;
-      samples = 10;
-      partition = Some Protocol.Auto;
-      max_part_states = Some 500;
-      interface_tol = Some 1e-8;
-      export = false;
-      netlist = "R1 1 0 1k\nC1 1 0 1p\n.port 1\n.end\n";
-    }
+  let o =
+    roundtrip_options
+      (job_of ~meth:Method.hier ~order:8 ~partition:Method.Auto ~max_part_states:500
+         ~interface_tol:1e-8 "R1 1 0 1k\nC1 1 0 1p\n.port 1\n")
   in
-  (match Protocol.parse_request (Protocol.encode_request (Protocol.Reduce job)) with
-  | Ok (Protocol.Reduce j) ->
-      Alcotest.(check bool) "partition auto" true (j.Protocol.partition = Some Protocol.Auto);
-      Alcotest.(check (option int)) "max-part-states" (Some 500) j.Protocol.max_part_states;
-      Alcotest.(check (option (float 0.0))) "interface-tol" (Some 1e-8) j.Protocol.interface_tol
-  | Ok _ -> Alcotest.fail "wrong request kind"
-  | Error e -> Alcotest.fail ("auto roundtrip: " ^ e));
-  let reject payload what =
-    match Protocol.parse_request payload with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail (what ^ " must be rejected")
-  in
-  reject "job reduce\nmethod hier\nband 1:2\npartition auto\nmax-part-states 0\n\nR1 1 0 1\n.port 1\n"
-    "zero max-part-states";
-  reject
-    "job reduce\nmethod hier\nband 1:2\npartition 3\nmax-part-states 100\n\nR1 1 0 1\n.port 1\n"
-    "max-part-states with a fixed partition";
-  reject "job reduce\nmethod hier\nband 1:2\nmax-part-states 100\n\nR1 1 0 1\n.port 1\n"
-    "max-part-states without partition auto";
-  reject "job reduce\nmethod hier\nband 1:2\ninterface-tol 0\n\nR1 1 0 1\n.port 1\n"
-    "zero interface-tol";
-  reject "job reduce\nmethod hier\nband 1:2\ninterface-tol -1e-8\n\nR1 1 0 1\n.port 1\n"
-    "negative interface-tol";
-  reject "job reduce\nmethod hier\nband 1:2\ninterface-tol nan\n\nR1 1 0 1\n.port 1\n"
-    "non-finite interface-tol";
-  reject "job reduce\nmethod pmtbr\nband 1:2\ninterface-tol 1e-8\n\nR1 1 0 1\n.port 1\n"
-    "interface-tol on a flat method"
+  Alcotest.(check bool) "partition auto" true (o.Method.partition = Some Method.Auto);
+  Alcotest.(check (option int)) "max-part-states" (Some 500) o.Method.max_part_states;
+  Alcotest.(check (option (float 0.0))) "interface-tol" (Some 1e-8) o.Method.interface_tol
+
+(* One table of refused job options for both front ends.  Each row goes
+   to the daemon as wire headers (parsed, then run on a fresh store) and
+   to the CLI as [reduce] flags on the same 4-state network; both must
+   refuse it with a message holding the fragment, the CLI with its usage
+   exit (124), never an internal error.  The wire refuses a CLI-only
+   method by name before reading its options, and a field it does not
+   carry as unknown. *)
+let refusals =
+  [
+    ([ ("method", "warp") ], "unknown method");
+    ([ ("band", "2e9:1e9") ], "band must satisfy LO < HI");
+    ([ ("tol", "-1") ], "tol must be finite and > 0");
+    ([ ("tol", "nan") ], "tol must be finite and > 0");
+    ([ ("order", "0") ], "order must be >= 1");
+    ([ ("samples", "0") ], "samples must be in [1, 100000]");
+    ([ ("method", "hier"); ("partition", "0") ], "partition must be in [2, 4096]");
+    ([ ("method", "hier"); ("partition", "1") ], "partition must be in [2, 4096]");
+    ([ ("method", "hier"); ("partition", "5000") ], "partition must be in [2, 4096]");
+    ([ ("method", "hier"); ("partition", "two") ], "partition");
+    ([ ("method", "hier"); ("partition", "8") ], "partition 8 exceeds the network's 4 states");
+    ([ ("method", "pmtbr"); ("partition", "2") ], "partition does not apply to method pmtbr");
+    ( [ ("method", "hier"); ("partition", "auto"); ("max-part-states", "0") ],
+      "max-part-states must be in [1, 100000000]" );
+    ( [ ("method", "hier"); ("partition", "3"); ("max-part-states", "100") ],
+      "max-part-states requires partition auto" );
+    ([ ("method", "hier"); ("max-part-states", "100") ], "max-part-states requires partition auto");
+    ([ ("method", "hier"); ("interface-tol", "0") ], "interface-tol must be finite and > 0");
+    ([ ("method", "hier"); ("interface-tol", "-1e-8") ], "interface-tol must be finite and > 0");
+    ([ ("method", "hier"); ("interface-tol", "nan") ], "interface-tol must be finite and > 0");
+    ([ ("method", "pmtbr"); ("interface-tol", "1e-8") ], "interface-tol does not apply");
+    ([ ("method", "tbr-passive"); ("adaptive", "") ], "adaptive");
+    ([ ("draws", "0") ], "draws");
+    ([ ("method", "correlated"); ("draws", "0") ], "draws must be in [1, 100000]");
+    ([ ("method", "multipoint"); ("order", "100") ], "order 100 needs 50 multipoint points");
+    ([ ("method", "prima"); ("tol", "1e-3") ], "tol does not apply to method prima");
+    ([ ("method", "multipoint"); ("tol", "1e-3") ], "tol does not apply to method multipoint");
+    ( [ ("method", "cross-gramian"); ("tol", "1e-3") ],
+      "tol does not apply to method cross-gramian" );
+  ]
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* The CLI beside the suites: exit code and standard error of one run. *)
+let cli args =
+  let err = Filename.temp_file "pmtbr_cli" ".err" and out = Filename.temp_file "pmtbr_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ err; out ])
+    (fun () ->
+      let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let e = fd err and o = fd out in
+      let pid =
+        Unix.create_process
+          (Filename.concat (Filename.dirname Sys.executable_name) "../bin/pmtbr_cli.exe")
+          (Array.of_list ("pmtbr" :: args)) Unix.stdin o e
+      in
+      Unix.close e;
+      Unix.close o;
+      let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
+      (code, In_channel.with_open_bin err In_channel.input_all))
 
 let test_request_validation () =
-  let reject payload what =
-    match Protocol.parse_request payload with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail (what ^ " must be rejected")
-  in
-  reject "job dance\n\nbody" "unknown job kind";
-  reject "job reduce\nmethod warp\nband 1:2\n\nR1 1 0 1\n.port 1\n" "unknown method";
-  reject "job reduce\nmethod pmtbr\nband 2e9:1e9\n\nR1 1 0 1\n.port 1\n" "reversed band";
-  reject "job reduce\nmethod pmtbr\nband 1:2\ntol -1\n\nR1 1 0 1\n.port 1\n" "negative tol";
-  reject "job reduce\nmethod pmtbr\nband 1:2\norder 0\n\nR1 1 0 1\n.port 1\n" "zero order";
-  reject "job reduce\nmethod pmtbr\nband 1:2\nsamples 0\n\nR1 1 0 1\n.port 1\n" "zero samples";
-  reject "job reduce\nmethod pmtbr\nband 1:2\nexport maybe\n\nR1 1 0 1\n.port 1\n" "bad export";
-  reject "job reduce\nmethod pmtbr\nband 1:2\n\n" "missing netlist"
+  let netlist = Spice.to_string (Rc_mesh.generate ~rows:2 ~cols:2 ~ports:1 ()) in
+  let file = Filename.temp_file "pmtbr_mesh" ".sp" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc netlist);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (opts, fragment) ->
+          let what = String.concat " " (List.map (fun (k, v) -> k ^ " " ^ v) opts) in
+          let served =
+            match List.assoc_opt "method" opts with
+            | Some name -> (
+                match Method.find name with Ok m -> m.Method.served | Error _ -> true)
+            | None -> true
+          in
+          let wire_says =
+            if not served then "is CLI-only"
+            else
+              match List.find_opt (fun (k, _) -> k = "adaptive" || k = "draws") opts with
+              | Some (k, _) -> "unknown field \"" ^ k ^ "\""
+              | None -> fragment
+          in
+          let headers =
+            "job reduce\n"
+            ^ (if List.mem_assoc "band" opts then "" else "band 0:2e10\n")
+            ^ String.concat "" (List.map (fun (k, v) -> k ^ " " ^ v ^ "\n") opts)
+          in
+          (match
+             Result.bind (Protocol.parse_request (headers ^ "\n" ^ netlist)) (function
+               | Protocol.Reduce job -> Result.map ignore (Store.reduce (Store.create ()) job)
+               | _ -> Ok ())
+           with
+          | Error e when contains ~sub:wire_says e -> ()
+          | Error e -> Alcotest.failf "wire %s: %S does not say %S" what e wire_says
+          | Ok () -> Alcotest.failf "wire %s must be refused" what);
+          let flags =
+            List.map (fun (k, v) -> if v = "" then "--" ^ k else "--" ^ k ^ "=" ^ v) opts
+          in
+          let code, err = cli ("reduce" :: "--spice" :: file :: flags) in
+          if code <> 124 || not (contains ~sub:fragment err) || contains ~sub:"internal error" err
+          then Alcotest.failf "cli %s: exit %d, %S does not say %S" what code err fragment)
+        refusals);
+  (* what only the wire format can get wrong *)
+  List.iter
+    (fun (payload, what) ->
+      match Protocol.parse_request payload with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (what ^ " must be rejected"))
+    [
+      ("job dance\n\nbody", "unknown job kind");
+      ("job reduce\nmethod pmtbr\nband 1:2\nexport maybe\n\nR1 1 0 1\n.port 1\n", "bad export");
+      ("job reduce\nmethod pmtbr\nband 1:2\n\n", "missing netlist");
+    ]
 
 let test_response_roundtrip () =
   let r = Protocol.ok ~fields:[ ("tier", "rom-hit"); ("solves", "0") ] ~body:"data" () in
@@ -269,17 +312,17 @@ let test_response_roundtrip () =
 (* ------------------------------------------------------------------ *)
 
 let test_band_validation () =
-  (match Protocol.parse_band "0:2e10" with
+  (match Method.parse_band "0:2e10" with
   | Ok (lo, hi) ->
       Alcotest.(check (float 0.0)) "lo" 0.0 lo;
       Alcotest.(check (float 0.0)) "hi" 2e10 hi
   | Error e -> Alcotest.fail e);
-  (match Protocol.parse_band "1e8:1e9" with
+  (match Method.parse_band "1e8:1e9" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   List.iter
     (fun s ->
-      match Protocol.parse_band s with
+      match Method.parse_band s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "band %S must be rejected" s))
     [ "2e9:1e9" (* reversed *); "-1:5" (* negative lo *); "3e9:3e9" (* zero width *);
@@ -331,13 +374,6 @@ let mesh_netlist ?(n = 6) () =
   Spice.to_string (Rc_mesh.generate ~rows:n ~cols:n ~ports:2 ())
 
 let must = function Ok v -> v | Error e -> Alcotest.fail e
-
-(* A job with the test suite's defaults: a flat pmtbr job over [0, 2e10]
-   at 10 samples. *)
-let job_of ?(meth = Protocol.Pmtbr) ?(band = (0.0, 2e10)) ?tol ?order ?(samples = 10) ?partition
-    ?max_part_states ?interface_tol ?(export = false) netlist =
-  { Protocol.meth; band; tol; order; samples; partition; max_part_states; interface_tol; export;
-    netlist }
 
 let daemon_job ?meth ?band ?tol ?order ?samples ?partition ?max_part_states ?interface_tol ?export
     store netlist =
@@ -504,43 +540,40 @@ let test_library_equals_daemon () =
         pmtbr ~order:8 (gauss band 10) );
       ( "fs-pmtbr",
         mesh8,
-        (fun s -> daemon_job ~meth:Protocol.Fs_pmtbr ~band ~order:8 s),
+        (fun s -> daemon_job ~meth:(meth "fs-pmtbr") ~band ~order:8 s),
         fun nl ->
           [
-            (Freq_selective.reduce ~order:8 ~workers:1 (Dss.of_netlist nl)
-               ~bands:[ Freq_selective.band ~lo:1e8 ~hi:1e10 ]
-               ~count:10)
-              .Pmtbr.rom;
+            (Pmtbr.reduce ~order:8 ~workers:1 (Dss.of_netlist nl) (gauss band 10)).Pmtbr.rom;
           ] );
       ( "tbr-passive, lo = 0",
         mesh8,
-        (fun s -> daemon_job ~meth:Protocol.Tbr_passive ~order:6 s),
+        (fun s -> daemon_job ~meth:(meth "tbr-passive") ~order:6 s),
         fun nl -> passive nl );
       ( "tbr-passive, band-limited stop",
         mesh8,
-        (fun s -> daemon_job ~meth:Protocol.Tbr_passive ~band ~order:6 s),
+        (fun s -> daemon_job ~meth:(meth "tbr-passive") ~band ~order:6 s),
         passive ~stop:band_stop );
       ( "hier K=4",
         mesh12,
         (fun s ->
-          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~order:8 ~samples:8 s),
+          daemon_job ~meth:Method.hier ~partition:(Method.Parts 4) ~order:8 ~samples:8 s),
         hier ~order:8 (Partition.split ~parts:4) (uniform 2e10 8) );
       ( "hier K=4 on a band",
         mesh12,
         (fun s ->
-          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~band ~order:8 ~samples:8 s),
+          daemon_job ~meth:Method.hier ~partition:(Method.Parts 4) ~band ~order:8 ~samples:8 s),
         hier ~order:8 (Partition.split ~parts:4) (gauss band 8) );
       ( "hier auto + interface-tol",
         mesh8,
         (fun s ->
-          daemon_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20
+          daemon_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20
             ~interface_tol:1e-8 ~order:8 ~samples:8 s),
         hier ~order:8 ~interface_tol:1e-8 (Partition.split_auto ~max_states:20) (uniform 2e10 8)
       );
       ( "hier K=3 on a substrate",
         substrate 8,
         (fun s ->
-          daemon_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 3) ~band:(0.0, w_sub)
+          daemon_job ~meth:Method.hier ~partition:(Method.Parts 3) ~band:(0.0, w_sub)
             ~order:8 ~samples:6 s),
         hier ~order:8 (Partition.split ~parts:3) (uniform w_sub 6) );
     ]
@@ -577,7 +610,7 @@ let test_library_equals_daemon () =
 let test_tbr_passive_tiers_and_export () =
   let store = Store.create () in
   let netlist = mesh_netlist ~n:5 () in
-  let o1 = run_job ~meth:Protocol.Tbr_passive ~order:6 ~export:true store netlist in
+  let o1 = run_job ~meth:(meth "tbr-passive") ~order:6 ~export:true store netlist in
   Alcotest.(check string) "first job misses" "miss" (Store.tier_name o1.Store.tier);
   Alcotest.(check bool) "passive job solves" true (o1.Store.job_solves > 0);
   let body =
@@ -593,14 +626,27 @@ let test_tbr_passive_tiers_and_export () =
   Alcotest.(check bool) "export body reproduces the ROM (<= 1e-9)" true
     (Pmtbr_lti.Freq.stream_max_rel_error st <= 1e-9);
   (* verbatim repeat: ROM-tier hit, identical digest, export still served *)
-  let o2 = run_job ~meth:Protocol.Tbr_passive ~order:6 ~export:true store netlist in
+  let o2 = run_job ~meth:(meth "tbr-passive") ~order:6 ~export:true store netlist in
   Alcotest.(check string) "repeat is a rom hit" "rom-hit" (Store.tier_name o2.Store.tier);
   Alcotest.(check int) "repeat does no solves" 0 o2.Store.job_solves;
   Alcotest.(check string) "repeat digest" o1.Store.digest o2.Store.digest;
   Alcotest.(check bool) "export body is render-stable" true (o2.Store.netlist = Some body);
   (* same network, new band: the prepared multi-shift handle is reused *)
-  let o3 = run_job ~meth:Protocol.Tbr_passive ~order:6 ~band:(1e8, 1e10) store netlist in
-  Alcotest.(check string) "new band reuses network" "network-hit" (Store.tier_name o3.Store.tier)
+  let o3 = run_job ~meth:(meth "tbr-passive") ~order:6 ~band:(1e8, 1e10) store netlist in
+  Alcotest.(check string) "new band reuses network" "network-hit" (Store.tier_name o3.Store.tier);
+  (* order and tol together over the wire: the smaller of the two orders *)
+  let by_tol = daemon_job ~meth:(meth "tbr-passive") ~tol:1e-6 store netlist in
+  let both =
+    match
+      Protocol.parse_request
+        (Protocol.encode_request
+           (Protocol.Reduce (job_of ~meth:(meth "tbr-passive") ~order:5 ~tol:1e-6 netlist)))
+    with
+    | Ok (Protocol.Reduce job) -> must (Store.reduce store job)
+    | Ok _ -> Alcotest.fail "wrong request kind"
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "order 5 and tol 1e-6" (min 5 by_tol.Store.order) both.Store.order
 
 (* Hierarchical jobs through the store: tier progression over the
    per-subdomain sample tiers, the per-network partition tracker, and the
@@ -608,16 +654,16 @@ let test_tbr_passive_tiers_and_export () =
 let test_hier_tiers_and_stats () =
   let store = Store.create () in
   let netlist = mesh_netlist ~n:8 () in
-  let o1 = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) store netlist in
+  let o1 = run_job ~meth:Method.hier ~partition:(Method.Parts 2) store netlist in
   Alcotest.(check string) "first hier job misses" "miss" (Store.tier_name o1.Store.tier);
   Alcotest.(check bool) "cold hier job solves" true (o1.Store.job_solves > 0);
-  let o2 = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) store netlist in
+  let o2 = run_job ~meth:Method.hier ~partition:(Method.Parts 2) store netlist in
   Alcotest.(check string) "verbatim repeat" "rom-hit" (Store.tier_name o2.Store.tier);
   Alcotest.(check int) "repeat does no solves" 0 o2.Store.job_solves;
   Alcotest.(check string) "repeat digest" o1.Store.digest o2.Store.digest;
   (* same samples, new order: every subdomain sample tier is warm, so the
      recombination re-finishes without a single solve *)
-  let o3 = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) ~order:4 store netlist in
+  let o3 = run_job ~meth:Method.hier ~partition:(Method.Parts 2) ~order:4 store netlist in
   Alcotest.(check string) "re-order reuses subdomain samples" "samples-hit"
     (Store.tier_name o3.Store.tier);
   Alcotest.(check int) "re-finish solves nothing" 0 o3.Store.job_solves;
@@ -630,7 +676,7 @@ let test_hier_tiers_and_stats () =
   Alcotest.(check bool) "cold job recorded sub misses" true (sum hn.Store.sub_misses > 0);
   Alcotest.(check bool) "warm job recorded sub hits" true (sum hn.Store.sub_hits > 0);
   (* a different part count on the same network resets the slot tracker *)
-  let o4 = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 3) store netlist in
+  let o4 = run_job ~meth:Method.hier ~partition:(Method.Parts 3) store netlist in
   Alcotest.(check string) "re-partition falls back to the warm network" "network-hit"
     (Store.tier_name o4.Store.tier);
   let _, hn3 = List.hd (Store.hier_stats store) in
@@ -645,19 +691,19 @@ let test_hier_auto_tree_tiers () =
   let store = Store.create () in
   let netlist = mesh_netlist ~n:8 () in
   let o1 =
-    run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20 store netlist
+    run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 store netlist
   in
   Alcotest.(check string) "cold auto job misses" "miss" (Store.tier_name o1.Store.tier);
   Alcotest.(check bool) "cold job solves" true (o1.Store.job_solves > 0);
   let o2 =
-    run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20 store netlist
+    run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 store netlist
   in
   Alcotest.(check string) "verbatim repeat" "rom-hit" (Store.tier_name o2.Store.tier);
   Alcotest.(check int) "repeat does no solves" 0 o2.Store.job_solves;
   (* re-tol: every leaf's sample tier is warm, the whole tree re-finishes
      without a single solve *)
   let o3 =
-    run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20 ~tol:1e-6 ~order:6
+    run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 ~tol:1e-6 ~order:6
       store netlist
   in
   Alcotest.(check string) "re-tol reuses the tree's samples" "samples-hit"
@@ -666,14 +712,14 @@ let test_hier_auto_tree_tiers () =
   (* a leaf-count goal that dissects to the same leaves (budget 20 on this
      mesh yields the 4-leaf depth-2 tree) re-finds every sample tier warm
      under the new partition descriptor *)
-  let o4 = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) store netlist in
+  let o4 = run_job ~meth:Method.hier ~partition:(Method.Parts 4) store netlist in
   Alcotest.(check string) "equivalent re-partition is samples-warm" "samples-hit"
     (Store.tier_name o4.Store.tier);
   Alcotest.(check int) "re-partition solves nothing" 0 o4.Store.job_solves;
   Alcotest.(check string) "same leaves, same rom" o1.Store.digest o4.Store.digest;
   (* interface compression only perturbs the ROM key: samples stay warm *)
   let o5 =
-    run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20
+    run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20
       ~interface_tol:1e-8 store netlist
   in
   Alcotest.(check string) "compressed job is samples-warm" "samples-hit"
@@ -697,9 +743,9 @@ let test_hier_changed_subtree_warm () =
          (String.split_on_char '\n' text))
   in
   let store = Store.create () in
-  let o1 = run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20 store text in
+  let o1 = run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 store text in
   let o2 =
-    run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20 store tweaked
+    run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 store tweaked
   in
   Alcotest.(check bool) "really a different network" false (o1.Store.hash = o2.Store.hash);
   Alcotest.(check string) "new network misses" "miss" (Store.tier_name o2.Store.tier);
@@ -719,10 +765,10 @@ let test_hier_changed_subtree_warm () =
    samples reproduces the cold digest exactly. *)
 let test_hier_warm_equals_cold () =
   let netlist = mesh_netlist ~n:8 () in
-  let cold = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) (Store.create ()) netlist in
+  let cold = run_job ~meth:Method.hier ~partition:(Method.Parts 2) (Store.create ()) netlist in
   let s = Store.create () in
-  ignore (run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) ~order:3 s netlist);
-  let warm = run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 2) s netlist in
+  ignore (run_job ~meth:Method.hier ~partition:(Method.Parts 2) ~order:3 s netlist);
+  let warm = run_job ~meth:Method.hier ~partition:(Method.Parts 2) s netlist in
   Alcotest.(check string) "samples-warm tier" "samples-hit" (Store.tier_name warm.Store.tier);
   Alcotest.(check string) "samples-warm digest" cold.Store.digest warm.Store.digest
 
@@ -770,22 +816,22 @@ let pinned_jobs =
       (fun s -> run_job ~order:30 ~samples:12 s (mesh_netlist ~n:16 ())),
       "82354d6a5e637c67d3775a8f2c64ad61" );
     ( "fs-pmtbr",
-      (fun s -> run_job ~meth:Protocol.Fs_pmtbr ~band:(1e8, 1e10) ~order:8 s mesh8),
+      (fun s -> run_job ~meth:(meth "fs-pmtbr") ~band:(1e8, 1e10) ~order:8 s mesh8),
       "f2fa4c2061d5543ff5034bdc55f6b9b8" );
     ( "pmtbr export",
       (fun s -> run_job ~order:6 ~export:true s mesh5),
       "9eeab3bb00caea0560956123f951786f bd115147c6bedd6eae5440afa957a457" );
     ( "tbr-passive export",
-      (fun s -> run_job ~meth:Protocol.Tbr_passive ~order:6 ~export:true s mesh5),
+      (fun s -> run_job ~meth:(meth "tbr-passive") ~order:6 ~export:true s mesh5),
       "0cc8e42264d0b87525e137f6449fef2b 92676c6f874c505936fd89d60d7324b2" );
     ( "hier K=4",
       (fun s ->
-        run_job ~meth:Protocol.Hier ~partition:(Protocol.Parts 4) ~samples:8 s
+        run_job ~meth:Method.hier ~partition:(Method.Parts 4) ~samples:8 s
           (mesh_netlist ~n:12 ())),
       "192a6031f4174dadd143f81d3b9f401c" );
     ( "hier auto interface-tol",
       (fun s ->
-        run_job ~meth:Protocol.Hier ~partition:Protocol.Auto ~max_part_states:20
+        run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20
           ~interface_tol:1e-8 ~samples:8 s mesh8),
       "9f93d4b1d19be7172237f9918bb2be88" );
     ( "wide substrate",
@@ -838,15 +884,15 @@ let test_store_rejects_garbage () =
    one stamp-time error naming them, and the store keeps answering. *)
 let island = "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nC2 2 0 1p\nR3 3 4 1k\nC3 3 4 1p\n.port 1\n"
 let island_error = "MNA stamping failed: floating nodes (no element path to ground): 3 4"
-let all_meths = [ Protocol.Pmtbr; Protocol.Fs_pmtbr; Protocol.Tbr_passive; Protocol.Hier ]
+let all_meths = List.filter (fun m -> m.Method.served) Method.all
 
 let test_store_floating_island () =
   let store = Store.create () in
   List.iter
     (fun meth ->
       match Store.reduce store (job_of ~meth ~order:2 island) with
-      | Error e -> Alcotest.(check string) (Protocol.meth_name meth) island_error e
-      | Ok _ -> Alcotest.failf "%s: floating island must be rejected" (Protocol.meth_name meth))
+      | Error e -> Alcotest.(check string) meth.Method.name island_error e
+      | Ok _ -> Alcotest.failf "%s: floating island must be rejected" meth.Method.name)
     all_meths;
   ignore (run_job store (mesh_netlist ()))
 
@@ -856,11 +902,11 @@ let test_store_floating_island () =
 let capacitor_free = "R1 1 0 1k\nC1 1 0 1p\nR2 1 2 1k\nR3 2 3 1k\nC3 3 0 1p\n.port 1\n"
 
 let capacitor_free_error =
-  "passive reduction failed: nodes with no capacitive path to ground (E is singular): 2"
+  "tbr-passive reduction failed: nodes with no capacitive path to ground (E is singular): 2"
 
 let test_store_capacitor_free () =
   let store = Store.create () in
-  (match Store.reduce store (job_of ~meth:Protocol.Tbr_passive ~order:2 capacitor_free) with
+  (match Store.reduce store (job_of ~meth:(meth "tbr-passive") ~order:2 capacitor_free) with
   | Error e -> Alcotest.(check string) "tbr-passive" capacitor_free_error e
   | Ok _ -> Alcotest.fail "tbr-passive must refuse a singular E");
   (match Store.reduce store (job_of ~order:2 capacitor_free) with
@@ -875,12 +921,12 @@ let test_store_capacitor_free () =
 let no_dc_path = "C1 1 0 1p\nR1 1 2 1k\nC2 2 0 1p\n.port 1\n"
 
 let no_dc_path_error =
-  "passive reduction failed: nodes with no resistive or inductive path to ground (A is \
+  "tbr-passive reduction failed: nodes with no resistive or inductive path to ground (A is \
    singular): 1 2"
 
 let test_store_no_dc_path () =
   let store = Store.create () in
-  (match Store.reduce store (job_of ~meth:Protocol.Tbr_passive ~order:1 no_dc_path) with
+  (match Store.reduce store (job_of ~meth:(meth "tbr-passive") ~order:1 no_dc_path) with
   | Error e -> Alcotest.(check string) "tbr-passive" no_dc_path_error e
   | Ok _ -> Alcotest.fail "tbr-passive must refuse a singular A");
   (match Store.reduce store (job_of ~order:1 no_dc_path) with
@@ -951,19 +997,7 @@ let test_concurrent_jobs_deterministic () =
                     for _ = 1 to 3 do
                       let r =
                         roundtrip c
-                          (Protocol.Reduce
-                             {
-                               Protocol.meth = Protocol.Pmtbr;
-                               band;
-                               tol = None;
-                               order = Some 8;
-                               samples = 10;
-                               partition = None;
-                               max_part_states = None;
-                               interface_tol = None;
-                               export = false;
-                               netlist = nl;
-                             })
+                          (Protocol.Reduce (job_of ~band ~order:8 nl))
                       in
                       let d = field r "digest" in
                       if results.(i) = "" then results.(i) <- d
@@ -989,19 +1023,7 @@ let test_daemon_export_job () =
       Client.with_connection socket (fun c ->
           let r =
             roundtrip c
-              (Protocol.Reduce
-                 {
-                   Protocol.meth = Protocol.Tbr_passive;
-                   band = (0.0, 2e10);
-                   tol = None;
-                   order = Some 6;
-                   samples = 10;
-                   partition = None;
-                   max_part_states = None;
-                   interface_tol = None;
-                   export = true;
-                   netlist = mesh_netlist ~n:5 ();
-                 })
+              (Protocol.Reduce (job_of ~meth:(meth "tbr-passive") ~order:6 ~export:true (mesh_netlist ~n:5 ())))
           in
           Alcotest.(check (option string)) "export field" (Some "1") (Protocol.field r "export");
           Alcotest.(check bool) "body non-empty" true (String.length r.Protocol.body > 0);
@@ -1022,18 +1044,8 @@ let test_daemon_hier_stats_field () =
           let r =
             roundtrip c
               (Protocol.Reduce
-                 {
-                   Protocol.meth = Protocol.Hier;
-                   band = (0.0, 2e10);
-                   tol = None;
-                   order = Some 6;
-                   samples = 8;
-                   partition = Some (Protocol.Parts 2);
-                   max_part_states = None;
-                   interface_tol = None;
-                   export = false;
-                   netlist = mesh_netlist ~n:6 ();
-                 })
+                 (job_of ~meth:Method.hier ~order:6 ~samples:8 ~partition:(Method.Parts 2)
+                    (mesh_netlist ~n:6 ())))
           in
           let hash = field r "hash" in
           let s = roundtrip c Protocol.Stats in
@@ -1048,18 +1060,8 @@ let test_daemon_hier_stats_field () =
           let r2 =
             roundtrip c
               (Protocol.Reduce
-                 {
-                   Protocol.meth = Protocol.Hier;
-                   band = (0.0, 2e10);
-                   tol = None;
-                   order = Some 6;
-                   samples = 8;
-                   partition = Some Protocol.Auto;
-                   max_part_states = Some 20;
-                   interface_tol = Some 1e-8;
-                   export = false;
-                   netlist = mesh_netlist ~n:6 ();
-                 })
+                 (job_of ~meth:Method.hier ~order:6 ~samples:8 ~partition:Method.Auto
+                    ~max_part_states:20 ~interface_tol:1e-8 (mesh_netlist ~n:6 ())))
           in
           Alcotest.(check bool) "auto job reduces" true
             (int_of_string (field r2 "order") < int_of_string (field r2 "states"))))
@@ -1101,10 +1103,10 @@ let test_daemon_protocol_errors () =
          response, and the connection stays usable *)
       Client.with_connection socket (fun c ->
           let fdc = c in
-          match Client.request fdc (Protocol.Reduce {
-            Protocol.meth = Protocol.Pmtbr; band = (0.0, 1e9); tol = None; order = None;
-            samples = 5; partition = None; max_part_states = None; interface_tol = None;
-            export = false; netlist = "R1 1 0 banana\n.port 1\n" })
+          match Client.request fdc (Protocol.Reduce
+            (job_of ~band:(0.0, 1e9) ~samples:5 "R1 1 0 banana
+.port 1
+"))
           with
           | Ok r -> (
               (match r.Protocol.status with
@@ -1125,7 +1127,7 @@ let test_daemon_floating_island () =
             (fun meth ->
               match Client.request c (Protocol.Reduce (job_of ~meth ~order:2 island)) with
               | Ok { Protocol.status = Error e; _ } ->
-                  Alcotest.(check string) (Protocol.meth_name meth) island_error e
+                  Alcotest.(check string) meth.Method.name island_error e
               | Ok _ -> Alcotest.fail "floating island must produce an error response"
               | Error e -> Alcotest.fail e)
             all_meths;
@@ -1141,7 +1143,7 @@ let test_daemon_capacitor_free () =
       Client.with_connection socket (fun c ->
           (match
              Client.request c
-               (Protocol.Reduce (job_of ~meth:Protocol.Tbr_passive ~order:2 capacitor_free))
+               (Protocol.Reduce (job_of ~meth:(meth "tbr-passive") ~order:2 capacitor_free))
            with
           | Ok { Protocol.status = Error e; _ } ->
               Alcotest.(check string) "tbr-passive" capacitor_free_error e
@@ -1158,7 +1160,7 @@ let test_daemon_no_dc_path () =
     (fun () ->
       Client.with_connection socket (fun c ->
           (match
-             Client.request c (Protocol.Reduce (job_of ~meth:Protocol.Tbr_passive ~order:1 no_dc_path))
+             Client.request c (Protocol.Reduce (job_of ~meth:(meth "tbr-passive") ~order:1 no_dc_path))
            with
           | Ok { Protocol.status = Error e; _ } -> Alcotest.(check string) "tbr-passive" no_dc_path_error e
           | Ok _ -> Alcotest.fail "a singular A must produce an error response"
