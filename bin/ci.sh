@@ -113,6 +113,21 @@ grep -qF "(exact skipped: $NODC_MSG)" "$ERR" \
 if grep -q 'internal error' "$ERR"; then echo "hsv escaped as an internal error" >&2; exit 1; fi
 dune exec bin/pmtbr_cli.exe -- reduce --spice "$NODC" > /dev/null \
     || { echo "pmtbr must reduce a network whose A is singular" >&2; exit 1; }
+# a malformed card is a usage error naming the file and line on every
+# subcommand; a port-less netlist on every one that reduces or sweeps
+# (info still prints its statistics)
+MALFORMED=".ci_malformed_$$.sp"
+NOPORT=".ci_noport_$$.sp"
+printf 'R1 1\n' > "$MALFORMED"
+printf 'R1 1 0 1k\nC1 1 0 1p\n' > "$NOPORT"
+for sub in info hsv sweep adaptive reduce; do
+    expect_refusal "$MALFORMED: netlist parse error at line 1: wrong number of fields: R1 1" \
+        "$sub" --spice "$MALFORMED"
+done
+for sub in hsv sweep adaptive reduce; do
+    expect_refusal 'netlist declares no .port' "$sub" --spice "$NOPORT"
+done
+expect_refusal 'netlist declares no .port' reduce --method tbr-passive --spice "$NOPORT"
 
 echo "== job options (one validator: refused by name, never an internal error)"
 expect_refusal 'samples must be in [1, 100000] (got 0)' reduce --circuit rc-mesh --size 4 --samples 0
@@ -128,14 +143,15 @@ expect_refusal 'tol does not apply to method prima' \
 dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 6 --method tbr-passive \
     --order 5 --tol 1e-6 > /dev/null \
     || { echo "tbr-passive must take --order with --tol" >&2; exit 1; }
-rm -f "$ISLAND" "$NOCAP" "$NODC" "$ERR"
+rm -f "$ISLAND" "$NOCAP" "$NODC" "$MALFORMED" "$NOPORT" "$ERR"
 
-echo "== unboxed dense accessors (allocation guards in an optimised build)"
+echo "== unboxed dense kernels (allocation guards in an optimised build)"
 # the dev profile compiles with -opaque, so no call is inlined across
 # modules there and test_la skips the Mat.get guard; this release build
-# (the one perfbench uses) runs it
+# (the one perfbench uses) runs it, next to the guards that the dense
+# operations allocate nothing on the minor heap beyond their result
 dune build --root . --build-dir .bench_build --profile release test/test_la.exe
-OCAMLRUNPARAM=b .bench_build/default/test/test_la.exe test eig_sym
+OCAMLRUNPARAM=b .bench_build/default/test/test_la.exe test 'eig_sym|alloc'
 
 echo "== reduction-service daemon round trip (pmtbr serve / pmtbr batch)"
 SOCK=".ci_serve_$$.sock"

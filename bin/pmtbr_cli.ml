@@ -89,13 +89,25 @@ let spice_arg =
     & opt (some file) None
     & info [ "spice" ] ~docv:"FILE" ~doc:"Read the circuit from a SPICE-dialect netlist file.")
 
-(* Resolve the circuit source: a generated model or a SPICE file. *)
+(* Resolve the circuit source: a generated model or a SPICE file.  A
+   malformed file is a usage error naming the file and the line, worded
+   as the daemon words it. *)
 let resolve ~circuit ~spice ~size ~ports ~seed =
   match (circuit, spice) with
   | Some c, None -> (build_netlist c ~size ~ports ~seed, Some c)
-  | None, Some path -> (Pmtbr_circuit.Spice.netlist (Pmtbr_circuit.Spice.parse_file path), None)
+  | None, Some path -> (
+      match Pmtbr_circuit.Spice.netlist (Pmtbr_circuit.Spice.parse_file path) with
+      | nl -> (nl, None)
+      | exception (Pmtbr_circuit.Spice.Parse_error _ as e) ->
+          failwith (path ^ ": " ^ Printexc.to_string e))
   | Some _, Some _ -> failwith "give either --circuit or --spice, not both"
   | None, None -> failwith "one of --circuit or --spice is required"
+
+(* The source of a subcommand that reduces or sweeps it: a netlist with
+   no port or no internal node is refused as the daemon refuses it. *)
+let resolve_reducible ~circuit ~spice ~size ~ports ~seed =
+  let ((nl, _) as resolved) = resolve ~circuit ~spice ~size ~ports ~seed in
+  match Pmtbr_circuit.Netlist.check_reducible nl with Ok () -> resolved | Error msg -> failwith msg
 
 let band_of ~circuit ~band ~fallback =
   match (band, circuit) with
@@ -153,12 +165,12 @@ let band_arg =
     & info [ "band" ] ~docv:"LO:HI" ~doc:"Frequency band in rad/s (default: circuit-specific).")
 
 (* Every subcommand body takes a final unit and runs under this guard:
-   usage errors (options [Method.validate] refuses, server-side failures)
-   and unsolvable input (a partition beyond the state count; floating
-   nodes; for the exact-TBR methods, nodes with no capacitive path to
-   ground or with no resistive or inductive one) leave through Cmdliner's
-   error channel, a non-zero exit with the message, instead of an
-   uncaught exception. *)
+   usage errors (options [Method.validate] refuses, a malformed or
+   port-less netlist, server-side failures) and unsolvable input (a
+   partition beyond the state count; floating nodes; for the exact-TBR
+   methods, nodes with no capacitive path to ground or with no resistive
+   or inductive one) leave through Cmdliner's error channel, a non-zero
+   exit with the message, instead of an uncaught exception. *)
 let guarded run =
   Term.term_result'
     (Term.map
@@ -210,7 +222,7 @@ let info_cmd =
 
 let run_hsv circuit spice size ports seed samples band workers () =
   let pts = Method.points Method.pmtbr (pmtbr_options ~circuit ~band ~samples Fun.id) in
-  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
+  let nl, _ = resolve_reducible ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   (* the estimate-vs-exact comparison is meaningful in the symmetrised
      coordinates (paper Section III); fall back to the raw descriptor system
@@ -447,7 +459,7 @@ let run_reduce circuit spice size ports seed meth partition max_part_states inte
       { Method.band = Option.value band ~default:(0.0, w_hi); order; tol; samples; partition;
         max_part_states; interface_tol; adaptive; draws; seed }
   in
-  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
+  let nl, _ = resolve_reducible ~circuit ~spice ~size ~ports ~seed in
   let workers = workers_opt workers in
   let src = Method.source ~workers nl in
   let sys = src.Method.sys in
@@ -526,7 +538,7 @@ let run_adaptive circuit spice size ports seed monitor order tol batch samples b
     pmtbr_options ~circuit ~band ~samples (fun o -> { o with order; tol; adaptive = true })
   in
   if batch < 1 then failwith (Printf.sprintf "batch must be >= 1 (got %d)" batch);
-  let nl, _ = resolve ~circuit ~spice ~size ~ports ~seed in
+  let nl, _ = resolve_reducible ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let pts = Method.points Method.pmtbr o and w_hi = snd o.Method.band in
   let workers = workers_opt workers in
@@ -562,7 +574,7 @@ let npoints_arg =
   Arg.(value & opt int 40 & info [ "points" ] ~docv:"N" ~doc:"Number of frequency points.")
 
 let run_sweep circuit spice size ports seed npoints band workers () =
-  let nl, source = resolve ~circuit ~spice ~size ~ports ~seed in
+  let nl, source = resolve_reducible ~circuit ~spice ~size ~ports ~seed in
   let sys = Dss.of_netlist nl in
   let w_hi = band_of ~circuit:source ~band ~fallback:1e10 in
   let w_lo = match band with Some (lo, _) -> Float.max lo (w_hi /. 1000.0) | None -> w_hi /. 1000.0 in

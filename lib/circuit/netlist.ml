@@ -72,6 +72,13 @@ let node_count t = t.max_node (* internal nodes 1..max_node; 0 is ground *)
 let inductor_count t = t.inductor_count
 let port_count t = List.length t.ports
 
+(* What every reduction needs before it stamps: the CLI's and the
+   daemon's one refusal of a port-less or node-less netlist. *)
+let check_reducible t =
+  if port_count t < 1 then Error "netlist declares no .port — a reduction job needs at least one"
+  else if node_count t < 1 then Error "netlist has no internal nodes"
+  else Ok ()
+
 let stats t =
   let r = ref 0 and c = ref 0 and l = ref 0 and k = ref 0 in
   List.iter

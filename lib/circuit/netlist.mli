@@ -53,5 +53,9 @@ val inductor_count : t -> int
 val port_count : t -> int
 (** Number of declared ports. *)
 
+val check_reducible : t -> (unit, string) result
+(** [Error] naming what a reduction lacks: a declared port, or an
+    internal node.  The CLI and the daemon refuse a netlist through it. *)
+
 val stats : t -> int * int * int * int
 (** Counts of (resistors, capacitors, inductors, mutual couplings). *)

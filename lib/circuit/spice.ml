@@ -27,6 +27,11 @@
 exception Parse_error of int * string
 (* line number (1-based) and message *)
 
+let () =
+  Printexc.register_printer (function
+    | Parse_error (line, msg) -> Some (Printf.sprintf "netlist parse error at line %d: %s" line msg)
+    | _ -> None)
+
 let parse_value ~line s =
   let s = String.lowercase_ascii s in
   let len = String.length s in

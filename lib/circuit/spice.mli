@@ -20,7 +20,8 @@
     zero and non-finite values are rejected with their line number. *)
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message.  Prints as
+    ["netlist parse error at line 3: bad numeric value: banana"]. *)
 
 val parse_value : line:int -> string -> float
 (** Parse one numeric field with optional SI suffix.

@@ -19,7 +19,7 @@ let conj = Complex.conj
 let cabs = Complex.norm
 
 (* Unit-modulus phase of z, or 1 for z = 0. *)
-let phase z = if cabs z = 0.0 then Complex.one else Scalar.Cx.scale (1.0 /. cabs z) z
+let phase z = if cabs z = 0.0 then Complex.one else Cmat.real_mul (1.0 /. cabs z) z
 
 (* Householder reduction to upper Hessenberg form; accumulates Q. *)
 let hessenberg (a : Cmat.t) =
@@ -36,7 +36,7 @@ let hessenberg (a : Cmat.t) =
     let normx = sqrt !normx in
     if normx > 0.0 then begin
       let x0 = Cmat.get h (k + 1) k in
-      let alpha = Scalar.Cx.scale (-.normx) (phase x0) in
+      let alpha = Cmat.real_mul (-.normx) (phase x0) in
       (* v = x - alpha e1, normalised so beta = 2 / (v^H v). *)
       let v = Array.make n Complex.zero in
       v.(k + 1) <- csub x0 alpha;
@@ -56,7 +56,7 @@ let hessenberg (a : Cmat.t) =
           for i = k + 1 to n - 1 do
             dot := cadd !dot (cmul (conj v.(i)) (Cmat.get h i j))
           done;
-          let s = Scalar.Cx.scale beta !dot in
+          let s = Cmat.real_mul beta !dot in
           for i = k + 1 to n - 1 do
             Cmat.set h i j (csub (Cmat.get h i j) (cmul s v.(i)))
           done
@@ -67,7 +67,7 @@ let hessenberg (a : Cmat.t) =
           for j = k + 1 to n - 1 do
             dot := cadd !dot (cmul (Cmat.get h i j) v.(j))
           done;
-          let s = Scalar.Cx.scale beta !dot in
+          let s = Cmat.real_mul beta !dot in
           for j = k + 1 to n - 1 do
             Cmat.set h i j (csub (Cmat.get h i j) (cmul s (conj v.(j))))
           done
@@ -78,7 +78,7 @@ let hessenberg (a : Cmat.t) =
           for j = k + 1 to n - 1 do
             dot := cadd !dot (cmul (Cmat.get q i j) v.(j))
           done;
-          let s = Scalar.Cx.scale beta !dot in
+          let s = Cmat.real_mul beta !dot in
           for j = k + 1 to n - 1 do
             Cmat.set q i j (csub (Cmat.get q i j) (cmul s (conj v.(j))))
           done
@@ -100,7 +100,7 @@ let givens a b =
   else begin
     let t = sqrt ((na *. na) +. (nb *. nb)) in
     let c = na /. t in
-    let s = Scalar.Cx.scale (1.0 /. t) (cmul (phase a) (conj b)) in
+    let s = Cmat.real_mul (1.0 /. t) (cmul (phase a) (conj b)) in
     (c, s)
   end
 
@@ -108,7 +108,7 @@ let givens a b =
 let wilkinson_shift a b c d =
   let tr = cadd a d in
   let det = csub (cmul a d) (cmul b c) in
-  let half_tr = Scalar.Cx.scale 0.5 tr in
+  let half_tr = Cmat.real_mul 0.5 tr in
   let disc = Complex.sqrt (csub (cmul half_tr half_tr) det) in
   let l1 = cadd half_tr disc and l2 = csub half_tr disc in
   if cabs (csub l1 d) <= cabs (csub l2 d) then l1 else l2
@@ -165,8 +165,8 @@ let decompose (a : Cmat.t) =
           (* Left-apply to rows k, k+1 over columns k..n-1. *)
           for j = k to n - 1 do
             let hkj = Cmat.get h k j and hk1j = Cmat.get h (k + 1) j in
-            Cmat.set h k j (cadd (Scalar.Cx.scale c hkj) (cmul s hk1j));
-            Cmat.set h (k + 1) j (cadd (cmul (Complex.neg (conj s)) hkj) (Scalar.Cx.scale c hk1j))
+            Cmat.set h k j (cadd (Cmat.real_mul c hkj) (cmul s hk1j));
+            Cmat.set h (k + 1) j (cadd (cmul (Complex.neg (conj s)) hkj) (Cmat.real_mul c hk1j))
           done;
           Cmat.set h (k + 1) k Complex.zero
         done;
@@ -176,13 +176,13 @@ let decompose (a : Cmat.t) =
           let imax = min (k + 1) hi_b in
           for i = 0 to imax do
             let hik = Cmat.get h i k and hik1 = Cmat.get h i (k + 1) in
-            Cmat.set h i k (cadd (Scalar.Cx.scale c hik) (cmul (conj s) hik1));
-            Cmat.set h i (k + 1) (cadd (cmul (Complex.neg s) hik) (Scalar.Cx.scale c hik1))
+            Cmat.set h i k (cadd (Cmat.real_mul c hik) (cmul (conj s) hik1));
+            Cmat.set h i (k + 1) (cadd (cmul (Complex.neg s) hik) (Cmat.real_mul c hik1))
           done;
           for i = 0 to n - 1 do
             let qik = Cmat.get q i k and qik1 = Cmat.get q i (k + 1) in
-            Cmat.set q i k (cadd (Scalar.Cx.scale c qik) (cmul (conj s) qik1));
-            Cmat.set q i (k + 1) (cadd (cmul (Complex.neg s) qik) (Scalar.Cx.scale c qik1))
+            Cmat.set q i k (cadd (Cmat.real_mul c qik) (cmul (conj s) qik1));
+            Cmat.set q i (k + 1) (cadd (cmul (Complex.neg s) qik) (Cmat.real_mul c qik1))
           done
         done;
         for k = lo to hi_b do

@@ -1,7 +1,5 @@
 (* Helpers on [Complex.t array] vectors. *)
 
-let zeros n = Array.make n Complex.zero
-let of_real = Array.map (fun re -> { Complex.re; im = 0.0 })
 let re = Array.map (fun z -> z.Complex.re)
 let im = Array.map (fun z -> z.Complex.im)
 
@@ -16,12 +14,6 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x).Complex.re
 let scale a x = Array.map (fun v -> Complex.mul a v) x
-let add x y = Array.mapi (fun i xi -> Complex.add xi y.(i)) x
 let sub x y = Array.mapi (fun i xi -> Complex.sub xi y.(i)) x
-
-let axpy a x y =
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- Complex.add y.(i) (Complex.mul a x.(i))
-  done
 
 let max_abs x = Array.fold_left (fun acc v -> Float.max acc (Complex.norm v)) 0.0 x

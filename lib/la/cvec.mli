@@ -1,11 +1,5 @@
 (** Helpers on [Complex.t array] vectors. *)
 
-val zeros : int -> Complex.t array
-(** [zeros n] is the complex zero vector of dimension [n]. *)
-
-val of_real : float array -> Complex.t array
-(** Embed a real vector. *)
-
 val re : Complex.t array -> float array
 (** Real parts. *)
 
@@ -21,14 +15,8 @@ val norm2 : Complex.t array -> float
 val scale : Complex.t -> Complex.t array -> Complex.t array
 (** Scalar multiple. *)
 
-val add : Complex.t array -> Complex.t array -> Complex.t array
-(** Elementwise sum. *)
-
 val sub : Complex.t array -> Complex.t array -> Complex.t array
 (** Elementwise difference. *)
-
-val axpy : Complex.t -> Complex.t array -> Complex.t array -> unit
-(** [axpy a x y] performs [y <- y + a*x] in place. *)
 
 val max_abs : Complex.t array -> float
 (** Largest modulus. *)

@@ -380,39 +380,3 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
     finish ~steps:!steps ~columns:(!z_acc).Mat.cols ~residuals:!residuals
       ~converged:!converged !z_acc
   end
-
-(* -------------------------------------------------------------- dense ops *)
-
-let ops_of_dense ~(e : Mat.t) ~(a : Mat.t) =
-  let n = a.Mat.rows in
-  if a.Mat.cols <> n || e.Mat.rows <> n || e.Mat.cols <> n then
-    invalid_arg "Lr_lyap.ops_of_dense: E and A must be square and same size";
-  let e_lu =
-    lazy
-      (try Mat.lu e
-       with Mat.Singular _ -> invalid_arg "Lr_lyap.ops_of_dense: singular E")
-  in
-  let cache : (Complex.t, Cmat.lu) Hashtbl.t = Hashtbl.create 8 in
-  let solve_shift p r =
-    (* normalise -0. so p and -(-p) share a cache slot *)
-    let p = { Complex.re = p.Complex.re +. 0.0; im = p.Complex.im +. 0.0 } in
-    let lu =
-      match Hashtbl.find_opt cache p with
-      | Some lu -> lu
-      | None ->
-          let m = Cmat.axpby_real ~alpha:p e ~beta:Complex.one a in
-          let lu = Cmat.lu m in
-          Hashtbl.add cache p lu;
-          lu
-    in
-    Array.init r.Mat.cols (fun j ->
-        Cmat.lu_solve_vec lu
-          (Array.init n (fun i -> { Complex.re = Mat.get r i j; im = 0.0 })))
-  in
-  {
-    n;
-    mul_e = Mat.mul e;
-    mul_a = Mat.mul a;
-    solve_shift;
-    solve_e = (fun r -> Mat.lu_solve (Lazy.force e_lu) r);
-  }

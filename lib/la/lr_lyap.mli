@@ -20,8 +20,9 @@
     [W W^T], so its norm is a small Gram computation per step.
 
     The module is operator-abstract (no sparse or system dependency):
-    callers supply {!ops}; {!ops_of_dense} covers dense [(E, A)] pairs
-    and the LTI layer wires the sparse multi-shift handle in.
+    callers supply {!ops}, and the LTI layer's [Lyap_ops.ops_of_dss]
+    wires a descriptor system's shared multi-shift handle in, sparse or
+    dense.
 
     {b Determinism}: the iteration is serial and fixed-order over
     deterministic kernels, so results are bitwise-reproducible and
@@ -41,12 +42,6 @@ type ops = {
 (** The operator interface the engine consumes.  Implementations are
     expected to be pure in their arguments (any caching must be
     value-transparent) so that runs are reproducible. *)
-
-val ops_of_dense : e:Mat.t -> a:Mat.t -> ops
-(** Dense implementation: one complex LU per distinct shift (cached), a
-    lazily factored real LU for [E].
-    @raise Invalid_argument on shape mismatch or singular [E] (when
-    [solve_e] is first used). *)
 
 type stop =
   | Residual_fro

@@ -1,21 +1,39 @@
-(* Dense real matrices: the [Gen_mat] functor instantiated at floats, plus
-   real-specific conveniences. *)
+(* Dense real matrices, row-major on a plain [float array].
 
-include Gen_mat.Make (Scalar.Float)
+   Every operation is float code reading [data] directly, so no loop
+   boxes a float.  Each performs the floating-point operations of the
+   generic scalar-field functor the suite keeps as its reference (its
+   float instance is [Pmtbr_oracle.Generic_mat]) in the same order, with
+   the same zero-skip ([x = 0.0], true for [-0.0]), so every result is
+   bitwise the functor's — which test_par_kernel checks.  [init] keeps
+   its closure; the operations below write their loops out, since the
+   closure's float result is boxed on every call. *)
 
-(* ------------------------------------------------------------------ *)
-(* Float kernels shadowing the functor's                                *)
-(* ------------------------------------------------------------------ *)
+type t = { rows : int; cols : int; data : float array }
 
-(* Without flambda the functor body is compiled once for every scalar
-   type: each [K.add] / [K.mul] is an indirect call and each element read
-   boxes a float.  The definitions below restate the functor's loops that
-   run on state-dimension operands with [data] as a plain [float array].
-   Each performs the generic loop's floating-point operations in the same
-   order, with the same zero-skip ([K.is_zero x] is [x = 0.0], true for
-   [-0.0]), so results are bitwise those of [Gen_mat.Make (Scalar.Float)]
-   — which the suite checks against that instantiation.  Functor
-   functions not shadowed here keep calling the functor's own accessors. *)
+exception Singular of int
+
+let create rows cols =
+  assert (rows >= 0 && cols >= 0);
+  { rows; cols; data = Array.make (rows * cols) 0.0 }
+
+let init rows cols f =
+  let data = Array.make (rows * cols) 0.0 in
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      data.((i * cols) + j) <- f i j
+    done
+  done;
+  { rows; cols; data }
+
+let identity n =
+  let m = create n n in
+  for i = 0 to n - 1 do
+    m.data.((i * n) + i) <- 1.0
+  done;
+  m
+
+let dims m = (m.rows, m.cols)
 
 (* Inlined, so a loop outside this module reads and writes unboxed
    floats instead of boxing one per call. *)
@@ -25,6 +43,27 @@ let[@inline] set m i j v = m.data.((i * m.cols) + j) <- v
 let[@inline] update m i j f =
   let k = (i * m.cols) + j in
   m.data.(k) <- f m.data.(k)
+
+let copy m = { m with data = Array.copy m.data }
+
+let of_arrays rows_arr =
+  let rows = Array.length rows_arr in
+  let cols = if rows = 0 then 0 else Array.length rows_arr.(0) in
+  Array.iter (fun r -> assert (Array.length r = cols)) rows_arr;
+  { rows; cols; data = Array.concat (Array.to_list rows_arr) }
+
+let col m j =
+  let v = Array.make m.rows 0.0 in
+  for i = 0 to m.rows - 1 do
+    v.(i) <- m.data.((i * m.cols) + j)
+  done;
+  v
+
+let set_col m j v =
+  assert (Array.length v = m.rows);
+  for i = 0 to m.rows - 1 do
+    m.data.((i * m.cols) + j) <- v.(i)
+  done
 
 let sub_matrix m ~row ~col ~rows ~cols =
   assert (row >= 0 && col >= 0 && row + rows <= m.rows && col + cols <= m.cols);
@@ -37,6 +76,20 @@ let sub_matrix m ~row ~col ~rows ~cols =
 
 let sub_cols m j0 ncols = sub_matrix m ~row:0 ~col:j0 ~rows:m.rows ~cols:ncols
 
+let hcat a b =
+  assert (a.rows = b.rows);
+  let cols = a.cols + b.cols in
+  let out = create a.rows cols in
+  for i = 0 to a.rows - 1 do
+    Array.blit a.data (i * a.cols) out.data (i * cols) a.cols;
+    Array.blit b.data (i * b.cols) out.data ((i * cols) + a.cols) b.cols
+  done;
+  out
+
+let vcat a b =
+  assert (a.cols = b.cols);
+  { rows = a.rows + b.rows; cols = a.cols; data = Array.append a.data b.data }
+
 let transpose m =
   let rows = m.rows and cols = m.cols in
   let out = create cols rows in
@@ -48,6 +101,29 @@ let transpose m =
     done
   done;
   out
+
+let add a b =
+  assert (a.rows = b.rows && a.cols = b.cols);
+  let d = Array.copy a.data in
+  for k = 0 to Array.length d - 1 do
+    d.(k) <- d.(k) +. b.data.(k)
+  done;
+  { a with data = d }
+
+let sub a b =
+  assert (a.rows = b.rows && a.cols = b.cols);
+  let d = Array.copy a.data in
+  for k = 0 to Array.length d - 1 do
+    d.(k) <- d.(k) -. b.data.(k)
+  done;
+  { a with data = d }
+
+let scale s m =
+  let d = Array.copy m.data in
+  for k = 0 to Array.length d - 1 do
+    d.(k) <- s *. d.(k)
+  done;
+  { m with data = d }
 
 (* The three products run over row ranges handed out by a [ranges]
    runner, so [Par_kernel] parallelises these very loops instead of
@@ -147,17 +223,125 @@ let gram_over (ranges : ranges) m =
 
 let gram m = gram_over serial m
 
+let frobenius m =
+  let acc = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    let a = Float.abs m.data.(k) in
+    acc := !acc +. (a *. a)
+  done;
+  sqrt !acc
+
+let max_abs m =
+  let acc = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    acc := Float.max !acc (Float.abs m.data.(k))
+  done;
+  !acc
+
+(* LU with partial pivoting, stored packed: L strictly below the diagonal
+   (unit diagonal implicit), U on and above. *)
+type lu = { lu_mat : t; perm : int array }
+
+let lu a =
+  assert (a.rows = a.cols);
+  let n = a.rows in
+  let m = copy a in
+  let d = m.data in
+  let perm = Array.init n Fun.id in
+  for k = 0 to n - 1 do
+    let piv = ref k and pmax = ref (Float.abs d.((k * n) + k)) in
+    for i = k + 1 to n - 1 do
+      let v = Float.abs d.((i * n) + k) in
+      if v > !pmax then begin
+        piv := i;
+        pmax := v
+      end
+    done;
+    if !pmax = 0.0 then raise (Singular k);
+    let p = !piv in
+    if p <> k then begin
+      for j = 0 to n - 1 do
+        let t = d.((k * n) + j) in
+        d.((k * n) + j) <- d.((p * n) + j);
+        d.((p * n) + j) <- t
+      done;
+      let t = perm.(k) in
+      perm.(k) <- perm.(p);
+      perm.(p) <- t
+    end;
+    let dkk = d.((k * n) + k) in
+    for i = k + 1 to n - 1 do
+      let lik = d.((i * n) + k) /. dkk in
+      d.((i * n) + k) <- lik;
+      if lik <> 0.0 then
+        for j = k + 1 to n - 1 do
+          d.((i * n) + j) <- d.((i * n) + j) -. (lik *. d.((k * n) + j))
+        done
+    done
+  done;
+  { lu_mat = m; perm }
+
+let lu_solve_vec { lu_mat = m; perm } b =
+  let n = m.rows and d = m.data in
+  assert (Array.length b = n);
+  let y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    y.(i) <- b.(perm.(i))
+  done;
+  for i = 1 to n - 1 do
+    let acc = ref y.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (d.((i * n) + j) *. y.(j))
+    done;
+    y.(i) <- !acc
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref y.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (d.((i * n) + j) *. y.(j))
+    done;
+    y.(i) <- !acc /. d.((i * n) + i)
+  done;
+  y
+
+let lu_solve f b =
+  let x = create b.rows b.cols in
+  for j = 0 to b.cols - 1 do
+    set_col x j (lu_solve_vec f (col b j))
+  done;
+  x
+
+let solve a b = lu_solve (lu a) b
+
 (* ------------------------------------------------------------------ *)
 (* Real-specific conveniences                                          *)
 (* ------------------------------------------------------------------ *)
 
-let of_fun = init
-let diag v = init (Array.length v) (Array.length v) (fun i j -> if i = j then v.(i) else 0.0)
-let diagonal m = Array.init (min m.rows m.cols) (fun i -> get m i i)
+let diag v =
+  let n = Array.length v in
+  let m = create n n in
+  for i = 0 to n - 1 do
+    m.data.((i * n) + i) <- v.(i)
+  done;
+  m
+
+let diagonal m =
+  let v = Array.make (min m.rows m.cols) 0.0 in
+  for i = 0 to Array.length v - 1 do
+    v.(i) <- m.data.((i * m.cols) + i)
+  done;
+  v
 
 let symmetrize m =
   assert (m.rows = m.cols);
-  init m.rows m.cols (fun i j -> 0.5 *. (get m i j +. get m j i))
+  let n = m.rows and d = m.data in
+  let out = create n n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      out.data.((i * n) + j) <- 0.5 *. (d.((i * n) + j) +. d.((j * n) + i))
+    done
+  done;
+  out
 
 let is_symmetric ?(tol = 1e-12) m =
   m.rows = m.cols

@@ -1,17 +1,40 @@
-(** Dense real matrices (row-major), plus real-specific conveniences.
+(** Dense real matrices, row-major on a plain [float array].
 
-    All dense-matrix operations shared with the complex instantiation —
-    construction, slicing, BLAS-level kernels, LU factorisation — come from
-    the {!Gen_mat} functor; see {!Gen_mat.S} for their documentation.
+    Every operation is float code reading [data] directly.  Each repeats
+    the arithmetic of the generic scalar-field functor kept in the test
+    oracle (its float instance is [Pmtbr_oracle.Generic_mat]) in the
+    same order, with the same zero-skip, so every result is bitwise the
+    functor's. *)
 
-    The accessors and the loops that run on state-dimension operands
-    ([get]/[set]/[update], [sub_matrix]/[sub_cols], [transpose], [mul],
-    [mv], [gram]) are float code reading [data] directly rather than the
-    functor's boxed body.  Each repeats the generic arithmetic in the
-    same order with the same zero-skip, so every result is bitwise that
-    of [Gen_mat.Make (Scalar.Float)]. *)
+type t = { rows : int; cols : int; data : float array }
+(** Entry [(i, j)] is [data.(i * cols + j)]. *)
 
-include Gen_mat.S with type elt = float
+exception Singular of int
+(** Raised by {!lu} at the first column with no nonzero pivot. *)
+
+val create : int -> int -> t
+val init : int -> int -> (int -> int -> float) -> t
+val identity : int -> t
+val dims : t -> int * int
+val get : t -> int -> int -> float
+val set : t -> int -> int -> float -> unit
+val update : t -> int -> int -> (float -> float) -> unit
+val copy : t -> t
+val of_arrays : float array array -> t
+val col : t -> int -> float array
+val set_col : t -> int -> float array -> unit
+val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
+val sub_cols : t -> int -> int -> t
+val hcat : t -> t -> t
+val vcat : t -> t -> t
+val transpose : t -> t
+val add : t -> t -> t
+val sub : t -> t -> t
+val scale : float -> t -> t
+val mul : t -> t -> t
+val mv : t -> float array -> float array
+val frobenius : t -> float
+val max_abs : t -> float
 
 (** {1 Row-range kernels} *)
 
@@ -35,10 +58,18 @@ val gram_over : ranges -> t -> t
     the rows of its operand in ascending order, so the result is bitwise
     [gram]'s for any split. *)
 
-(** {1 Real-specific conveniences} *)
+(** {1 LU with partial pivoting} *)
 
-val of_fun : int -> int -> (int -> int -> float) -> t
-(** Alias of [init]. *)
+type lu
+
+val lu : t -> lu
+val lu_solve_vec : lu -> float array -> float array
+val lu_solve : lu -> t -> t
+
+val solve : t -> t -> t
+(** [solve a b] is [lu_solve (lu a) b]. *)
+
+(** {1 Real-specific conveniences} *)
 
 val diag : float array -> t
 (** Square diagonal matrix with the given diagonal. *)

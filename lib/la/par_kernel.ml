@@ -169,11 +169,10 @@ let panel_width = 32
    array per column) rather than on the row-major [Mat] directly: every
    reflector dot/axpy then streams sequential memory with direct
    (monomorphic, allocation-free) array access, instead of strided
-   bounds-checked [Mat.get] calls through the [Gen_mat] functor — which
-   both cost a call per element and box every float they return, and the
-   resulting allocation pressure forces constant minor-GC synchronisation
-   across worker domains.  The arithmetic sequence per element is
-   unchanged, so results stay bitwise-identical to the row-major code. *)
+   bounds-checked reads down a column of [data], one cache line per
+   element.  The arithmetic sequence per element is unchanged, so
+   results stay bitwise-identical to the row-major code
+   ([Pmtbr_oracle.Unblocked_qr]). *)
 let cols_of_mat (a : Mat.t) =
   let m = a.Mat.rows and n = a.Mat.cols in
   let data = a.Mat.data in

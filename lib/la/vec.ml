@@ -1,9 +1,6 @@
 (* Small helpers on [float array] vectors. *)
 
-let make n v = Array.make n v
 let zeros n = Array.make n 0.0
-let init = Array.init
-let copy = Array.copy
 
 let dot x y =
   assert (Array.length x = Array.length y);
@@ -15,8 +12,6 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let add x y = Array.mapi (fun i xi -> xi +. y.(i)) x
-let sub x y = Array.mapi (fun i xi -> xi -. y.(i)) x
 let scale a x = Array.map (fun v -> a *. v) x
 
 (* y <- y + a*x, in place *)
@@ -28,7 +23,7 @@ let axpy a x y =
 
 let normalize x =
   let n = norm2 x in
-  if n = 0.0 then copy x else scale (1.0 /. n) x
+  if n = 0.0 then Array.copy x else scale (1.0 /. n) x
 
 let max_abs_diff x y =
   assert (Array.length x = Array.length y);
@@ -46,8 +41,3 @@ let linspace lo hi n =
 let logspace lo hi n =
   assert (lo > 0.0 && hi > 0.0);
   Array.map exp (linspace (log lo) (log hi) n)
-
-let pp ppf x =
-  Format.fprintf ppf "@[<h>[";
-  Array.iteri (fun i v -> Format.fprintf ppf (if i = 0 then "%.6g" else "; %.6g") v) x;
-  Format.fprintf ppf "]@]"

@@ -1,28 +1,13 @@
 (** Helpers on [float array] vectors. *)
 
-val make : int -> float -> float array
-(** [make n v] is a vector of [n] copies of [v]. *)
-
 val zeros : int -> float array
 (** [zeros n] is the zero vector of dimension [n]. *)
-
-val init : int -> (int -> float) -> float array
-(** [init n f] is [[| f 0; ...; f (n-1) |]]. *)
-
-val copy : float array -> float array
-(** Fresh copy. *)
 
 val dot : float array -> float array -> float
 (** Euclidean inner product.  Both arguments must have the same length. *)
 
 val norm2 : float array -> float
 (** Euclidean norm. *)
-
-val add : float array -> float array -> float array
-(** Elementwise sum. *)
-
-val sub : float array -> float array -> float array
-(** Elementwise difference. *)
 
 val scale : float -> float array -> float array
 (** [scale a x] is [a * x]. *)
@@ -43,6 +28,3 @@ val linspace : float -> float -> int -> float array
 val logspace : float -> float -> int -> float array
 (** [logspace lo hi n] is [n] log-spaced values from [lo] to [hi]; both
     bounds must be positive. *)
-
-val pp : Format.formatter -> float array -> unit
-(** Bracketed, semicolon-separated rendering. *)

@@ -17,7 +17,7 @@ let eval sys (s : Complex.t) =
   Cmat.init p_out p_in (fun i j ->
       let acc = ref Complex.zero in
       for k = 0 to c.Mat.cols - 1 do
-        acc := Complex.add !acc (Scalar.Cx.scale (Mat.get c i k) z.(j).(k))
+        acc := Complex.add !acc (Cmat.real_mul (Mat.get c i k) z.(j).(k))
       done;
       !acc)
 

@@ -37,7 +37,7 @@ let at sys ~(s0 : Complex.t) ~count =
     Cmat.init p_out v.Cmat.cols (fun i j ->
         let acc = ref Complex.zero in
         for k = 0 to c.Mat.cols - 1 do
-          acc := Complex.add !acc (Scalar.Cx.scale (Mat.get c i k) (Cmat.get v k j))
+          acc := Complex.add !acc (Cmat.real_mul (Mat.get c i k) (Cmat.get v k j))
         done;
         !acc)
   in

@@ -93,7 +93,7 @@ let reduce ?order ?tol ?shifts ?num_shifts ?(adi_tol = 1e-10) ?max_steps
      valid when J E J = E and J A J = A^T — a wrong [inductors] split
      breaks both even when E is diagonal (where the Hankel-core symmetry
      check below cannot fire) *)
-  let v = Mat.of_fun n 1 (fun i _ -> 1.0 +. (float_of_int (i mod 17) /. 17.0)) in
+  let v = Mat.init n 1 (fun i _ -> 1.0 +. (float_of_int (i mod 17) /. 17.0)) in
   let jv = apply_j ~inductors v in
   let jaj = apply_j ~inductors (Dss.apply_a sys jv) in
   let at_v = obs_ops.Lr_lyap.mul_a v in
@@ -186,7 +186,7 @@ let positive_real_residual sys points =
       let re = Cmat.re h and im = Cmat.im h in
       (* K = (H + H^H)/2: Re K = sym(Re H), Im K = skew(Im H) *)
       let embed =
-        Mat.of_fun (2 * p) (2 * p) (fun i j ->
+        Mat.init (2 * p) (2 * p) (fun i j ->
             let kre i j = 0.5 *. (Mat.get re i j +. Mat.get re j i) in
             let kim i j = 0.5 *. (Mat.get im i j -. Mat.get im j i) in
             match (i < p, j < p) with

@@ -56,13 +56,14 @@ val reduce :
     number of trailing inductor-current states (the
     {!Pmtbr_circuit.Netlist.inductor_count} of the stamped netlist);
     [0] is the RC case.  [order] and [tol] (the relative tail) choose
-    the order through {!Tbr.truncation_order}, as in {!Tbr.reduce}.
-    [?ms] reuses an already prepared multi-shift handle (the serve layer
-    keeps one per cached network).
+    the order through {!Tbr.truncation_order}, as in {!Tbr.reduce}: an
+    explicit [order] given with [tol] is capped at the order [tol] alone
+    picks.  [?ms] reuses an already prepared multi-shift handle (the
+    serve layer keeps one per cached network).
     @raise Invalid_argument if [C <> B]{^ T} (the system is not
     reciprocal), if the Hankel core comes out non-symmetric (wrong
-    [inductors] or non-symmetric [E]), if both [order] and [tol] are
-    given, or if the Gramian factor is empty. *)
+    [inductors] or non-symmetric [E]), or if the Gramian factor is
+    empty. *)
 
 val synthesize : ?drop_tol:float -> ?workers:int -> t -> Pmtbr_circuit.Spice_ir.t
 (** Realise the reduced model as an R/C netlist through

@@ -173,13 +173,9 @@ let canonicalize text =
   | parsed ->
       let ir = Pmtbr_circuit.Spice_ir.canonical (Pmtbr_circuit.Spice.ir parsed) in
       let nl = Pmtbr_circuit.Spice_ir.to_netlist ir in
-      if Pmtbr_circuit.Netlist.port_count nl < 1 then
-        Error "netlist declares no .port — a reduction job needs at least one"
-      else if Pmtbr_circuit.Netlist.node_count nl < 1 then
-        Error "netlist has no internal nodes"
-      else Ok (nl, Pmtbr_circuit.Spice_ir.render ir)
-  | exception Pmtbr_circuit.Spice.Parse_error (line, msg) ->
-      Error (Printf.sprintf "netlist parse error at line %d: %s" line msg)
+      let* () = Pmtbr_circuit.Netlist.check_reducible nl in
+      Ok (nl, Pmtbr_circuit.Spice_ir.render ir)
+  | exception (Pmtbr_circuit.Spice.Parse_error _ as e) -> Error (Printexc.to_string e)
 
 let hash_of_canonical canonical = Digest.to_hex (Digest.string canonical)
 

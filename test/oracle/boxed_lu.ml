@@ -9,7 +9,6 @@
    [test_sparse] pins both bitwise on solves and on the [Singular]
    column. *)
 
-open Pmtbr_la
 open Pmtbr_sparse
 
 (* ------------------------------------------------------------------ *)

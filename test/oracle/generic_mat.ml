@@ -1,9 +1,10 @@
 (* The generic dense kernels at floats, [Gen_mat.Make (Scalar.Float)],
-   compiled through the functor's boxed body, and the closure loops that
-   the unboxed products replaced.  [Mat]'s float kernels,
-   [Triplet.mul_dense] / [to_dense] and [Sample_cache.apply_q] are pinned
-   against these bit for bit, and [bench/dense_bench] times its GEMM
-   baseline on [mul] here. *)
+   compiled through the functor's boxed body, [Mat]'s conveniences as
+   they were written on it, and the closure loops that the unboxed
+   products replaced.  Every [Mat] operation, [Triplet.mul_dense] /
+   [to_dense] and [Sample_cache.apply_q] are pinned against these bit
+   for bit, and [bench/dense_bench] times its GEMM baseline on [mul]
+   here. *)
 
 open Pmtbr_la
 
@@ -11,6 +12,13 @@ include Gen_mat.Make (Scalar.Float)
 
 let of_mat (m : Mat.t) = { rows = m.Mat.rows; cols = m.Mat.cols; data = Array.copy m.Mat.data }
 let to_mat m = { Mat.rows = m.rows; cols = m.cols; data = Array.copy m.data }
+
+let diag v = init (Array.length v) (Array.length v) (fun i j -> if i = j then v.(i) else 0.0)
+let diagonal m = Array.init (min m.rows m.cols) (fun i -> get m i i)
+
+let symmetrize m =
+  assert (m.rows = m.cols);
+  init m.rows m.cols (fun i j -> 0.5 *. (get m i j +. get m j i))
 
 (* A^T A through the functor's accessors: [Mat.gram] before it read its
    operand directly. *)

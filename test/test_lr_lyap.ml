@@ -52,6 +52,15 @@ let dense_gramian e a b =
   Lyap.solve_with (Lyap.factor_general f)
     (Mat.symmetrize (Mat.mul btil (Mat.transpose btil)))
 
+(* The controllability operators [Tbr_lr] and [Tbr_passive] run, on a
+   dense pencil: one cached complex LU per shift through the shared
+   solver, a real LU of E factored on first use. *)
+let dense_ops ~e ~a =
+  let n = a.Mat.rows in
+  let sys = Dss.of_dense ~e ~a ~b:(Mat.create n 0) ~c:(Mat.create 0 n) in
+  let solve, _ = Lyap_ops.shared_solver sys in
+  fst (Lyap_ops.ops_of_dss solve sys)
+
 let rel_gramian_error z x =
   Mat.frobenius (Mat.sub (Mat.mul z (Mat.transpose z)) x) /. Mat.frobenius x
 
@@ -66,7 +75,7 @@ let prop_adi_matches_dense =
     (fun (n, m, seed, spd_e, sym_a) ->
       let e, a, b = random_system ~seed ~n ~m ~spd_e ~sym_a in
       let x = dense_gramian e a b in
-      let z, st = Lr_lyap.lr_adi ~tol:1e-12 (Lr_lyap.ops_of_dense ~e ~a) b in
+      let z, st = Lr_lyap.lr_adi ~tol:1e-12 (dense_ops ~e ~a) b in
       st.Lr_lyap.converged && rel_gramian_error z x <= 1e-8)
 
 (* For symmetric negative-definite A with E = I every ADI step is a
@@ -79,7 +88,7 @@ let prop_adi_residual_monotone =
     (fun (n, m, seed) ->
       let _, a, b = random_system ~seed ~n ~m ~spd_e:false ~sym_a:true in
       let e = Mat.identity n in
-      let _, st = Lr_lyap.lr_adi ~tol:1e-13 (Lr_lyap.ops_of_dense ~e ~a) b in
+      let _, st = Lr_lyap.lr_adi ~tol:1e-13 (dense_ops ~e ~a) b in
       let r = st.Lr_lyap.residuals in
       let ok = ref true in
       for i = 1 to Array.length r - 1 do
@@ -190,7 +199,7 @@ let test_band_limited_stop () =
 
 let test_invalid_arguments () =
   let e = Mat.identity 4 and a = Mat.scale (-1.0) (Mat.identity 4) in
-  let ops = Lr_lyap.ops_of_dense ~e ~a in
+  let ops = dense_ops ~e ~a in
   let b = Mat.random ~seed:3 4 1 in
   (match Lr_lyap.lr_adi ~shifts:[||] ops b with
   | _ -> Alcotest.fail "empty shifts accepted"
@@ -199,7 +208,7 @@ let test_invalid_arguments () =
   | _ -> Alcotest.fail "unstable shift accepted"
   | exception Invalid_argument _ -> ());
   (* singular E must surface as Invalid_argument, not an assert/Singular *)
-  let ops_sing = Lr_lyap.ops_of_dense ~e:(Mat.create 4 4) ~a in
+  let ops_sing = dense_ops ~e:(Mat.create 4 4) ~a in
   (match Lr_lyap.lr_adi ops_sing b with
   | _ -> Alcotest.fail "singular E accepted"
   | exception Invalid_argument _ -> ())
@@ -221,7 +230,7 @@ let test_to_standard_singular_e () =
 
 let test_empty_rhs () =
   let e = Mat.identity 5 and a = Mat.scale (-1.0) (Mat.identity 5) in
-  let z, st = Lr_lyap.lr_adi (Lr_lyap.ops_of_dense ~e ~a) (Mat.create 5 0) in
+  let z, st = Lr_lyap.lr_adi (dense_ops ~e ~a) (Mat.create 5 0) in
   Alcotest.(check int) "no columns" 0 z.Mat.cols;
   Alcotest.(check bool) "trivially converged" true st.Lr_lyap.converged
 

@@ -109,10 +109,11 @@ let test_dot_blocked_accuracy () =
     Alcotest.failf "blocked dot %.17g vs sequential %.17g" d d_ref
 
 (* ------------------------------------------------------------------ *)
-(* Float kernels == the generic functor, bit for bit                    *)
+(* Mat and Cmat == the generic functor, bit for bit                     *)
 (* ------------------------------------------------------------------ *)
 
 module G = Pmtbr_oracle.Generic_mat
+module GC = Pmtbr_oracle.Generic_cmat
 
 (* Bit patterns, so [-0.0] and [0.0] differ and NaN payloads count. *)
 let same_bits (a : float array) (b : float array) =
@@ -125,49 +126,192 @@ let same_mat (a : Mat.t) (b : Mat.t) =
 let same_g (a : Mat.t) (g : G.t) = same_mat a (G.to_mat g)
 let same_float x y = same_bits [| x |] [| y |]
 
+let same_cbits (a : Complex.t array) (b : Complex.t array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Complex.t) (y : Complex.t) -> same_float x.re y.re && same_float x.im y.im)
+       a b
+
+let same_c (a : Cmat.t) (g : GC.t) =
+  a.Cmat.rows = g.GC.rows && a.Cmat.cols = g.GC.cols && same_cbits a.Cmat.data g.GC.data
+
 (* Entries in (-1, 1) with exact 0.0 and -0.0 mixed in, about a quarter
    each, so every zero-skip is taken on both signs of zero, and a rare
    infinity, so a skip that went missing would turn 0 * inf into a NaN. *)
-let zeroed_random ~seed rows cols =
+let zeroed_entry st =
+  match Random.State.int st 512 with
+  | k when k < 128 -> 0.0
+  | k when k < 256 -> -0.0
+  | 256 -> Float.infinity
+  | 257 -> Float.neg_infinity
+  | _ -> Random.State.float st 2.0 -. 1.0
+
+(* A matrix of such entries; [?diag] overwrites the diagonal, so that a
+   square one is seldom singular. *)
+let zeroed_random ?diag ~seed rows cols =
   let st = Random.State.make [| seed |] in
-  Mat.init rows cols (fun _ _ ->
-      match Random.State.int st 512 with
-      | k when k < 128 -> 0.0
-      | k when k < 256 -> -0.0
-      | 256 -> Float.infinity
-      | 257 -> Float.neg_infinity
-      | _ -> Random.State.float st 2.0 -. 1.0)
+  Mat.init rows cols (fun i j ->
+      let v = zeroed_entry st in
+      match diag with Some d when i = j -> d | Some _ | None -> v)
+
+(* Both parts drawn as above: complex zeros with every sign combination,
+   and zero parts beside infinite ones. *)
+let zeroed_complex ?diag ~seed rows cols =
+  let st = Random.State.make [| seed |] in
+  Cmat.init rows cols (fun i j ->
+      let re = zeroed_entry st in
+      let im = zeroed_entry st in
+      match diag with Some d when i = j -> d | Some _ | None -> { Complex.re; im })
 
 (* Empty dimensions, small shapes and tall (state-dimension) operands. *)
 let dim = QCheck2.Gen.(frequency [ (1, return 0); (4, int_range 1 9) ])
 let rows_gen = QCheck2.Gen.(frequency [ (3, dim); (1, int_range 100 300) ])
 
+(* What an LU gives: the column [Singular] names, or the solves of a
+   vector and of a matrix through its factors. *)
+let mat_lu a x b =
+  match Mat.lu a with
+  | f -> Ok (Mat.lu_solve_vec f x, Mat.lu_solve f b, Mat.solve a b)
+  | exception Mat.Singular c -> Error c
+
+let g_lu ga x gb =
+  match G.lu ga with
+  | f -> Ok (G.lu_solve_vec f x, G.lu_solve f gb, G.solve ga gb)
+  | exception G.Singular c -> Error c
+
+let same_lu r g =
+  match (r, g) with
+  | Ok (v, m, s), Ok (gv, gm, gs) -> same_bits v gv && same_g m gm && same_g s gs
+  | Error c, Error gc -> c = gc
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let cmat_lu a x b =
+  match Cmat.lu a with
+  | f -> Ok (Cmat.lu_solve_vec f x, Cmat.lu_solve f b)
+  | exception Cmat.Singular c -> Error c
+
+let gc_lu ga x gb =
+  match GC.lu ga with
+  | f -> Ok (GC.lu_solve_vec f x, GC.lu_solve f gb)
+  | exception GC.Singular c -> Error c
+
+let same_clu r g =
+  match (r, g) with
+  | Ok (v, m), Ok (gv, gm) -> same_cbits v gv && same_c m gm
+  | Error c, Error gc -> c = gc
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* A position inside an m x k operand and a block starting there, drawn
+   from the seed. *)
+let block_of ~m ~k seed =
+  let row = seed mod (m + 1) and col = seed mod (k + 1) in
+  let rows = (seed / 7) mod (m - row + 1) and cols = (seed / 11) mod (k - col + 1) in
+  let j = if k > 0 then seed mod k else 0 in
+  (row, col, rows, cols, j)
+
+(* Every [Mat] operation on an m x k operand, with partners of the
+   shapes each one needs, against the functor at floats. *)
+let mat_matches_generic m k n seed =
+  let a = zeroed_random ~seed m k and b = zeroed_random ~seed:(seed + 1) k n in
+  let a2 = zeroed_random ~seed:(seed + 4) m k and c = zeroed_random ~seed:(seed + 5) m n in
+  let d = zeroed_random ~seed:(seed + 6) n k in
+  let sq = zeroed_random ~seed:(seed + 7) k k in
+  let sqd = zeroed_random ~diag:2.0 ~seed:(seed + 8) k k in
+  let ga = G.of_mat a and gb = G.of_mat b and ga2 = G.of_mat a2 and gsq = G.of_mat sq in
+  let x = (zeroed_random ~seed:(seed + 2) 1 k).Mat.data in
+  let s = Mat.get (zeroed_random ~seed:(seed + 3) 1 1) 0 0 in
+  let row, col, rows, cols, j = block_of ~m ~k seed in
+  let written = Mat.copy a and gwritten = G.copy ga in
+  if m > 0 && k > 0 then begin
+    Mat.set written (row mod m) j s;
+    Mat.update written (m - 1) j (fun e -> e +. s);
+    Mat.set_col written (k - 1) (Mat.col a2 j);
+    G.set gwritten (row mod m) j s;
+    G.update gwritten (m - 1) j (fun e -> e +. s);
+    G.set_col gwritten (k - 1) (G.col ga2 j)
+  end;
+  let rows_of (mm : Mat.t) = Array.init mm.Mat.rows (fun i -> Array.sub mm.Mat.data (i * k) k) in
+  same_g (Mat.create m k) (G.create m k)
+  && same_g
+       (Mat.init m k (fun i j -> s *. Mat.get a i j))
+       (G.init m k (fun i j -> s *. G.get ga i j))
+  && same_g (Mat.identity k) (G.identity k)
+  && Mat.dims a = G.dims ga
+  && same_g (Mat.of_arrays (rows_of a)) (G.of_arrays (rows_of a))
+  && (k = 0 || same_bits (Mat.col a j) (G.col ga j))
+  && same_g (Mat.sub_matrix a ~row ~col ~rows ~cols) (G.sub_matrix ga ~row ~col ~rows ~cols)
+  && same_g (Mat.sub_cols a col cols) (G.sub_cols ga col cols)
+  && same_g (Mat.hcat a c) (G.hcat ga (G.of_mat c))
+  && same_g (Mat.vcat a d) (G.vcat ga (G.of_mat d))
+  && same_g (Mat.transpose a) (G.transpose ga)
+  && same_g (Mat.add a a2) (G.add ga ga2)
+  && same_g (Mat.sub a a2) (G.sub ga ga2)
+  && same_g (Mat.scale s a) (G.scale s ga)
+  && same_g (Mat.mul a b) (G.mul ga gb)
+  && same_bits (Mat.mv a x) (G.mv ga x)
+  && same_g (Mat.gram a) (G.gram ga)
+  && same_float (Mat.frobenius a) (G.frobenius ga)
+  && same_float (Mat.max_abs a) (G.max_abs ga)
+  && same_lu (mat_lu sq x b) (g_lu gsq x gb)
+  && same_lu (mat_lu sqd x b) (g_lu (G.of_mat sqd) x gb)
+  && same_g (Mat.diag x) (G.diag x)
+  && same_bits (Mat.diagonal a) (G.diagonal ga)
+  && same_g (Mat.symmetrize sq) (G.symmetrize gsq)
+  && same_g written gwritten
+  && (m = 0 || k = 0 || same_float (Mat.get a (m - 1) j) (G.get ga (m - 1) j))
+
+(* The same for every [Cmat] operation, against the functor at complex
+   scalars, with [Cmat]'s conversions from real operands. *)
+let cmat_matches_generic m k n seed =
+  let a = zeroed_complex ~seed m k and b = zeroed_complex ~seed:(seed + 1) k n in
+  let a2 = zeroed_complex ~seed:(seed + 4) m k in
+  let sq = zeroed_complex ~seed:(seed + 7) k k in
+  let sqd = zeroed_complex ~diag:{ Complex.re = 2.0; im = -0.5 } ~seed:(seed + 8) k k in
+  let ga = GC.of_cmat a and gb = GC.of_cmat b and ga2 = GC.of_cmat a2 in
+  let x = (zeroed_complex ~seed:(seed + 2) 1 k).Cmat.data in
+  let scalars = (zeroed_complex ~seed:(seed + 3) 1 2).Cmat.data in
+  let z = scalars.(0) and w = scalars.(1) in
+  let ra = zeroed_random ~seed:(seed + 9) m k and ra2 = zeroed_random ~seed:(seed + 10) m k in
+  let row, _, _, _, j = block_of ~m ~k seed in
+  let written = Cmat.copy a and gwritten = GC.copy ga in
+  if m > 0 && k > 0 then begin
+    Cmat.set written (row mod m) j z;
+    Cmat.set_col written (k - 1) (Cmat.col a2 j);
+    GC.set gwritten (row mod m) j z;
+    GC.set_col gwritten (k - 1) (GC.col ga2 j)
+  end;
+  same_c (Cmat.create m k) (GC.create m k)
+  && same_c
+       (Cmat.init m k (fun i j -> Complex.conj (Cmat.get a i j)))
+       (GC.init m k (fun i j -> Complex.conj (GC.get ga i j)))
+  && same_c (Cmat.identity k) (GC.identity k)
+  && (k = 0 || same_cbits (Cmat.col a j) (GC.col ga j))
+  && same_c (Cmat.conj_transpose a) (GC.conj_transpose ga)
+  && same_c (Cmat.add a a2) (GC.add ga ga2)
+  && same_c (Cmat.sub a a2) (GC.sub ga ga2)
+  && same_c (Cmat.scale z.re a) (GC.scale z.re ga)
+  && same_c (Cmat.scale_elt z a) (GC.scale_elt z ga)
+  && same_c (Cmat.mul a b) (GC.mul ga gb)
+  && same_cbits (Cmat.mv a x) (GC.mv ga x)
+  && same_float (Cmat.frobenius a) (GC.frobenius ga)
+  && same_float (Cmat.max_abs a) (GC.max_abs ga)
+  && same_clu (cmat_lu sq x b) (gc_lu (GC.of_cmat sq) x gb)
+  && same_clu (cmat_lu sqd x b) (gc_lu (GC.of_cmat sqd) x gb)
+  && same_c (Cmat.of_mat ra) (GC.of_mat ra)
+  && same_mat (Cmat.re a) (GC.re ga)
+  && same_mat (Cmat.im a) (GC.im ga)
+  && same_c (Cmat.axpby_real ~alpha:z ra ~beta:w ra2) (GC.axpby_real ~alpha:z ra ~beta:w ra2)
+  && same_c written gwritten
+  && (m = 0 || k = 0 || same_cbits [| Cmat.get a (m - 1) j |] [| GC.get ga (m - 1) j |])
+
+(* One property for the whole dense layer: every [Mat] and [Cmat]
+   operation against [Gen_mat] at floats and at complex scalars, on
+   empty, tall and zero-laden shapes with signed zeros and infinities;
+   an LU must raise [Singular] at the functor's column. *)
 let prop_float_kernels_match_generic =
   QCheck2.Test.make ~name:"Mat float kernels == Gen_mat at floats (bitwise)" ~count:200
     QCheck2.Gen.(tup4 rows_gen dim dim (int_range 0 99_999))
-    (fun (m, k, n, seed) ->
-      let a = zeroed_random ~seed m k and b = zeroed_random ~seed:(seed + 1) k n in
-      let ga = G.of_mat a in
-      let x = (zeroed_random ~seed:(seed + 2) 1 k).Mat.data in
-      let s = Mat.get (zeroed_random ~seed:(seed + 3) 1 1) 0 0 in
-      let row = seed mod (m + 1) and col = seed mod (k + 1) in
-      let rows = (seed / 7) mod (m - row + 1) and cols = (seed / 11) mod (k - col + 1) in
-      let j = if k > 0 then seed mod k else 0 in
-      let written = Mat.copy a and gwritten = G.of_mat a in
-      if m > 0 && k > 0 then begin
-        Mat.set written (row mod m) j s;
-        Mat.update written (m - 1) j (fun e -> e +. s);
-        G.set gwritten (row mod m) j s;
-        G.update gwritten (m - 1) j (fun e -> e +. s)
-      end;
-      same_g (Mat.mul a b) (G.mul ga (G.of_mat b))
-      && same_g (Mat.transpose a) (G.transpose ga)
-      && same_bits (Mat.mv a x) (G.mv ga x)
-      && same_g (Mat.gram a) (G.gram ga)
-      && same_g (Mat.sub_matrix a ~row ~col ~rows ~cols) (G.sub_matrix ga ~row ~col ~rows ~cols)
-      && same_g (Mat.sub_cols a col cols) (G.sub_cols ga col cols)
-      && same_g written gwritten
-      && (m = 0 || k = 0 || same_float (Mat.get a (m - 1) j) (G.get ga (m - 1) j)))
+    (fun (m, k, n, seed) -> mat_matches_generic m k n seed && cmat_matches_generic m k n seed)
 
 (* Random triplets with repeated (row, col) positions, against the old
    per-entry closure loops. *)

@@ -192,9 +192,9 @@ let wrong_inductors_rejected () =
 let exact_unstamp () =
   (* with every state a port (B = I) the congruence is the identity, so
      synthesis must reproduce E and A exactly *)
-  let e = Mat.of_fun 3 3 (fun i j -> if i = j then 2.0 else -0.25) in
+  let e = Mat.init 3 3 (fun i j -> if i = j then 2.0 else -0.25) in
   let a =
-    Mat.of_fun 3 3 (fun i j -> if i = j then -3.0 else 0.5 +. (0.125 *. float_of_int (i + j)))
+    Mat.init 3 3 (fun i j -> if i = j then -3.0 else 0.5 +. (0.125 *. float_of_int (i + j)))
   in
   let b = Mat.identity 3 in
   let ir = Synth.realize ~e ~a ~b ~c:b () in
@@ -226,8 +226,8 @@ let full_model_realized () =
 let unrealizable_rejected () =
   (* an asymmetric A must be refused, not silently mangled *)
   let e = Mat.identity 3 in
-  let a = Mat.of_fun 3 3 (fun i j -> if i = j then -1.0 else if i < j then 0.5 else 0.0) in
-  let b = Mat.of_fun 3 1 (fun i _ -> if i = 0 then 1.0 else 0.0) in
+  let a = Mat.init 3 3 (fun i j -> if i = j then -1.0 else if i < j then 0.5 else 0.0) in
+  let b = Mat.init 3 1 (fun i _ -> if i = 0 then 1.0 else 0.0) in
   let c = Mat.transpose b in
   match Synth.realize ~e ~a ~b ~c () with
   | _ -> Alcotest.fail "asymmetric A accepted"

@@ -295,6 +295,45 @@ let test_request_validation () =
       ("job reduce\nmethod pmtbr\nband 1:2\n\n", "missing netlist");
     ]
 
+(* Malformed netlists on every subcommand, and a port-less one on every
+   subcommand that reduces or sweeps (info still prints its statistics):
+   the CLI refuses each with its usage exit, in the daemon's words (a
+   parse error also names the file), never as an internal error; the
+   store refuses the same text with the same words. *)
+let bad_netlists =
+  let all = [ "info"; "hsv"; "sweep"; "adaptive"; "reduce" ] in
+  [
+    ("R1 1\n", "netlist parse error at line 1: wrong number of fields: R1 1", all);
+    ("C1 1 0 nan\n.port 1\n", "netlist parse error at line 1: bad numeric value: nan", all);
+    ("+ R1 1 0 1k\n", "netlist parse error at line 1: continuation line", all);
+    ("R1 1 0 1k\nC1 1 0 1p\n", "netlist declares no .port", List.tl all);
+  ]
+
+let test_bad_netlists_refused () =
+  List.iter
+    (fun (text, fragment, subcommands) ->
+      (match Store.reduce (Store.create ()) (job_of text) with
+      | Error e when contains ~sub:fragment e -> ()
+      | Error e -> Alcotest.failf "wire %S: %S does not say %S" text e fragment
+      | Ok _ -> Alcotest.failf "wire %S must be refused" text);
+      let file = Filename.temp_file "pmtbr_bad" ".sp" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      let says =
+        if String.starts_with ~prefix:"netlist parse error" fragment then file ^ ": " ^ fragment
+        else fragment
+      in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          List.iter
+            (fun sub ->
+              let code, err = cli [ sub; "--spice"; file ] in
+              if code <> 124 || (not (contains ~sub:says err)) || contains ~sub:"internal error" err
+              then
+                Alcotest.failf "cli %s on %S: exit %d, %S does not say %S" sub text code err says)
+            subcommands))
+    bad_netlists
+
 let test_response_roundtrip () =
   let r = Protocol.ok ~fields:[ ("tier", "rom-hit"); ("solves", "0") ] ~body:"data" () in
   (match Protocol.parse_response (Protocol.encode_response r) with
@@ -1188,6 +1227,7 @@ let () =
           Alcotest.test_case "auto fields roundtrip and validation" `Quick
             test_auto_fields_roundtrip_and_validation;
           Alcotest.test_case "request validation" `Quick test_request_validation;
+          Alcotest.test_case "bad netlists refused by name" `Quick test_bad_netlists_refused;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
         ] );
       ( "band-bugfix",

@@ -174,7 +174,7 @@ let test_draw_direction_in_span () =
   let d = Correlation.draw_direction ~rng t in
   (* d must lie in the column span of base *)
   let q = Qr.orth base in
-  let proj = Mat.mv q (Mat.mv_transposed q d) in
+  let proj = Mat.mv q (Mat.mv (Mat.transpose q) d) in
   check_small ~tol:1e-8 "draw in span" (Vec.max_abs_diff d proj)
 
 let props =
