@@ -174,6 +174,16 @@ dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --ping
 # cold + warm repeats of one job: digests must agree, warm must be faster
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
     --band 0:2e10 --order 8 --samples 10 --repeat 3 --assert-warm-speedup 2
+# re-finish: the first job's network, band and samples at another order
+# answers from the samples tier with no solve (and, the cache holding
+# the finish's decomposition, no SVD); the repeat must carry its digest
+REFINISH_OUT=".ci_refinish_$$.out"
+dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
+    --band 0:2e10 --order 6 --samples 10 --repeat 2 > "$REFINISH_OUT"
+cat "$REFINISH_OUT"
+grep '^job 1 ' "$REFINISH_OUT" | grep -q 'tier=samples-hit .*solves=0 ' \
+    || { echo "a re-order must be a samples-tier hit with no solves" >&2; exit 1; }
+rm -f "$REFINISH_OUT"
 # incremental: new band on the same network reuses the prepared handle
 dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --circuit rc-mesh --size 6 \
     --band 1e8:1e10 --order 8 --samples 10
@@ -216,5 +226,8 @@ dune exec bin/pmtbr_cli.exe -- batch --socket "$SOCK" --shutdown
 wait "$SERVE_PID"
 SERVE_PID=""
 if [ -S "$SOCK" ]; then echo "daemon left its socket behind" >&2; exit 1; fi
+# with the daemon gone, batch is a usage error naming the socket
+expect_refusal 'cannot reach the daemon at' batch --socket "$SOCK" --ping
+rm -f "$ERR"
 
 echo "CI OK"

@@ -378,6 +378,7 @@ let draws_arg =
 
 let print_cache_stats (st : Sample_cache.stats) =
   Printf.printf "shift solves:      %d (each shift solved once)\n" st.Sample_cache.solves;
+  Printf.printf "finish SVDs:       %d (one per column set)\n" st.Sample_cache.svds;
   Printf.printf "points sampled:    %d\n" st.Sample_cache.points;
   Printf.printf "columns held:      %d\n" st.Sample_cache.columns;
   Printf.printf "batches:           %d\n" st.Sample_cache.batches;
@@ -700,12 +701,23 @@ let roundtrip conn req =
   (match r.Sproto.status with Ok () -> () | Error msg -> failwith ("server error: " ^ msg));
   r
 
+(* A connection to the daemon, or the usage error naming the socket when
+   nothing answers there (no file, no listener, no permission). *)
+let connected socket f =
+  let conn =
+    try Sclient.connect socket
+    with Unix.Unix_error (err, _, _) ->
+      failwith
+        (Printf.sprintf "cannot reach the daemon at %s: %s" socket (Unix.error_message err))
+  in
+  Fun.protect ~finally:(fun () -> Sclient.close conn) (fun () -> f conn)
+
 (* A job is checked here as [reduce] checks it, then by the daemon; the
    daemon refuses a method it does not serve by name. *)
 let run_batch socket ping server_stats shutdown circuit spice size ports seed meth partition
     max_part_states interface_tol band tol order samples repeat assert_warm export_out () =
   let meth = resolve_method meth partition in
-  Sclient.with_connection socket (fun conn ->
+  connected socket (fun conn ->
       if ping then print_fields (roundtrip conn Sproto.Ping)
       else if server_stats then print_fields (roundtrip conn Sproto.Stats)
       else if shutdown then print_fields (roundtrip conn Sproto.Shutdown)

@@ -92,6 +92,7 @@ let of_samples ?(order : int option) ?(tol = 1e-8) sys ~(zr : Mat.t) ~(zl : Mat.
   let stats =
     {
       Sample_cache.solves = 0;
+      svds = 0;
       points = 2 * samples;
       columns = zr.Mat.cols + zl.Mat.cols;
       batches = 0;

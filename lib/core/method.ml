@@ -26,11 +26,12 @@ let defaults ~band =
   { band; order = None; tol = None; samples = 30; partition = None; max_part_states = None;
     interface_tol = None; adaptive = false; draws = None; seed = 42 }
 
-type key = Order | Tol | Partition | Max_part_states | Interface_tol | Adaptive | Draws
+type key = Order | Tol | Samples | Partition | Max_part_states | Interface_tol | Adaptive | Draws
 
 let key_name = function
   | Order -> "order"
   | Tol -> "tol"
+  | Samples -> "samples"
   | Partition -> "partition"
   | Max_part_states -> "max-part-states"
   | Interface_tol -> "interface-tol"
@@ -243,27 +244,28 @@ let run_pod _ src o =
 let entry name scheme reads ~served run =
   { name; scheme; reads; served; run = run scheme }
 
-let pmtbr = entry "pmtbr" in_band [ Order; Tol; Adaptive ] ~served:true run_pmtbr
+let pmtbr = entry "pmtbr" in_band [ Order; Tol; Samples; Adaptive ] ~served:true run_pmtbr
 
 let hier =
   entry "hier" in_band
-    [ Order; Tol; Partition; Max_part_states; Interface_tol ]
+    [ Order; Tol; Samples; Partition; Max_part_states; Interface_tol ]
     ~served:true run_hier
 
-let multipoint = entry "multipoint" in_band [ Order ] ~served:false run_multipoint
+let multipoint = entry "multipoint" in_band [ Order; Samples ] ~served:false run_multipoint
 
 let all =
   [
     pmtbr;
     hier;
-    entry "fs-pmtbr" on_band [ Order; Tol; Adaptive ] ~served:true run_pmtbr;
+    entry "fs-pmtbr" on_band [ Order; Tol; Samples; Adaptive ] ~served:true run_pmtbr;
     entry "prima" in_band [ Order ] ~served:false run_prima;
     entry "tbr" in_band [ Order; Tol ] ~served:false run_tbr;
     entry "tbr-lr" in_band [ Order; Tol ] ~served:false run_tbr_lr;
     entry "tbr-passive" on_band [ Order; Tol ] ~served:true run_tbr_passive;
     multipoint;
-    entry "cross-gramian" in_band [ Order; Adaptive ] ~served:false run_cross;
-    entry "correlated" in_band [ Order; Tol; Adaptive; Draws ] ~served:false run_correlated;
+    entry "cross-gramian" in_band [ Order; Samples; Adaptive ] ~served:false run_cross;
+    entry "correlated" in_band [ Order; Tol; Samples; Adaptive; Draws ] ~served:false
+      run_correlated;
     entry "two-step" in_band [ Order ] ~served:false run_two_step;
     entry "pod" in_band [ Order; Tol ] ~served:false run_pod;
   ]

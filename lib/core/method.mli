@@ -35,8 +35,11 @@ val defaults : band:float * float -> options
 (** No option given: [samples = 30], [seed = 42]. *)
 
 (** The options a method may read; any other one given is refused by its
-    wire name, which is also its CLI flag without [--]. *)
-type key = Order | Tol | Partition | Max_part_states | Interface_tol | Adaptive | Draws
+    wire name, which is also its CLI flag without [--].  [samples] is the
+    exception: every client sends it, so {!validate} accepts it on every
+    method, and [Samples] in [reads] only says that the run reads it (the
+    daemon's ROM key holds the count for those methods alone). *)
+type key = Order | Tol | Samples | Partition | Max_part_states | Interface_tol | Adaptive | Draws
 
 (** What a method runs on: the network and where its sample columns come
     from.  The daemon's store backs [columns], [split] and [part_columns]

@@ -23,9 +23,11 @@ type result = {
 (* Algorithm 1 steps 3-4 in the coordinates of the cache's SVD operand —
    the assembled ZW when it is wide, the small factor R D otherwise (see
    [Sample_cache.svd_operand]): its dominant left singular vectors, and
-   all singular values.  The right singular vectors are never formed. *)
+   all singular values.  The right singular vectors are never formed, and
+   the decomposition is the cache's own ([Sample_cache.left_svd]), run
+   once per sample set: a re-finish only truncates it. *)
 let leading cache ~scale ?order ?tol ?workers () =
-  let u, sigma = Svd.left ?workers (Sample_cache.svd_operand cache ~scale) in
+  let u, sigma = Sample_cache.left_svd ?workers cache ~scale in
   let q = Tbr.truncation_order ~floor:1e-14 ~sigma ?order ?tol () in
   (Mat.sub_cols u 0 q, sigma)
 

@@ -40,6 +40,12 @@
      small Gram matrix [Q_a^T Q_b] that compresses cross products such as
      the sampled cross-Gramian pencil to the column dimension.
 
+   - The finish's SVD of that operand is kept beside the columns
+     ([left_svd]), stamped with the column count and scale it covers:
+     the singular values and left vectors are a function of the samples
+     alone, and [order]/[tol] only choose where to cut them, so a
+     re-finish pays the truncation and the c x c projection only.
+
    Every operation is a pure function of the points consumed so far —
    batch boundaries, worker counts and rescaling leave no trace in the
    stored columns — which is what makes the incremental adaptive loops
@@ -67,8 +73,11 @@ type t = {
   mutable q_cols : float array array; (* thin-QR orthonormal columns, a prefix of [raw]'s *)
   mutable r_cols : float array array; (* column j of R, length j + 1 *)
   mutable pencil : (int * Dss.t) option; (* Galerkin pencil on span(Q), with its column count *)
-  lock : Mutex.t; (* the lazy QR and pencil builds: caches are shared across store jobs *)
+  mutable svd : (int * float * (Mat.t * float array)) option;
+      (* the finish's [Svd.left] of [svd_operand], with the column count and scale it covers *)
+  lock : Mutex.t; (* the lazy QR, pencil and SVD builds: caches are shared across store jobs *)
   mutable solves : int;
+  mutable svds : int;
   mutable batches : int;
   mutable factor_s : float;
   mutable solve_s : float;
@@ -77,6 +86,7 @@ type t = {
 
 type stats = {
   solves : int;
+  svds : int;
   points : int;
   columns : int;
   batches : int;
@@ -113,8 +123,10 @@ let create ?workers ?ms ?(source = Controllability) sys =
     q_cols = [||];
     r_cols = [||];
     pencil = None;
+    svd = None;
     lock = Mutex.create ();
     solves = 0;
+    svds = 0;
     batches = 0;
     factor_s = 0.0;
     solve_s = 0.0;
@@ -128,6 +140,7 @@ let columns t = Array.length t.raw
 let stats (t : t) : stats =
   {
     solves = t.solves;
+    svds = t.svds;
     points = points t;
     columns = columns t;
     batches = t.batches;
@@ -140,6 +153,7 @@ let stats (t : t) : stats =
 let merge_stats (a : stats) (b : stats) : stats =
   {
     solves = a.solves + b.solves;
+    svds = a.svds + b.svds;
     points = a.points + b.points;
     columns = a.columns + b.columns;
     batches = a.batches + b.batches;
@@ -305,12 +319,17 @@ let assemble t ~scale =
       done);
   out
 
-let small_factor t ~scale =
+(* R D from the R columns held; the caller has grown the QR over every
+   column. *)
+let scaled_r t ~scale =
   let c = columns t in
   if c = 0 then invalid_arg "Sample_cache.small_factor: empty cache";
-  ensure_qr t;
   let cw = col_weights t ~scale in
   Mat.init c c (fun i j -> if i <= j then t.r_cols.(j).(i) *. cw.(j) else 0.0)
+
+let small_factor t ~scale =
+  ensure_qr t;
+  scaled_r t ~scale
 
 let apply_q t (coeff : Mat.t) =
   let c = columns t in
@@ -358,7 +377,36 @@ let cross_q a b =
    singular vectors [lift] carries back through Q. *)
 let wide t = columns t > t.n
 
-let svd_operand t ~scale = if wide t then assemble t ~scale else small_factor t ~scale
+(* The operand with [t.lock] held: a tall cache grows its QR through the
+   unlocked [grow_qr], the lock not being reentrant. *)
+let operand t ~scale =
+  if wide t then assemble t ~scale
+  else begin
+    grow_qr t;
+    scaled_r t ~scale
+  end
+
+let svd_operand t ~scale = Mutex.protect t.lock (fun () -> operand t ~scale)
+
+(* The finish's decomposition of [svd_operand]: its singular values and
+   left vectors depend on the columns and the scale alone, so [order] and
+   [tol] only choose where to cut them.  It is built once per column set
+   and scale, under the cache's lock so that one SVD runs however many
+   domains finish the cache at once, and stamped like the pencil: a
+   cache that has grown, or a finish at another scale, rebuilds it
+   whole.  [Svd.left] is bitwise the same for any worker count, so
+   whichever finish builds it, every later one reads the bits it would
+   have computed itself. *)
+let left_svd ?workers t ~scale =
+  Mutex.protect t.lock (fun () ->
+      let c = columns t in
+      match t.svd with
+      | Some (held, s, d) when held = c && Float.equal s scale -> d
+      | Some _ | None ->
+          let d = Svd.left ?workers (operand t ~scale) in
+          t.svd <- Some (c, scale, d);
+          t.svds <- t.svds + 1;
+          d)
 
 let lift t u = if wide t then u else apply_q t u
 

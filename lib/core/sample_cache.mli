@@ -22,7 +22,9 @@
     never builds the QR at all.  {!cross_q} compresses two-cache products
     (the sampled cross-Gramian pencil) to the column dimension, and
     {!pencil} holds a tall cache's system projected onto span(Q), so a
-    finish projects a [c x c] model instead of the [n]-state one.
+    finish projects a [c x c] model instead of the [n]-state one, and
+    {!left_svd} holds the finish's decomposition of {!svd_operand}, so a
+    re-finish at another order or tolerance runs no SVD.
 
     Everything held is a pure function of the point sequence consumed so
     far: extending in one batch or many, with any worker count, yields
@@ -41,6 +43,10 @@ type t
 
 type stats = {
   solves : int;  (** shifted solves performed over the cache lifetime *)
+  svds : int;
+      (** finish decompositions ({!left_svd}) run over the cache lifetime:
+          one per column set and scale, so a re-finish at any [order] or
+          [tol] leaves it unchanged *)
   points : int;  (** sample points held *)
   columns : int;  (** realified columns held *)
   batches : int;  (** [extend] calls that did work *)
@@ -128,6 +134,18 @@ val svd_operand : t -> scale:float -> Mat.t
     states, otherwise the [columns x columns] {!small_factor}.  Either way
     its singular values are those of [ZW]; only the smaller operand is
     ever formed.  Raises [Invalid_argument] on an empty cache. *)
+
+val left_svd : ?workers:int -> t -> scale:float -> Mat.t * float array
+(** [Svd.left (svd_operand t ~scale)], bit for bit, run at most once per
+    column set and scale: the cache keeps the decomposition, stamped with
+    the column count and [scale] it covers, and rebuilds it whole when
+    either differs (a grown cache never reuses an old one).  Built under
+    the cache's lock, so two domains finishing one shared cache run one
+    SVD; [workers] sizes that SVD's pool and, the result being
+    bitwise-identical for any value, never changes the bits a later
+    caller reads.  The left vectors and singular values are shared, not
+    copied: callers read them and never write into them.  Raises
+    [Invalid_argument] on an empty cache. *)
 
 val wide : t -> bool
 (** Whether the cache holds more columns than states: {!svd_operand} is

@@ -221,10 +221,18 @@ let partition_descriptor spec ~max_part_states =
   | Method.Parts k -> Printf.sprintf "k=%d" k
   | Method.Auto -> Printf.sprintf "auto|budget=%d" max_part_states
 
-(* The ROM key carries the method, its points, tol and order; a
-   hierarchical one also the dissection goal (and budget when auto) and
-   the interface-compression tolerance. *)
+(* The ROM key carries the method, its band, tol and order, the sample
+   count only for a method that reads it ([Method.Samples]: the wire
+   sends a count with every job, and tbr-passive's Gramian never reads
+   it); a hierarchical one also the dissection goal (and budget when
+   auto) and the interface-compression tolerance. *)
 let rom_key hash (m : Method.t) (o : Method.options) =
+  let points =
+    if List.mem Method.Samples m.Method.reads then scheme_descriptor m o
+    else
+      let lo, hi = o.Method.band in
+      Printf.sprintf "band|%.17g:%.17g" lo hi
+  in
   let hier =
     if not (List.mem Method.Partition m.Method.reads) then ""
     else
@@ -235,7 +243,7 @@ let rom_key hash (m : Method.t) (o : Method.options) =
             (Option.value o.Method.max_part_states ~default:Partition.default_max_states)
       ^ match o.Method.interface_tol with Some it -> Printf.sprintf "|itol=%.17g" it | None -> ""
   in
-  Printf.sprintf "rom|%s|%s|%s|tol=%s|order=%s%s" hash m.Method.name (scheme_descriptor m o)
+  Printf.sprintf "rom|%s|%s|%s|tol=%s|order=%s%s" hash m.Method.name points
     (match o.Method.tol with Some t -> Printf.sprintf "%.17g" t | None -> "default")
     (match o.Method.order with Some q -> string_of_int q | None -> "auto")
     hier
@@ -265,17 +273,19 @@ let network_cost nl sys =
 
 let memo_cost key = String.length key + 128
 
-(* What a samples entry can come to hold: its raw columns, and — for a
-   tall cache, once a finish reads them — the thin Q, the triangular R
-   and the c x c Galerkin pencil with its port maps.  A wide cache never
-   builds any of those. *)
+(* What a samples entry can come to hold: its raw columns, the finish's
+   decomposition (k x k left vectors and k singular values, k = min n c)
+   and — for a tall cache, once a finish reads them — the thin Q, the
+   triangular R and the c x c Galerkin pencil with its port maps.  A wide
+   cache never builds any of those three. *)
 let samples_cost sys cache =
   let n = Dss.order sys and c = Sample_cache.columns cache in
-  let raw = 8 * n * c in
-  if Sample_cache.wide cache then raw + 4096
+  let raw = 8 * n * c and k = min n c in
+  let svd = (8 * k * k) + (8 * k) in
+  if Sample_cache.wide cache then raw + svd + 4096
   else
     let ports = Dss.inputs sys + Dss.outputs sys in
-    (2 * raw) + (4 * c * (c + 1)) + (16 * c * c) + (8 * c * ports) + 4096
+    (2 * raw) + (4 * c * (c + 1)) + (16 * c * c) + (8 * c * ports) + svd + 4096
 
 let rom_cost (r : rom_entry) =
   let q = Dss.order r.r_rom in

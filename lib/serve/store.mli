@@ -11,11 +11,16 @@
     - {b Samples tier} (keyed by hash + sampling scheme): the
       {!Pmtbr_core.Sample_cache} of solved shift columns, so a repeat
       query with a {e tighter tolerance or different order} re-finishes
-      through [Pmtbr.of_cache] with zero new solves — a re-finish
-      projects the cache's [c x c] pencil, never the [n]-state model.
+      through [Pmtbr.of_cache] with zero new solves and no SVD — the
+      cache keeps its first finish's decomposition
+      ({!Pmtbr_core.Sample_cache.left_svd}), and a re-finish truncates
+      it and projects the cache's [c x c] pencil, never the [n]-state
+      model.
     - {b ROM tier} (keyed by hash + method + band + tol + order +
-      samples + partition): the finished reduced model, returned outright
-      on exact repeats.
+      partition, and samples for a method that reads them —
+      [Method.Samples] in its [reads]): the finished reduced model,
+      returned outright on exact repeats.  A tbr-passive job that
+      differs only in [samples] is a ROM hit.
 
     Hierarchical jobs (method [hier]) add two more tiers: a {b partition
     tier} (hash + part count: the {!Pmtbr_core.Partition.t}) and

@@ -493,6 +493,100 @@ let prop_pencil_rebuilt_after_extend =
       && rom_bits a.Pmtbr.rom = rom_bits b.Pmtbr.rom)
 
 (* ------------------------------------------------------------------ *)
+(* The finish's decomposition, kept by the cache                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A tall cache (an RC mesh: its SVD operand is the small factor R D) and
+   a wide one (an 8-port substrate: the assembled ZW), each with the band
+   it is sampled over and whether it is wide. *)
+let memo_cases =
+  lazy
+    [|
+      (Dss.of_netlist (Rc_mesh.generate ~rows:7 ~cols:7 ~ports:2 ()), 1e10, false);
+      ( Dss.of_netlist (Substrate.generate ~ports:8 ~internal:20 ~seed:3 ()),
+        4.0 *. Substrate.corner_frequency (),
+        true );
+    |]
+
+let memo_cache sys pts ~wide =
+  let cache = Sample_cache.create ~workers:1 sys in
+  Sample_cache.extend cache pts;
+  if Sample_cache.wide cache <> wide then
+    Alcotest.failf "memo case: wide cache is %b, expected %b" (Sample_cache.wide cache) wide;
+  cache
+
+let svds cache = (Sample_cache.stats cache).Sample_cache.svds
+
+let same_finish (a : Pmtbr.result) (b : Pmtbr.result) =
+  a.Pmtbr.singular_values = b.Pmtbr.singular_values && rom_bits a.Pmtbr.rom = rom_bits b.Pmtbr.rom
+
+(* Re-finishing one cache at any order and tolerance reads the
+   decomposition its first finish built: every finish of the sequence
+   has the bits of a fresh cache's finish, and the cache ran one SVD. *)
+let prop_refinish_reads_the_memo =
+  QCheck2.Test.make ~name:"re-finishes at any order/tol == fresh finishes, one SVD (bitwise)"
+    ~count:6
+    QCheck2.Gen.(
+      pair (int_range 0 1)
+        (list_size (int_range 2 5) (pair (opt (int_range 1 12)) (opt (int_range 2 12)))))
+    (fun (case, finishes) ->
+      let sys, w_max, wide = (Lazy.force memo_cases).(case) in
+      let pts = Sampling.points (Sampling.Uniform { w_max }) ~count:4 in
+      let finish cache (order, tol_exp) =
+        let tol = Option.map (fun e -> 10.0 ** -.float_of_int e) tol_exp in
+        Pmtbr.of_cache sys cache ~scale:1.0 ?order ?tol ~workers:1 ~samples:4 ()
+      in
+      let cache = memo_cache sys pts ~wide in
+      List.for_all
+        (fun f -> same_finish (finish cache f) (finish (memo_cache sys pts ~wide) f))
+        finishes
+      && svds cache = 1)
+
+(* The memo is stamped with the column count and the scale: a cache
+   that grows after a finish (the adaptive loop's shape) decomposes its
+   new column set, and so does a finish at another scale; each equals a
+   fresh cache holding every point. *)
+let test_memo_rebuilt_on_growth () =
+  Array.iter
+    (fun (sys, w_max, _) ->
+      let pts = Sampling.points (Sampling.Uniform { w_max }) ~count:6 in
+      let finish cache ~scale = Pmtbr.of_cache sys cache ~scale ~order:4 ~workers:1 ~samples:6 () in
+      let cache = Sample_cache.create ~workers:1 sys in
+      Sample_cache.extend cache (Array.sub pts 0 3);
+      ignore (finish cache ~scale:2.0);
+      Sample_cache.extend cache (Array.sub pts 3 3);
+      let grown = finish cache ~scale:1.0 in
+      let fresh = Sample_cache.create ~workers:1 sys in
+      Sample_cache.extend fresh pts;
+      Alcotest.(check int) "one SVD per column set" 2 (svds cache);
+      Alcotest.(check bool) "grown finish == one-batch finish (bitwise)" true
+        (same_finish grown (finish fresh ~scale:1.0));
+      let rescaled = finish cache ~scale:0.5 in
+      Alcotest.(check int) "another scale decomposes again" 3 (svds cache);
+      Alcotest.(check bool) "rescaled finish == fresh (bitwise)" true
+        (same_finish rescaled (finish fresh ~scale:0.5)))
+    (Lazy.force memo_cases)
+
+(* Two domains finishing one shared cache at different orders (the
+   daemon's hier parts are shared across networks) run one SVD between
+   them, and each gets its sequential twin's bits. *)
+let test_memo_shared_across_domains () =
+  Array.iter
+    (fun (sys, w_max, wide) ->
+      let pts = Sampling.points (Sampling.Uniform { w_max }) ~count:4 in
+      let finish cache order = Pmtbr.of_cache sys cache ~scale:1.0 ~order ~workers:1 ~samples:4 () in
+      let shared = memo_cache sys pts ~wide in
+      let other = Domain.spawn (fun () -> finish shared 3) in
+      let b = finish shared 6 in
+      let a = Domain.join other in
+      Alcotest.(check int) "one SVD between two domains" 1 (svds shared);
+      Alcotest.(check bool) "order 3 == its sequential twin" true
+        (same_finish a (finish (memo_cache sys pts ~wide) 3));
+      Alcotest.(check bool) "order 6 == its sequential twin" true
+        (same_finish b (finish (memo_cache sys pts ~wide) 6)))
+    (Lazy.force memo_cases)
+
+(* ------------------------------------------------------------------ *)
 (* The method table                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -596,6 +690,7 @@ let props =
         let v = Lazy.force r.Pmtbr.basis in
         let g = Mat.mul (Mat.transpose v) v in
         Mat.frobenius (Mat.sub g (Mat.identity v.Mat.cols)) < 1e-8);
+    prop_refinish_reads_the_memo;
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -629,6 +724,9 @@ let () =
           Alcotest.test_case "subspace converges" `Quick test_pmtbr_subspace_converges;
           Alcotest.test_case "adaptive stops early" `Quick test_pmtbr_adaptive_stops_early;
           Alcotest.test_case "competitive with TBR" `Quick test_pmtbr_matches_tbr_subspace_quality;
+          Alcotest.test_case "svd memo rebuilt on growth" `Quick test_memo_rebuilt_on_growth;
+          Alcotest.test_case "svd memo shared across domains" `Quick
+            test_memo_shared_across_domains;
         ] );
       ( "freq_selective",
         [

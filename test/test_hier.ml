@@ -323,6 +323,32 @@ let test_worker_invariance () =
       Alcotest.(check string) "workers 1 == 5" d1 d3
   | _ -> assert false
 
+(* A re-finish at a new order on warm part caches (what a daemon's hier
+   re-order does) runs no part SVD: each part's cache keeps the
+   decomposition its first finish built, and the model is bitwise the
+   cold route's at the new order. *)
+let test_warm_refinish_runs_no_svd () =
+  let nl = mesh ~rows:12 ~cols:12 ~ports:2 in
+  let pts = points 8 in
+  let pt = Partition.split ~parts:4 nl in
+  let caches = Array.map (fun part -> Hier_reduce.sample_part part pts) pt.Partition.parts in
+  let finish order =
+    let rom, _, _ =
+      Hier_reduce.reduce_with_columns ~order ~workers:2 ~columns:(fun i _ -> caches.(i)) pt pts
+    in
+    rom
+  in
+  ignore (finish 8);
+  let warm = finish 4 in
+  Array.iteri
+    (fun i cache ->
+      Alcotest.(check int) (Printf.sprintf "part %d ran one SVD" i) 1
+        (Sample_cache.stats cache).Sample_cache.svds)
+    caches;
+  let cold, _ = Hier_reduce.reduce_partitioned ~order:4 pt pts in
+  Alcotest.(check string) "warm re-finish == cold route (bitwise)" (rom_digest cold)
+    (rom_digest warm)
+
 (* the two-phase recombination alone (project_part fanned over the pool,
    then the serial assembly) is bitwise worker-invariant given the same
    per-part bases *)
@@ -489,6 +515,7 @@ let () =
           Alcotest.test_case "worker invariance" `Quick test_worker_invariance;
           Alcotest.test_case "recombine invariance" `Quick test_recombine_invariance;
           Alcotest.test_case "failure order" `Quick test_failure_order;
+          Alcotest.test_case "warm re-finish runs no SVD" `Quick test_warm_refinish_runs_no_svd;
         ] );
       ("properties", props);
     ]

@@ -283,6 +283,14 @@ let test_request_validation () =
           if code <> 124 || not (contains ~sub:fragment err) || contains ~sub:"internal error" err
           then Alcotest.failf "cli %s: exit %d, %S does not say %S" what code err fragment)
         refusals);
+  (* the batch client with no daemon on its socket: a usage error naming
+     the socket, not an uncaught connect failure *)
+  let socket = Filename.temp_file "pmtbr_none" ".sock" in
+  Sys.remove socket;
+  let code, err = cli [ "batch"; "--socket"; socket; "--ping" ] in
+  let says = Printf.sprintf "cannot reach the daemon at %s: No such file or directory" socket in
+  if code <> 124 || (not (contains ~sub:says err)) || contains ~sub:"internal error" err then
+    Alcotest.failf "cli batch without a daemon: exit %d, %S does not say %S" code err says;
   (* what only the wire format can get wrong *)
   List.iter
     (fun (payload, what) ->
@@ -841,54 +849,95 @@ let test_warm_equals_cold () =
 let pinned_jobs =
   let mesh8 = mesh_netlist ~n:8 () and mesh5 = mesh_netlist ~n:5 () in
   let substrate = Spice.to_string (Substrate.generate ~ports:12 ~internal:20 ~seed:5 ()) in
-  let by_tol ~band ~samples netlist s =
-    daemon_job ~band ~tol:1e-8 ~samples s netlist
-  in
   [
-    ( "pmtbr by tol",
-      by_tol ~band:(0.0, 2e10) ~samples:10 mesh8,
-      "2d93adcaaac3146b7a2d3923e8a122c7" );
-    ( "pmtbr by order",
-      (fun s -> run_job ~order:8 s mesh8),
-      "a4d97cd63b2110466f95df8f0e2870b3" );
+    ("pmtbr by tol", job_of ~tol:1e-8 mesh8, "2d93adcaaac3146b7a2d3923e8a122c7");
+    ("pmtbr by order", job_of ~order:8 mesh8, "a4d97cd63b2110466f95df8f0e2870b3");
     ( "pmtbr by order, 16x16 mesh",
-      (fun s -> run_job ~order:30 ~samples:12 s (mesh_netlist ~n:16 ())),
+      job_of ~order:30 ~samples:12 (mesh_netlist ~n:16 ()),
       "82354d6a5e637c67d3775a8f2c64ad61" );
     ( "fs-pmtbr",
-      (fun s -> run_job ~meth:(meth "fs-pmtbr") ~band:(1e8, 1e10) ~order:8 s mesh8),
+      job_of ~meth:(meth "fs-pmtbr") ~band:(1e8, 1e10) ~order:8 mesh8,
       "f2fa4c2061d5543ff5034bdc55f6b9b8" );
     ( "pmtbr export",
-      (fun s -> run_job ~order:6 ~export:true s mesh5),
+      job_of ~order:6 ~export:true mesh5,
       "9eeab3bb00caea0560956123f951786f bd115147c6bedd6eae5440afa957a457" );
     ( "tbr-passive export",
-      (fun s -> run_job ~meth:(meth "tbr-passive") ~order:6 ~export:true s mesh5),
+      job_of ~meth:(meth "tbr-passive") ~order:6 ~export:true mesh5,
       "0cc8e42264d0b87525e137f6449fef2b 92676c6f874c505936fd89d60d7324b2" );
     ( "hier K=4",
-      (fun s ->
-        run_job ~meth:Method.hier ~partition:(Method.Parts 4) ~samples:8 s
-          (mesh_netlist ~n:12 ())),
+      job_of ~meth:Method.hier ~partition:(Method.Parts 4) ~order:8 ~samples:8
+        (mesh_netlist ~n:12 ()),
       "192a6031f4174dadd143f81d3b9f401c" );
     ( "hier auto interface-tol",
-      (fun s ->
-        run_job ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20
-          ~interface_tol:1e-8 ~samples:8 s mesh8),
+      job_of ~meth:Method.hier ~partition:Method.Auto ~max_part_states:20 ~interface_tol:1e-8
+        ~order:8 ~samples:8 mesh8,
       "9f93d4b1d19be7172237f9918bb2be88" );
     ( "wide substrate",
-      by_tol ~band:(0.0, 4.0 *. Substrate.corner_frequency ()) ~samples:6 substrate,
+      job_of ~band:(0.0, 4.0 *. Substrate.corner_frequency ()) ~tol:1e-8 ~samples:6 substrate,
       "f02ea67891c6595b3d3555108f314d50" );
   ]
+
+(* A pinned job's answer: the ROM digest, and the MD5 of the exported
+   netlist for an export job. *)
+let pinned store job =
+  let o = must (Store.reduce store job) in
+  match o.Store.netlist with
+  | None -> (o, o.Store.digest)
+  | Some body -> (o, o.Store.digest ^ " " ^ Digest.to_hex (Digest.string body))
 
 let test_pinned_rom_digests () =
   List.iter
     (fun (name, job, expected) ->
-      let o = job (Store.create ()) in
-      let got =
-        match o.Store.netlist with
-        | None -> o.Store.digest
-        | Some body -> o.Store.digest ^ " " ^ Digest.to_hex (Digest.string body)
-      in
-      Alcotest.(check string) name expected got)
+      Alcotest.(check string) name expected (snd (pinned (Store.create ()) job)))
     pinned_jobs
+
+(* The same literals on the re-finish route: each sampled job (flat and
+   hier) runs on a store that first finished the same samples at another
+   order, so its answer truncates the decomposition that finish left in
+   the samples tier.  A flat answer carries that decomposition's very
+   singular-value array (shared, never copied), the witness that no SVD
+   ran again; a hier job concatenates its parts' values, so its parts'
+   memo hits are [test_hier]'s to count. *)
+let test_pinned_refinish_digests () =
+  List.iter
+    (fun (name, (job : Protocol.job), expected) ->
+      let o = job.Protocol.options in
+      if List.mem Method.Samples job.Protocol.meth.Method.reads then begin
+        let store = Store.create () in
+        let other = Some (if o.Method.order = Some 3 then 4 else 3) in
+        let first =
+          must
+            (Store.reduce store
+               { job with Protocol.options = { o with Method.order = other }; export = false })
+        in
+        let answer, got = pinned store job in
+        Alcotest.(check string) (name ^ ": re-finish tier") "samples-hit"
+          (Store.tier_name answer.Store.tier);
+        Alcotest.(check string) (name ^ ": re-finish") expected got;
+        if job.Protocol.meth.Method.name <> Method.hier.Method.name then
+          Alcotest.(check bool) (name ^ ": the first finish's sigma, not a new SVD's") true
+            (answer.Store.singular_values == first.Store.singular_values)
+      end)
+    pinned_jobs
+
+(* The ROM key holds the sample count only for a method that reads it:
+   tbr-passive's Gramian never does, so the same job at another count is
+   answered from the ROM tier, while pmtbr at another count is a new
+   sample set. *)
+let test_rom_key_samples () =
+  let store = Store.create () in
+  let netlist = mesh_netlist ~n:5 () in
+  let passive samples = run_job ~meth:(meth "tbr-passive") ~order:6 ~samples store netlist in
+  let p10 = passive 10 in
+  let p20 = passive 20 in
+  Alcotest.(check string) "tbr-passive at samples 20 is a rom hit" "rom-hit"
+    (Store.tier_name p20.Store.tier);
+  Alcotest.(check int) "with no solves" 0 p20.Store.job_solves;
+  Alcotest.(check string) "and the same digest" p10.Store.digest p20.Store.digest;
+  ignore (run_job ~samples:10 store netlist);
+  let pm20 = run_job ~samples:20 store netlist in
+  Alcotest.(check bool) "pmtbr at samples 20 is not a rom hit" false (pm20.Store.tier = Store.Rom_hit);
+  Alcotest.(check bool) "it solves the new points" true (pm20.Store.job_solves > 0)
 
 let test_eviction_forces_recompute () =
   (* a budget too small for even one network: every entry is evicted as
@@ -1259,6 +1308,9 @@ let () =
           Alcotest.test_case "floating island" `Quick test_store_floating_island;
           Alcotest.test_case "capacitor-free node" `Quick test_store_capacitor_free;
           Alcotest.test_case "no DC path" `Quick test_store_no_dc_path;
+          Alcotest.test_case "pinned digests on the re-finish route" `Quick
+            test_pinned_refinish_digests;
+          Alcotest.test_case "rom key holds samples only where read" `Quick test_rom_key_samples;
         ] );
       ( "daemon",
         [
