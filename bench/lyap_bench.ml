@@ -5,11 +5,15 @@
    LR-ADI engine replaces both Gramians with low-rank factors computed
    from sparse shifted solves through ONE prepared multi-shift handle, so
    the exact baseline scales to the same operands as PMTBR.  This bench
-   measures the dense/low-rank crossover on the RC-mesh family and gates
-   the acceptance operand:
+   measures the dense/low-rank crossover on the RC-mesh family, gates
+   the acceptance operand, and times the many-port regime of the paper's
+   substrates (Figs. 15-16), where the LR-ADI factor reaches the state
+   count and the accumulator switches to the Gramian itself:
 
    - rc-mesh sizes 15x15 (225 states), 23x23 (529), 33x33 (1089: the
      acceptance size shared with BENCH_sweep.json);
+   - substrates with 30 ports on 80 states and 150 ports on 200 states
+     (50 internal nodes each);
    - dense path: [Tbr.reduce_dss] (to_standard + two dense Lyapunov
      solves + dense square-root balancing);
    - low-rank path: [Tbr_lr.reduce] (LR-ADI factors + small-core SVD).
@@ -24,11 +28,15 @@
      invariant per the PR-4 contract);
    - exactly one symbolic analysis for the whole two-Gramian reduction.
 
+   Each record also carries both sides' [compressions], the
+   eigendecompositions of the LR-ADI accumulator.
+
    Emits BENCH_lyap.json in the current directory (a --smoke run writes it
    under _build/bench-smoke/ instead).  Run from the repo root:
 
      dune exec --profile release bench/lyap_bench.exe  # full run, 5x gate at 1089
-     dune exec bench/lyap_bench.exe -- --smoke # CI: small mesh,
+     dune exec bench/lyap_bench.exe -- --smoke # CI: small mesh and the
+                                               # 30-port substrate,
                                                # invariants only *)
 
 open Pmtbr_la
@@ -53,6 +61,7 @@ let time_best ?(reps = 3) f =
 type record = {
   name : string;
   states : int;
+  ports : int;
   order : int;
   dense_wall_s : float;  (* Tbr.reduce_dss: dense Gramians + balancing *)
   lr_wall_s : float;  (* Tbr_lr.reduce: LR-ADI factors + small core *)
@@ -60,6 +69,8 @@ type record = {
   hsv_drift : float;  (* worst leading-hsv relative difference *)
   ctrl_columns : int;  (* controllability factor width *)
   obs_columns : int;
+  ctrl_compressions : int;  (* accumulator eigendecompositions *)
+  obs_compressions : int;
   adi_steps : int;  (* both sides *)
   shifted_solves : int;
   symbolic : int;  (* symbolic analyses (contract: 1) *)
@@ -103,8 +114,8 @@ let invariant_checks ~name ~sys ~order ~st ~dense_hsv ~lr_hsv =
   Printf.eprintf "[lyap_bench] %s: invariants OK (hsv drift vs dense %.2e)\n%!" name drift;
   drift
 
-let bench_case ~name ~rows ~cols ~order ~reps =
-  let sys = Dss.of_netlist (Pmtbr_circuit.Rc_mesh.generate ~rows ~cols ~ports:2 ()) in
+let bench_case ~name ~order ~reps netlist =
+  let sys = Dss.of_netlist netlist in
   let n = Dss.order sys in
   Printf.eprintf "[lyap_bench] %s: %d states, reduced order %d\n%!" name n order;
   let dense_res, dense_wall = time_best ~reps (fun () -> Tbr.reduce_dss ~order sys) in
@@ -118,6 +129,7 @@ let bench_case ~name ~rows ~cols ~order ~reps =
     {
       name;
       states = n;
+      ports = (Dss.b_matrix sys).Mat.cols;
       order;
       dense_wall_s = dense_wall;
       lr_wall_s = lr_wall;
@@ -125,6 +137,8 @@ let bench_case ~name ~rows ~cols ~order ~reps =
       hsv_drift = drift;
       ctrl_columns = st.Tbr_lr.ctrl.Lr_lyap.columns;
       obs_columns = st.Tbr_lr.obs.Lr_lyap.columns;
+      ctrl_compressions = st.Tbr_lr.ctrl.Lr_lyap.compressions;
+      obs_compressions = st.Tbr_lr.obs.Lr_lyap.compressions;
       adi_steps = st.Tbr_lr.ctrl.Lr_lyap.steps + st.Tbr_lr.obs.Lr_lyap.steps;
       shifted_solves = st.Tbr_lr.solves;
       symbolic = st.Tbr_lr.symbolic;
@@ -132,9 +146,16 @@ let bench_case ~name ~rows ~cols ~order ~reps =
     }
   in
   Printf.eprintf
-    "[lyap_bench]   dense %.4f s | low-rank %.4f s (%.2fx) | %d+%d columns, %d solves\n%!"
-    dense_wall lr_wall r.speedup r.ctrl_columns r.obs_columns r.shifted_solves;
+    "[lyap_bench]   dense %.4f s | low-rank %.4f s (%.2fx) | %d+%d columns, %d solves, \
+     %d+%d compressions\n%!"
+    dense_wall lr_wall r.speedup r.ctrl_columns r.obs_columns r.shifted_solves
+    r.ctrl_compressions r.obs_compressions;
   r
+
+let mesh ~size = Pmtbr_circuit.Rc_mesh.generate ~rows:size ~cols:size ~ports:2 ()
+
+(* seed 3 is the golden test's 30-port substrate *)
+let substrate ~ports ~seed = Pmtbr_circuit.Substrate.generate ~ports ~internal:50 ~seed ()
 
 let json_of_records records =
   Util.json_object @@ fun buf ->
@@ -144,6 +165,7 @@ let json_of_records records =
       Buffer.add_string buf "    {\n";
       Buffer.add_string buf (Printf.sprintf "      \"name\": %S,\n" r.name);
       Buffer.add_string buf (Printf.sprintf "      \"states\": %d,\n" r.states);
+      Buffer.add_string buf (Printf.sprintf "      \"ports\": %d,\n" r.ports);
       Buffer.add_string buf (Printf.sprintf "      \"order\": %d,\n" r.order);
       Buffer.add_string buf (Printf.sprintf "      \"dense_wall_s\": %.6f,\n" r.dense_wall_s);
       Buffer.add_string buf (Printf.sprintf "      \"lr_wall_s\": %.6f,\n" r.lr_wall_s);
@@ -151,6 +173,10 @@ let json_of_records records =
       Buffer.add_string buf (Printf.sprintf "      \"hsv_drift\": %.3e,\n" r.hsv_drift);
       Buffer.add_string buf (Printf.sprintf "      \"ctrl_columns\": %d,\n" r.ctrl_columns);
       Buffer.add_string buf (Printf.sprintf "      \"obs_columns\": %d,\n" r.obs_columns);
+      Buffer.add_string buf
+        (Printf.sprintf "      \"ctrl_compressions\": %d,\n" r.ctrl_compressions);
+      Buffer.add_string buf
+        (Printf.sprintf "      \"obs_compressions\": %d,\n" r.obs_compressions);
       Buffer.add_string buf (Printf.sprintf "      \"adi_steps\": %d,\n" r.adi_steps);
       Buffer.add_string buf (Printf.sprintf "      \"shifted_solves\": %d,\n" r.shifted_solves);
       Buffer.add_string buf (Printf.sprintf "      \"symbolic\": %d,\n" r.symbolic);
@@ -167,16 +193,27 @@ let () =
     if smoke then
       (* CI smoke: small mesh, LR-vs-dense agreement + worker invariance
          + the one-symbolic-analysis contract, no timing gate *)
-      [ bench_case ~name:"rc-mesh-9x9-smoke" ~rows:9 ~cols:9 ~order:12 ~reps:1 ]
+      let mesh9 = bench_case ~name:"rc-mesh-9x9-smoke" ~order:12 ~reps:1 (mesh ~size:9) in
+      let sub30 =
+        bench_case ~name:"substrate-30p-smoke" ~order:16 ~reps:1 (substrate ~ports:30 ~seed:3)
+      in
+      [ mesh9; sub30 ]
     else begin
       (* reps are deliberately low: the dense baseline is minutes per
          rep at the larger sizes, and the gate has orders-of-magnitude
          margin.  Explicit lets pin the run (and log) order. *)
-      let small = bench_case ~name:"rc-mesh-15x15" ~rows:15 ~cols:15 ~order:16 ~reps:2 in
-      let mid = bench_case ~name:"rc-mesh-23x23" ~rows:23 ~cols:23 ~order:16 ~reps:1 in
+      let small = bench_case ~name:"rc-mesh-15x15" ~order:16 ~reps:2 (mesh ~size:15) in
+      let mid = bench_case ~name:"rc-mesh-23x23" ~order:16 ~reps:1 (mesh ~size:23) in
       (* the acceptance operand: 33x33 mesh = 1089 states *)
-      let big = bench_case ~name:"rc-mesh-33x33" ~rows:33 ~cols:33 ~order:16 ~reps:1 in
-      [ small; mid; big ]
+      let big = bench_case ~name:"rc-mesh-33x33" ~order:16 ~reps:1 (mesh ~size:33) in
+      (* many ports: both factors reach the state count *)
+      let sub30 =
+        bench_case ~name:"substrate-30p-50i" ~order:16 ~reps:3 (substrate ~ports:30 ~seed:3)
+      in
+      let sub150 =
+        bench_case ~name:"substrate-150p-50i" ~order:30 ~reps:2 (substrate ~ports:150 ~seed:42)
+      in
+      [ small; mid; big; sub30; sub150 ]
     end
   in
   let json = json_of_records records in

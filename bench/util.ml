@@ -1,16 +1,35 @@
 (* Output helpers shared by the figure-regeneration benches and the
    BENCH_*.json emitters. *)
 
-(* Every bench opens its JSON object with the host's core count and the
-   dune profile it was built in (dev compiles with -opaque, so nothing is
-   inlined across modules there and kernel ratios differ), so the numbers
-   downstream can be read against what measured them; [body] fills in the
-   bench-specific fields (no trailing comma needed before the closing
-   brace). *)
+(* The revision a bench ran from, as [git describe --always --dirty] names
+   it (so a run from uncommitted changes says so); "unknown" outside a git
+   checkout. *)
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let rev = try String.trim (input_line ic) with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when rev <> "" -> rev
+      | _ -> "unknown")
+
+let utc_date () =
+  let t = Unix.gmtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
+    t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
+
+(* Every bench opens its JSON object with the dune profile it was built in
+   (dev compiles with -opaque, so nothing is inlined across modules there
+   and kernel ratios differ), the revision and time of the run and the
+   host's core count, so the numbers downstream can be read against what
+   measured them; [body] fills in the bench-specific fields (no trailing
+   comma needed before the closing brace). *)
 let json_object body =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"profile\": %S,\n" Pmtbr_oracle.Build_profile.name);
+  Buffer.add_string buf (Printf.sprintf "  \"git_rev\": %S,\n" (git_rev ()));
+  Buffer.add_string buf (Printf.sprintf "  \"date\": %S,\n" (utc_date ()));
   Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ()));

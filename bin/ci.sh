@@ -74,6 +74,13 @@ dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-mesh --size 32 --stats \
 dune exec bin/pmtbr_cli.exe -- reduce --circuit rc-line --stats | grep -q '^ordering: *rcm ' \
     || { echo "rc-line should order by RCM" >&2; exit 1; }
 
+echo "== LR-ADI accumulator (a factor that reaches the state count is factored once)"
+# 20 ports on 20 states: the first flush already holds n columns, so the
+# Gramian takes the factor's place and one eigendecomposition factors it
+dune exec bin/pmtbr_cli.exe -- reduce --circuit substrate --ports 20 --method tbr-passive \
+    --order 10 --stats | grep -q '^gramian columns: .*compressions: 1)$' \
+    || { echo "a 20-port, 20-state tbr-passive job must run one eigendecomposition" >&2; exit 1; }
+
 echo "== unsolvable netlists (non-zero exit, an error naming the nodes)"
 ISLAND=".ci_island_$$.sp"
 NOCAP=".ci_nocap_$$.sp"

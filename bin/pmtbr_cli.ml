@@ -423,16 +423,18 @@ let print_stats name = function
   | Method.Low_rank st ->
       print_lyap ~symbolic:st.Tbr_lr.symbolic ~refactorizations:st.Tbr_lr.refactorizations
         ~shifts:st.Tbr_lr.shifts ~solves:st.Tbr_lr.solves ~col_solves:st.Tbr_lr.col_solves;
-      Printf.printf "gramian columns:   %d ctrl / %d obs (converged: %b / %b)\n"
+      Printf.printf "gramian columns:   %d ctrl / %d obs (converged: %b / %b; compressions: %d / %d)\n"
         st.Tbr_lr.ctrl.Lr_lyap.columns st.Tbr_lr.obs.Lr_lyap.columns
-        st.Tbr_lr.ctrl.Lr_lyap.converged st.Tbr_lr.obs.Lr_lyap.converged;
+        st.Tbr_lr.ctrl.Lr_lyap.converged st.Tbr_lr.obs.Lr_lyap.converged
+        st.Tbr_lr.ctrl.Lr_lyap.compressions st.Tbr_lr.obs.Lr_lyap.compressions;
       Printf.printf "wall time:         %.4f s\n" st.Tbr_lr.wall_s
   | Method.Passive st ->
       print_lyap ~symbolic:st.Tbr_passive.symbolic
         ~refactorizations:st.Tbr_passive.refactorizations ~shifts:st.Tbr_passive.shifts
         ~solves:st.Tbr_passive.solves ~col_solves:st.Tbr_passive.col_solves;
-      Printf.printf "gramian columns:   %d (converged: %b; one Gramian)\n"
-        st.Tbr_passive.gramian.Lr_lyap.columns st.Tbr_passive.gramian.Lr_lyap.converged;
+      Printf.printf "gramian columns:   %d (converged: %b; one Gramian; compressions: %d)\n"
+        st.Tbr_passive.gramian.Lr_lyap.columns st.Tbr_passive.gramian.Lr_lyap.converged
+        st.Tbr_passive.gramian.Lr_lyap.compressions;
       Printf.printf "wall time:         %.4f s\n" st.Tbr_passive.wall_s
   | Method.No_counters ->
       Printf.printf "counters:          none (%s keeps no solver counters)\n" name

@@ -20,17 +20,36 @@ type stats = {
   steps : int;
   solves : int;
   columns : int;
+  compressions : int;
   residuals : float array;
   converged : bool;
 }
 
 (* ---------------------------------------------------------------- helpers *)
 
+(* The real and imaginary parts of complex solve columns as n x m blocks,
+   filled by loops: a [Mat.init] closure would box each float it returns. *)
 let re_block n (cols : Complex.t array array) =
-  Mat.init n (Array.length cols) (fun i j -> cols.(j).(i).Complex.re)
+  let m = Array.length cols in
+  let z = Mat.create n m in
+  for j = 0 to m - 1 do
+    let col = cols.(j) in
+    for i = 0 to n - 1 do
+      z.Mat.data.((i * m) + j) <- col.(i).Complex.re
+    done
+  done;
+  z
 
 let im_block n (cols : Complex.t array array) =
-  Mat.init n (Array.length cols) (fun i j -> cols.(j).(i).Complex.im)
+  let m = Array.length cols in
+  let z = Mat.create n m in
+  for j = 0 to m - 1 do
+    let col = cols.(j) in
+    for i = 0 to n - 1 do
+      z.Mat.data.((i * m) + j) <- col.(i).Complex.im
+    done
+  done;
+  z
 
 (* A shift is treated as real when its imaginary part is negligible against
    its (strictly negative) real part. *)
@@ -45,7 +64,7 @@ let check_weights pts =
   Array.iter
     (fun (_, w) ->
       if not (w >= 0.0) then
-        invalid_arg "Lr_lyap.band_residual: weights must be non-negative")
+        invalid_arg "Lr_lyap.Band_residual: weights must be non-negative")
     pts
 
 (* Band-limited residual functional of arXiv 2411.13571: sample the residual
@@ -70,8 +89,6 @@ let band_residual_counted ops ~solves pts (w : Mat.t) =
       pts;
     sqrt !acc
   end
-
-let band_residual ops pts w = band_residual_counted ops ~solves:(ref 0) pts w
 
 (* ------------------------------------------------------- shift selection *)
 
@@ -137,16 +154,16 @@ let penzl_shifts_counted ?(num = 16) ?(ritz = 12) ~solves ops (b : Mat.t) =
     if Vec.norm2 v <= 1e-300 && n > 0 then v.(0) <- 1.0;
     v
   in
-  let as_mat v = Mat.init n 1 (fun i _ -> v.(i)) in
-  let col0 (m : Mat.t) = Array.init n (fun i -> Mat.get m i 0) in
+  (* an n x 1 matrix's data is its column *)
+  let as_mat v = { Mat.rows = n; cols = 1; data = Array.copy v } in
   (* Large-magnitude end of the spectrum: Ritz values of F = E^{-1} A. *)
-  let apply_f v = col0 (ops.solve_e (ops.mul_a (as_mat v))) in
+  let apply_f v = Mat.col (ops.solve_e (ops.mul_a (as_mat v))) 0 in
   (* Small-magnitude end: reciprocals of Ritz values of F^{-1} = A^{-1} E;
      p = 0 turns the shifted solve into a plain A^{-1}. *)
   let apply_finv v =
     let cols = ops.solve_shift Complex.zero (ops.mul_e (as_mat v)) in
     incr solves;
-    Array.init n (fun i -> cols.(0).(i).Complex.re)
+    (re_block n cols).Mat.data
   in
   let steps = min ritz (max 1 n) in
   let outer = ritz_values ~apply:apply_f ~steps v0 in
@@ -235,10 +252,12 @@ let penzl_shifts ?num ?ritz ops b =
    sqrt(lam_i), so dropping the columns with sqrt(lam_i) below a relative
    cutoff is the optimal truncation of Z Z^T at that tolerance.  This is
    what keeps the factor near the Gramian's numerical rank on many-input
-   systems, where raw ADI appends [inputs] columns per step. *)
-let compress_factor ~cutoff (z : Mat.t) =
+   systems, where raw ADI appends [inputs] columns per step.  [compressions]
+   counts the eigendecompositions. *)
+let compress_factor ~cutoff ~compressions (z : Mat.t) =
   if z.Mat.cols <= 1 then z
   else begin
+    incr compressions;
     let lam, u = Eig_sym.decompose (Mat.gram z) in
     let lmax = if Array.length lam = 0 then 0.0 else Float.max 0.0 lam.(0) in
     let keep = ref 0 in
@@ -249,7 +268,7 @@ let compress_factor ~cutoff (z : Mat.t) =
     if r >= z.Mat.cols then z else Mat.mul z (Mat.sub_cols u 0 r)
   end
 
-(* Assemble Z from the accumulated blocks in one pass. *)
+(* Assemble Z from blocks accumulated newest first, in one pass. *)
 let assemble n blocks_rev =
   let blocks = List.rev blocks_rev in
   let total = List.fold_left (fun acc (b : Mat.t) -> acc + b.Mat.cols) 0 blocks in
@@ -265,24 +284,34 @@ let assemble n blocks_rev =
     blocks;
   z
 
+(* What the iteration has accumulated of Z Z^T so far.  A [Tall] factor
+   (fewer columns than states) is recompressed at every flush.  Once the
+   factor and its pending blocks reach n columns, the n x n Gramian X
+   itself is smaller than the Gram of the factor, so it takes the
+   factor's place ([Wide]): later flushes add each block P as P P^T and X
+   is factored once at the end, with [compress_factor]'s keep rule on its
+   eigenvalues. *)
+type accumulator = Tall of Mat.t | Wide of Mat.t
+
 let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
-    ?(stop = Residual_fro) ?compress ops (b : Mat.t) =
+    ?(stop = Residual_fro) ops (b : Mat.t) =
   if b.Mat.rows <> ops.n then
     invalid_arg "Lr_lyap.lr_adi: right-hand side row count does not match n";
-  let solves = ref 0 in
-  let finish ~steps ~columns ~residuals ~converged z =
+  let n = ops.n in
+  let solves = ref 0 and compressions = ref 0 in
+  let finish ~steps ~residuals ~converged z =
     ( z,
       {
         steps;
         solves = !solves;
-        columns;
+        columns = z.Mat.cols;
+        compressions = !compressions;
         residuals = Array.of_list (List.rev residuals);
         converged;
       } )
   in
-  if ops.n = 0 || b.Mat.cols = 0 then
-    finish ~steps:0 ~columns:0 ~residuals:[] ~converged:true
-      (Mat.create ops.n 0)
+  if n = 0 || b.Mat.cols = 0 then
+    finish ~steps:0 ~residuals:[] ~converged:true (Mat.create n 0)
   else begin
     let shifts =
       match shifts with
@@ -306,29 +335,27 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
           Float.max 1e-300 (band_residual_counted ops ~solves pts b)
     in
     (* Compression cutoff on the singular values of Z, relative to the
-       largest: the default drops only what sits at the Gram matrix's own
+       largest: it drops only what sits at the Gram matrix's own
        round-off floor, so the returned Gramian is unchanged to ~1e-16
-       while the factor stays near the numerical rank.  0 disables. *)
-    let ctol =
-      match compress with
-      | Some c -> c
-      | None -> Float.max 1e-8 (0.01 *. tol)
-    in
+       while the factor stays near the numerical rank. *)
+    let cutoff = Float.max 1e-8 (0.01 *. tol) in
     let flush_at = max 16 (2 * b.Mat.cols) in
     let w = ref (Mat.copy b) in
-    let z_acc = ref (Mat.create ops.n 0) in
+    let acc = ref (Tall (Mat.create n 0)) in
     let pending = ref [] and pending_cols = ref 0 in
-    let flush ~final () =
-      if !pending_cols > 0 then begin
-        let fresh = assemble ops.n !pending in
-        z_acc :=
-          if (!z_acc).Mat.cols = 0 then fresh else Mat.hcat !z_acc fresh;
-        pending := [];
-        pending_cols := 0;
-        if ctol > 0.0 then z_acc := compress_factor ~cutoff:ctol !z_acc
-      end
-      else if final && ctol > 0.0 && (!z_acc).Mat.cols > 0 then
-        z_acc := compress_factor ~cutoff:ctol !z_acc
+    (* P P^T as the Gram of P^T *)
+    let outer p = Mat.gram (Mat.transpose p) in
+    let flush () =
+      (acc :=
+         match !acc with
+         | Tall z ->
+             let z = assemble n (!pending @ [ z ]) in
+             if z.Mat.cols >= n then Wide (outer z)
+             else Tall (compress_factor ~cutoff ~compressions z)
+         | Wide x when !pending_cols = 0 -> Wide x
+         | Wide x -> Wide (Mat.add x (outer (assemble n !pending))));
+      pending := [];
+      pending_cols := 0
     in
     let residuals = ref [] in
     let steps = ref 0 and converged = ref false and cursor = ref 0 in
@@ -340,7 +367,7 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
       let alpha = p.Complex.re in
       if is_effectively_real p then begin
         (* V = (A + pE)^{-1} W;  Z += sqrt(-2p) V;  W -= 2p E V. *)
-        let v = re_block ops.n vc in
+        let v = re_block n vc in
         pending := Mat.scale (sqrt (-2.0 *. alpha)) v :: !pending;
         pending_cols := !pending_cols + v.Mat.cols;
         w := Mat.sub !w (Mat.scale (2.0 *. alpha) (ops.mul_e v));
@@ -353,7 +380,7 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
              V'' = sqrt (delta^2 + 1) Im V,
            the pair {p, conj p} contributes 2 sqrt(-Re p) [V', V''] to Z and
            updates W -= 4 Re p * E V' — W stays real. *)
-        let vr = re_block ops.n vc and vi = im_block ops.n vc in
+        let vr = re_block n vc and vi = im_block n vc in
         let delta = alpha /. p.Complex.im in
         let v1 = Mat.add vr (Mat.scale delta vi) in
         let v2 = Mat.scale (sqrt ((delta *. delta) +. 1.0)) vi in
@@ -363,7 +390,7 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
         w := Mat.sub !w (Mat.scale (4.0 *. alpha) (ops.mul_e v1));
         steps := !steps + 2
       end;
-      if ctol > 0.0 && !pending_cols >= flush_at then flush ~final:false ();
+      if !pending_cols >= flush_at then flush ();
       let rel_fro = low_rank_fro !w /. den_fro in
       residuals := rel_fro :: !residuals;
       (match stop with
@@ -376,7 +403,15 @@ let lr_adi ?shifts ?num_shifts ?ritz ?(tol = 1e-10) ?(max_steps = 200)
             if rel <= tol then converged := true
           end)
     done;
-    flush ~final:true ();
-    finish ~steps:!steps ~columns:(!z_acc).Mat.cols ~residuals:!residuals
-      ~converged:!converged !z_acc
+    flush ();
+    let z =
+      match !acc with
+      | Tall z -> z
+      | Wide x ->
+          incr compressions;
+          (* at least one column, as [compress_factor] keeps *)
+          let z = Eig_sym.psd_factor ~tol:(cutoff *. cutoff) x in
+          if z.Mat.cols = 0 then Mat.create n 1 else z
+    in
+    finish ~steps:!steps ~residuals:!residuals ~converged:!converged z
   end

@@ -60,6 +60,10 @@ type stats = {
   steps : int;  (** ADI steps taken (a conjugate pair counts as 2) *)
   solves : int;  (** [solve_shift] calls (Ritz/band solves included) *)
   columns : int;  (** columns of the returned factor [Z] *)
+  compressions : int;
+      (** eigendecompositions the accumulator ran: one per flush while
+          the factor stays tall, plus one to factor the Gramian once it
+          has gone wide (see {!lr_adi}) *)
   residuals : float array;
       (** relative Frobenius residual-norm history, one entry per
           appended block *)
@@ -76,11 +80,6 @@ val penzl_shifts : ?num:int -> ?ritz:int -> ops -> Mat.t -> Complex.t array
     once per pair.  Unstable Ritz values are discarded; the fallback when
     nothing survives is the single shift [-1]. *)
 
-val band_residual : ops -> (Complex.t * float) array -> Mat.t -> float
-(** [band_residual ops pts w] is the band-limited residual functional of
-    {!Band_residual} evaluated on a factor [W] (unnormalised).
-    @raise Invalid_argument on a negative or NaN weight. *)
-
 val lr_adi :
   ?shifts:Complex.t array ->
   ?num_shifts:int ->
@@ -88,7 +87,6 @@ val lr_adi :
   ?tol:float ->
   ?max_steps:int ->
   ?stop:stop ->
-  ?compress:float ->
   ops ->
   Mat.t ->
   Mat.t * stats
@@ -100,12 +98,30 @@ val lr_adi :
     shifts are processed as conjugate double steps in real arithmetic
     (one complex solve per pair), so [z] is always real.
 
-    [compress] is a relative cutoff on the singular values of [Z]: the
-    accumulating factor is periodically recompressed to the rank above
-    the cutoff, which keeps the column count near the Gramian's numerical
-    rank on many-input systems instead of growing by [inputs] columns per
-    step.  The default [max 1e-8 (0.01 * tol)] truncates only at the Gram
-    round-off floor (a ~1e-16 relative perturbation of [Z Z^T]); pass
-    [0.] to disable compression entirely.
+    The new columns are collected in blocks and flushed into an
+    accumulator every [max 16 (2 * inputs)] columns and once at the end.
+    Every flush drops singular values of [Z] below the relative cutoff
+    [c = max 1e-8 (0.01 * tol)], the Gram round-off floor (a ~1e-16
+    relative perturbation of [Z Z^T]), which keeps the column count near
+    the Gramian's numerical rank instead of growing by [inputs] columns
+    per step.  How it does so depends on the factor's width against the
+    state count [n]:
+    - {b tall} (the factor plus the pending blocks hold fewer than [n]
+      columns): the flush eigendecomposes the Gram [Z^T Z = U L U^T] and
+      keeps [Z U_r], the columns with [l_i > c^2 l_max];
+    - {b wide} (they reach [n]): the [n x n] Gramian [X = Z Z^T] replaces
+      the factor for good, each later flush adds its block [P] as
+      [P P^T], and at the end [z] is [Eig_sym.psd_factor ~tol:(c^2) x],
+      the eigenvectors of [X] scaled by [sqrt l_i] under the same keep
+      rule.
+    Either way a run that takes a step returns at least one column.
+    The switch reads only the column count, and the residual factor
+    never reads the accumulator, so [steps], [solves], [residuals] and
+    [converged] do not depend on it; a factor that stays tall is bitwise
+    the every-flush-compressed one, and a wide one differs from it at
+    round-off.  [X] holds [8 n^2] bytes and replaces a factor of at
+    least [n] columns, so the accumulator never grows past it.
+    [stats.compressions] counts the eigendecompositions.
     @raise Invalid_argument on a shift with [Re p >= 0], an empty shift
-    array, or a right-hand side with the wrong row count. *)
+    array, a right-hand side with the wrong row count, or a
+    {!Band_residual} point with a negative or NaN weight. *)

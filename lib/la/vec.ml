@@ -12,7 +12,13 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let scale a x = Array.map (fun v -> a *. v) x
+(* a loop, not [Array.map]: the closure would box each float it returns *)
+let scale a x =
+  let y = Array.make (Array.length x) 0.0 in
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- a *. x.(i)
+  done;
+  y
 
 (* y <- y + a*x, in place *)
 let axpy a x y =

@@ -296,6 +296,16 @@ let allocates_only_result (name, run) =
       if words > float_of_int held then
         Alcotest.failf "Mat.%s allocated %.0f minor words; its result holds %d" name words held)
 
+(* [Vec.scale] fills its result in a loop: through [Array.map] its closure
+   boxed every float it returned (160,004 minor words for these 40,000
+   entries in a dev build). *)
+let test_vec_scale_alloc () =
+  let x = Array.init 40_000 (fun i -> float_of_int (i mod 7) -. 3.0) in
+  let y, words = minor_words (fun () -> Vec.scale 0.5 x) in
+  let held = Obj.reachable_words (Obj.repr y) in
+  if words > float_of_int held then
+    Alcotest.failf "Vec.scale allocated %.0f minor words; its result holds %d" words held
+
 let test_psd_factor () =
   let b = Mat.random ~seed:89 8 3 in
   let x = Mat.mul b (Mat.transpose b) in
@@ -658,7 +668,9 @@ let () =
           Alcotest.test_case "zero matrix" `Quick test_svd_zero_matrix;
           Alcotest.test_case "single column" `Quick test_svd_single_column;
         ] );
-      ("alloc", List.map allocates_only_result alloc_cases);
+      ( "alloc",
+        List.map allocates_only_result alloc_cases
+        @ [ Alcotest.test_case "Vec.scale" `Quick test_vec_scale_alloc ] );
       ( "eig_sym",
         [
           Alcotest.test_case "known 2x2" `Quick test_eig_sym_known;

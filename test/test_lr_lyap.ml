@@ -1,8 +1,10 @@
 (* Tests for the low-rank Lyapunov solvers (Lr_lyap) and the low-rank
    balanced-truncation backend (Tbr_lr): property-level agreement with the
-   dense Lyap/Tbr baselines, the ADI residual contract, the shared
-   multi-shift handle counters, worker invariance of the small-core SVD
-   path, and the golden PMTBR-vs-exact-TBR sweep regression. *)
+   dense Lyap/Tbr baselines and with the every-flush accumulator kept as
+   [Pmtbr_oracle.Factor_adi], the ADI residual contract, the shared
+   multi-shift handle and compression counters, worker invariance of the
+   small-core SVD path, and the golden PMTBR-vs-exact-TBR sweep
+   regression. *)
 
 open Pmtbr_la
 open Pmtbr_circuit
@@ -20,10 +22,10 @@ let check_small ?(tol = 1e-9) msg value =
    generated pencil is stable, so the Gramians exist. *)
 let random_system ~seed ~n ~m ~spd_e ~sym_a =
   let mm = Mat.random ~seed n n in
+  let mmt = Mat.mul mm (Mat.transpose mm) in
   let sym =
     Mat.init n n (fun i j ->
-        -.(Mat.get (Mat.mul mm (Mat.transpose mm)) i j /. float_of_int n)
-        -. if i = j then 0.5 else 0.0)
+        -.(Mat.get mmt i j /. float_of_int n) -. if i = j then 0.5 else 0.0)
   in
   let a =
     if sym_a then sym
@@ -68,15 +70,29 @@ let sys_gen =
   QCheck2.Gen.(
     tup5 (int_range 5 60) (int_range 1 3) (int_range 0 1000) bool bool)
 
-(* The ISSUE acceptance bar: LR-ADI Z Z^T matches the dense solve to 1e-8
-   relative on random stable SISO/MIMO descriptor systems up to n = 60. *)
+(* At least as many inputs as states: the first step alone brings n
+   columns, so the accumulator holds the Gramian itself from the first
+   flush on and every draw goes wide.  (With one to three inputs a small
+   system can converge before its factor reaches n.) *)
+let wide_sys_gen =
+  QCheck2.Gen.(
+    map
+      (fun (n, extra, seed, spd_e, sym_a) -> (n, n + extra, seed, spd_e, sym_a))
+      (tup5 (int_range 5 20) (int_range 0 3) (int_range 0 1000) bool bool))
+
+let matches_dense (n, m, seed, spd_e, sym_a) =
+  let e, a, b = random_system ~seed ~n ~m ~spd_e ~sym_a in
+  let x = dense_gramian e a b in
+  let z, st = Lr_lyap.lr_adi ~tol:1e-12 (dense_ops ~e ~a) b in
+  st.Lr_lyap.converged && rel_gramian_error z x <= 1e-8
+
+(* LR-ADI Z Z^T matches the dense solve to 1e-8 relative on random stable
+   SISO/MIMO descriptor systems up to n = 60, one draw on any size (tall
+   or wide) and one small enough that its factor goes wide. *)
 let prop_adi_matches_dense =
-  QCheck2.Test.make ~name:"lr_adi matches dense Lyap.solve (<= 1e-8)" ~count:12 sys_gen
-    (fun (n, m, seed, spd_e, sym_a) ->
-      let e, a, b = random_system ~seed ~n ~m ~spd_e ~sym_a in
-      let x = dense_gramian e a b in
-      let z, st = Lr_lyap.lr_adi ~tol:1e-12 (dense_ops ~e ~a) b in
-      st.Lr_lyap.converged && rel_gramian_error z x <= 1e-8)
+  QCheck2.Test.make ~name:"lr_adi matches dense Lyap.solve (<= 1e-8)" ~count:12
+    QCheck2.Gen.(pair sys_gen wide_sys_gen)
+    (fun (any, wide) -> matches_dense any && matches_dense wide)
 
 (* For symmetric negative-definite A with E = I every ADI step is a
    contraction of the residual factor: |lambda - p| / |lambda + p| < 1 for
@@ -117,15 +133,147 @@ let prop_tbr_lr_hsv_matches_dense =
         dense;
       !ok)
 
-(* ------------------------------------------------------------------ *)
-(* Worker invariance (PR-4 contract)                                   *)
-(* ------------------------------------------------------------------ *)
-
 let mesh_system ~rows ~cols ~ports =
   Dss.of_netlist (Rc_mesh.generate ~rows ~cols ~ports ())
 
 let bitwise_equal (a : Mat.t) (b : Mat.t) =
   a.Mat.rows = b.Mat.rows && a.Mat.cols = b.Mat.cols && a.Mat.data = b.Mat.data
+
+(* ------------------------------------------------------------------ *)
+(* The accumulator against the every-flush oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+(* RC meshes keep few columns against their states (tall); substrates,
+   whose every node is a port or close to one, and the small random
+   systems reach the state count (wide). *)
+type case =
+  | Mesh of int * int * int  (** rows, cols, ports *)
+  | Substrate_net of int * int * int  (** ports, internal nodes, seed *)
+  | Dense of (int * int * int * bool * bool)  (** as [sys_gen] draws *)
+
+let show_case = function
+  | Mesh (r, c, p) -> Printf.sprintf "mesh %dx%d, %d ports" r c p
+  | Substrate_net (p, i, s) -> Printf.sprintf "substrate %d ports, %d internal, seed %d" p i s
+  | Dense (n, m, seed, spd_e, sym_a) ->
+      Printf.sprintf "dense n=%d m=%d seed=%d spd_e=%b sym_a=%b" n m seed spd_e sym_a
+
+let case_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map3 (fun r c p -> Mesh (r, c, p)) (int_range 3 12) (int_range 3 12) (int_range 1 4);
+        map3
+          (fun p i s -> Substrate_net (p, i, s))
+          (int_range 4 30) (int_range 0 60) (int_range 0 1000);
+        map (fun d -> Dense d) sys_gen;
+      ])
+
+(* The system with C = B^T, so that [Tbr_passive] takes the symmetric
+   random draws, and its controllability operators. *)
+let case_system case =
+  let sys =
+    match case with
+    | Mesh (rows, cols, ports) -> mesh_system ~rows ~cols ~ports
+    | Substrate_net (ports, internal, seed) ->
+        Dss.of_netlist (Substrate.generate ~ports ~internal ~seed ())
+    | Dense (n, m, seed, spd_e, sym_a) ->
+        let e, a, b = random_system ~seed ~n ~m ~spd_e ~sym_a in
+        Dss.of_dense ~e ~a ~b ~c:(Mat.transpose b)
+  in
+  let solve, _ = Lyap_ops.shared_solver sys in
+  (sys, fst (Lyap_ops.ops_of_dss solve sys))
+
+let gramian_gap (z : Mat.t) (zo : Mat.t) =
+  let xo = Mat.mul zo (Mat.transpose zo) in
+  Mat.frobenius (Mat.sub (Mat.mul z (Mat.transpose z)) xo) /. Mat.frobenius xo
+
+let bits = Array.map Int64.bits_of_float
+
+(* The residual factor never reads the accumulator, so the iteration is
+   the oracle's bit for bit on every input; the factor is too while it
+   stays tall (the oracle's flushes never held n columns), and once wide
+   it spans the same Gramian to round-off. *)
+let prop_adi_matches_oracle =
+  QCheck2.Test.make ~name:"lr_adi == every-flush oracle (bitwise tall, 1e-11 wide)" ~count:20
+    ~print:show_case case_gen (fun case ->
+      let sys, ops = case_system case in
+      let b = Dss.b_matrix sys in
+      let z, st = Lr_lyap.lr_adi ops b in
+      let zo, so, widest = Pmtbr_oracle.Factor_adi.lr_adi ops b in
+      st.Lr_lyap.steps = so.Lr_lyap.steps
+      && st.Lr_lyap.solves = so.Lr_lyap.solves
+      && st.Lr_lyap.converged = so.Lr_lyap.converged
+      && bits st.Lr_lyap.residuals = bits so.Lr_lyap.residuals
+      &&
+      if widest < ops.Lr_lyap.n then
+        bitwise_equal z zo && st.Lr_lyap.compressions = so.Lr_lyap.compressions
+      else gramian_gap z zo <= 1e-11)
+
+(* Hankel values of the oracle's factor, as [Tbr_passive] reads them off
+   an RC (J = I) factor: |eig (Z^T E Z)|, descending. *)
+let oracle_hsv sys ops shifts =
+  let zo, _, _ = Pmtbr_oracle.Factor_adi.lr_adi ~shifts ops (Dss.b_matrix sys) in
+  let m = Mat.symmetrize (Mat.mul (Mat.transpose zo) (Dss.apply_e sys zo)) in
+  let hsv = Array.map Float.abs (Eig_sym.eigenvalues m) in
+  Array.sort (fun a b -> compare b a) hsv;
+  hsv
+
+let prop_passive_matches_oracle =
+  QCheck2.Test.make ~name:"Tbr_passive order and HSVs == oracle's (1e-12 sigma_0)" ~count:20
+    ~print:show_case case_gen (fun case ->
+      let case =
+        match case with
+        | Dense (n, m, seed, spd_e, _) -> Dense (n, m, seed, spd_e, true)
+        | c -> c
+      in
+      let sys, ops = case_system case in
+      let r = Tbr_passive.reduce ~order:6 sys in
+      let hsv_o = oracle_hsv sys ops r.Tbr_passive.stats.Tbr_passive.shifts in
+      let q_o = Tbr.truncation_order ~floor:1e-13 ~sigma:hsv_o ~order:6 () in
+      let hsv = r.Tbr_passive.hsv in
+      let at h i = if i < Array.length h then h.(i) else 0.0 in
+      let worst = ref 0.0 in
+      for i = 0 to max (Array.length hsv) (Array.length hsv_o) - 1 do
+        worst := Float.max !worst (Float.abs (at hsv i -. at hsv_o i))
+      done;
+      r.Tbr_passive.order = q_o && !worst <= 1e-12 *. hsv_o.(0))
+
+(* The eigendecompositions each accumulator runs, pinned: the oracle's one
+   per flush against the library's one per tall flush plus one for the
+   Gramian.  The 20-port substrate on 60 states is perfbench's
+   substrate-ports geometry; the 30-port one is the golden test's. *)
+let test_compression_counts () =
+  let check name (want, want_oracle) nl =
+    let sys = Dss.of_netlist nl in
+    let st = (Tbr_passive.reduce ~order:6 sys).Tbr_passive.stats in
+    Alcotest.(check int) name want st.Tbr_passive.gramian.Lr_lyap.compressions;
+    (* the same iteration again, on fresh operators that the oracle then
+       shares *)
+    let solve, _ = Lyap_ops.shared_solver sys in
+    let ops, _ = Lyap_ops.ops_of_dss solve sys in
+    let b = Dss.b_matrix sys and shifts = st.Tbr_passive.shifts in
+    let _, again = Lr_lyap.lr_adi ~shifts ops b in
+    Alcotest.(check int) (name ^ ", again") want again.Lr_lyap.compressions;
+    let _, so, _ = Pmtbr_oracle.Factor_adi.lr_adi ~shifts ops b in
+    Alcotest.(check int) (name ^ ", every-flush oracle") want_oracle so.Lr_lyap.compressions
+  in
+  check "substrate, 20 ports, 40 internal" (2, 23)
+    (Substrate.generate ~ports:20 ~internal:40 ~seed:40020 ());
+  check "substrate, 30 ports, 50 internal" (2, 60)
+    (Substrate.generate ~ports:30 ~internal:50 ~seed:3 ());
+  check "substrate, 20 ports, 20 states" (1, 9) (Substrate.generate ~ports:20 ());
+  check "rc mesh 52x52, 4 ports" (6, 6) (Rc_mesh.generate ~rows:52 ~cols:52 ~ports:4 ());
+  (* both Tbr_lr sides carry the count: this substrate is reciprocal, so
+     its observability side repeats the controllability one *)
+  let st =
+    (Tbr_lr.reduce ~order:6 (Dss.of_netlist (Substrate.generate ~ports:20 ()))).Tbr_lr.stats
+  in
+  Alcotest.(check (pair int int)) "tbr-lr ctrl / obs" (1, 1)
+    (st.Tbr_lr.ctrl.Lr_lyap.compressions, st.Tbr_lr.obs.Lr_lyap.compressions)
+
+(* ------------------------------------------------------------------ *)
+(* Worker invariance (PR-4 contract)                                   *)
+(* ------------------------------------------------------------------ *)
 
 let test_worker_invariance () =
   let sys = mesh_system ~rows:7 ~cols:7 ~ports:2 in
@@ -288,6 +436,8 @@ let props =
       prop_adi_matches_dense;
       prop_adi_residual_monotone;
       prop_tbr_lr_hsv_matches_dense;
+      prop_adi_matches_oracle;
+      prop_passive_matches_oracle;
     ]
 
 let () =
@@ -299,6 +449,7 @@ let () =
           Alcotest.test_case "worker invariance (bitwise)" `Quick test_worker_invariance;
           Alcotest.test_case "handle reuse counters" `Quick test_handle_reuse_counters;
           Alcotest.test_case "band-limited stop" `Quick test_band_limited_stop;
+          Alcotest.test_case "compression counts" `Quick test_compression_counts;
         ] );
       ( "failures",
         [
